@@ -18,7 +18,6 @@ from .measures import bold_ms, mu_degree, ms
 from .resource import (
     _apply_sum_step,
     head_redex_pos_res,
-    is_hnf_res,
     normalize_r,
     pick_step,
     reducible_addends,
@@ -59,6 +58,22 @@ def _read_input(args: argparse.Namespace) -> str:
         return sys.stdin.read()
     with open(path, "r", encoding="utf-8") as fh:
         return fh.read()
+
+
+def _int_at_least(low: int):
+    """An argparse type for integers no smaller than ``low``, so that a bad
+    bound is a usage error (exit 2) rather than a crash or a silent no-op."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
 
 
 def _add_input_args(sp: argparse.ArgumentParser) -> None:
@@ -109,7 +124,7 @@ def _reduce_lamu(args: argparse.Namespace, src: str) -> int:
         return _fail_parse(src, e)
     rng = random.Random(args.seed)
     print(f"start: {print_term(t)}")
-    for i in range(args.max_steps):
+    for i in range(args.max_steps + 1):
         if args.strategy == "head":
             hit = head_redex_pos(t)
         else:
@@ -123,6 +138,8 @@ def _reduce_lamu(args: argparse.Namespace, src: str) -> int:
         if hit is None:
             print(f"normal for this strategy after {i} steps")
             return 0
+        if i == args.max_steps:
+            break
         pos, kind = hit
         t = reduce_redex(t, pos)
         print(f"step {i + 1} [{kind} @ {_pos_str(pos)}]: {print_term(t)}")
@@ -148,7 +165,7 @@ def _reduce_res(args: argparse.Namespace, src: str) -> int:
         return _fail_parse(src, e)
     rng = random.Random(args.seed)
     print(f"start: {print_sum(s)}")
-    for i in range(args.max_steps):
+    for i in range(args.max_steps + 1):
         if args.strategy == "head":
             step = _res_head_step(s)
         elif reducible_addends(s):
@@ -159,6 +176,8 @@ def _reduce_res(args: argparse.Namespace, src: str) -> int:
             label = "head-normal" if args.strategy == "head" else "normal"
             print(f"{label} after {i} steps")
             return 0
+        if i == args.max_steps:
+            break
         s = _apply_sum_step(s, step, "coeff")
         print(
             f"step {i + 1} [{step.kind} @ {_pos_str(step.pos)} in {print_res(step.term)}]: {print_sum(s)}"
@@ -354,9 +373,9 @@ def _cmd_check(args: argparse.Namespace) -> int:
         env = os.environ.get(_ENV_NODE_CAP)
         if env is not None:
             try:
-                node_cap = int(env)
-            except ValueError:
-                sys.stderr.write(f"error: {_ENV_NODE_CAP} must be an integer\n")
+                node_cap = _int_at_least(1)(env)
+            except argparse.ArgumentTypeError as e:
+                sys.stderr.write(f"error: {_ENV_NODE_CAP}: {e}\n")
                 return 2
     report = run_suite(
         args.suite,
@@ -394,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--strategy", choices=("head", "leftmost", "random"),
                     default="leftmost")
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--max-steps", type=int, default=100)
+    sp.add_argument("--max-steps", type=_int_at_least(0), default=100)
     sp.add_argument("--semiring", choices=(BOOL, NAT), default=NAT,
                     help="coefficients for --calculus res")
     sp.set_defaults(func=_cmd_reduce)
@@ -414,38 +433,38 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("taylor", help="finite approximants up to a size bound")
     _add_input_args(sp)
-    sp.add_argument("--max-size", type=int, required=True)
-    sp.add_argument("--limit", type=int, default=None,
+    sp.add_argument("--max-size", type=_int_at_least(0), required=True)
+    sp.add_argument("--limit", type=_int_at_least(0), default=None,
                     help="print at most this many")
     sp.add_argument("--json", action="store_true")
     sp.set_defaults(func=_cmd_taylor)
 
     sp = sub.add_parser("nft", help="truncated normal-form set of the approximants")
     _add_input_args(sp)
-    sp.add_argument("--max-size", type=int, required=True)
-    sp.add_argument("--limit", type=int, default=None)
+    sp.add_argument("--max-size", type=_int_at_least(0), required=True)
+    sp.add_argument("--limit", type=_int_at_least(0), default=None)
     sp.add_argument("--json", action="store_true")
     sp.set_defaults(func=_cmd_nft)
 
     sp = sub.add_parser("nft-eq", help="compare two truncated normal-form sets")
     sp.add_argument("expr1")
     sp.add_argument("expr2")
-    sp.add_argument("--max-size", type=int, required=True)
+    sp.add_argument("--max-size", type=_int_at_least(0), required=True)
     sp.add_argument("--json", action="store_true")
     sp.set_defaults(func=_cmd_nft_eq)
 
     sp = sub.add_parser("solvable", help="bounded head-reduction query")
     _add_input_args(sp)
-    sp.add_argument("--fuel", type=int, default=1000)
+    sp.add_argument("--fuel", type=_int_at_least(0), default=1000)
     sp.add_argument("--json", action="store_true")
     sp.set_defaults(func=_cmd_solvable)
 
     sp = sub.add_parser("check", help="run a property suite")
     sp.add_argument("--suite", choices=sorted(SUITES), required=True)
-    sp.add_argument("--samples", type=int, default=None)
+    sp.add_argument("--samples", type=_int_at_least(0), default=None)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--max-term-size", type=int, default=None)
-    sp.add_argument("--node-cap", type=int, default=None,
+    sp.add_argument("--max-term-size", type=_int_at_least(1), default=None)
+    sp.add_argument("--node-cap", type=_int_at_least(1), default=None,
                     help=f"graph size guard (also via ${_ENV_NODE_CAP})")
     sp.add_argument("--json", action="store_true")
     sp.set_defaults(func=_cmd_check)

@@ -6,6 +6,10 @@ a part index; distinct assignments can induce the same composition, and the
 number that do is the composition's multiplicity (a product of multinomials,
 one per group of equal elements).  The exact-count semiring needs those
 multiplicities; the idempotent one only needs the composition set.
+
+The enumeration can be directed by per-part sizes (exact, empty, or free),
+so that the substitution operators, which know the degree of every subterm,
+never see a split that would vanish.
 """
 
 from __future__ import annotations
@@ -19,41 +23,71 @@ IndexAssignment = tuple[int, ...]
 WeakComposition = tuple[Bag, ...]
 
 
-def compositions_of(m: int, k: int) -> Iterator[tuple[int, ...]]:
-    """All tuples of k non-negative ints summing to m, lexicographically."""
+def compositions_of(
+    m: int, k: int, caps: Sequence[int] | None = None
+) -> Iterator[tuple[int, ...]]:
+    """All tuples of k non-negative ints summing to m, lexicographically;
+    with ``caps``, only those whose entry i is at most ``caps[i]``."""
     assert m >= 0 and k >= 0, (m, k)
+    if caps is None:
+        caps = (m,) * k
+    assert len(caps) == k, (caps, k)
     if k == 0:
         if m == 0:
             yield ()
         return
     if k == 1:
-        yield (m,)
+        if m <= caps[0]:
+            yield (m,)
         return
-    for first in range(m + 1):
-        for rest in compositions_of(m - first, k - 1):
+    room = sum(caps[1:])
+    for first in range(max(0, m - room), min(m, caps[0]) + 1):
+        for rest in compositions_of(m - first, k - 1, caps[1:]):
             yield (first,) + rest
 
 
-def weak_compositions_with_counts(bag: Bag, nparts: int) -> Iterator[tuple[WeakComposition, int]]:
+def weak_compositions_with_counts(
+    bag: Bag, nparts: int, sizes: Sequence[int | None] | None = None
+) -> Iterator[tuple[WeakComposition, int]]:
     """Weak compositions of ``bag`` into ``nparts`` parts with multiplicities.
 
     Each composition is yielded exactly once; its count is the number of
     index assignments inducing it.  Equal bag elements are grouped, so the
     count for a group sending m copies as (m_0, ..., m_{n-1}) is the
     multinomial m! / prod(m_i!), and counts multiply across groups.
+
+    ``sizes`` directs the split: part i gets exactly ``sizes[i]`` elements
+    (0: the empty part), or any number when ``sizes[i]`` is None.  Each
+    group's allocations are pruned by those sizes as caps, so an empty part
+    is never tried; the products of allocations are then filtered by the
+    exact positive sizes.  The compositions yielded are those of the given
+    part sizes, in the order of the unconstrained enumeration.
     """
     assert nparts >= 0, nparts
-    if nparts == 0:
-        if not bag:
-            yield ((), 1)  # type: ignore[misc]  -- zero parts, empty tuple
-        return
+    if sizes is None:
+        exact: list[tuple[int, int]] = []
+        caps = (len(bag),) * nparts
+    else:
+        assert len(sizes) == nparts, (sizes, nparts)
+        fixed = [n for n in sizes if n is not None]
+        assert min(fixed, default=0) >= 0, sizes
+        if sum(fixed) > len(bag) or (len(fixed) == nparts and sum(fixed) != len(bag)):
+            return
+        # No group may put more into a part than the part's size, so the
+        # caps alone enforce the empty parts; the positive sizes are checked
+        # once every group is placed.
+        exact = [(i, n) for i, n in enumerate(sizes) if n]
+        caps = tuple(len(bag) if n is None else n for n in sizes)
     groups = [(elem, len(list(g))) for elem, g in itertools.groupby(bag)]
-    per_group: list[list[tuple[tuple[int, ...], int]]] = []
-    for _, mult in groups:
-        per_group.append(
-            [(alloc, multinomial(alloc)) for alloc in compositions_of(mult, nparts)]
-        )
+    per_group = [
+        [(alloc, multinomial(alloc)) for alloc in compositions_of(mult, nparts, caps)]
+        for _, mult in groups
+    ]
     for combo in itertools.product(*per_group):
+        if exact:
+            totals = [sum(col) for col in zip(*(alloc for alloc, _ in combo))]
+            if any(totals[i] != n for i, n in exact):
+                continue
         parts: list[list[ResTerm]] = [[] for _ in range(nparts)]
         count = 1
         for (elem, _), (alloc, cnt) in zip(groups, combo):

@@ -10,7 +10,7 @@ then shrinks the mu count, and the term size breaks the final tie.
 
 from __future__ import annotations
 
-from .syntax import Pos, RApp, RLam, RMu, RVar, ResTerm
+from .syntax import RApp, RLam, RMu, RVar, ResTerm
 
 Multiset = tuple[int, ...]
 BoldMeasure = tuple[Multiset, int, int]
@@ -92,47 +92,3 @@ def compare_bold(a: BoldMeasure, b: BoldMeasure) -> int:
         if x != y:
             return -1 if x < y else 1
     return 0
-
-
-def graft(t: ResTerm, pos: Pos, sub: ResTerm) -> ResTerm:
-    """Structural subterm replacement, capture-permitting.
-
-    Only meaningful for measure experiments (the measures ignore binding);
-    the term engine never uses this.
-    """
-    if not pos:
-        return sub
-    i, rest = pos[0], pos[1:]
-    match t:
-        case RLam(body=b):
-            assert i == 0, (i, t)
-            return RLam(graft(b, rest, sub))
-        case RMu(named=nr, body=b):
-            assert i == 0, (i, t)
-            return RMu(nr, graft(b, rest, sub))
-        case RApp(head=h, bag=bag):
-            if i == 0:
-                return RApp(graft(h, rest, sub), bag)
-            assert 1 <= i <= len(bag), (i, t)
-            return RApp(h, bag[: i - 1] + (graft(bag[i - 1], rest, sub),) + bag[i:])
-    raise AssertionError((t, pos))
-
-
-def mu_depth_at(t: ResTerm, pos: Pos) -> int:
-    """Number of mu binders strictly above the given position."""
-    d = 0
-    u = t
-    for i in pos:
-        match u:
-            case RMu(body=b):
-                assert i == 0
-                d += 1
-                u = b
-            case RLam(body=b):
-                assert i == 0
-                u = b
-            case RApp(head=h, bag=bag):
-                u = h if i == 0 else bag[i - 1]
-            case _:
-                raise AssertionError((t, pos))
-    return d

@@ -11,7 +11,6 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
-from . import textio
 from .resource import SumStep, _apply_sum_step, redexes_res, step_r
 from .syntax import Pos, ResTerm, Sum
 
@@ -135,23 +134,3 @@ def is_dag(g: ReductionGraph) -> bool:
             if indeg[j] == 0:
                 queue.append(j)
     return seen == len(g.nodes)
-
-
-def graph_to_json(g: ReductionGraph) -> dict:
-    return {
-        "semiring": g.semiring,
-        "mode": g.mode,
-        "root": textio.print_sum(g.root),
-        "nodes": [textio.print_sum(s) for s in g.nodes],
-        "edges": [
-            {
-                "from": e.src,
-                "to": e.dst,
-                "addend": textio.print_res(e.addend),
-                "pos": ".".join(map(str, e.pos)) or "root",
-                "rule": e.kind,
-            }
-            for e in g.edges
-        ],
-        "sinks": list(g.sinks),
-    }

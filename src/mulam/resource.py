@@ -7,6 +7,12 @@ over the namings of the bound name via the linear named application.  Both
 distributions sum over weak compositions of the bag; under the exact-count
 semiring each composition is weighted by the number of index assignments
 inducing it.
+
+Splits are directed by degree: only compositions whose part sizes can
+survive are enumerated (exactly the occurrence counts for a lambda redex,
+the empty part for every subterm without a naming of the mu's name), and a
+body with no such naming takes the whole bag at once.  Each distribution
+accumulates its addends in one ``SumBuilder`` and canonicalizes once.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ from .syntax import (
     RVar,
     ResTerm,
     Sum,
+    SumBuilder,
     _strip_quote,
     close_rname,
     close_rvar,
@@ -41,43 +48,37 @@ from .lamu import rho_inner_parts
 
 
 def _lsubst(t: ResTerm, x: str, bag: Bag, semiring: str) -> Sum:
-    # Nonzero only when the bag size matches the number of occurrences,
-    # hereditarily; checking the degree up front prunes the composition sum
-    # to the only branches that can survive.
-    if degree(x, t) != len(bag):
-        return Sum.zero(semiring)
+    # The caller guarantees len(bag) == degree(x, t); every split below is
+    # directed by the degrees, so each branch keeps that invariant and none
+    # of them vanishes.
+    if not bag:
+        return Sum.unit(t, semiring)
     match t:
         case RVar(ref=r):
-            return Sum.unit(bag[0] if r == x else t, semiring)
+            assert r == x and len(bag) == 1, (t, x, bag)
+            return Sum.unit(bag[0], semiring)
         case RLam(body=b):
             return _lsubst(b, x, bag, semiring).map(RLam)
         case RMu(named=nr, body=b):
             return _lsubst(b, x, bag, semiring).map(lambda u: RMu(nr, u))
         case RApp(head=h, bag=elems):
-            n = len(elems)
-            dh = degree(x, h)
-            de = [degree(x, e) for e in elems]
-            total = Sum.zero(semiring)
-            for parts, count in weak_compositions_with_counts(bag, n + 1):
-                if len(parts[0]) != dh or any(
-                    len(parts[i + 1]) != de[i] for i in range(n)
-                ):
-                    continue
-                sh = _lsubst(h, x, parts[0], semiring)
-                if sh.is_zero:
-                    continue
-                args = [_lsubst(e, x, parts[i + 1], semiring) for i, e in enumerate(elems)]
-                if any(a.is_zero for a in args):
-                    continue
-                total = total.add(lift_app(sh, args).scale(count))
-            return total
+            kids = (h,) + elems
+            acc = SumBuilder(semiring)
+            sizes = [degree(x, k) for k in kids]
+            for parts, count in weak_compositions_with_counts(bag, len(kids), sizes):
+                sums = [_lsubst(k, x, p, semiring) for k, p in zip(kids, parts)]
+                acc.add(lift_app(sums[0], sums[1:]), count)
+            return acc.build()
     raise AssertionError(t)
 
 
 def linear_subst(t: ResTerm, x: str, bag, semiring: str) -> Sum:
     """t<[bag]/x>: replace the occurrences of ``x`` by the bag elements in
     all possible ways; zero when the counts cannot match."""
-    return _lsubst(t, x, mkbag(bag), semiring)
+    bag = mkbag(bag)
+    if degree(x, t) != len(bag):
+        return Sum.zero(semiring)
+    return _lsubst(t, x, bag, semiring)
 
 
 # ---------- linear named application ----------
@@ -98,20 +99,14 @@ def _lna_term(t: ResTerm, alpha: str, bag: Bag, semiring: str) -> Sum:
         case RMu(named=nr, body=b):
             return _lna_named(nr, b, alpha, bag, semiring).map(lambda u: RMu(nr, u))
         case RApp(head=h, bag=elems):
-            n = len(elems)
-            total = Sum.zero(semiring)
-            for parts, count in weak_compositions_with_counts(bag, n + 1):
-                sh = _lna_term(h, alpha, parts[0], semiring)
-                if sh.is_zero:
-                    continue
-                args = [
-                    _lna_term(e, alpha, parts[i + 1], semiring)
-                    for i, e in enumerate(elems)
-                ]
-                if any(a.is_zero for a in args):
-                    continue
-                total = total.add(lift_app(sh, args).scale(count))
-            return total
+            # A child with no naming of alpha only takes the empty part.
+            kids = (h,) + elems
+            acc = SumBuilder(semiring)
+            sizes = [None if degree("'" + alpha, k) else 0 for k in kids]
+            for parts, count in weak_compositions_with_counts(bag, len(kids), sizes):
+                sums = [_lna_term(k, alpha, p, semiring) for k, p in zip(kids, parts)]
+                acc.add(lift_app(sums[0], sums[1:]), count)
+            return acc.build()
     raise AssertionError(t)
 
 
@@ -125,13 +120,13 @@ def _lna_named(named: int | str, body: ResTerm, alpha: str, bag: Bag, semiring: 
     """
     if named != alpha:
         return _lna_term(body, alpha, bag, semiring)
-    total = Sum.zero(semiring)
+    if degree("'" + alpha, body) == 0:
+        # Only the split that keeps nothing inside survives.
+        return Sum.unit(RApp(body, bag), semiring)
+    acc = SumBuilder(semiring)
     for (w1, w2), count in weak_compositions_with_counts(bag, 2):
-        s = _lna_term(body, alpha, w1, semiring)
-        if s.is_zero:
-            continue
-        total = total.add(s.map(lambda u: RApp(u, w2)).scale(count))
-    return total
+        acc.add(_lna_term(body, alpha, w1, semiring).map(lambda u: RApp(u, w2)), count)
+    return acc.build()
 
 
 def linear_named_app(t: ResTerm, alpha: str, bag, semiring: str) -> Sum:
@@ -187,7 +182,7 @@ def contract_res(t: ResTerm, semiring: str) -> Sum:
     match t:
         case RApp(head=RLam(body=b), bag=bag):
             x = fresh_atom("v")
-            return _lsubst(open_rvar(b, x), x, bag, semiring)
+            return linear_subst(open_rvar(b, x), x, bag, semiring)
         case RApp(head=RMu() as m, bag=bag):
             a = fresh_atom("n")
             named, body = open_mu_binder(m, a)
@@ -376,11 +371,3 @@ def head_step_res(t: ResTerm, semiring: str = BOOL) -> Sum:
     if hit is None:
         return Sum.zero(semiring)
     return step_r(t, hit[0], semiring)
-
-
-def head_stages(t: ResTerm, n: int, semiring: str = BOOL) -> list[Sum]:
-    """[stage 0, ..., stage n]: iterated head reduction, addend-wise."""
-    stages = [Sum.unit(t, semiring)]
-    for _ in range(n):
-        stages.append(stages[-1].bind(lambda u: head_step_res(u, semiring)))
-    return stages

@@ -370,6 +370,11 @@ class Sum:
     ``semiring`` is ``BOOL`` (idempotent: coefficients saturate at 1) or
     ``NAT`` (exact counts).  Items are kept sorted by term encoding, merged,
     and never carry a zero coefficient, so equal sums compare equal.
+
+    A sum is immutable.  Sums of many parts (``add``, ``bind`` and the
+    reduction engine's distributions) are collected in a ``SumBuilder`` and
+    canonicalized once, so building from n parts costs one merge and one
+    sort, not n.
     """
 
     __slots__ = ("semiring", "items")
@@ -383,11 +388,8 @@ class Sum:
             if c == 0:
                 continue
             merged[t] = merged.get(t, 0) + c
-        if semiring == BOOL:
-            for t in merged:
-                merged[t] = 1
         self.semiring = semiring
-        self.items = tuple(sorted(merged.items(), key=lambda tc: _bag_key(tc[0])))
+        self.items = _canonical_items(semiring, merged)
 
     # -- constructors --
 
@@ -444,8 +446,10 @@ class Sum:
     # -- arithmetic --
 
     def add(self, other: "Sum") -> "Sum":
-        assert self.semiring == other.semiring, (self.semiring, other.semiring)
-        return Sum(self.semiring, self.items + other.items)
+        acc = SumBuilder(self.semiring)
+        acc.add(self)
+        acc.add(other)
+        return acc.build()
 
     __add__ = add
 
@@ -463,10 +467,10 @@ class Sum:
 
     def bind(self, f: Callable[[ResTerm], "Sum"]) -> "Sum":
         """Substitute each addend by a whole sum, scaling by its coefficient."""
-        total = Sum.zero(self.semiring)
+        acc = SumBuilder(self.semiring)
         for t, c in self.items:
-            total = total.add(f(t).scale(c))
-        return total
+            acc.add(f(t), c)
+        return acc.build()
 
     def support(self) -> "Sum":
         """Forget multiplicities: the same addends over the Bool semiring."""
@@ -478,6 +482,49 @@ class Sum:
         if semiring == BOOL:
             return self.support()
         return Sum(NAT, self.items)
+
+
+def _canonical_items(semiring: str, coeffs: dict[ResTerm, int]) -> tuple[tuple[ResTerm, int], ...]:
+    """The items of a sum from positive coefficients: one sort by encoding,
+    and Bool coefficients saturated to 1."""
+    if semiring == BOOL:
+        return tuple((t, 1) for t in sorted(coeffs, key=_bag_key))
+    return tuple(sorted(coeffs.items(), key=_item_key))
+
+
+def _item_key(item: tuple[ResTerm, int]) -> tuple[int, bytes]:
+    return _bag_key(item[0])
+
+
+class SumBuilder:
+    """Mutable accumulator of scaled sums over one semiring.
+
+    ``add`` merges coefficients into a dict; ``build`` canonicalizes once.
+    The parts are already valid sums, so no item is checked again.
+    """
+
+    __slots__ = ("semiring", "coeffs")
+
+    def __init__(self, semiring: str):
+        assert semiring in (BOOL, NAT), semiring
+        self.semiring = semiring
+        self.coeffs: dict[ResTerm, int] = {}
+
+    def add(self, s: Sum, k: int = 1) -> None:
+        """Add ``k`` times ``s``."""
+        assert s.semiring == self.semiring, (s.semiring, self.semiring)
+        assert isinstance(k, int) and k >= 0, k
+        if k == 0:
+            return
+        coeffs = self.coeffs
+        for t, c in s.items:
+            coeffs[t] = coeffs.get(t, 0) + c * k
+
+    def build(self) -> Sum:
+        out = object.__new__(Sum)
+        out.semiring = self.semiring
+        out.items = _canonical_items(self.semiring, self.coeffs)
+        return out
 
 
 def lift_app(head: Sum, args: list[Sum]) -> Sum:

@@ -210,6 +210,13 @@ def test_check_node_cap_env_var_must_be_numeric(capsys, monkeypatch):
     assert "MULAM_NODE_CAP" in err
 
 
+def test_check_node_cap_env_var_must_be_positive(capsys, monkeypatch):
+    monkeypatch.setenv("MULAM_NODE_CAP", "0")
+    code, _, err = _run(capsys, "check", "--suite", "confluence", "--samples", "5")
+    assert code == 2
+    assert "MULAM_NODE_CAP: must be at least 1" in err
+
+
 def test_check_flag_overrides_env(capsys, monkeypatch):
     monkeypatch.setenv("MULAM_NODE_CAP", "2")
     code, _, _ = _run(
@@ -233,6 +240,36 @@ def test_missing_subcommand_exits_2():
     with pytest.raises(SystemExit) as e:
         main([])
     assert e.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "--suite", "sn", "--max-term-size", "0"],
+        ["check", "--suite", "sn", "--samples", "-1"],
+        ["check", "--suite", "confluence", "--node-cap", "0"],
+        ["reduce", "--calculus", "res", "--max-steps", "-1", "-e", "x"],
+        ["taylor", "-e", "x", "--max-size", "-3"],
+        ["nft", "-e", "x", "--max-size", "-1"],
+        ["nft-eq", "x", "y", "--max-size", "-1"],
+        ["taylor", "-e", "x", "--max-size", "2", "--limit", "-1"],
+        ["solvable", "-e", "x", "--fuel", "-1"],
+    ],
+    ids=["max-term-size", "samples", "node-cap", "max-steps", "taylor-max-size", "nft-max-size",
+         "nft-eq-max-size", "limit", "fuel"],
+)
+def test_out_of_range_bound_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as e:
+        main(argv)
+    assert e.value.code == 2
+    assert "must be at least" in capsys.readouterr().err
+
+
+def test_reduce_step_budget_does_not_hide_a_normal_form(capsys):
+    code, out, _ = _run(capsys, "reduce", "--calculus", "res", "--max-steps", "0", "-e", "x")
+    assert (code, out.splitlines()[-1]) == (0, "normal after 0 steps")
+    code, out, _ = _run(capsys, "reduce", "--max-steps", "1", "-e", r"(\x.x) y")
+    assert (code, out.splitlines()[-1]) == (0, "normal for this strategy after 1 steps")
 
 
 def test_stdin_input(capsys, monkeypatch):

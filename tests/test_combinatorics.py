@@ -72,3 +72,28 @@ def test_duplicate_elements_collapse_but_count():
 def test_weak_compositions_drops_counts():
     bag = mkbag([RVar("x"), RVar("y")])
     assert len(weak_compositions(bag, 2)) == 4
+
+
+@given(
+    st.lists(st.sampled_from("xxyz"), max_size=5),
+    st.lists(st.sampled_from([None, 0, 1, 2, 3]), min_size=1, max_size=4),
+)
+def test_sized_splits_are_the_filtered_enumeration(letters, sizes):
+    bag = mkbag(RVar(c) for c in letters)
+    nparts = len(sizes)
+
+    def fits(parts):
+        return all(n is None or len(p) == n for p, n in zip(parts, sizes))
+
+    got = list(weak_compositions_with_counts(bag, nparts, sizes))
+    want = [(parts, cnt) for parts, cnt in weak_compositions_with_counts(bag, nparts) if fits(parts)]
+    assert got == want
+    brute = {parts: cnt for parts, cnt in _brute_counts(bag, nparts).items() if fits(parts)}
+    assert dict(got) == brute
+
+
+def test_sized_splits_with_unmatched_sizes_are_empty():
+    bag = mkbag([RVar("x"), RVar("y")])
+    assert list(weak_compositions_with_counts(bag, 2, [1, 0])) == []
+    assert list(weak_compositions_with_counts(bag, 2, [3, None])) == []
+    assert list(weak_compositions_with_counts(bag, 2, [0, None])) == [(((), bag), 1)]

@@ -163,6 +163,27 @@ def test_normalize_accepts_sums():
     assert normalize_r(s, NAT) == _s("y + w")
 
 
+# ---------- wide sums (golden values of the fold-per-addend engine) ----------
+
+
+def test_mu_fanout_step_and_normal_form():
+    s = _s("(mu 'a.<'a> mu 'e.<'a> mu 'f.<'a> x)[y0, y1, y2, y3, y4]")
+    step = step_sum(s)
+    assert len(step) == 3 ** 5
+    assert {c for _, c in step} == {1}
+    assert normalize_r(s, NAT) == _s("mu 'a.<'a> x[y0, y1, y2, y3, y4]")
+
+
+def test_lambda_fanout_with_repeated_bag_elements():
+    src = "(\\x. x[x][x][x])[y0, y0, y1, y1]"
+    addends = [
+        "y0[y0][y1][y1]", "y0[y1][y0][y1]", "y0[y1][y1][y0]",
+        "y1[y0][y0][y1]", "y1[y0][y1][y0]", "y1[y1][y0][y0]",
+    ]
+    assert normalize_r(_s(src), NAT) == _s(" + ".join("4*" + a for a in addends))
+    assert normalize_r(_s(src, BOOL), BOOL) == _s(" + ".join(addends), BOOL)
+
+
 # ---------- head reduction ----------
 
 

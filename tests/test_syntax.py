@@ -18,6 +18,7 @@ from mulam.syntax import (
     RMu,
     RVar,
     Sum,
+    SumBuilder,
     Var,
     alpha_eq,
     close_rvar,
@@ -251,3 +252,24 @@ def test_multinomial():
     assert multinomial([1, 1, 1]) == 6
     assert multinomial([3]) == 1
     assert multinomial([]) == 1
+
+
+_ATOMS = [RVar(c) for c in "uvw"] + [RLam(RVar(0)), RApp(RVar("u"), [RVar("v")])]
+
+
+@given(
+    st.sampled_from([BOOL, NAT]),
+    st.lists(
+        st.tuples(
+            st.lists(st.tuples(st.sampled_from(_ATOMS), st.integers(0, 3)), max_size=4),
+            st.integers(0, 3),
+        ),
+        max_size=4,
+    ),
+)
+def test_builder_equals_sum_of_scaled_items(semiring, parts):
+    acc = SumBuilder(semiring)
+    for items, k in parts:
+        acc.add(Sum(semiring, items), k)
+    flat = [(t, c * k) for items, k in parts for t, c in items]
+    assert acc.build() == Sum(semiring, flat)
