@@ -56,8 +56,16 @@ def _read_input(args: argparse.Namespace) -> str:
     path = getattr(args, "file", None)
     if path is None or path == "-":
         return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as e:
+        reason = e.strerror or str(e)
+    except UnicodeDecodeError:
+        reason = "not UTF-8 text"
+    # A usage error, reported like argparse's own: one line, exit 2.
+    sys.stderr.write(f"error: cannot read {path}: {reason}\n")
+    raise SystemExit(2)
 
 
 def _int_at_least(low: int):
@@ -178,7 +186,7 @@ def _reduce_res(args: argparse.Namespace, src: str) -> int:
             return 0
         if i == args.max_steps:
             break
-        s = _apply_sum_step(s, step, "coeff")
+        s = _apply_sum_step(s, step, "coeff", step_r(step.term, step.pos, s.semiring))
         print(
             f"step {i + 1} [{step.kind} @ {_pos_str(step.pos)} in {print_res(step.term)}]: {print_sum(s)}"
         )
@@ -214,7 +222,7 @@ def _cmd_normalize(args: argparse.Namespace) -> int:
         i = 0
         while reducible_addends(s):
             step = pick_step(s, "leftmost", None)
-            s = _apply_sum_step(s, step, "coeff")
+            s = _apply_sum_step(s, step, "coeff", step_r(step.term, step.pos, s.semiring))
             i += 1
             print(f"step {i} [{step.kind} @ {_pos_str(step.pos)} in {print_res(step.term)}]: {print_sum(s)}")
         nf = s

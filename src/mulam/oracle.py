@@ -4,6 +4,10 @@ Exhaustively explores every one-step reduction from a starting sum (every
 reducible addend, every redex position) up to a node cap, recording the
 graph.  Strong normalization plus confluence predict a DAG with exactly one
 sink; the oracle checks that independently of the engine's normalizer.
+
+An addend usually recurs in many sums of one graph.  Each exploration keeps
+a table from addend to its redexes and their reducts, so each distinct
+addend is stepped once per exploration, however many nodes contain it.
 """
 
 from __future__ import annotations
@@ -11,7 +15,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
-from .resource import SumStep, _apply_sum_step, redexes_res, step_r
+from .resource import SumStep, _apply_sum_step, _as_sum, _check_mode, redexes_res, step_r
 from .syntax import Pos, ResTerm, Sum
 
 
@@ -46,11 +50,20 @@ class ReductionGraph:
         return {s: i for i, s in enumerate(self.nodes)}
 
 
-def successors(s: Sum, mode: str) -> list[tuple[Sum, ResTerm, Pos, str]]:
+def successors(
+    s: Sum, mode: str, steps: dict[ResTerm, list[tuple[Pos, str, Sum]]]
+) -> list[tuple[Sum, ResTerm, Pos, str]]:
+    """Every one-step successor of ``s`` with the addend, position and kind
+    of its step.  ``steps`` holds each addend's redexes and reducts; an
+    addend not in it yet is stepped and added."""
     out = []
     for t, c in s.items:
-        for pos, kind in redexes_res(t):
-            nxt = _apply_sum_step(s, SumStep(t, c, pos, kind), mode)
+        table = steps.get(t)
+        if table is None:
+            table = [(pos, kind, step_r(t, pos, s.semiring)) for pos, kind in redexes_res(t)]
+            steps[t] = table
+        for pos, kind, reduct in table:
+            nxt = _apply_sum_step(s, SumStep(t, c, pos, kind), mode, reduct)
             out.append((nxt, t, pos, kind))
     return out
 
@@ -60,19 +73,17 @@ def explore(
 ) -> ReductionGraph:
     """Breadth-first closure of one-step reduction; raises GraphOverflow
     rather than returning a truncated graph."""
-    if isinstance(x, ResTerm):
-        root = Sum.unit(x, semiring)
-    else:
-        assert x.semiring == semiring, (x.semiring, semiring)
-        root = x
+    _check_mode(mode)
+    root = _as_sum(x, semiring)
     g = ReductionGraph(root=root, semiring=semiring, mode=mode)
     index: dict[Sum, int] = {root: 0}
     g.nodes.append(root)
     queue: deque[int] = deque([0])
+    steps: dict[ResTerm, list[tuple[Pos, str, Sum]]] = {}
     while queue:
         i = queue.popleft()
         s = g.nodes[i]
-        succ = successors(s, mode)
+        succ = successors(s, mode, steps)
         if not succ:
             g.sinks.append(i)
             continue

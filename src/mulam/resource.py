@@ -13,6 +13,14 @@ survive are enumerated (exactly the occurrence counts for a lambda redex,
 the empty part for every subterm without a naming of the mu's name), and a
 body with no such naming takes the whole bag at once.  Each distribution
 accumulates its addends in one ``SumBuilder`` and canonicalizes once.
+
+A redex that contracts to zero (a lambda redex whose bag size differs from
+the occurrences of its variable, a mu redex whose non-empty bag finds no
+naming of its binder) is recognized on the closed term, before ``step_r``
+opens any binder on the way to it.  A step of a whole sum copies the sum,
+takes the stepped weight away and adds the reduct in one ``SumBuilder``; the
+reduct is computed by the caller, so a caller that meets the same addend
+again (the reduction-graph oracle) steps it only once.
 """
 
 from __future__ import annotations
@@ -23,6 +31,7 @@ from dataclasses import dataclass
 from .combinatorics import weak_compositions_with_counts
 from .syntax import (
     BOOL,
+    NAT,
     Bag,
     Pos,
     RApp,
@@ -41,6 +50,7 @@ from .syntax import (
     mkbag,
     open_mu_binder,
     open_rvar,
+    subterm_at,
 )
 from .lamu import rho_inner_parts
 
@@ -177,12 +187,54 @@ def is_normal_res(t: ResTerm) -> bool:
     return not redexes_res(t)
 
 
+def _bound_degree(body: ResTerm, name: bool) -> int:
+    """Occurrences, in the body of a lambda (``name`` false) or of a mu
+    (``name`` true), of the variable or name that binder binds."""
+    n = 0
+    stack = [(body, 1 if name else 0)]
+    while stack:
+        u, d = stack.pop()
+        match u:
+            case RVar(ref=r):
+                if not name and r == d:
+                    n += 1
+            case RLam(body=b):
+                stack.append((b, d if name else d + 1))
+            case RMu(named=nr, body=b):
+                if name and nr == d:
+                    n += 1
+                stack.append((b, d + 1 if name else d))
+            case RApp(head=h, bag=bag):
+                stack.append((h, d))
+                stack.extend((e, d) for e in bag)
+    return n
+
+
+def _vanishes(t: ResTerm) -> bool:
+    """Does the redex ``t`` contract to zero?  Only the redex's own binder
+    matters, so the answer is the same with outer binders open or closed."""
+    match t:
+        case RApp(head=RLam(body=b), bag=bag):
+            return _bound_degree(b, False) != len(bag)
+        case RApp(head=RMu(named=nr, body=b), bag=bag):
+            return bool(bag) and nr != 0 and _bound_degree(b, True) == 0
+    return False
+
+
 def contract_res(t: ResTerm, semiring: str) -> Sum:
     """Contract a root redex (term opened with respect to outer binders)."""
+    if _vanishes(t):
+        return Sum.zero(semiring)
+    return _contract(t, semiring)
+
+
+def _contract(t: ResTerm, semiring: str) -> Sum:
+    # The caller has ruled out a vanishing redex, so a lambda redex's bag
+    # matches the occurrences of its variable.
     match t:
         case RApp(head=RLam(body=b), bag=bag):
             x = fresh_atom("v")
-            return linear_subst(open_rvar(b, x), x, bag, semiring)
+            return _lsubst(open_rvar(b, x), x, bag, semiring)
         case RApp(head=RMu() as m, bag=bag):
             a = fresh_atom("n")
             named, body = open_mu_binder(m, a)
@@ -196,19 +248,23 @@ def contract_res(t: ResTerm, semiring: str) -> Sum:
 
 
 def step_r(t: ResTerm, pos: Pos, semiring: str) -> Sum:
-    """One reduction step at a given position, as a sum."""
+    """One reduction step at a given position, as a sum.
+
+    A redex that contracts to zero is recognized before any binder above it
+    is opened.
+    """
+    if _vanishes(subterm_at(t, pos)):
+        return Sum.zero(semiring)
 
     def go(u: ResTerm, p: Pos) -> Sum:
         if not p:
-            return contract_res(u, semiring)
+            return _contract(u, semiring)
         i, rest = p[0], p[1:]
         match u:
             case RLam(body=b):
-                assert i == 0, (i, u)
                 x = fresh_atom("v")
                 return go(open_rvar(b, x), rest).map(lambda w: RLam(close_rvar(w, x)))
             case RMu() as m:
-                assert i == 0, (i, u)
                 a = fresh_atom("n")
                 named, body = open_mu_binder(m, a)
                 closed = 0 if named == a else named
@@ -216,7 +272,6 @@ def step_r(t: ResTerm, pos: Pos, semiring: str) -> Sum:
             case RApp(head=h, bag=bag):
                 if i == 0:
                     return go(h, rest).map(lambda w: RApp(w, bag))
-                assert 1 <= i <= len(bag), (i, u)
                 return go(bag[i - 1], rest).map(
                     lambda w: RApp(h, bag[: i - 1] + (w,) + bag[i:])
                 )
@@ -247,17 +302,38 @@ def reducible_addends(s: Sum) -> list[tuple[ResTerm, int, list[tuple[Pos, str]]]
     return out
 
 
-def _apply_sum_step(s: Sum, step: SumStep, mode: str) -> Sum:
-    reduct = step_r(step.term, step.pos, s.semiring)
-    rest = Sum(s.semiring, ((t, c) for t, c in s.items if t != step.term))
-    if s.semiring == BOOL or mode == "coeff":
-        # Coefficient-preserving: the addend steps with its whole weight.
-        return rest.add(reduct.scale(step.coeff))
-    assert mode == "occurrence", mode
-    # One unit of the coefficient steps at a time.
-    if step.coeff > 1:
-        rest = rest.add(Sum(s.semiring, ((step.term, step.coeff - 1),)))
-    return rest.add(reduct)
+_MODES = ("coeff", "occurrence")
+
+
+def _check_mode(mode: str) -> None:
+    if mode not in _MODES:
+        raise ValueError(f"unknown mode {mode!r}; expected one of {_MODES}")
+
+
+def _as_sum(x: ResTerm | Sum, semiring: str) -> Sum:
+    """A term as a one-addend sum, or a sum checked to be over ``semiring``."""
+    if semiring not in (BOOL, NAT):
+        raise ValueError(f"unknown semiring {semiring!r}")
+    if isinstance(x, ResTerm):
+        return Sum.unit(x, semiring)
+    if x.semiring != semiring:
+        raise ValueError(f"a {x.semiring} sum where a {semiring} sum is expected")
+    return x
+
+
+def _apply_sum_step(s: Sum, step: SumStep, mode: str, reduct: Sum) -> Sum:
+    """The sum after ``step``, whose addend contracts to ``reduct``.
+
+    In "coeff" mode the addend steps with its whole coefficient, in
+    "occurrence" mode one unit of it steps; over Bool every coefficient is 1,
+    so the modes agree.
+    """
+    k = step.coeff if mode == "coeff" else 1
+    acc = SumBuilder(s.semiring)
+    acc.add(s)
+    acc.remove(step.term, k)
+    acc.add(reduct, k)
+    return acc.build()
 
 
 def pick_step(s: Sum, strategy: str, rng: random.Random | None = None) -> SumStep:
@@ -271,7 +347,8 @@ def pick_step(s: Sum, strategy: str, rng: random.Random | None = None) -> SumSte
         t, c, rs = cands[-1]
         pos, kind = rs[-1]
     elif strategy == "random":
-        assert rng is not None, "random strategy needs an rng"
+        if rng is None:
+            raise ValueError("random strategy needs an rng")
         pairs = [(t, c, pos, kind) for t, c, rs in cands for pos, kind in rs]
         t, c, pos, kind = rng.choice(pairs)
     else:
@@ -291,7 +368,9 @@ def step_sum(
     "occurrence" (one unit at a time); they only differ over the exact-count
     semiring.
     """
-    return _apply_sum_step(s, pick_step(s, strategy, rng), mode)
+    _check_mode(mode)
+    step = pick_step(s, strategy, rng)
+    return _apply_sum_step(s, step, mode, step_r(step.term, step.pos, s.semiring))
 
 
 # ---------- normalization ----------
@@ -303,11 +382,7 @@ def normalize_r(x: ResTerm | Sum, semiring: str) -> Sum:
     Iterative worklist so deep reduction chains cannot hit the recursion
     limit; strong normalization guarantees the worklist drains.
     """
-    if isinstance(x, ResTerm):
-        start = Sum.unit(x, semiring)
-    else:
-        assert x.semiring == semiring, (x.semiring, semiring)
-        start = x
+    start = _as_sum(x, semiring)
     memo: dict[ResTerm, Sum] = {}
     steps: dict[ResTerm, Sum] = {}
     for root, _ in start.items:

@@ -157,7 +157,7 @@ def sn_suite(samples: int = 1000, seed: int = 0, max_term_size: int = 30) -> Sui
                                 note=f"strategy={strategy} stepped={print_res(step.term)} pos={step.pos}")
                     )
                     break
-                s = _apply_sum_step(s, step, "coeff")
+                s = _apply_sum_step(s, step, "coeff", reduct)
                 steps += 1
     report.wall_time = time.perf_counter() - t0
     return report

@@ -520,6 +520,15 @@ class SumBuilder:
         for t, c in s.items:
             coeffs[t] = coeffs.get(t, 0) + c * k
 
+    def remove(self, t: ResTerm, k: int) -> None:
+        """Take ``k`` units of ``t`` away; at least ``k`` must be there."""
+        c = self.coeffs[t] - k
+        assert c >= 0, (t, c)
+        if c:
+            self.coeffs[t] = c
+        else:
+            del self.coeffs[t]
+
     def build(self) -> Sum:
         out = object.__new__(Sum)
         out.semiring = self.semiring
@@ -722,7 +731,8 @@ def subterm_at(t: Term | ResTerm, pos: Pos) -> Term | ResTerm:
     u = t
     for i in pos:
         kids = dict(children(u))
-        assert i in kids, (pos, i, u)
+        if i not in kids:
+            raise ValueError(f"no position {pos} in {t!r}")
         u = kids[i]
     return u
 

@@ -1,9 +1,13 @@
 """Command line interface, exercised in-process through main(argv)."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import mulam
 from mulam.cli import main
 
 
@@ -279,3 +283,27 @@ def test_stdin_input(capsys, monkeypatch):
     code, out, _ = _run(capsys, "parse", "-")
     assert code == 0
     assert out == "lamu: \\x.x\n"
+
+
+def test_unreadable_input_file_is_a_usage_error(capsys, tmp_path):
+    binary = tmp_path / "binary.txt"
+    binary.write_bytes(b"\xff\xfe")
+    for path in (tmp_path / "missing.txt", tmp_path, binary):
+        with pytest.raises(SystemExit) as e:
+            main(["parse", str(path)])
+        assert e.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read ") and err.count("\n") == 1
+
+
+def test_usage_error_exit_code_holds_under_python_O(tmp_path):
+    # python -O strips assert statements, so this checks that the CLI's
+    # usage errors do not depend on them.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(mulam.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "mulam.cli", "parse", str(tmp_path / "missing.txt")],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: cannot read ")

@@ -1,7 +1,11 @@
 """Exhaustive reduction graphs: sinks, acyclicity, joinability."""
 
+import random
+from collections import deque
+
 import pytest
 
+from mulam.gen import gen_res
 from mulam.oracle import (
     GraphOverflow,
     explore,
@@ -10,7 +14,7 @@ from mulam.oracle import (
     reachable_sums,
     unique_sink,
 )
-from mulam.resource import normalize_r
+from mulam.resource import normalize_r, redexes_res, step_r
 from mulam.syntax import BOOL, NAT, Sum
 from mulam.textio import parse_res, parse_sum
 
@@ -60,3 +64,68 @@ def test_occurrence_mode_reaches_interleavings():
     mixed = Sum(NAT, [(RApp(_p("y"), [s]), 1), (RApp(s, [_p("y")]), 1)])
     assert mixed in reachable_sums(explore(start, NAT, mode="occurrence"))
     assert mixed not in reachable_sums(explore(start, NAT, mode="coeff"))
+
+
+# ---------- the explorer against a naive breadth-first search ----------
+
+
+def _naive_graph(root, semiring, mode):
+    """Breadth-first search that steps every addend again on every edge and
+    builds each successor with the validating constructor."""
+    nodes, index, edges, sinks = [root], {root: 0}, [], []
+    queue = deque([0])
+    while queue:
+        i = queue.popleft()
+        s = nodes[i]
+        out = []
+        for t, c in s.items:
+            k = c if mode == "coeff" else 1
+            rest = Sum(semiring, [(u, cu - k if u == t else cu) for u, cu in s.items])
+            for pos, kind in redexes_res(t):
+                out.append((rest + step_r(t, pos, semiring).scale(k), t, pos, kind))
+        if not out:
+            sinks.append(i)
+        for nxt, t, pos, kind in out:
+            if nxt not in index:
+                index[nxt] = len(nodes)
+                nodes.append(nxt)
+                queue.append(index[nxt])
+            edges.append((i, index[nxt], t, pos, kind))
+    return nodes, edges, sorted(sinks)
+
+
+_SMALL = [
+    "(mu 'a.<'a> mu 'e.<'a> x)[y, y]",
+    "2*(\\z.z[z])[(\\x.x)[y], w] + (mu 'a.<'b> x)[y] + (\\z.z)[y]",
+    "3*mu 'a.<'b> mu 'g.<'a> (\\x.x)[mu 'd.<'g> y]",
+]
+
+
+@pytest.mark.parametrize("semiring", [BOOL, NAT])
+@pytest.mark.parametrize("mode", ["coeff", "occurrence"])
+def test_explore_matches_naive_search(semiring, mode):
+    roots = [parse_sum(src, semiring) for src in _SMALL]
+    roots += [Sum(semiring, [(gen_res(random.Random(seed), 10), 2)]) for seed in range(40)]
+    for root in roots:
+        g = explore(root, semiring, mode=mode)
+        got = (g.nodes, [(e.src, e.dst, e.addend, e.pos, e.kind) for e in g.edges], g.sinks)
+        assert got == _naive_graph(root, semiring, mode), root
+
+
+@pytest.mark.parametrize(
+    "bag, semiring, mode, nodes, edges",
+    [("y, y, y, y", NAT, "occurrence", 1052, 3808), ("y0, y1, y2", BOOL, "coeff", 386, 1603)],
+)
+def test_graph_sizes_of_the_two_copy_fanout(bag, semiring, mode, nodes, edges):
+    g = explore(parse_sum(f"(mu 'a.<'a> mu 'e.<'a> x)[{bag}]", semiring), semiring, mode=mode)
+    assert (len(g.nodes), len(g.edges), len(g.sinks)) == (nodes, edges, 1)
+
+
+def test_explore_rejects_an_unknown_mode():
+    with pytest.raises(ValueError):
+        explore(_p("x"), NAT, mode="coef")
+
+
+def test_explore_rejects_a_sum_of_another_semiring():
+    with pytest.raises(ValueError):
+        explore(parse_sum("(\\x.x)[y]", NAT), BOOL)

@@ -2,6 +2,11 @@
 
 import random
 
+import pytest
+from hypothesis import given, strategies as st
+
+from mulam import resource
+from mulam.lamu import rho_inner_parts
 from mulam.oracle import explore, unique_sink
 from mulam.resource import (
     contract_res,
@@ -12,12 +17,27 @@ from mulam.resource import (
     linear_named_app_named,
     linear_subst,
     normalize_r,
+    pick_step,
     redexes_res,
     step_r,
     step_sum,
 )
 from mulam.gen import gen_res
-from mulam.syntax import BOOL, NAT, RApp, RLam, RVar, Sum, mkbag
+from mulam.syntax import (
+    BOOL,
+    NAT,
+    RApp,
+    RLam,
+    RMu,
+    RVar,
+    Sum,
+    close_rname,
+    close_rvar,
+    fresh_atom,
+    mkbag,
+    open_mu_binder,
+    open_rvar,
+)
 from mulam.textio import parse_res, parse_sum, print_sum
 
 
@@ -127,6 +147,85 @@ def test_redexes_and_normality():
     assert not is_normal_res(_p("x[(\\y.y) 1]"))
 
 
+def _reference_step(t, pos, semiring):
+    """A step that always opens every binder down to the redex, contracts
+    there and closes again, whether or not the redex vanishes."""
+    if not pos:
+        match t:
+            case RApp(head=RLam(body=b), bag=bag):
+                x = fresh_atom("v")
+                return linear_subst(open_rvar(b, x), x, bag, semiring)
+            case RApp(head=RMu() as m, bag=bag):
+                a = fresh_atom("n")
+                named, body = open_mu_binder(m, a)
+                closed = 0 if named == a else named
+                got = linear_named_app_named(named, body, a, bag, semiring)
+                return got.map(lambda u: RMu(closed, close_rname(u, a)))
+            case RMu(named=nr, body=RMu() as inner):
+                return Sum.unit(RMu(*rho_inner_parts(nr, inner.named, inner.body)), semiring)
+        raise AssertionError(t)
+    i, rest = pos[0], pos[1:]
+    match t:
+        case RLam(body=b):
+            x = fresh_atom("v")
+            return _reference_step(open_rvar(b, x), rest, semiring).map(
+                lambda w: RLam(close_rvar(w, x)))
+        case RMu() as m:
+            a = fresh_atom("n")
+            named, body = open_mu_binder(m, a)
+            closed = 0 if named == a else named
+            return _reference_step(body, rest, semiring).map(
+                lambda w: RMu(closed, close_rname(w, a)))
+        case RApp(head=h, bag=bag) if i == 0:
+            return _reference_step(h, rest, semiring).map(lambda w: RApp(w, bag))
+        case RApp(head=h, bag=bag):
+            return _reference_step(bag[i - 1], rest, semiring).map(
+                lambda w: RApp(h, bag[: i - 1] + (w,) + bag[i:]))
+    raise AssertionError((t, pos))
+
+
+def _assert_steps_match_reference(t, semiring):
+    for pos, _ in redexes_res(t):
+        assert step_r(t, pos, semiring) == _reference_step(t, pos, semiring), (t, pos)
+
+
+@given(st.integers(min_value=0, max_value=100_000), st.sampled_from([BOOL, NAT]))
+def test_step_r_matches_the_always_opening_reference(seed, semiring):
+    _assert_steps_match_reference(gen_res(random.Random(seed), 14), semiring)
+
+
+@pytest.mark.parametrize("semiring", [BOOL, NAT])
+@pytest.mark.parametrize("src", [
+    "(\\x.x[x])[y]",
+    "\\w.(\\x.\\v.x[w])[y]",
+    "(\\x.mu 'a.<'a> x[x])[y, z]",
+    "(mu 'a.<'b> mu 'g.<'a> x)[y]",
+    "(mu 'a.<'b> mu 'g.<'g> x)[y]",
+    "(mu 'a.<'b> mu 'g.<'g> mu 'd.<'a> x)[y]",
+    "(mu 'a.<'b> \\v.mu 'g.<'a> v)[y]",
+    "(\\x.\\v.v)[y]",
+    "(mu 'a.<'a> x)[y]",
+    "(mu 'a.<'b> x) 1",
+    "mu 'b.<'b> (mu 'a.<'b> mu 'g.<'a> x)[y]",
+])
+def test_step_r_matches_the_reference_near_the_vanishing_boundary(src, semiring):
+    _assert_steps_match_reference(_p(src), semiring)
+
+
+def test_vanishing_redex_opens_no_binder(monkeypatch):
+    def boom(*args):
+        raise AssertionError("a binder was opened")
+
+    monkeypatch.setattr(resource, "open_rvar", boom)
+    monkeypatch.setattr(resource, "open_mu_binder", boom)
+    # a lambda redex with one bag element too many, and a mu redex whose
+    # body never names its binder, each under a lambda and a mu
+    for src in ("\\z. mu 'a.<'a> (\\x.x[z])[y, z]", "\\z. mu 'a.<'a> (mu 'g.<'b> z)[y]"):
+        t = _p(src)
+        [pos] = [p for p, kind in redexes_res(t) if kind in ("lam", "mu")]
+        assert step_r(t, pos, NAT).is_zero
+
+
 # ---------- sum stepping ----------
 
 
@@ -196,3 +295,26 @@ def test_head_step_res_stops_at_hnf():
 def test_head_step_res_contracts_the_head():
     t = _p("(\\x.x 1)[y]")
     assert head_step_res(t, BOOL) == _s("y 1", BOOL)
+
+
+# ---------- validation that survives python -O ----------
+
+
+def test_unknown_mode_is_rejected():
+    with pytest.raises(ValueError):
+        step_sum(_s("(\\x.x)[y]"), mode="coef")
+
+
+def test_sum_of_another_semiring_is_rejected():
+    with pytest.raises(ValueError):
+        normalize_r(_s("(\\x.x)[y]", NAT), BOOL)
+
+
+def test_random_strategy_needs_an_rng():
+    with pytest.raises(ValueError):
+        pick_step(_s("(\\x.x)[y]"), "random", None)
+
+
+def test_step_r_rejects_a_missing_position():
+    with pytest.raises(ValueError):
+        step_r(_p("\\x.(\\y.y)[x]"), (0, 2), NAT)
