@@ -482,7 +482,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except RecursionError:
+        # The parser, printer and engine recurse on the term's structure, so
+        # very deep input is beyond them; that is the input's fault (exit 2),
+        # not a failed check (exit 1).
+        sys.stderr.write("error: input nested too deeply\n")
+        return 2
 
 
 if __name__ == "__main__":

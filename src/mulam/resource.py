@@ -11,8 +11,17 @@ inducing it.
 Splits are directed by degree: only compositions whose part sizes can
 survive are enumerated (exactly the occurrence counts for a lambda redex,
 the empty part for every subterm without a naming of the mu's name), and a
-body with no such naming takes the whole bag at once.  Each distribution
-accumulates its addends in one ``SumBuilder`` and canonicalizes once.
+body with no such naming takes the whole bag at once.  Each child's count is
+taken once per application node and handed down, so no subterm is counted
+again at its own top.
+
+Substitution and named application take their target as a reference: a
+free atom (the public entry points) or a de Bruijn index, which goes up by
+one under each binder of its kind.  A redex is contracted on its own index
+(the lambda's variable is index 0 of its body, the mu's name index 0 at its
+naming), so its binder is never opened; ``step_r`` opens only the binders
+above the redex.  A distribution is collected in plain term -> coefficient
+dicts and canonicalized once per contraction by one ``SumBuilder``.
 
 A redex that contracts to zero (a lambda redex whose bag size differs from
 the occurrences of its variable, a mu redex whose non-empty bag finds no
@@ -20,13 +29,15 @@ naming of its binder) is recognized on the closed term, before ``step_r``
 opens any binder on the way to it.  A step of a whole sum copies the sum,
 takes the stepped weight away and adds the reduct in one ``SumBuilder``; the
 reduct is computed by the caller, so a caller that meets the same addend
-again (the reduction-graph oracle) steps it only once.
+again (the reduction-graph oracle) steps it only once.  Normalization steps
+the first redex of an addend in pre-order and stops looking there.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import Iterator
 
 from .combinatorics import weak_compositions_with_counts
 from .syntax import (
@@ -38,15 +49,15 @@ from .syntax import (
     RLam,
     RMu,
     RVar,
+    Ref,
     ResTerm,
     Sum,
     SumBuilder,
     _strip_quote,
+    add_app,
     close_rname,
     close_rvar,
-    degree,
     fresh_atom,
-    lift_app,
     mkbag,
     open_mu_binder,
     open_rvar,
@@ -54,31 +65,73 @@ from .syntax import (
 )
 from .lamu import rho_inner_parts
 
+# A distribution is collected as a term -> coefficient dict of positive
+# coefficients and canonicalized into a ``Sum`` once, by its caller.
+Coeffs = dict[ResTerm, int]
+
+# ---------- occurrences of a target ----------
+#
+# The target of a substitution or a named application is a reference: a free
+# atom, or the de Bruijn index of a binder above.  An atom is the same at
+# every depth; an index goes up by one under each binder of its own kind.  A
+# name target is resolved at naming positions, where a mu node's own binder
+# is index 0, so below a mu node the names of its body are one further out.
+
+
+def _under(target: Ref) -> Ref:
+    """The target one binder of its kind further down."""
+    return target if isinstance(target, str) else target + 1
+
+
+def _count(t: ResTerm, target: Ref, name: bool) -> int:
+    """Occurrences in ``t`` of the variable (``name`` false) or the name
+    (``name`` true) that ``target`` refers to."""
+    n = 0
+    stack = [(t, target)]
+    while stack:
+        u, d = stack.pop()
+        match u:
+            case RVar(ref=r):
+                if not name and r == d:
+                    n += 1
+            case RLam(body=b):
+                stack.append((b, d if name else _under(d)))
+            case RMu(named=nr, body=b):
+                if name and nr == d:
+                    n += 1
+                stack.append((b, _under(d) if name else d))
+            case RApp(head=h, bag=bag):
+                stack.append((h, d))
+                stack.extend((e, d) for e in bag)
+    return n
+
+
 # ---------- linear substitution ----------
 
 
-def _lsubst(t: ResTerm, x: str, bag: Bag, semiring: str) -> Sum:
-    # The caller guarantees len(bag) == degree(x, t); every split below is
-    # directed by the degrees, so each branch keeps that invariant and none
-    # of them vanishes.
+def _lsubst(t: ResTerm, x: Ref, bag: Bag) -> Coeffs:
+    # The caller guarantees len(bag) == _count(t, x, False); every split
+    # below is directed by the children's counts, so each branch keeps that
+    # invariant and none of them vanishes.  The constructors wrapped around
+    # a child's addends are injective, so no two of them merge.
     if not bag:
-        return Sum.unit(t, semiring)
+        return {t: 1}
     match t:
         case RVar(ref=r):
             assert r == x and len(bag) == 1, (t, x, bag)
-            return Sum.unit(bag[0], semiring)
+            return {bag[0]: 1}
         case RLam(body=b):
-            return _lsubst(b, x, bag, semiring).map(RLam)
+            return {RLam(u): c for u, c in _lsubst(b, _under(x), bag).items()}
         case RMu(named=nr, body=b):
-            return _lsubst(b, x, bag, semiring).map(lambda u: RMu(nr, u))
+            return {RMu(nr, u): c for u, c in _lsubst(b, x, bag).items()}
         case RApp(head=h, bag=elems):
             kids = (h,) + elems
-            acc = SumBuilder(semiring)
-            sizes = [degree(x, k) for k in kids]
+            acc: Coeffs = {}
+            sizes = [_count(k, x, False) for k in kids]
             for parts, count in weak_compositions_with_counts(bag, len(kids), sizes):
-                sums = [_lsubst(k, x, p, semiring) for k, p in zip(kids, parts)]
-                acc.add(lift_app(sums[0], sums[1:]), count)
-            return acc.build()
+                maps = [_lsubst(k, x, p).items() for k, p in zip(kids, parts)]
+                add_app(acc, maps[0], maps[1:], count)
+            return acc
     raise AssertionError(t)
 
 
@@ -86,68 +139,76 @@ def linear_subst(t: ResTerm, x: str, bag, semiring: str) -> Sum:
     """t<[bag]/x>: replace the occurrences of ``x`` by the bag elements in
     all possible ways; zero when the counts cannot match."""
     bag = mkbag(bag)
-    if degree(x, t) != len(bag):
+    if _count(t, x, False) != len(bag):
         return Sum.zero(semiring)
-    return _lsubst(t, x, bag, semiring)
+    return SumBuilder(semiring, _lsubst(t, x, bag)).build()
 
 
 # ---------- linear named application ----------
 
 
-def _lna_term(t: ResTerm, alpha: str, bag: Bag, semiring: str) -> Sum:
-    if degree("'" + alpha, t) == 0:
+def _lna_term(t: ResTerm, alpha: Ref, bag: Bag, n: int) -> Coeffs:
+    """The named application on ``t``, which names ``alpha`` ``n`` times."""
+    if n == 0:
         # No naming of alpha anywhere: the empty bag is the identity, any
         # other bag has nowhere to go.
-        if bag:
-            return Sum.zero(semiring)
-        return Sum.unit(t, semiring)
+        return {} if bag else {t: 1}
     match t:
-        case RVar():
-            raise AssertionError(t)  # degree is 0, handled above
         case RLam(body=b):
-            return _lna_term(b, alpha, bag, semiring).map(RLam)
+            return {RLam(u): c for u, c in _lna_term(b, alpha, bag, n).items()}
         case RMu(named=nr, body=b):
-            return _lna_named(nr, b, alpha, bag, semiring).map(lambda u: RMu(nr, u))
+            inner = _lna_named(nr, b, alpha, bag, n - 1 if nr == alpha else n)
+            return {RMu(nr, u): c for u, c in inner.items()}
         case RApp(head=h, bag=elems):
             # A child with no naming of alpha only takes the empty part.
             kids = (h,) + elems
-            acc = SumBuilder(semiring)
-            sizes = [None if degree("'" + alpha, k) else 0 for k in kids]
+            acc: Coeffs = {}
+            counts = [_count(k, alpha, True) for k in kids]
+            sizes = [None if m else 0 for m in counts]
             for parts, count in weak_compositions_with_counts(bag, len(kids), sizes):
-                sums = [_lna_term(k, alpha, p, semiring) for k, p in zip(kids, parts)]
-                acc.add(lift_app(sums[0], sums[1:]), count)
-            return acc.build()
-    raise AssertionError(t)
+                maps = [_lna_term(k, alpha, p, m).items() for k, p, m in zip(kids, parts, counts)]
+                add_app(acc, maps[0], maps[1:], count)
+            return acc
+    raise AssertionError(t)  # a variable has no naming: n is 0
 
 
-def _lna_named(named: int | str, body: ResTerm, alpha: str, bag: Bag, semiring: str) -> Sum:
-    """Linear named application on a named pair ``<named| body>``.
+def _lna_named(named: Ref, body: ResTerm, alpha: Ref, bag: Bag, n: int) -> Coeffs:
+    """Linear named application on a named pair ``<named| body>``, where the
+    body names ``alpha`` ``n`` times.
 
-    Returns the sum of new bodies; the naming itself never changes.  At a
-    naming of ``alpha`` the bag splits in two: one part goes inside
-    recursively, the other becomes a new application at the naming, and the
-    application node appears even when that part is empty.
+    ``alpha`` is resolved at the naming, as ``named`` is, so in the body it
+    is one mu binder further out.  Returns the new bodies; the naming itself
+    never changes.  At a naming of ``alpha`` the bag splits in two: one part
+    goes inside recursively, the other becomes a new application at the
+    naming, and the application node appears even when that part is empty.
     """
+    inner = _under(alpha)
     if named != alpha:
-        return _lna_term(body, alpha, bag, semiring)
-    if degree("'" + alpha, body) == 0:
+        return _lna_term(body, inner, bag, n)
+    if n == 0:
         # Only the split that keeps nothing inside survives.
-        return Sum.unit(RApp(body, bag), semiring)
-    acc = SumBuilder(semiring)
+        return {RApp(body, bag): 1}
+    acc: Coeffs = {}
     for (w1, w2), count in weak_compositions_with_counts(bag, 2):
-        acc.add(_lna_term(body, alpha, w1, semiring).map(lambda u: RApp(u, w2)), count)
-    return acc.build()
+        for u, c in _lna_term(body, inner, w1, n).items():
+            v = RApp(u, w2)
+            acc[v] = acc.get(v, 0) + c * count
+    return acc
 
 
 def linear_named_app(t: ResTerm, alpha: str, bag, semiring: str) -> Sum:
     """<t>_alpha [bag]: distribute the bag over the namings of ``alpha``."""
-    return _lna_term(t, _strip_quote(alpha), mkbag(bag), semiring)
+    alpha = _strip_quote(alpha)
+    got = _lna_term(t, alpha, mkbag(bag), _count(t, alpha, True))
+    return SumBuilder(semiring, got).build()
 
 
 def linear_named_app_named(eta: str, t: ResTerm, alpha: str, bag, semiring: str) -> Sum:
     """The named-pair form ``<<eta| t>>_alpha [bag]``, as a sum of bodies
     (the naming stays ``eta``)."""
-    return _lna_named(_strip_quote(eta), t, _strip_quote(alpha), mkbag(bag), semiring)
+    alpha = _strip_quote(alpha)
+    got = _lna_named(_strip_quote(eta), t, alpha, mkbag(bag), _count(t, alpha, True))
+    return SumBuilder(semiring, got).build()
 
 
 # ---------- redexes and single steps ----------
@@ -164,50 +225,30 @@ def redex_kind_res(t: ResTerm) -> str | None:
     return None
 
 
-def redexes_res(t: ResTerm) -> list[tuple[Pos, str]]:
-    out: list[tuple[Pos, str]] = []
-
-    def go(u: ResTerm, pos: Pos) -> None:
+def iter_redexes_res(t: ResTerm) -> Iterator[tuple[Pos, str]]:
+    """The redexes of ``t`` with their kinds, in pre-order: a node before
+    its children, a head before its bag, bag elements in order."""
+    stack: list[tuple[ResTerm, Pos]] = [(t, ())]
+    while stack:
+        u, pos = stack.pop()
         k = redex_kind_res(u)
         if k is not None:
-            out.append((pos, k))
+            yield pos, k
         match u:
             case RLam(body=b) | RMu(body=b):
-                go(b, pos + (0,))
+                stack.append((b, pos + (0,)))
             case RApp(head=h, bag=bag):
-                go(h, pos + (0,))
-                for i, e in enumerate(bag):
-                    go(e, pos + (i + 1,))
+                for i in range(len(bag), 0, -1):
+                    stack.append((bag[i - 1], pos + (i,)))
+                stack.append((h, pos + (0,)))
 
-    go(t, ())
-    return out
+
+def redexes_res(t: ResTerm) -> list[tuple[Pos, str]]:
+    return list(iter_redexes_res(t))
 
 
 def is_normal_res(t: ResTerm) -> bool:
-    return not redexes_res(t)
-
-
-def _bound_degree(body: ResTerm, name: bool) -> int:
-    """Occurrences, in the body of a lambda (``name`` false) or of a mu
-    (``name`` true), of the variable or name that binder binds."""
-    n = 0
-    stack = [(body, 1 if name else 0)]
-    while stack:
-        u, d = stack.pop()
-        match u:
-            case RVar(ref=r):
-                if not name and r == d:
-                    n += 1
-            case RLam(body=b):
-                stack.append((b, d if name else d + 1))
-            case RMu(named=nr, body=b):
-                if name and nr == d:
-                    n += 1
-                stack.append((b, d + 1 if name else d))
-            case RApp(head=h, bag=bag):
-                stack.append((h, d))
-                stack.extend((e, d) for e in bag)
-    return n
+    return next(iter_redexes_res(t), None) is None
 
 
 def _vanishes(t: ResTerm) -> bool:
@@ -215,9 +256,9 @@ def _vanishes(t: ResTerm) -> bool:
     matters, so the answer is the same with outer binders open or closed."""
     match t:
         case RApp(head=RLam(body=b), bag=bag):
-            return _bound_degree(b, False) != len(bag)
+            return _count(b, 0, False) != len(bag)
         case RApp(head=RMu(named=nr, body=b), bag=bag):
-            return bool(bag) and nr != 0 and _bound_degree(b, True) == 0
+            return bool(bag) and nr != 0 and _count(b, 1, True) == 0
     return False
 
 
@@ -225,25 +266,23 @@ def contract_res(t: ResTerm, semiring: str) -> Sum:
     """Contract a root redex (term opened with respect to outer binders)."""
     if _vanishes(t):
         return Sum.zero(semiring)
-    return _contract(t, semiring)
+    return SumBuilder(semiring, _contract(t)).build()
 
 
-def _contract(t: ResTerm, semiring: str) -> Sum:
-    # The caller has ruled out a vanishing redex, so a lambda redex's bag
-    # matches the occurrences of its variable.
+def _contract(t: ResTerm) -> Coeffs:
+    # The redex's own binder stays closed: the lambda's variable is index 0
+    # of its body, and the mu's name is index 0 at its naming (1 in its
+    # body).  Binders above are open, so the bag elements are locally closed
+    # and go under binders as they are.  The caller has ruled out a
+    # vanishing redex, so a lambda redex's bag matches its variable's count.
     match t:
         case RApp(head=RLam(body=b), bag=bag):
-            x = fresh_atom("v")
-            return _lsubst(open_rvar(b, x), x, bag, semiring)
-        case RApp(head=RMu() as m, bag=bag):
-            a = fresh_atom("n")
-            named, body = open_mu_binder(m, a)
-            s = _lna_named(named, body, a, bag, semiring)
-            closed = 0 if named == a else named
-            return s.map(lambda u: RMu(closed, close_rname(u, a)))
+            return _lsubst(b, 0, bag)
+        case RApp(head=RMu(named=nr, body=b), bag=bag):
+            inner = _lna_named(nr, b, 0, bag, _count(b, 1, True))
+            return {RMu(nr, u): c for u, c in inner.items()}
         case RMu(named=nr, body=RMu() as inner):
-            new_named, body = rho_inner_parts(nr, inner.named, inner.body)
-            return Sum.unit(RMu(new_named, body), semiring)
+            return {RMu(*rho_inner_parts(nr, inner.named, inner.body)): 1}
     raise ValueError(f"not a redex: {t!r}")
 
 
@@ -251,33 +290,36 @@ def step_r(t: ResTerm, pos: Pos, semiring: str) -> Sum:
     """One reduction step at a given position, as a sum.
 
     A redex that contracts to zero is recognized before any binder above it
-    is opened.
+    is opened; the binders above any other redex are opened on the way down
+    and closed again around its reducts, which are canonicalized once.
     """
     if _vanishes(subterm_at(t, pos)):
         return Sum.zero(semiring)
+    return SumBuilder(semiring, _step_at(t, pos)).build()
 
-    def go(u: ResTerm, p: Pos) -> Sum:
-        if not p:
-            return _contract(u, semiring)
-        i, rest = p[0], p[1:]
-        match u:
-            case RLam(body=b):
-                x = fresh_atom("v")
-                return go(open_rvar(b, x), rest).map(lambda w: RLam(close_rvar(w, x)))
-            case RMu() as m:
-                a = fresh_atom("n")
-                named, body = open_mu_binder(m, a)
-                closed = 0 if named == a else named
-                return go(body, rest).map(lambda w: RMu(closed, close_rname(w, a)))
-            case RApp(head=h, bag=bag):
-                if i == 0:
-                    return go(h, rest).map(lambda w: RApp(w, bag))
-                return go(bag[i - 1], rest).map(
-                    lambda w: RApp(h, bag[: i - 1] + (w,) + bag[i:])
-                )
-        raise AssertionError((u, p))
 
-    return go(t, pos)
+def _step_at(u: ResTerm, p: Pos) -> Coeffs:
+    # Each wrapper is injective on the reducts, so no two of them merge.
+    if not p:
+        return _contract(u)
+    i, rest = p[0], p[1:]
+    match u:
+        case RLam(body=b):
+            x = fresh_atom("v")
+            return {RLam(close_rvar(w, x)): c for w, c in _step_at(open_rvar(b, x), rest).items()}
+        case RMu() as m:
+            a = fresh_atom("n")
+            named, body = open_mu_binder(m, a)
+            closed = 0 if named == a else named
+            return {RMu(closed, close_rname(w, a)): c for w, c in _step_at(body, rest).items()}
+        case RApp(head=h, bag=bag):
+            if i == 0:
+                return {RApp(w, bag): c for w, c in _step_at(h, rest).items()}
+            return {
+                RApp(h, bag[: i - 1] + (w,) + bag[i:]): c
+                for w, c in _step_at(bag[i - 1], rest).items()
+            }
+    raise AssertionError((u, p))
 
 
 # ---------- stepping whole sums ----------
@@ -393,12 +435,12 @@ def normalize_r(x: ResTerm | Sum, semiring: str) -> Sum:
                 stack.pop()
                 continue
             if u not in steps:
-                rs = redexes_res(u)
-                if not rs:
+                first = next(iter_redexes_res(u), None)
+                if first is None:
                     memo[u] = Sum.unit(u, semiring)
                     stack.pop()
                     continue
-                steps[u] = step_r(u, rs[0][0], semiring)
+                steps[u] = step_r(u, first[0], semiring)
             reduct = steps[u]
             pending = [v for v, _ in reduct.items if v not in memo]
             if pending:

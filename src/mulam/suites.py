@@ -393,7 +393,7 @@ def _draw(rng: random.Random, want, tries: int = 500):
     raise AssertionError("side-condition sampling exhausted its tries")
 
 
-def _inst_rename_rename(rng: random.Random):
+def _inst_rename_rename(rng: random.Random, size: int):
     def pick(r):
         a, b, g, h = (r.choice(_NAME_POOL) for _ in range(4))
         if a != h and b != h and b != g:
@@ -401,23 +401,23 @@ def _inst_rename_rename(rng: random.Random):
         return None
 
     a, b, g, h = _draw(rng, pick)
-    t = gen_res(rng, 6)
+    t = gen_res(rng, size)
     lhs = Sum.unit(rename_name(rename_name(t, a, b), g, h), NAT)
     rhs = Sum.unit(rename_name(rename_name(t, g, h), a, b), NAT)
     return f"t={print_res(t)} new/old pairs ({a},{b}) then ({g},{h})", lhs, rhs
 
 
-def _inst_rename_subst(rng: random.Random):
+def _inst_rename_subst(rng: random.Random, size: int):
     a, b = rng.choice(_NAME_POOL), rng.choice(_NAME_POOL)
     x = "x"
-    t = gen_res(rng, 6)
+    t = gen_res(rng, size)
     u = gen_bag(rng, 4)
     lhs = rename_name(_lsub(t, x, u), a, b)
     rhs = linear_subst(rename_name(t, a, b), x, _rename_bag(u, a, b), NAT)
     return f"t={print_res(t)} u=[{', '.join(map(print_res, u))}] ({a},{b})", lhs, rhs
 
 
-def _inst_rename_named_app(rng: random.Random):
+def _inst_rename_named_app(rng: random.Random, size: int):
     def pick(r):
         a, b, g = (r.choice(_NAME_POOL) for _ in range(3))
         if a != g and b != g:
@@ -425,14 +425,14 @@ def _inst_rename_named_app(rng: random.Random):
         return None
 
     a, b, g = _draw(rng, pick)
-    t = gen_res(rng, 6)
+    t = gen_res(rng, size)
     u = gen_bag(rng, 4)
     lhs = rename_name(_lna(t, g, u), a, b)
     rhs = linear_named_app(rename_name(t, a, b), g, _rename_bag(u, a, b), NAT)
     return f"t={print_res(t)} u=[{', '.join(map(print_res, u))}] ({a},{b}) at '{g}'", lhs, rhs
 
 
-def _inst_rename_named_pair(rng: random.Random):
+def _inst_rename_named_pair(rng: random.Random, size: int):
     def pick(r):
         a, b, g = (r.choice(_NAME_POOL) for _ in range(3))
         if a != g and b != g:
@@ -441,7 +441,7 @@ def _inst_rename_named_pair(rng: random.Random):
 
     a, b, g = _draw(rng, pick)
     eta = rng.choice(_NAME_POOL)
-    t = gen_res(rng, 6)
+    t = gen_res(rng, size)
     u = gen_bag(rng, 4)
     lhs = rename_name(linear_named_app_named(eta, t, g, u, NAT), a, b)
     eta2 = a if eta == b else eta
@@ -453,7 +453,7 @@ def _inst_rename_named_pair(rng: random.Random):
     )
 
 
-def _inst_subst_subst(rng: random.Random):
+def _inst_subst_subst(rng: random.Random, size: int):
     x, y = "x", "y"
 
     def pick(r):
@@ -463,7 +463,7 @@ def _inst_subst_subst(rng: random.Random):
         return None
 
     u = _draw(rng, pick)
-    t = gen_res(rng, 6)
+    t = gen_res(rng, size)
     v = gen_bag(rng, 4)
     lhs = _lsub(t, y, v).bind(lambda tt: _lsub(tt, x, u))
     n = len(v)
@@ -480,7 +480,7 @@ def _inst_subst_subst(rng: random.Random):
     return f"t={print_res(t)} v=[{', '.join(map(print_res, v))}] u=[{', '.join(map(print_res, u))}]", lhs, rhs
 
 
-def _inst_subst_named_app(rng: random.Random):
+def _inst_subst_named_app(rng: random.Random, size: int):
     x = "x"
     a = rng.choice(_NAME_POOL)
 
@@ -491,7 +491,7 @@ def _inst_subst_named_app(rng: random.Random):
         return None
 
     u = _draw(rng, pick)
-    t = gen_res(rng, 6)
+    t = gen_res(rng, size)
     v = gen_bag(rng, 4)
     lhs = _lna(t, a, v).bind(lambda s: _lsub(s, x, u))
     n = len(v)
@@ -508,7 +508,7 @@ def _inst_subst_named_app(rng: random.Random):
     return f"t={print_res(t)} v=[{', '.join(map(print_res, v))}] u=[{', '.join(map(print_res, u))}] '{a}' x", lhs, rhs
 
 
-def _inst_named_app_skips_bag(rng: random.Random):
+def _inst_named_app_skips_bag(rng: random.Random, size: int):
     a = rng.choice(_NAME_POOL)
 
     def pick(r):
@@ -518,14 +518,14 @@ def _inst_named_app_skips_bag(rng: random.Random):
         return None
 
     v = _draw(rng, pick)
-    t = gen_res(rng, 6)
+    t = gen_res(rng, size)
     u = gen_bag(rng, 4)
     lhs = linear_named_app(RApp(t, v), a, u, NAT)
     rhs = _lna(t, a, u).map(lambda s: RApp(s, v))
     return f"t={print_res(t)} v=[{', '.join(map(print_res, v))}] u=[{', '.join(map(print_res, u))}] '{a}'", lhs, rhs
 
 
-def _inst_named_app_join(rng: random.Random):
+def _inst_named_app_join(rng: random.Random, size: int):
     def pick_names(r):
         a, b = r.choice(_NAME_POOL), r.choice(_NAME_POOL)
         return (a, b) if a != b else None
@@ -533,7 +533,7 @@ def _inst_named_app_join(rng: random.Random):
     a, b = _draw(rng, pick_names)
 
     def pick_t(r):
-        t = gen_res(r, 6)
+        t = gen_res(r, size)
         return t if _deg(b, t) == 0 else None
 
     t = _draw(rng, pick_t)
@@ -549,7 +549,7 @@ def _inst_named_app_join(rng: random.Random):
     return f"t={print_res(t)} v=[{', '.join(map(print_res, v))}] u=[{', '.join(map(print_res, u))}] '{a}' then '{b}'", lhs, rhs
 
 
-def _inst_swap_disjoint(rng: random.Random):
+def _inst_swap_disjoint(rng: random.Random, size: int):
     def pick_names(r):
         a, b = r.choice(_NAME_POOL), r.choice(_NAME_POOL)
         return (a, b) if a != b else None
@@ -566,13 +566,13 @@ def _inst_swap_disjoint(rng: random.Random):
 
     v = _draw(rng, pick_v)
     u = _draw(rng, pick_u)
-    t = gen_res(rng, 6)
+    t = gen_res(rng, size)
     lhs = _lna(t, a, u).bind(lambda s: _lna(s, b, v))
     rhs = _lna(t, b, v).bind(lambda s: _lna(s, a, u))
     return f"t={print_res(t)} u=[{', '.join(map(print_res, u))}]@'{a}' v=[{', '.join(map(print_res, v))}]@'{b}'", lhs, rhs
 
 
-def _inst_swap_fresh_left(rng: random.Random):
+def _inst_swap_fresh_left(rng: random.Random, size: int):
     def pick_names(r):
         a, b = r.choice(_NAME_POOL), r.choice(_NAME_POOL)
         return (a, b) if a != b else None
@@ -585,7 +585,7 @@ def _inst_swap_fresh_left(rng: random.Random):
 
     v = _draw(rng, pick_v)
     u = gen_bag(rng, 4)
-    t = gen_res(rng, 6)
+    t = gen_res(rng, size)
     d = _FRESH
     lhs = _lna(t, a, u).bind(lambda s: _lna(s, b, v))
     rhs = Sum.zero(NAT)
@@ -598,7 +598,7 @@ def _inst_swap_fresh_left(rng: random.Random):
     return f"t={print_res(t)} u=[{', '.join(map(print_res, u))}]@'{a}' v=[{', '.join(map(print_res, v))}]@'{b}'", lhs, rhs
 
 
-def _inst_swap_fresh_right(rng: random.Random):
+def _inst_swap_fresh_right(rng: random.Random, size: int):
     def pick_names(r):
         a, b = r.choice(_NAME_POOL), r.choice(_NAME_POOL)
         return (a, b) if a != b else None
@@ -611,7 +611,7 @@ def _inst_swap_fresh_right(rng: random.Random):
 
     u = _draw(rng, pick_u)
     v = gen_bag(rng, 4)
-    t = gen_res(rng, 6)
+    t = gen_res(rng, size)
     d = _FRESH
     lhs = _lna(t, a, u).bind(lambda s: _lna(s, b, v))
     rhs = rename_name(
@@ -620,7 +620,7 @@ def _inst_swap_fresh_right(rng: random.Random):
     return f"t={print_res(t)} u=[{', '.join(map(print_res, u))}]@'{a}' v=[{', '.join(map(print_res, v))}]@'{b}'", lhs, rhs
 
 
-def _inst_rename_then_named_app(rng: random.Random):
+def _inst_rename_then_named_app(rng: random.Random, size: int):
     def pick_names(r):
         a, b = r.choice(_NAME_POOL), r.choice(_NAME_POOL)
         return (a, b) if a != b else None
@@ -632,7 +632,7 @@ def _inst_rename_then_named_app(rng: random.Random):
         return u if _bag_deg(b, u) == 0 else None
 
     u = _draw(rng, pick_u)
-    t = gen_res(rng, 6)
+    t = gen_res(rng, size)
     lhs = linear_named_app(rename_name(t, a, b), a, u, NAT)
     rhs = Sum.zero(NAT)
     for (w1, w2), cnt in weak_compositions_with_counts(u, 2):
@@ -641,7 +641,7 @@ def _inst_rename_then_named_app(rng: random.Random):
     return f"t={print_res(t)} u=[{', '.join(map(print_res, u))}] merge '{b}' into '{a}'", lhs, rhs
 
 
-def _inst_named_app_after_subst(rng: random.Random):
+def _inst_named_app_after_subst(rng: random.Random, size: int):
     x = "x"
     a = rng.choice(_NAME_POOL)
 
@@ -652,7 +652,7 @@ def _inst_named_app_after_subst(rng: random.Random):
         return None
 
     u = _draw(rng, pick_u)
-    t = gen_res(rng, 6)
+    t = gen_res(rng, size)
     v = gen_bag(rng, 4)
     lhs = _lsub(t, x, v).bind(lambda s: _lna(s, a, u))
     n = len(v)
@@ -684,7 +684,7 @@ def _two_named_apps_rhs(t: ResTerm, a: str, g: str, v: Bag, u: Bag) -> Sum:
     return rhs
 
 
-def _inst_two_named_apps(rng: random.Random):
+def _inst_two_named_apps(rng: random.Random, size: int):
     def pick_names(r):
         a, g = r.choice(_NAME_POOL), r.choice(_NAME_POOL)
         return (a, g) if a != g else None
@@ -696,14 +696,14 @@ def _inst_two_named_apps(rng: random.Random):
         return u if _bag_deg(g, u) == 0 else None
 
     u = _draw(rng, pick_u)
-    t = gen_res(rng, 6)
+    t = gen_res(rng, size)
     v = gen_bag(rng, 4)
     lhs = _lna(t, g, v).bind(lambda s: _lna(s, a, u))
     rhs = _two_named_apps_rhs(t, a, g, v, u)
     return f"t={print_res(t)} v=[{', '.join(map(print_res, v))}]@'{g}' u=[{', '.join(map(print_res, u))}]@'{a}'", lhs, rhs
 
 
-def _inst_two_named_apps_pair(rng: random.Random):
+def _inst_two_named_apps_pair(rng: random.Random, size: int):
     def pick_names(r):
         a, g = r.choice(_NAME_POOL), r.choice(_NAME_POOL)
         return (a, g) if a != g else None
@@ -716,7 +716,7 @@ def _inst_two_named_apps_pair(rng: random.Random):
 
     u = _draw(rng, pick_u)
     eta = rng.choice(_NAME_POOL)
-    t = gen_res(rng, 6)
+    t = gen_res(rng, size)
     v = gen_bag(rng, 4)
     lhs = linear_named_app_named(eta, t, g, v, NAT).bind(
         lambda s: linear_named_app_named(eta, s, a, u, NAT)
@@ -758,14 +758,16 @@ LEMMA_INSTANCES = (
 
 def lemmas_suite(samples: int = 200, seed: int = 0, max_term_size: int = 6) -> SuiteReport:
     """Exact-count identities for the substitution/renaming algebra; each
-    entry draws fresh instances that satisfy the identity's side conditions."""
+    entry draws fresh instances that satisfy the identity's side conditions.
+    The term ``t`` of an instance has size at most ``max_term_size``; bag
+    elements keep their own bound of 4."""
     t0 = time.perf_counter()
     report = SuiteReport("lemmas", samples * len(LEMMA_INSTANCES))
     k = 0
     for name, make in LEMMA_INSTANCES:
         for i in range(samples):
             si = _sample_seed(seed, k)
-            shown, lhs, rhs = make(random.Random(si))
+            shown, lhs, rhs = make(random.Random(si), max_term_size)
             if lhs != rhs:
                 report.failures.append(
                     Failure(k, si, shown, print_sum(lhs), print_sum(rhs), note=name)

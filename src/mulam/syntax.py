@@ -380,11 +380,12 @@ class Sum:
     __slots__ = ("semiring", "items")
 
     def __init__(self, semiring: str, items: Iterable[tuple[ResTerm, int]]):
-        assert semiring in (BOOL, NAT), semiring
+        _check_semiring(semiring)
         merged: dict[ResTerm, int] = {}
         for t, c in items:
-            assert isinstance(t, ResTerm), t
-            assert isinstance(c, int) and c >= 0, c
+            if not isinstance(t, ResTerm):
+                raise TypeError(f"a sum addend must be a resource term, not {t!r}")
+            _check_coeff(c)
             if c == 0:
                 continue
             merged[t] = merged.get(t, 0) + c
@@ -454,7 +455,7 @@ class Sum:
     __add__ = add
 
     def scale(self, k: int) -> "Sum":
-        assert isinstance(k, int) and k >= 0, k
+        _check_coeff(k)
         if k == 0:
             return Sum.zero(self.semiring)
         if k == 1:
@@ -463,7 +464,12 @@ class Sum:
 
     def map(self, f: Callable[[ResTerm], ResTerm]) -> "Sum":
         """Apply a term constructor addend-wise (linearity of constructors)."""
-        return Sum(self.semiring, ((f(t), c) for t, c in self.items))
+        acc = SumBuilder(self.semiring)
+        coeffs = acc.coeffs
+        for t, c in self.items:
+            u = f(t)
+            coeffs[u] = coeffs.get(u, 0) + c
+        return acc.build()
 
     def bind(self, f: Callable[[ResTerm], "Sum"]) -> "Sum":
         """Substitute each addend by a whole sum, scaling by its coefficient."""
@@ -496,24 +502,39 @@ def _item_key(item: tuple[ResTerm, int]) -> tuple[int, bytes]:
     return _bag_key(item[0])
 
 
+def _check_semiring(semiring: str) -> None:
+    if semiring not in (BOOL, NAT):
+        raise ValueError(f"unknown semiring {semiring!r}; expected {BOOL!r} or {NAT!r}")
+
+
+def _check_coeff(k: int) -> None:
+    if not isinstance(k, int):
+        raise TypeError(f"a coefficient must be an int, not {k!r}")
+    if k < 0:
+        raise ValueError(f"a coefficient must not be negative, got {k}")
+
+
 class SumBuilder:
     """Mutable accumulator of scaled sums over one semiring.
 
     ``add`` merges coefficients into a dict; ``build`` canonicalizes once.
-    The parts are already valid sums, so no item is checked again.
+    The parts are already valid sums, so no item is checked again.  A
+    builder can also start from a term -> coefficient dict of positive
+    coefficients that the caller collected itself (and hands over).
     """
 
     __slots__ = ("semiring", "coeffs")
 
-    def __init__(self, semiring: str):
-        assert semiring in (BOOL, NAT), semiring
+    def __init__(self, semiring: str, coeffs: dict[ResTerm, int] | None = None):
+        _check_semiring(semiring)
         self.semiring = semiring
-        self.coeffs: dict[ResTerm, int] = {}
+        self.coeffs: dict[ResTerm, int] = {} if coeffs is None else coeffs
 
     def add(self, s: Sum, k: int = 1) -> None:
         """Add ``k`` times ``s``."""
-        assert s.semiring == self.semiring, (s.semiring, self.semiring)
-        assert isinstance(k, int) and k >= 0, k
+        if s.semiring != self.semiring:
+            raise ValueError(f"a {s.semiring} sum added to a {self.semiring} sum")
+        _check_coeff(k)
         if k == 0:
             return
         coeffs = self.coeffs
@@ -522,8 +543,9 @@ class SumBuilder:
 
     def remove(self, t: ResTerm, k: int) -> None:
         """Take ``k`` units of ``t`` away; at least ``k`` must be there."""
-        c = self.coeffs[t] - k
-        assert c >= 0, (t, c)
+        c = self.coeffs.get(t, 0) - k
+        if c < 0:
+            raise ValueError(f"cannot remove {k} of {t!r}: only {c + k} there")
         if c:
             self.coeffs[t] = c
         else:
@@ -536,20 +558,36 @@ class SumBuilder:
         return out
 
 
+def add_app(
+    acc: dict[ResTerm, int],
+    head: Iterable[tuple[ResTerm, int]],
+    args: list[Iterable[tuple[ResTerm, int]]],
+    k: int = 1,
+) -> None:
+    """Add ``k`` times the multilinear application of ``head`` to the bag
+    slots ``args`` into the coefficient dict ``acc``: one addend per choice
+    of one addend from the head and from each slot, with the product of
+    their coefficients.  The parts are (term, coefficient) pairs, so a sum's
+    ``items`` and a dict's ``items()`` both do."""
+    choices: list[tuple[tuple[ResTerm, ...], int]] = [((), k)]
+    for arg in args:
+        choices = [(picked + (t,), c * ct) for picked, c in choices for t, ct in arg]
+        if not choices:
+            return
+    for h, ch in head:
+        for picked, c in choices:
+            u = RApp(h, picked)
+            acc[u] = acc.get(u, 0) + ch * c
+
+
 def lift_app(head: Sum, args: list[Sum]) -> Sum:
     """Multilinear application: distribute a sum head over sums of bag slots."""
-    semiring = head.semiring
-    total_items: list[tuple[ResTerm, int]] = []
-    for h, ch in head.items:
-        choices: list[tuple[list[ResTerm], int]] = [([], ch)]
-        for arg in args:
-            assert arg.semiring == semiring
-            choices = [
-                (picked + [t], c * ct) for picked, c in choices for t, ct in arg.items
-            ]
-        for picked, c in choices:
-            total_items.append((RApp(h, picked), c))
-    return Sum(semiring, total_items)
+    for arg in args:
+        if arg.semiring != head.semiring:
+            raise ValueError(f"a {arg.semiring} bag slot under a {head.semiring} head")
+    acc = SumBuilder(head.semiring)
+    add_app(acc.coeffs, head.items, [arg.items for arg in args])
+    return acc.build()
 
 
 # ---------- opening and closing binders ----------

@@ -54,43 +54,52 @@ def taylor_enum(m: Term, max_size: int) -> tuple[ResTerm, ...]:
     Sizes count one per node plus one per bag slot, so an application with k
     arguments in the bag costs 1 + k on top of its subterms.
     """
-    memo: dict[tuple[bytes, int], tuple[ResTerm, ...]] = {}
+    return _approximants(m, max_size, {})
 
-    def go(u: Term, budget: int) -> tuple[ResTerm, ...]:
-        if budget <= 0:
-            return ()
-        key = (u.enc, budget)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        out: list[ResTerm] = []
-        match u:
-            case Var(ref=r):
-                out.append(RVar(r))
-            case Lam(body=b):
-                out.extend(RLam(t) for t in go(b, budget - 1))
-            case Mu(named=nr, body=b):
-                out.extend(RMu(nr, t) for t in go(b, budget - 1))
-            case App(fun=f, arg=a):
-                for h in go(f, budget - 1):
-                    room = budget - 1 - h.size
-                    pool = go(a, room - 1) if room >= 1 else ()
 
-                    def bags(start: int, left: int):
-                        yield ()
-                        for j in range(start, len(pool)):
-                            cost = 1 + pool[j].size
-                            if cost <= left:
-                                for rest in bags(j, left - cost):
-                                    yield (pool[j],) + rest
+# The enumeration is written with module-level functions and an explicit
+# memo, not nested closures: a nested recursive function refers to itself,
+# and that cycle would keep the whole memo alive until the cycle collector
+# ran.
 
-                    for bag in bags(0, room):
-                        out.append(RApp(h, bag))
-        result = tuple(sorted(out, key=_bag_key))
-        memo[key] = result
-        return result
 
-    return go(m, max_size)
+def _approximants(
+    u: Term, budget: int, memo: dict[tuple[bytes, int], tuple[ResTerm, ...]]
+) -> tuple[ResTerm, ...]:
+    if budget <= 0:
+        return ()
+    key = (u.enc, budget)
+    hit = memo.get(key)
+    if hit is not None:
+        return hit
+    out: list[ResTerm] = []
+    match u:
+        case Var(ref=r):
+            out.append(RVar(r))
+        case Lam(body=b):
+            out.extend(RLam(t) for t in _approximants(b, budget - 1, memo))
+        case Mu(named=nr, body=b):
+            out.extend(RMu(nr, t) for t in _approximants(b, budget - 1, memo))
+        case App(fun=f, arg=a):
+            for h in _approximants(f, budget - 1, memo):
+                room = budget - 1 - h.size
+                pool = _approximants(a, room - 1, memo) if room >= 1 else ()
+                for bag in _bags(pool, 0, room):
+                    out.append(RApp(h, bag))
+    result = tuple(sorted(out, key=_bag_key))
+    memo[key] = result
+    return result
+
+
+def _bags(pool: tuple[ResTerm, ...], start: int, left: int):
+    """Bags drawn from ``pool[start:]`` (as non-decreasing index sequences)
+    whose slots cost at most ``left``: one per element plus its size."""
+    yield ()
+    for j in range(start, len(pool)):
+        cost = 1 + pool[j].size
+        if cost <= left:
+            for rest in _bags(pool, j, left - cost):
+                yield (pool[j],) + rest
 
 
 # ---------- truncated normal-form sets ----------

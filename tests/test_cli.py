@@ -307,3 +307,52 @@ def test_usage_error_exit_code_holds_under_python_O(tmp_path):
     )
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("error: cannot read ")
+
+
+@pytest.mark.parametrize("command", ["parse", "normalize"])
+def test_deeply_nested_input_is_a_usage_error(capsys, tmp_path, command):
+    deep = tmp_path / "deep.txt"
+    deep.write_text("\\x." * 1000 + "x")
+    code, out, err = _run(capsys, command, str(deep))
+    assert code == 2
+    assert out == ""
+    assert err == "error: input nested too deeply\n"
+
+
+@pytest.mark.parametrize("expr", [
+    "(mu 'a.<'a> mu 'e.<'a> mu 'f.<'a> x)[y0, y1, y2, y3, y4]",
+    "(\\x. x[x][x][x])[y0, y0, y1, y1]",
+])
+def test_normalize_output_is_the_same_under_python_O(expr):
+    # Behaviour that sat in an assert statement would change under -O.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(mulam.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    outs = []
+    for flags in ([], ["-O"]):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-m", "mulam.cli", "normalize", "-e", expr],
+            env=env, capture_output=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
+    assert outs[0].startswith(b"normal form: ")
+
+
+def test_lemmas_suite_honours_max_term_size(capsys, monkeypatch):
+    from mulam import suites
+
+    drawn = []
+
+    def recording_gen_res(rng, max_size, *args, **kwargs):
+        t = suites_gen_res(rng, max_size, *args, **kwargs)
+        drawn.append((max_size, t.size))
+        return t
+
+    suites_gen_res = suites.gen_res
+    monkeypatch.setattr(suites, "gen_res", recording_gen_res)
+    code, out, _ = _run(capsys, "check", "--suite", "lemmas", "--samples", "20",
+                        "--max-term-size", "3")
+    assert code == 0, out
+    assert len(drawn) >= 15 * 20
+    assert all(bound == 3 and n <= 3 for bound, n in drawn), drawn

@@ -13,6 +13,7 @@ from mulam.resource import (
     head_step_res,
     is_hnf_res,
     is_normal_res,
+    iter_redexes_res,
     linear_named_app,
     linear_named_app_named,
     linear_subst,
@@ -33,6 +34,7 @@ from mulam.syntax import (
     Sum,
     close_rname,
     close_rvar,
+    degree,
     fresh_atom,
     mkbag,
     open_mu_binder,
@@ -224,6 +226,90 @@ def test_vanishing_redex_opens_no_binder(monkeypatch):
         t = _p(src)
         [pos] = [p for p, kind in redexes_res(t) if kind in ("lam", "mu")]
         assert step_r(t, pos, NAT).is_zero
+
+
+# ---------- contraction on the redex's own index ----------
+
+
+@pytest.mark.parametrize("src, want", [
+    ("(\\x. x[x][z])[y0, y1]", "y0[y1][z] + y1[y0][z]"),
+    ("(mu 'a.<'a> mu 'e.<'a> x)[y0, y1]",
+     "mu 'a.<'a> (mu 'e.<'a> x[y0, y1]) 1 + mu 'a.<'a> (mu 'e.<'a> x[y0]) [y1]"
+     " + mu 'a.<'a> (mu 'e.<'a> x[y1]) [y0] + mu 'a.<'a> (mu 'e.<'a> x 1) [y0, y1]"),
+])
+def test_root_redex_contracts_without_opening_its_binder(monkeypatch, src, want):
+    def boom(*args):
+        raise AssertionError("a binder was opened or closed")
+
+    for f in ("fresh_atom", "open_rvar", "open_mu_binder", "close_rvar", "close_rname"):
+        monkeypatch.setattr(resource, f, boom)
+    t = _p(src)
+    assert step_r(t, (), NAT) == _s(want)
+    assert contract_res(t, BOOL) == _s(want, BOOL)
+
+
+def _random_redex(rng):
+    """A lambda or mu redex whose body may use the redex's binder (and, for
+    a mu, its own naming may be the binder), with a bag that mostly fits
+    the binder's occurrences."""
+    if rng.random() < 0.5:
+        body = gen_res(rng, 10, ld=1)
+        redex_head = RLam(body)
+        x = fresh_atom("v")
+        fits = degree(x, open_rvar(body, x))
+    else:
+        body = gen_res(rng, 10, nd=1)
+        redex_head = RMu(rng.choice([0, 0, "a", "b"]), body)
+        fits = rng.randint(0, 3)
+    k = fits if rng.random() < 0.7 else rng.randint(0, 3)
+    bag = [gen_res(rng, 4) for _ in range(k)]
+    return RApp(redex_head, bag)
+
+
+@given(st.integers(min_value=0, max_value=100_000), st.sampled_from([BOOL, NAT]))
+def test_index_contraction_equals_the_atom_path(seed, semiring):
+    # At the root, the reference opens the redex's binder with a fresh atom,
+    # runs the public atom-directed entry point and closes again.
+    t = _random_redex(random.Random(seed))
+    assert contract_res(t, semiring) == _reference_step(t, (), semiring), t
+
+
+def _recursive_redexes(t, pos=()):
+    """Pre-order redex list, written as a plain recursion."""
+    out = []
+    k = resource.redex_kind_res(t)
+    if k is not None:
+        out.append((pos, k))
+    match t:
+        case RLam(body=b) | RMu(body=b):
+            out += _recursive_redexes(b, pos + (0,))
+        case RApp(head=h, bag=bag):
+            out += _recursive_redexes(h, pos + (0,))
+            for i, e in enumerate(bag):
+                out += _recursive_redexes(e, pos + (i + 1,))
+    return out
+
+
+@given(st.integers(min_value=0, max_value=100_000))
+def test_redexes_are_listed_in_pre_order(seed):
+    t = gen_res(random.Random(seed), 20)
+    assert redexes_res(t) == _recursive_redexes(t)
+    assert next(iter_redexes_res(t), None) == (redexes_res(t) or [None])[0]
+
+
+@given(st.integers(min_value=0, max_value=100_000), st.sampled_from([BOOL, NAT]))
+def test_normalize_steps_the_first_redex(seed, semiring):
+    taken = []
+
+    def recording_step(u, pos, sr):
+        taken.append((u, pos))
+        return step_r(u, pos, sr)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(resource, "step_r", recording_step)
+        normalize_r(gen_res(random.Random(seed), 14), semiring)
+    for u, pos in taken:
+        assert pos == redexes_res(u)[0][0], u
 
 
 # ---------- sum stepping ----------

@@ -1,10 +1,14 @@
 """Core representation: canonical encodings, binder open/close, sums."""
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
 
+import mulam
 from mulam.gen import gen_res, gen_term
 from mulam.syntax import (
     BOOL,
@@ -38,7 +42,7 @@ from mulam.syntax import (
     size,
     subterm_at,
 )
-from mulam.textio import ParseError, parse_context, parse_res, parse_term
+from mulam.textio import ParseError, parse_context, parse_res, parse_sum, parse_term
 
 # ---------- alpha equality and canonical bags ----------
 
@@ -171,6 +175,82 @@ def test_lift_app_is_multilinear():
 def test_lift_app_annihilates_on_zero():
     x = RVar("x")
     assert lift_app(Sum.unit(x, NAT), [Sum.zero(NAT)]).is_zero
+
+
+def test_lift_app_rejects_mixed_semirings():
+    x = RVar("x")
+    with pytest.raises(ValueError):
+        lift_app(Sum.unit(x, NAT), [Sum.unit(x, BOOL)])
+
+
+# ---------- sum validation raises, so python -O keeps it ----------
+
+
+def test_negative_coefficient_is_rejected():
+    with pytest.raises(ValueError):
+        Sum(NAT, [(RVar("x"), -2)])
+
+
+def test_unknown_semiring_is_rejected():
+    with pytest.raises(ValueError):
+        Sum("foo", [(RVar("x"), 1)])
+    with pytest.raises(ValueError):
+        SumBuilder("foo")
+
+
+def test_non_term_and_non_int_items_are_rejected():
+    with pytest.raises(TypeError):
+        Sum(NAT, [("x", 1)])
+    with pytest.raises(TypeError):
+        Sum(NAT, [(RVar("x"), 1.5)])
+
+
+def test_negative_scale_is_rejected():
+    with pytest.raises(ValueError):
+        parse_sum("x", NAT).scale(-1)
+    with pytest.raises(TypeError):
+        parse_sum("x", NAT).scale(2.0)
+
+
+def test_builder_add_checks_semiring_and_factor():
+    acc = SumBuilder(NAT)
+    with pytest.raises(ValueError):
+        acc.add(parse_sum("x", BOOL))
+    with pytest.raises(ValueError):
+        acc.add(parse_sum("x", NAT), -1)
+    with pytest.raises(TypeError):
+        acc.add(parse_sum("x", NAT), "2")
+    with pytest.raises(ValueError):
+        acc.remove(RVar("x"), 1)
+
+
+def test_sum_validation_holds_under_python_O():
+    # python -O strips assert statements; each case must still raise.
+    code = """
+from mulam.syntax import NAT, RVar, Sum, SumBuilder
+from mulam.textio import parse_sum
+cases = [
+    lambda: Sum(NAT, [(RVar('x'), -2)]),
+    lambda: Sum('foo', [(RVar('x'), 1)]),
+    lambda: parse_sum('x', NAT).scale(-1),
+    lambda: SumBuilder('foo'),
+    lambda: SumBuilder(NAT).add(parse_sum('x', NAT), -1),
+]
+for case in cases:
+    try:
+        case()
+    except (TypeError, ValueError) as e:
+        print(type(e).__name__)
+    else:
+        print('accepted')
+"""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(mulam.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["ValueError"] * 5
 
 
 # ---------- positions ----------
