@@ -6,6 +6,12 @@ mu's own name), and a mu whose body is directly another mu (which merges the
 two namings).  Head reduction prefers the leftmost merge redex in the binder
 prefix and otherwise fires the head redex, following the standard head-shape
 decomposition.
+
+A redex is contracted on its own index: the lambda's variable is replaced
+where it occurs as an index of the body, and the mu's name is followed as an
+index through the body, so the redex's binder is never opened.  Only the
+binders above the redex are opened, which makes the argument locally closed
+so that it goes under binders as it is.
 """
 
 from __future__ import annotations
@@ -21,12 +27,15 @@ from .syntax import (
     Term,
     Var,
     _strip_quote,
+    _under,
     close_name,
     close_var,
     fresh_atom,
     is_locally_closed,
+    map_refs,
     open_mu_binder,
     open_var,
+    subterm_at,
 )
 
 # ---------- substitution and named application ----------
@@ -38,111 +47,68 @@ def subst(t: Term, x: str, n: Term) -> Term:
     With locally nameless terms this is a plain graft: binders are indices,
     so they cannot capture atoms of ``n``.
     """
-
-    def go(u: Term) -> Term:
-        match u:
-            case Var(ref=r):
-                return n if r == x else u
-            case Lam(body=b):
-                return Lam(go(b))
-            case Mu(named=nr, body=b):
-                return Mu(nr, go(b))
-            case App(fun=f, arg=a):
-                return App(go(f), go(a))
-        raise AssertionError(u)
-
-    return go(t)
+    return map_refs(t, var=lambda r, d: n if r == x else None)
 
 
-def named_app(t: Term, alpha: str, n: Term) -> Term:
+def named_app(t: Term, alpha: Ref, n: Term) -> Term:
     """(t)_alpha n: duplicate the argument at every naming of ``alpha``.
 
     Clauses: variables untouched; abstractions and applications structural;
     ``mu b.<g| m>`` maps to ``mu b.<g| (m)_alpha n>`` when g is not alpha and
-    to ``mu b.<alpha| ((m)_alpha n) n>`` when it is.
+    to ``mu b.<alpha| ((m)_alpha n) n>`` when it is.  ``alpha`` is a free
+    name or the index of a mu binder above ``t``, resolved at the namings of
+    the mu nodes at the top of ``t`` (so index 1 is the binder just outside);
+    an index goes up by one under each mu.
     """
-    alpha = _strip_quote(alpha)
+    if isinstance(alpha, str):
+        alpha = _strip_quote(alpha)
 
-    def go(u: Term) -> Term:
+    def go(u: Term, a: Ref) -> Term:
         match u:
             case Var():
                 return u
             case Lam(body=b):
-                return Lam(go(b))
-            case App(fun=f, arg=a):
-                return App(go(f), go(a))
+                return Lam(go(b, a))
+            case App(fun=f, arg=x):
+                return App(go(f, a), go(x, a))
             case Mu(named=nr, body=b):
-                inner = go(b)
-                if nr == alpha:
+                inner = go(b, _under(a))
+                if nr == a:
                     inner = App(inner, n)
                 return Mu(nr, inner)
         raise AssertionError(u)
 
-    return go(t)
+    return go(t, alpha)
 
 
 # ---------- the naming-merge (rho) rule ----------
 
 
 def _rho_map_ref(r: Ref, a_ref: Ref, d: int) -> Ref:
-    """Image of a naming reference under removal of the inner binder.
-
-    ``d`` is the index that resolved to the inner binder at this naming
-    position; the outer binder sat at ``d + 1`` and moves down to ``d``;
-    references to the inner binder become the outer naming ``a_ref``
-    (re-indexed into the new scope when it is itself bound outside).
-    """
-    if isinstance(r, str):
-        return r
-    if r < d:
+    """Image of a naming reference when the inner binder, index ``d`` at
+    this naming, is removed: its namings become the outer naming ``a_ref``,
+    re-indexed into the new scope when it is itself bound outside, and the
+    binders further out move down by one."""
+    if isinstance(r, str) or r < d:
         return r
     if r == d:
         return a_ref if isinstance(a_ref, str) else d + a_ref
-    if r == d + 1:
-        return d
     return r - 1
-
-
-def _rho_rename(u, a_ref: Ref, d: int):
-    """Shared body walk for the merge rule of both calculi."""
-    from .syntax import RApp, RLam, RMu, RVar
-
-    match u:
-        case Var() | RVar():
-            return u
-        case Lam(body=b):
-            return Lam(_rho_rename(b, a_ref, d))
-        case RLam(body=b):
-            return RLam(_rho_rename(b, a_ref, d))
-        case App(fun=f, arg=a):
-            return App(_rho_rename(f, a_ref, d), _rho_rename(a, a_ref, d))
-        case RApp(head=h, bag=bag):
-            return RApp(
-                _rho_rename(h, a_ref, d), [_rho_rename(e, a_ref, d) for e in bag]
-            )
-        case Mu(named=nr, body=b):
-            return Mu(_rho_map_ref(nr, a_ref, d), _rho_rename(b, a_ref, d + 1))
-        case RMu(named=nr, body=b):
-            return RMu(_rho_map_ref(nr, a_ref, d), _rho_rename(b, a_ref, d + 1))
-    raise AssertionError(u)
 
 
 def rho_inner_parts(outer_named: Ref, inner_named: Ref, inner_body):
     """New naming and body for ``mu g.<a| mu b.<e| m>>  ->  mu g.<e{a/b}| m{a/b}>``.
 
-    Works for both calculi (the body walk dispatches on node type).
+    Works for both calculi.  The inner naming is index 0 of the inner
+    binder; in the body, under ``dn`` mu binders, that binder is ``dn + 1``.
     """
-    if inner_named == 0:
-        new_named = outer_named
-    elif isinstance(inner_named, int):
-        new_named = inner_named - 1
-    else:
-        new_named = inner_named
-    return new_named, _rho_rename(inner_body, outer_named, 1)
+    body = map_refs(inner_body, name=lambda r, dn: _rho_map_ref(r, outer_named, dn + 1))
+    return _rho_map_ref(inner_named, outer_named, 0), body
 
 
 def rho_term(t: Mu) -> Mu:
-    assert isinstance(t, Mu) and isinstance(t.body, Mu), t
+    if not (isinstance(t, Mu) and isinstance(t.body, Mu)):
+        raise ValueError(f"not a naming-merge redex: {t!r}")
     new_named, body = rho_inner_parts(t.named, t.body.named, t.body.body)
     return Mu(new_named, body)
 
@@ -182,18 +148,14 @@ def redexes(t: Term) -> list[tuple[Pos, str]]:
 
 def contract(t: Term) -> Term:
     """Contract a redex at the root.  The term must already be opened with
-    respect to any surrounding binders (free references are atoms)."""
+    respect to any surrounding binders (free references are atoms), so the
+    argument is locally closed."""
     match t:
         case App(fun=Lam(body=b), arg=n):
-            x = fresh_atom("v")
-            return subst(open_var(b, x), x, n)
-        case App(fun=Mu() as m, arg=n):
-            a = fresh_atom("n")
-            named, body = open_mu_binder(m, a)
-            body = named_app(body, a, n)
-            if named == a:
-                body = App(body, n)
-            return Mu(0 if named == a else named, close_name(body, a))
+            return map_refs(b, var=lambda r, d: n if r == d else None)
+        case App(fun=Mu(named=nr, body=b), arg=n):
+            body = named_app(b, 1, n)
+            return Mu(nr, App(body, n) if nr == 0 else body)
         case Mu(body=Mu()):
             return rho_term(t)
     raise ValueError(f"not a redex: {t!r}")
@@ -201,27 +163,27 @@ def contract(t: Term) -> Term:
 
 def reduce_redex(t: Term, pos: Pos) -> Term:
     """Contract the redex at ``pos``; binders along the path are opened so
-    the contraction can graft siblings without index shifts."""
+    the contraction can graft siblings without index shifts.  A position
+    that is not in ``t`` raises ``ValueError``, as does one that is not a
+    redex."""
+    subterm_at(t, pos)
 
     def go(u: Term, p: Pos) -> Term:
         if not p:
             return contract(u)
-        i, rest = p[0], p[1:]
+        rest = p[1:]
         match u:
             case Lam(body=b):
-                assert i == 0, (i, u)
                 x = fresh_atom("v")
                 return Lam(close_var(go(open_var(b, x), rest), x))
             case Mu() as m:
-                assert i == 0, (i, u)
                 a = fresh_atom("n")
                 named, body = open_mu_binder(m, a)
                 out = go(body, rest)
                 return Mu(0 if named == a else named, close_name(out, a))
             case App(fun=f, arg=arg):
-                if i == 0:
+                if p[0] == 0:
                     return App(go(f, rest), arg)
-                assert i == 1, (i, u)
                 return App(f, go(arg, rest))
         raise AssertionError((u, p))
 
@@ -346,7 +308,8 @@ class FuelExhausted:
 
 def head_run(t: Term, fuel: int) -> Hnf | FuelExhausted:
     """Iterate head reduction up to ``fuel`` steps."""
-    assert is_locally_closed(t), t
+    if not is_locally_closed(t):
+        raise ValueError(f"head reduction needs a locally closed term, got {t!r}")
     u = t
     for n in range(fuel + 1):
         nxt = head_step(u)

@@ -54,6 +54,7 @@ from .syntax import (
     Sum,
     SumBuilder,
     _strip_quote,
+    _under,
     add_app,
     close_rname,
     close_rvar,
@@ -72,15 +73,9 @@ Coeffs = dict[ResTerm, int]
 # ---------- occurrences of a target ----------
 #
 # The target of a substitution or a named application is a reference: a free
-# atom, or the de Bruijn index of a binder above.  An atom is the same at
-# every depth; an index goes up by one under each binder of its own kind.  A
-# name target is resolved at naming positions, where a mu node's own binder
-# is index 0, so below a mu node the names of its body are one further out.
-
-
-def _under(target: Ref) -> Ref:
-    """The target one binder of its kind further down."""
-    return target if isinstance(target, str) else target + 1
+# atom, or the de Bruijn index of a binder above, resolved with the depth
+# convention of ``syntax.map_refs``.  An atom is the same at every depth; an
+# index goes up by one under each binder of its own kind (``_under``).
 
 
 def _count(t: ResTerm, target: Ref, name: bool) -> int:

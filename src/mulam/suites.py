@@ -38,6 +38,7 @@ from .syntax import (
     RVar,
     ResTerm,
     Sum,
+    SumBuilder,
     Term,
     close_rname,
     close_rvar,
@@ -393,6 +394,30 @@ def _draw(rng: random.Random, want, tries: int = 500):
     raise AssertionError("side-condition sampling exhausted its tries")
 
 
+def _distinct_names(r: random.Random):
+    a, b = r.choice(_NAME_POOL), r.choice(_NAME_POOL)
+    return (a, b) if a != b else None
+
+
+def _distributed_rhs(u: Bag, v: Bag, head, elem, then) -> Sum:
+    """The right-hand side of the identities that push an operation with bag
+    ``u`` inside one with bag ``v``: ``u`` splits over the term and the
+    elements of ``v`` in every weak composition; ``head(part)`` acts on the
+    term, ``elem(e, part)`` on each element, and each choice of new elements
+    is finished by ``then(term, new_bag)``."""
+    acc = SumBuilder(NAT)
+    n = len(v)
+    for parts, cnt in weak_compositions_with_counts(u, n + 1):
+        s0 = head(parts[0])
+        if s0.is_zero:
+            continue
+        inner = [elem(v[k], parts[k + 1]) for k in range(n)]
+        for picked, c in _bag_choices(inner):
+            new_bag = mkbag(picked)
+            acc.add(s0.bind(lambda tt: then(tt, new_bag)), c * cnt)
+    return acc.build()
+
+
 def _inst_rename_rename(rng: random.Random, size: int):
     def pick(r):
         a, b, g, h = (r.choice(_NAME_POOL) for _ in range(4))
@@ -466,17 +491,8 @@ def _inst_subst_subst(rng: random.Random, size: int):
     t = gen_res(rng, size)
     v = gen_bag(rng, 4)
     lhs = _lsub(t, y, v).bind(lambda tt: _lsub(tt, x, u))
-    n = len(v)
-    rhs = Sum.zero(NAT)
-    for parts, cnt in weak_compositions_with_counts(u, n + 1):
-        s0 = _lsub(t, x, parts[0])
-        if s0.is_zero:
-            continue
-        inner = [_lsub(v[k], x, parts[k + 1]) for k in range(n)]
-        for picked, c in _bag_choices(inner):
-            rhs = rhs.add(
-                s0.bind(lambda tt, B=mkbag(picked): _lsub(tt, y, B)).scale(c * cnt)
-            )
+    rhs = _distributed_rhs(u, v, lambda p: _lsub(t, x, p), lambda e, p: _lsub(e, x, p),
+                           lambda tt, b: _lsub(tt, y, b))
     return f"t={print_res(t)} v=[{', '.join(map(print_res, v))}] u=[{', '.join(map(print_res, u))}]", lhs, rhs
 
 
@@ -494,17 +510,8 @@ def _inst_subst_named_app(rng: random.Random, size: int):
     t = gen_res(rng, size)
     v = gen_bag(rng, 4)
     lhs = _lna(t, a, v).bind(lambda s: _lsub(s, x, u))
-    n = len(v)
-    rhs = Sum.zero(NAT)
-    for parts, cnt in weak_compositions_with_counts(u, n + 1):
-        s0 = _lsub(t, x, parts[0])
-        if s0.is_zero:
-            continue
-        inner = [_lsub(v[k], x, parts[k + 1]) for k in range(n)]
-        for picked, c in _bag_choices(inner):
-            rhs = rhs.add(
-                s0.bind(lambda tt, B=mkbag(picked): _lna(tt, a, B)).scale(c * cnt)
-            )
+    rhs = _distributed_rhs(u, v, lambda p: _lsub(t, x, p), lambda e, p: _lsub(e, x, p),
+                           lambda tt, b: _lna(tt, a, b))
     return f"t={print_res(t)} v=[{', '.join(map(print_res, v))}] u=[{', '.join(map(print_res, u))}] '{a}' x", lhs, rhs
 
 
@@ -526,11 +533,7 @@ def _inst_named_app_skips_bag(rng: random.Random, size: int):
 
 
 def _inst_named_app_join(rng: random.Random, size: int):
-    def pick_names(r):
-        a, b = r.choice(_NAME_POOL), r.choice(_NAME_POOL)
-        return (a, b) if a != b else None
-
-    a, b = _draw(rng, pick_names)
+    a, b = _draw(rng, _distinct_names)
 
     def pick_t(r):
         t = gen_res(r, size)
@@ -550,11 +553,7 @@ def _inst_named_app_join(rng: random.Random, size: int):
 
 
 def _inst_swap_disjoint(rng: random.Random, size: int):
-    def pick_names(r):
-        a, b = r.choice(_NAME_POOL), r.choice(_NAME_POOL)
-        return (a, b) if a != b else None
-
-    a, b = _draw(rng, pick_names)
+    a, b = _draw(rng, _distinct_names)
 
     def pick_v(r):
         v = gen_bag(r, 4)
@@ -573,11 +572,7 @@ def _inst_swap_disjoint(rng: random.Random, size: int):
 
 
 def _inst_swap_fresh_left(rng: random.Random, size: int):
-    def pick_names(r):
-        a, b = r.choice(_NAME_POOL), r.choice(_NAME_POOL)
-        return (a, b) if a != b else None
-
-    a, b = _draw(rng, pick_names)
+    a, b = _draw(rng, _distinct_names)
 
     def pick_v(r):
         v = gen_bag(r, 4)
@@ -599,11 +594,7 @@ def _inst_swap_fresh_left(rng: random.Random, size: int):
 
 
 def _inst_swap_fresh_right(rng: random.Random, size: int):
-    def pick_names(r):
-        a, b = r.choice(_NAME_POOL), r.choice(_NAME_POOL)
-        return (a, b) if a != b else None
-
-    a, b = _draw(rng, pick_names)
+    a, b = _draw(rng, _distinct_names)
 
     def pick_u(r):
         u = gen_bag(r, 4)
@@ -621,11 +612,7 @@ def _inst_swap_fresh_right(rng: random.Random, size: int):
 
 
 def _inst_rename_then_named_app(rng: random.Random, size: int):
-    def pick_names(r):
-        a, b = r.choice(_NAME_POOL), r.choice(_NAME_POOL)
-        return (a, b) if a != b else None
-
-    a, b = _draw(rng, pick_names)
+    a, b = _draw(rng, _distinct_names)
 
     def pick_u(r):
         u = gen_bag(r, 4)
@@ -655,41 +642,18 @@ def _inst_named_app_after_subst(rng: random.Random, size: int):
     t = gen_res(rng, size)
     v = gen_bag(rng, 4)
     lhs = _lsub(t, x, v).bind(lambda s: _lna(s, a, u))
-    n = len(v)
-    rhs = Sum.zero(NAT)
-    for parts, cnt in weak_compositions_with_counts(u, n + 1):
-        s0 = _lna(t, a, parts[0])
-        if s0.is_zero:
-            continue
-        inner = [_lna(v[k], a, parts[k + 1]) for k in range(n)]
-        for picked, c in _bag_choices(inner):
-            rhs = rhs.add(
-                s0.bind(lambda tt, B=mkbag(picked): _lsub(tt, x, B)).scale(c * cnt)
-            )
+    rhs = _distributed_rhs(u, v, lambda p: _lna(t, a, p), lambda e, p: _lna(e, a, p),
+                           lambda tt, b: _lsub(tt, x, b))
     return f"t={print_res(t)} v=[{', '.join(map(print_res, v))}]/x u=[{', '.join(map(print_res, u))}]@'{a}'", lhs, rhs
 
 
 def _two_named_apps_rhs(t: ResTerm, a: str, g: str, v: Bag, u: Bag) -> Sum:
-    n = len(v)
-    rhs = Sum.zero(NAT)
-    for parts, cnt in weak_compositions_with_counts(u, n + 1):
-        s0 = _lna(t, a, parts[0])
-        if s0.is_zero:
-            continue
-        inner = [_lna(v[k], a, parts[k + 1]) for k in range(n)]
-        for picked, c in _bag_choices(inner):
-            rhs = rhs.add(
-                s0.bind(lambda tt, B=mkbag(picked): _lna(tt, g, B)).scale(c * cnt)
-            )
-    return rhs
+    return _distributed_rhs(u, v, lambda p: _lna(t, a, p), lambda e, p: _lna(e, a, p),
+                            lambda tt, b: _lna(tt, g, b))
 
 
 def _inst_two_named_apps(rng: random.Random, size: int):
-    def pick_names(r):
-        a, g = r.choice(_NAME_POOL), r.choice(_NAME_POOL)
-        return (a, g) if a != g else None
-
-    a, g = _draw(rng, pick_names)
+    a, g = _draw(rng, _distinct_names)
 
     def pick_u(r):
         u = gen_bag(r, 4)
@@ -704,11 +668,7 @@ def _inst_two_named_apps(rng: random.Random, size: int):
 
 
 def _inst_two_named_apps_pair(rng: random.Random, size: int):
-    def pick_names(r):
-        a, g = r.choice(_NAME_POOL), r.choice(_NAME_POOL)
-        return (a, g) if a != g else None
-
-    a, g = _draw(rng, pick_names)
+    a, g = _draw(rng, _distinct_names)
 
     def pick_u(r):
         u = gen_bag(r, 4)
@@ -721,19 +681,9 @@ def _inst_two_named_apps_pair(rng: random.Random, size: int):
     lhs = linear_named_app_named(eta, t, g, v, NAT).bind(
         lambda s: linear_named_app_named(eta, s, a, u, NAT)
     )
-    n = len(v)
-    rhs = Sum.zero(NAT)
-    for parts, cnt in weak_compositions_with_counts(u, n + 1):
-        s0 = linear_named_app_named(eta, t, a, parts[0], NAT)
-        if s0.is_zero:
-            continue
-        inner = [_lna(v[k], a, parts[k + 1]) for k in range(n)]
-        for picked, c in _bag_choices(inner):
-            rhs = rhs.add(
-                s0.bind(
-                    lambda tt, B=mkbag(picked): linear_named_app_named(eta, tt, g, B, NAT)
-                ).scale(c * cnt)
-            )
+    rhs = _distributed_rhs(u, v, lambda p: linear_named_app_named(eta, t, a, p, NAT),
+                           lambda e, p: _lna(e, a, p),
+                           lambda tt, b: linear_named_app_named(eta, tt, g, b, NAT))
     return f"<'{eta}| {print_res(t)}> v=[{', '.join(map(print_res, v))}]@'{g}' u=[{', '.join(map(print_res, u))}]@'{a}'", lhs, rhs
 
 

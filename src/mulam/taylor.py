@@ -196,7 +196,8 @@ def pair_of(m: Term, n: Term) -> Term:
     """<m, n> = \\z. z m n (grafting is safe: inputs are locally closed)."""
     from .syntax import is_locally_closed
 
-    assert is_locally_closed(m) and is_locally_closed(n), (m, n)
+    if not (is_locally_closed(m) and is_locally_closed(n)):
+        raise ValueError(f"a pair needs locally closed terms, got {m!r} and {n!r}")
     return Lam(App(App(Var(0), m), n))
 
 

@@ -377,7 +377,10 @@ def _parse_ctx_atom(p: _Parser) -> Ctx:
         return CVar(t.text)
     if t.kind == "HOLE":
         p.next()
-        return CHole(int(t.text))
+        index = int(t.text)
+        if index < 1:
+            raise ParseError(f"holes are numbered from 1, found _{t.text}", t.start, t.end)
+        return CHole(index)
     if t.kind == "LPAR":
         p.next()
         inner = _parse_ctx(p)

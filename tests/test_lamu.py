@@ -1,6 +1,12 @@
 """Classical lambda-mu reduction: beta, structural mu, renaming collapse."""
 
+import os
+import subprocess
+import sys
+
 import pytest
+
+import mulam
 
 from mulam.lamu import (
     FuelExhausted,
@@ -20,7 +26,7 @@ from mulam.lamu import (
     subst,
 )
 from mulam.syntax import App, Lam, Mu, Var, is_locally_closed
-from mulam.taylor import church_true, omega
+from mulam.taylor import church_true, omega, pair_of
 from mulam.textio import parse_term, print_term
 
 
@@ -190,3 +196,66 @@ def test_reduction_preserves_local_closure():
         assert is_locally_closed(nxt), print_term(seen[-1])
         seen.append(nxt)
     assert seen[-1] == _p("mu 'a.<'a> w z")
+
+
+# ---------- validation that survives python -O ----------
+
+
+@pytest.mark.parametrize("pos", [(3,), (0, 2), (0, 1, 0), (1,)])
+def test_reduce_redex_rejects_a_position_not_in_the_term(pos):
+    with pytest.raises(ValueError):
+        reduce_redex(_p("\\x.(\\y.y) x"), pos)
+
+
+def test_reduce_redex_rejects_a_position_that_is_no_redex():
+    with pytest.raises(ValueError):
+        reduce_redex(_p("\\x.(\\y.y) x"), (0, 1))
+
+
+def test_head_run_rejects_a_dangling_index():
+    with pytest.raises(ValueError):
+        head_run(Lam(Var(1)), 3)
+
+
+def test_rho_term_rejects_other_shapes():
+    with pytest.raises(ValueError):
+        rho_term(_p("mu 'a.<'a> x"))
+    with pytest.raises(ValueError):
+        rho_term(_p("\\x.mu 'a.<'a> x"))
+
+
+def test_pair_of_rejects_a_dangling_index():
+    with pytest.raises(ValueError):
+        pair_of(Var(0), Var("x"))
+    with pytest.raises(ValueError):
+        pair_of(Var("x"), Mu(1, Var("y")))
+
+
+def test_lamu_validation_holds_under_python_O():
+    # python -O strips assert statements; each case must still raise.
+    code = """
+from mulam.lamu import head_run, reduce_redex, rho_term
+from mulam.syntax import Lam, Var
+from mulam.taylor import pair_of
+from mulam.textio import parse_term
+cases = [
+    lambda: reduce_redex(parse_term(r"\\x.(\\y.y) x"), (3,)),
+    lambda: head_run(Lam(Var(1)), 3),
+    lambda: rho_term(parse_term("mu 'a.<'a> x")),
+    lambda: pair_of(Var(0), Var("x")),
+]
+for case in cases:
+    try:
+        case()
+    except ValueError as e:
+        print(type(e).__name__)
+    else:
+        print('accepted')
+"""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(mulam.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["ValueError"] * 4

@@ -14,6 +14,7 @@ from mulam.syntax import (
     BOOL,
     NAT,
     App,
+    CHole,
     ContextArityError,
     Lam,
     Mu,
@@ -290,6 +291,41 @@ def test_fill_checks_arity():
     assert holes(c) == (1, 2)
     with pytest.raises(ContextArityError):
         fill(c, [Var("x")])
+
+
+@pytest.mark.parametrize("src, span", [("_0", (0, 2)), ("\\x._0", (3, 5)), ("_1 _00", (3, 6))])
+def test_hole_zero_is_a_parse_error_at_the_hole(src, span):
+    with pytest.raises(ParseError) as err:
+        parse_context(src)
+    assert (err.value.start, err.value.end) == span
+
+
+def test_hole_numbers_start_at_one():
+    with pytest.raises(ValueError):
+        CHole(0)
+    with pytest.raises(ValueError):
+        CHole(-1)
+
+
+def test_hole_checks_hold_under_python_O():
+    code = """
+from mulam.syntax import CHole
+from mulam.textio import ParseError, parse_context
+for case in (lambda: CHole(0), lambda: parse_context("_0")):
+    try:
+        case()
+    except ValueError as e:
+        print(type(e).__name__)
+    else:
+        print('accepted')
+"""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(mulam.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["ValueError", "ParseError"]
 
 
 # ---------- fresh atoms ----------

@@ -1,0 +1,613 @@
+"""The one binder-aware traversal against the hand-written walkers it replaced.
+
+The reference walkers below are the earlier implementations, one per
+operation and syntax, kept as written.  Every operation built on
+``map_refs``/``iter_refs`` must agree with them on generated terms, including
+terms with indices that point outside the term, and ``lamu.contract`` must
+agree with the earlier open-substitute-close contraction.
+"""
+
+import random
+
+import pytest
+from hypothesis import given, strategies as st
+
+from mulam import lamu
+from mulam.gen import gen_res, gen_term
+from mulam.lamu import contract, named_app, reduce_redex, rho_inner_parts
+from mulam.syntax import (
+    App,
+    CApp,
+    CHole,
+    CLam,
+    CMu,
+    CVar,
+    Lam,
+    Mu,
+    RApp,
+    RLam,
+    RMu,
+    RVar,
+    Var,
+    close_name,
+    close_rname,
+    close_rvar,
+    close_var,
+    degree,
+    fill,
+    free_names,
+    free_vars,
+    fresh_atom,
+    is_locally_closed,
+    open_mu_binder,
+    open_name,
+    open_rname,
+    open_rvar,
+    open_var,
+    rename_name,
+)
+from mulam.textio import parse_term
+
+# ---------- the reference walkers ----------
+
+
+def ref_open_rvar(t, atom):
+    def go(u, d):
+        match u:
+            case RVar(ref=r):
+                return RVar(atom) if r == d else u
+            case RLam(body=b):
+                return RLam(go(b, d + 1))
+            case RMu(named=nr, body=b):
+                return RMu(nr, go(b, d))
+            case RApp(head=h, bag=bag):
+                return RApp(go(h, d), [go(e, d) for e in bag], _raw=True)
+        raise AssertionError(u)
+
+    return go(t, 0)
+
+
+def ref_close_rvar(t, atom):
+    def go(u, d):
+        match u:
+            case RVar(ref=r):
+                return RVar(d) if r == atom else u
+            case RLam(body=b):
+                return RLam(go(b, d + 1))
+            case RMu(named=nr, body=b):
+                return RMu(nr, go(b, d))
+            case RApp(head=h, bag=bag):
+                return RApp(go(h, d), [go(e, d) for e in bag])
+        raise AssertionError(u)
+
+    return go(t, 0)
+
+
+def ref_open_rname(t, atom):
+    def go(u, d):
+        match u:
+            case RVar():
+                return u
+            case RLam(body=b):
+                return RLam(go(b, d))
+            case RMu(named=nr, body=b):
+                return RMu(atom if nr == d else nr, go(b, d + 1))
+            case RApp(head=h, bag=bag):
+                return RApp(go(h, d), [go(e, d) for e in bag], _raw=True)
+        raise AssertionError(u)
+
+    return go(t, 1)
+
+
+def ref_close_rname(t, atom):
+    def go(u, d):
+        match u:
+            case RVar():
+                return u
+            case RLam(body=b):
+                return RLam(go(b, d))
+            case RMu(named=nr, body=b):
+                return RMu(d if nr == atom else nr, go(b, d + 1))
+            case RApp(head=h, bag=bag):
+                return RApp(go(h, d), [go(e, d) for e in bag])
+        raise AssertionError(u)
+
+    return go(t, 1)
+
+
+def ref_open_var(t, atom):
+    def go(u, d):
+        match u:
+            case Var(ref=r):
+                return Var(atom) if r == d else u
+            case Lam(body=b):
+                return Lam(go(b, d + 1))
+            case Mu(named=nr, body=b):
+                return Mu(nr, go(b, d))
+            case App(fun=f, arg=a):
+                return App(go(f, d), go(a, d))
+        raise AssertionError(u)
+
+    return go(t, 0)
+
+
+def ref_close_var(t, atom):
+    def go(u, d):
+        match u:
+            case Var(ref=r):
+                return Var(d) if r == atom else u
+            case Lam(body=b):
+                return Lam(go(b, d + 1))
+            case Mu(named=nr, body=b):
+                return Mu(nr, go(b, d))
+            case App(fun=f, arg=a):
+                return App(go(f, d), go(a, d))
+        raise AssertionError(u)
+
+    return go(t, 0)
+
+
+def ref_open_name(t, atom):
+    def go(u, d):
+        match u:
+            case Var():
+                return u
+            case Lam(body=b):
+                return Lam(go(b, d))
+            case Mu(named=nr, body=b):
+                return Mu(atom if nr == d else nr, go(b, d + 1))
+            case App(fun=f, arg=a):
+                return App(go(f, d), go(a, d))
+        raise AssertionError(u)
+
+    return go(t, 1)
+
+
+def ref_close_name(t, atom):
+    def go(u, d):
+        match u:
+            case Var():
+                return u
+            case Lam(body=b):
+                return Lam(go(b, d))
+            case Mu(named=nr, body=b):
+                return Mu(d if nr == atom else nr, go(b, d + 1))
+            case App(fun=f, arg=a):
+                return App(go(f, d), go(a, d))
+        raise AssertionError(u)
+
+    return go(t, 1)
+
+
+def ref_open_mu_binder(t, atom):
+    named = atom if t.named == 0 else t.named
+    if isinstance(t, Mu):
+        body = ref_open_name(t.body, atom)
+    else:
+        body = ref_open_rname(t.body, atom)
+    return named, body
+
+
+def ref_rename_name(t, alpha, beta):
+    if alpha == beta:
+        return t
+
+    def go(u):
+        match u:
+            case Var() | RVar():
+                return u
+            case Lam(body=b):
+                return Lam(go(b))
+            case RLam(body=b):
+                return RLam(go(b))
+            case App(fun=f, arg=a):
+                return App(go(f), go(a))
+            case RApp(head=h, bag=bag):
+                return RApp(go(h), [go(e) for e in bag])
+            case Mu(named=nr, body=b):
+                return Mu(alpha if nr == beta else nr, go(b))
+            case RMu(named=nr, body=b):
+                return RMu(alpha if nr == beta else nr, go(b))
+        raise AssertionError(u)
+
+    return go(t)
+
+
+def ref_rho_map_ref(r, a_ref, d):
+    if isinstance(r, str):
+        return r
+    if r < d:
+        return r
+    if r == d:
+        return a_ref if isinstance(a_ref, str) else d + a_ref
+    if r == d + 1:
+        return d
+    return r - 1
+
+
+def ref_rho_rename(u, a_ref, d):
+    match u:
+        case Var() | RVar():
+            return u
+        case Lam(body=b):
+            return Lam(ref_rho_rename(b, a_ref, d))
+        case RLam(body=b):
+            return RLam(ref_rho_rename(b, a_ref, d))
+        case App(fun=f, arg=a):
+            return App(ref_rho_rename(f, a_ref, d), ref_rho_rename(a, a_ref, d))
+        case RApp(head=h, bag=bag):
+            return RApp(ref_rho_rename(h, a_ref, d), [ref_rho_rename(e, a_ref, d) for e in bag])
+        case Mu(named=nr, body=b):
+            return Mu(ref_rho_map_ref(nr, a_ref, d), ref_rho_rename(b, a_ref, d + 1))
+        case RMu(named=nr, body=b):
+            return RMu(ref_rho_map_ref(nr, a_ref, d), ref_rho_rename(b, a_ref, d + 1))
+    raise AssertionError(u)
+
+
+def ref_rho_inner_parts(outer_named, inner_named, inner_body):
+    if inner_named == 0:
+        new_named = outer_named
+    elif isinstance(inner_named, int):
+        new_named = inner_named - 1
+    else:
+        new_named = inner_named
+    return new_named, ref_rho_rename(inner_body, outer_named, 1)
+
+
+def ref_fill(c, args):
+    if isinstance(args, list):
+        args = {i + 1: t for i, t in enumerate(args)}
+
+    def graft(u, vmap, nmap, ld, nd):
+        def go(w, dl, dn):
+            match w:
+                case Var(ref=r):
+                    if isinstance(r, str) and r in vmap:
+                        return Var(ld + dl - 1 - vmap[r])
+                    return w
+                case Lam(body=b):
+                    return Lam(go(b, dl + 1, dn))
+                case Mu(named=nr, body=b):
+                    if isinstance(nr, str) and nr in nmap:
+                        nr = nd + dn - nmap[nr]
+                    return Mu(nr, go(b, dl, dn + 1))
+                case App(fun=f, arg=a):
+                    return App(go(f, dl, dn), go(a, dl, dn))
+            raise AssertionError(w)
+
+        return go(u, 0, 0)
+
+    def go(u, vmap, nmap, ld, nd):
+        match u:
+            case CHole(index=i):
+                return graft(args[i], vmap, nmap, ld, nd)
+            case CVar(name=x):
+                if x in vmap:
+                    return Var(ld - 1 - vmap[x])
+                return Var(x)
+            case CLam(var=x, body=b):
+                return Lam(go(b, {**vmap, x: ld}, nmap, ld + 1, nd))
+            case CMu(bind=a, named=e, body=b):
+                nmap2 = {**nmap, a: nd}
+                named = (nd - nmap2[e]) if e in nmap2 else e
+                return Mu(named, go(b, vmap, nmap2, ld, nd + 1))
+            case CApp(fun=f, arg=a2):
+                return App(go(f, vmap, nmap, ld, nd), go(a2, vmap, nmap, ld, nd))
+        raise AssertionError(u)
+
+    return go(c, {}, {}, 0, 0)
+
+
+def ref_free_vars(t):
+    out = set()
+    stack = [t]
+    while stack:
+        u = stack.pop()
+        match u:
+            case Var(ref=r) | RVar(ref=r):
+                if isinstance(r, str):
+                    out.add(r)
+            case Lam(body=b) | RLam(body=b) | Mu(body=b) | RMu(body=b):
+                stack.append(b)
+            case App(fun=f, arg=a):
+                stack.append(f)
+                stack.append(a)
+            case RApp(head=h, bag=bag):
+                stack.append(h)
+                stack.extend(bag)
+    return out
+
+
+def ref_free_names(t):
+    out = set()
+    stack = [t]
+    while stack:
+        u = stack.pop()
+        match u:
+            case Mu(named=n, body=b) | RMu(named=n, body=b):
+                if isinstance(n, str):
+                    out.add(n)
+                stack.append(b)
+            case Lam(body=b) | RLam(body=b):
+                stack.append(b)
+            case App(fun=f, arg=a):
+                stack.append(f)
+                stack.append(a)
+            case RApp(head=h, bag=bag):
+                stack.append(h)
+                stack.extend(bag)
+    return out
+
+
+def ref_degree(nu, t):
+    if nu.startswith("'"):
+        atom, kind = nu[1:], "name"
+    else:
+        atom, kind = nu, "var"
+    n = 0
+    stack = [t]
+    while stack:
+        u = stack.pop()
+        match u:
+            case Var(ref=r) | RVar(ref=r):
+                if kind == "var" and r == atom:
+                    n += 1
+            case Lam(body=b) | RLam(body=b):
+                stack.append(b)
+            case Mu(named=nr, body=b) | RMu(named=nr, body=b):
+                if kind == "name" and nr == atom:
+                    n += 1
+                stack.append(b)
+            case App(fun=f, arg=a):
+                stack.append(f)
+                stack.append(a)
+            case RApp(head=h, bag=bag):
+                stack.append(h)
+                stack.extend(bag)
+    return n
+
+
+def ref_is_locally_closed(t):
+    def go(u, dl, dn):
+        match u:
+            case Var(ref=r) | RVar(ref=r):
+                return not (isinstance(r, int) and r >= dl)
+            case Lam(body=b) | RLam(body=b):
+                return go(b, dl + 1, dn)
+            case Mu(named=nr, body=b) | RMu(named=nr, body=b):
+                if isinstance(nr, int) and nr > dn:
+                    return False
+                return go(b, dl, dn + 1)
+            case App(fun=f, arg=a):
+                return go(f, dl, dn) and go(a, dl, dn)
+            case RApp(head=h, bag=bag):
+                return go(h, dl, dn) and all(go(e, dl, dn) for e in bag)
+        raise AssertionError(u)
+
+    return go(t, 0, 0)
+
+
+def ref_subst(t, x, n):
+    def go(u):
+        match u:
+            case Var(ref=r):
+                return n if r == x else u
+            case Lam(body=b):
+                return Lam(go(b))
+            case Mu(named=nr, body=b):
+                return Mu(nr, go(b))
+            case App(fun=f, arg=a):
+                return App(go(f), go(a))
+        raise AssertionError(u)
+
+    return go(t)
+
+
+def ref_named_app(t, alpha, n):
+    def go(u):
+        match u:
+            case Var():
+                return u
+            case Lam(body=b):
+                return Lam(go(b))
+            case App(fun=f, arg=a):
+                return App(go(f), go(a))
+            case Mu(named=nr, body=b):
+                inner = go(b)
+                if nr == alpha:
+                    inner = App(inner, n)
+                return Mu(nr, inner)
+        raise AssertionError(u)
+
+    return go(t)
+
+
+def ref_contract(t):
+    """The contraction that opens the redex's binder with a fresh atom,
+    substitutes and closes again."""
+    match t:
+        case App(fun=Lam(body=b), arg=n):
+            x = fresh_atom("v")
+            return ref_subst(ref_open_var(b, x), x, n)
+        case App(fun=Mu() as m, arg=n):
+            a = fresh_atom("n")
+            named, body = ref_open_mu_binder(m, a)
+            body = ref_named_app(body, a, n)
+            if named == a:
+                body = App(body, n)
+            return Mu(0 if named == a else named, ref_close_name(body, a))
+    raise AssertionError(t)
+
+
+# ---------- generated inputs ----------
+
+
+def _subterms(t):
+    stack = [t]
+    while stack:
+        u = stack.pop()
+        yield u
+        match u:
+            case Lam(body=b) | RLam(body=b) | Mu(body=b) | RMu(body=b):
+                stack.append(b)
+            case App(fun=f, arg=a):
+                stack += [f, a]
+            case RApp(head=h, bag=bag):
+                stack += [h, *bag]
+
+
+def _dangling_term(rng):
+    """A term of either syntax that may have indices pointing up to two
+    binders of each kind outside it."""
+    ld, nd = rng.randint(0, 2), rng.randint(0, 2)
+    if rng.random() < 0.5:
+        return gen_term(rng, 14, ld=ld, nd=nd)
+    return gen_res(rng, 16, ld=ld, nd=nd)
+
+
+def _same(a, b):
+    # ``==`` compares encodings, which spell bags in their stored order, so
+    # this also checks that the raw openers keep bag order.
+    assert type(a) is type(b) and a == b, (a, b)
+
+
+_SEEDS = st.integers(min_value=0, max_value=100_000)
+
+
+# ---------- the walkers agree with their references ----------
+
+
+@given(_SEEDS)
+def test_open_and_close_match_the_references_at_every_binder(seed):
+    t = _dangling_term(random.Random(seed))
+    atom = "q~1"
+    if isinstance(t, (Var, Lam, App, Mu)):
+        pairs = [(open_var, close_var, ref_open_var, ref_close_var, Lam, "x"),
+                 (open_name, close_name, ref_open_name, ref_close_name, Mu, "a")]
+    else:
+        pairs = [(open_rvar, close_rvar, ref_open_rvar, ref_close_rvar, RLam, "x"),
+                 (open_rname, close_rname, ref_open_rname, ref_close_rname, RMu, "a")]
+    for opener, closer, ref_opener, ref_closer, binder, free in pairs:
+        # the whole term stands for the body of a binder just outside it
+        bodies = [t] + [u.body for u in _subterms(t) if isinstance(u, binder)]
+        for b in bodies:
+            opened = opener(b, atom)
+            _same(opened, ref_opener(b, atom))
+            _same(closer(opened, atom), ref_closer(opened, atom))
+            _same(closer(b, free), ref_closer(b, free))
+    for u in _subterms(t):
+        if isinstance(u, (Mu, RMu)):
+            got_named, got_body = open_mu_binder(u, atom)
+            want_named, want_body = ref_open_mu_binder(u, atom)
+            assert got_named == want_named
+            _same(got_body, want_body)
+
+
+@given(_SEEDS)
+def test_queries_match_the_references(seed):
+    t = _dangling_term(random.Random(seed))
+    assert free_vars(t) == ref_free_vars(t)
+    assert free_names(t) == ref_free_names(t)
+    for nu in ("x", "y", "z", "'a", "'b", "'c"):
+        assert degree(nu, t) == ref_degree(nu, t)
+    for u in _subterms(t):
+        assert is_locally_closed(u) == ref_is_locally_closed(u), u
+
+
+def test_dangling_indices_of_each_kind_are_seen():
+    for src, closed in [(Lam(Var(1)), False), (Lam(Var(0)), True), (Mu(1, Var("x")), False),
+                        (Mu(0, Mu(1, Var("x"))), True), (Mu(0, Mu(2, Var("x"))), False),
+                        (RMu(0, RLam(RMu(2, RVar(1)))), False), (Lam(Mu(0, Var(0))), True)]:
+        assert is_locally_closed(src) == closed == ref_is_locally_closed(src), src
+
+
+@given(_SEEDS)
+def test_rename_name_matches_the_reference(seed):
+    t = _dangling_term(random.Random(seed))
+    for alpha in ("a", "b", "c"):
+        for beta in ("a", "b", "c"):
+            _same(rename_name(t, alpha, beta), ref_rename_name(t, alpha, beta))
+
+
+@given(_SEEDS)
+def test_rho_inner_parts_matches_the_reference(seed):
+    rng = random.Random(seed)
+    if rng.random() < 0.5:
+        body = gen_term(rng, 14, ld=rng.randint(0, 1), nd=rng.randint(1, 3))
+    else:
+        body = gen_res(rng, 16, ld=rng.randint(0, 1), nd=rng.randint(1, 3))
+    outer = rng.choice([0, 1, 2, "a", "b"])
+    inner = rng.choice([0, 1, 2, 3, "a", "c"])
+    got_named, got_body = rho_inner_parts(outer, inner, body)
+    want_named, want_body = ref_rho_inner_parts(outer, inner, body)
+    assert got_named == want_named
+    _same(got_body, want_body)
+
+
+def _gen_ctx(rng, size, hole_room):
+    """A random context whose binders reuse the generators' atoms, so that
+    filling captures."""
+    if size <= 1:
+        if rng.random() < 0.5 and hole_room:
+            return CHole(rng.randint(1, 2))
+        return CVar(rng.choice("xyzw"))
+    kind = rng.choice(["lam", "mu", "app", "app"])
+    if kind == "lam":
+        return CLam(rng.choice("xyz"), _gen_ctx(rng, size - 1, hole_room))
+    if kind == "mu":
+        return CMu(rng.choice("abc"), rng.choice("abcd"), _gen_ctx(rng, size - 1, hole_room))
+    left = rng.randint(1, size - 2) if size > 2 else 1
+    return CApp(_gen_ctx(rng, left, hole_room), _gen_ctx(rng, max(1, size - 1 - left), hole_room))
+
+
+@given(_SEEDS)
+def test_fill_matches_the_reference(seed):
+    rng = random.Random(seed)
+    c = _gen_ctx(rng, rng.randint(1, 10), True)
+    args = [gen_term(rng, 10, ld=rng.randint(0, 1), nd=rng.randint(0, 1)) for _ in range(2)]
+    _same(fill(c, args), ref_fill(c, args))
+
+
+# ---------- contraction on the redex's own index ----------
+
+
+def _random_lamu_redex(rng):
+    """A lambda or mu redex whose body uses the redex's binder (a mu's own
+    naming may be that binder too) and whose argument is locally closed."""
+    arg = gen_term(rng, 6)
+    if rng.random() < 0.5:
+        return App(Lam(gen_term(rng, 12, ld=1)), arg)
+    return App(Mu(rng.choice([0, 0, "a", "b"]), gen_term(rng, 12, nd=1)), arg)
+
+
+@given(_SEEDS)
+def test_contract_matches_open_substitute_close(seed):
+    t = _random_lamu_redex(random.Random(seed))
+    _same(contract(t), ref_contract(t))
+
+
+@pytest.mark.parametrize("src", [
+    "(\\x. x (\\y. x y)) (\\z. z)",
+    "(\\x. mu 'a.<'a> x (mu 'b.<'a> x)) w",
+    "(mu 'a.<'a> x (mu 'b.<'a> y (mu 'g.<'b> z))) w",
+    "(mu 'a.<'b> \\v. mu 'g.<'a> v) w",
+    "(mu 'a.<'a> mu 'e.<'a> mu 'f.<'a> x) (\\y. mu 'd.<'d> y)",
+])
+def test_root_redex_contracts_without_opening_its_binder(monkeypatch, src):
+    def boom(*args):
+        raise AssertionError("a binder was opened or closed")
+
+    t = parse_term(src)
+    want = ref_contract(t)
+    for f in ("fresh_atom", "open_var", "open_mu_binder", "close_name"):
+        monkeypatch.setattr(lamu, f, boom)
+    _same(contract(t), want)
+    _same(reduce_redex(t, ()), want)
+
+
+def test_named_app_follows_an_index_under_each_mu():
+    # index 1 at the top is the binder just outside the term
+    t = Mu(1, App(Var("x"), Mu(2, Var("y"))))
+    z = Var("z")
+    assert named_app(t, 1, z) == Mu(1, App(App(Var("x"), Mu(2, App(Var("y"), z))), z))
+    assert named_app(t, 2, z) == t
