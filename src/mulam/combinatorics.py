@@ -28,10 +28,16 @@ def compositions_of(
 ) -> Iterator[tuple[int, ...]]:
     """All tuples of k non-negative ints summing to m, lexicographically;
     with ``caps``, only those whose entry i is at most ``caps[i]``."""
-    assert m >= 0 and k >= 0, (m, k)
+    if m < 0 or k < 0:
+        raise ValueError(f"negative total or part count: m={m}, k={k}")
     if caps is None:
         caps = (m,) * k
-    assert len(caps) == k, (caps, k)
+    elif len(caps) != k:
+        raise ValueError(f"{len(caps)} caps for {k} parts")
+    return _compositions(m, k, tuple(caps))
+
+
+def _compositions(m: int, k: int, caps: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
     if k == 0:
         if m == 0:
             yield ()
@@ -42,7 +48,7 @@ def compositions_of(
         return
     room = sum(caps[1:])
     for first in range(max(0, m - room), min(m, caps[0]) + 1):
-        for rest in compositions_of(m - first, k - 1, caps[1:]):
+        for rest in _compositions(m - first, k - 1, caps[1:]):
             yield (first,) + rest
 
 
@@ -63,14 +69,17 @@ def weak_compositions_with_counts(
     exact positive sizes.  The compositions yielded are those of the given
     part sizes, in the order of the unconstrained enumeration.
     """
-    assert nparts >= 0, nparts
+    if nparts < 0:
+        raise ValueError(f"negative part count: {nparts}")
     if sizes is None:
         exact: list[tuple[int, int]] = []
         caps = (len(bag),) * nparts
     else:
-        assert len(sizes) == nparts, (sizes, nparts)
+        if len(sizes) != nparts:
+            raise ValueError(f"{len(sizes)} sizes for {nparts} parts")
         fixed = [n for n in sizes if n is not None]
-        assert min(fixed, default=0) >= 0, sizes
+        if min(fixed, default=0) < 0:
+            raise ValueError(f"negative part size in {sizes}")
         if sum(fixed) > len(bag) or (len(fixed) == nparts and sum(fixed) != len(bag)):
             return
         # No group may put more into a part than the part's size, so the
@@ -80,7 +89,7 @@ def weak_compositions_with_counts(
         caps = tuple(len(bag) if n is None else n for n in sizes)
     groups = [(elem, len(list(g))) for elem, g in itertools.groupby(bag)]
     per_group = [
-        [(alloc, multinomial(alloc)) for alloc in compositions_of(mult, nparts, caps)]
+        [(alloc, multinomial(alloc)) for alloc in _compositions(mult, nparts, caps)]
         for _, mult in groups
     ]
     for combo in itertools.product(*per_group):
@@ -110,14 +119,19 @@ def index_assignments(bag: Bag, n: int) -> Iterator[IndexAssignment]:
     There are (n + 1) ** len(bag) of them; ``assignment_to_composition``
     recovers the induced weak composition into n + 1 parts.
     """
-    assert n >= 0, n
+    if n < 0:
+        raise ValueError(f"negative largest part index: {n}")
     return itertools.product(range(n + 1), repeat=len(bag))
 
 
 def assignment_to_composition(bag: Bag, assignment: Sequence[int], n: int) -> WeakComposition:
+    if n < 0:
+        raise ValueError(f"negative largest part index: {n}")
+    if len(assignment) != len(bag):
+        raise ValueError(f"{len(assignment)} part indices for a bag of {len(bag)}")
     parts: list[list[ResTerm]] = [[] for _ in range(n + 1)]
-    assert len(assignment) == len(bag), (assignment, bag)
     for elem, i in zip(bag, assignment):
-        assert 0 <= i <= n, (i, n)
+        if not 0 <= i <= n:
+            raise ValueError(f"part index {i} outside 0..{n}")
         parts[i].append(elem)
     return tuple(mkbag(p) for p in parts)

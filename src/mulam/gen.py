@@ -21,7 +21,8 @@ _BAG_WEIGHTS = (30, 45, 25)
 
 def _split_budget(rng: random.Random, total: int, parts: int) -> list[int]:
     """Random composition of ``total`` into ``parts`` positive chunks."""
-    assert parts >= 1 and total >= parts, (total, parts)
+    if parts < 1 or total < parts:
+        raise ValueError(f"cannot split {total} into {parts} positive chunks")
     if parts == 1:
         return [total]
     cuts = sorted(rng.sample(range(1, total), parts - 1))
@@ -38,7 +39,8 @@ def gen_res(
 ) -> ResTerm:
     """One random resource term of size at most ``max_size`` (open: free
     atoms are drawn from a small pool)."""
-    assert max_size >= 1, max_size
+    if max_size < 1:
+        raise ValueError(f"size budget must be at least 1, got {max_size}")
     choices = ["var"]
     weights = [2]
     if max_size >= 2:
@@ -86,7 +88,8 @@ def gen_term(
     mu_cap: int = 3,
 ) -> Term:
     """One random lambda-mu term with at most ``max_nodes`` nodes."""
-    assert max_nodes >= 1, max_nodes
+    if max_nodes < 1:
+        raise ValueError(f"node budget must be at least 1, got {max_nodes}")
     choices = ["var"]
     weights = [2]
     if max_nodes >= 2:

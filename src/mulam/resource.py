@@ -31,6 +31,24 @@ takes the stepped weight away and adds the reduct in one ``SumBuilder``; the
 reduct is computed by the caller, so a caller that meets the same addend
 again (the reduction-graph oracle) steps it only once.  Normalization steps
 the first redex of an addend in pre-order and stops looking there.
+
+Normalization also sizes the split at each naming of a mu redex's binder.
+There the part ``w2`` becomes the argument of the body, ``body'[w2]``, and
+when that body is an abstraction only one size of ``w2`` can survive
+(``_arity``): the degree of a lambda's variable, or 0 for a mu whose binder
+is never named.  ``normalize_r`` asks ``step_r`` (``keep_dead=False``) for
+the reduct without the other sizes.  That is sound:
+
+- every dropped addend holds the redex ``body'[w2]``, and that redex
+  vanishes: bag elements are locally closed, so putting the inside part
+  into ``body`` adds no occurrence of the head's own variable or name;
+- so ``step_r`` at that position is 0, and since resource reduction is
+  confluent and strongly normalizing, the addend's normal form is 0;
+- normal forms are linear, so the normal form of the reduct, over ``nat``
+  and over ``bool``, is the same with or without those addends.
+
+Every other caller (``step_sum``, the oracle, the CLI's traces) sees the
+whole one-step reduct, which is observable.
 """
 
 from __future__ import annotations
@@ -142,7 +160,7 @@ def linear_subst(t: ResTerm, x: str, bag, semiring: str) -> Sum:
 # ---------- linear named application ----------
 
 
-def _lna_term(t: ResTerm, alpha: Ref, bag: Bag, n: int) -> Coeffs:
+def _lna_term(t: ResTerm, alpha: Ref, bag: Bag, n: int, keep_dead: bool = True) -> Coeffs:
     """The named application on ``t``, which names ``alpha`` ``n`` times."""
     if n == 0:
         # No naming of alpha anywhere: the empty bag is the identity, any
@@ -150,9 +168,9 @@ def _lna_term(t: ResTerm, alpha: Ref, bag: Bag, n: int) -> Coeffs:
         return {} if bag else {t: 1}
     match t:
         case RLam(body=b):
-            return {RLam(u): c for u, c in _lna_term(b, alpha, bag, n).items()}
+            return {RLam(u): c for u, c in _lna_term(b, alpha, bag, n, keep_dead).items()}
         case RMu(named=nr, body=b):
-            inner = _lna_named(nr, b, alpha, bag, n - 1 if nr == alpha else n)
+            inner = _lna_named(nr, b, alpha, bag, n - 1 if nr == alpha else n, keep_dead)
             return {RMu(nr, u): c for u, c in inner.items()}
         case RApp(head=h, bag=elems):
             # A child with no naming of alpha only takes the empty part.
@@ -161,13 +179,16 @@ def _lna_term(t: ResTerm, alpha: Ref, bag: Bag, n: int) -> Coeffs:
             counts = [_count(k, alpha, True) for k in kids]
             sizes = [None if m else 0 for m in counts]
             for parts, count in weak_compositions_with_counts(bag, len(kids), sizes):
-                maps = [_lna_term(k, alpha, p, m).items() for k, p, m in zip(kids, parts, counts)]
+                maps = [_lna_term(k, alpha, p, m, keep_dead).items()
+                        for k, p, m in zip(kids, parts, counts)]
                 add_app(acc, maps[0], maps[1:], count)
             return acc
     raise AssertionError(t)  # a variable has no naming: n is 0
 
 
-def _lna_named(named: Ref, body: ResTerm, alpha: Ref, bag: Bag, n: int) -> Coeffs:
+def _lna_named(
+    named: Ref, body: ResTerm, alpha: Ref, bag: Bag, n: int, keep_dead: bool = True
+) -> Coeffs:
     """Linear named application on a named pair ``<named| body>``, where the
     body names ``alpha`` ``n`` times.
 
@@ -176,16 +197,19 @@ def _lna_named(named: Ref, body: ResTerm, alpha: Ref, bag: Bag, n: int) -> Coeff
     never changes.  At a naming of ``alpha`` the bag splits in two: one part
     goes inside recursively, the other becomes a new application at the
     naming, and the application node appears even when that part is empty.
+    Unless ``keep_dead``, the applied part only takes the size for which
+    that application is not a vanishing redex (``_arity`` of the body).
     """
     inner = _under(alpha)
     if named != alpha:
-        return _lna_term(body, inner, bag, n)
+        return _lna_term(body, inner, bag, n, keep_dead)
+    arity = None if keep_dead else _arity(body)
     if n == 0:
         # Only the split that keeps nothing inside survives.
-        return {RApp(body, bag): 1}
+        return {} if arity is not None and arity != len(bag) else {RApp(body, bag): 1}
     acc: Coeffs = {}
-    for (w1, w2), count in weak_compositions_with_counts(bag, 2):
-        for u, c in _lna_term(body, inner, w1, n).items():
+    for (w1, w2), count in weak_compositions_with_counts(bag, 2, (None, arity)):
+        for u, c in _lna_term(body, inner, w1, n, keep_dead).items():
             v = RApp(u, w2)
             acc[v] = acc.get(v, 0) + c * count
     return acc
@@ -246,15 +270,25 @@ def is_normal_res(t: ResTerm) -> bool:
     return next(iter_redexes_res(t), None) is None
 
 
+def _arity(head: ResTerm) -> int | None:
+    """The only bag size for which ``head[bag]`` is not a vanishing redex,
+    or None when no size vanishes (``head`` is a mu whose name occurs, or
+    no abstraction at all).  Only the head's own binder matters, so the
+    answer is the same with outer binders open or closed."""
+    match head:
+        case RLam(body=b):
+            return _count(b, 0, False)
+        case RMu(named=nr, body=b):
+            return None if nr == 0 or _count(b, 1, True) else 0
+    return None
+
+
 def _vanishes(t: ResTerm) -> bool:
-    """Does the redex ``t`` contract to zero?  Only the redex's own binder
-    matters, so the answer is the same with outer binders open or closed."""
-    match t:
-        case RApp(head=RLam(body=b), bag=bag):
-            return _count(b, 0, False) != len(bag)
-        case RApp(head=RMu(named=nr, body=b), bag=bag):
-            return bool(bag) and nr != 0 and _count(b, 1, True) == 0
-    return False
+    """Does the redex ``t`` contract to zero?"""
+    if not isinstance(t, RApp):
+        return False
+    arity = _arity(t.head)
+    return arity is not None and arity != len(t.bag)
 
 
 def contract_res(t: ResTerm, semiring: str) -> Sum:
@@ -264,7 +298,7 @@ def contract_res(t: ResTerm, semiring: str) -> Sum:
     return SumBuilder(semiring, _contract(t)).build()
 
 
-def _contract(t: ResTerm) -> Coeffs:
+def _contract(t: ResTerm, keep_dead: bool = True) -> Coeffs:
     # The redex's own binder stays closed: the lambda's variable is index 0
     # of its body, and the mu's name is index 0 at its naming (1 in its
     # body).  Binders above are open, so the bag elements are locally closed
@@ -274,45 +308,53 @@ def _contract(t: ResTerm) -> Coeffs:
         case RApp(head=RLam(body=b), bag=bag):
             return _lsubst(b, 0, bag)
         case RApp(head=RMu(named=nr, body=b), bag=bag):
-            inner = _lna_named(nr, b, 0, bag, _count(b, 1, True))
+            inner = _lna_named(nr, b, 0, bag, _count(b, 1, True), keep_dead)
             return {RMu(nr, u): c for u, c in inner.items()}
         case RMu(named=nr, body=RMu() as inner):
             return {RMu(*rho_inner_parts(nr, inner.named, inner.body)): 1}
     raise ValueError(f"not a redex: {t!r}")
 
 
-def step_r(t: ResTerm, pos: Pos, semiring: str) -> Sum:
+def step_r(t: ResTerm, pos: Pos, semiring: str, *, keep_dead: bool = True) -> Sum:
     """One reduction step at a given position, as a sum.
 
     A redex that contracts to zero is recognized before any binder above it
     is opened; the binders above any other redex are opened on the way down
     and closed again around its reducts, which are canonicalized once.
+
+    By default the sum is the whole one-step reduct.  With ``keep_dead``
+    false, a mu redex's named applications leave out every addend that
+    would hold a new vanishing redex at a naming of the redex's binder; those
+    addends have normal form 0, so the reduct normalizes to the same sum
+    (see the module docstring), but it is no longer the one-step reduct.
     """
     if _vanishes(subterm_at(t, pos)):
         return Sum.zero(semiring)
-    return SumBuilder(semiring, _step_at(t, pos)).build()
+    return SumBuilder(semiring, _step_at(t, pos, keep_dead)).build()
 
 
-def _step_at(u: ResTerm, p: Pos) -> Coeffs:
+def _step_at(u: ResTerm, p: Pos, keep_dead: bool) -> Coeffs:
     # Each wrapper is injective on the reducts, so no two of them merge.
     if not p:
-        return _contract(u)
+        return _contract(u, keep_dead)
     i, rest = p[0], p[1:]
     match u:
         case RLam(body=b):
             x = fresh_atom("v")
-            return {RLam(close_rvar(w, x)): c for w, c in _step_at(open_rvar(b, x), rest).items()}
+            return {RLam(close_rvar(w, x)): c
+                    for w, c in _step_at(open_rvar(b, x), rest, keep_dead).items()}
         case RMu() as m:
             a = fresh_atom("n")
             named, body = open_mu_binder(m, a)
             closed = 0 if named == a else named
-            return {RMu(closed, close_rname(w, a)): c for w, c in _step_at(body, rest).items()}
+            return {RMu(closed, close_rname(w, a)): c
+                    for w, c in _step_at(body, rest, keep_dead).items()}
         case RApp(head=h, bag=bag):
             if i == 0:
-                return {RApp(w, bag): c for w, c in _step_at(h, rest).items()}
+                return {RApp(w, bag): c for w, c in _step_at(h, rest, keep_dead).items()}
             return {
                 RApp(h, bag[: i - 1] + (w,) + bag[i:]): c
-                for w, c in _step_at(bag[i - 1], rest).items()
+                for w, c in _step_at(bag[i - 1], rest, keep_dead).items()
             }
     raise AssertionError((u, p))
 
@@ -435,7 +477,7 @@ def normalize_r(x: ResTerm | Sum, semiring: str) -> Sum:
                     memo[u] = Sum.unit(u, semiring)
                     stack.pop()
                     continue
-                steps[u] = step_r(u, first[0], semiring)
+                steps[u] = step_r(u, first[0], semiring, keep_dead=False)
             reduct = steps[u]
             pending = [v for v, _ in reduct.items if v not in memo]
             if pending:

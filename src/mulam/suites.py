@@ -247,33 +247,45 @@ def mirror_step(t: ResTerm, pos: Pos, semiring: str) -> Sum:
 
     Positions through an application argument fan out to all bag elements,
     so the result is one simultaneous multi-step of the resource calculus.
+    A position the approximant does not have (a child other than 0 under a
+    binder, other than 0 or 1 at an application, or any below a variable),
+    or one that ends at a non-redex, is a ``ValueError``.
     """
-    if not pos:
-        assert redexes_res(t), t  # approximants of a redex are redexes
-        return contract_res(t, semiring)
-    c, rest = pos[0], pos[1:]
+    return _mirror(t, pos, 0, semiring)
+
+
+def _mirror(t: ResTerm, pos: Pos, depth: int, semiring: str) -> Sum:
+    # ``t`` sits at ``pos[:depth]`` of the approximant.
+    if depth == len(pos):
+        return contract_res(t, semiring)  # raises on a non-redex
+    c = pos[depth]
     match t:
         case RLam(body=b):
-            assert c == 0, (c, t)
+            _check_child(c, 0, pos, depth)
             x = fresh_atom("v")
-            s = mirror_step(open_rvar(b, x), rest, semiring)
+            s = _mirror(open_rvar(b, x), pos, depth + 1, semiring)
             return s.map(lambda w: RLam(close_rvar(w, x)))
         case RMu() as m:
-            assert c == 0, (c, t)
+            _check_child(c, 0, pos, depth)
             a = fresh_atom("n")
             named, body = open_mu_binder(m, a)
             closed = 0 if named == a else named
-            s = mirror_step(body, rest, semiring)
+            s = _mirror(body, pos, depth + 1, semiring)
             return s.map(lambda w: RMu(closed, close_rname(w, a)))
         case RApp(head=h, bag=bag):
             if c == 0:
-                return mirror_step(h, rest, semiring).map(lambda w: RApp(w, bag))
-            assert c == 1, (c, t)
+                return _mirror(h, pos, depth + 1, semiring).map(lambda w: RApp(w, bag))
+            _check_child(c, 1, pos, depth)
             if not bag:
                 return Sum.unit(t, semiring)
-            sums = [mirror_step(e, rest, semiring) for e in bag]
+            sums = [_mirror(e, pos, depth + 1, semiring) for e in bag]
             return lift_app(Sum.unit(h, semiring), sums)
-    raise AssertionError((t, pos))
+    raise ValueError(f"no position {pos} in the approximant: a variable at {pos[:depth]}")
+
+
+def _check_child(c: int, want: int, pos: Pos, depth: int) -> None:
+    if c != want:
+        raise ValueError(f"no position {pos} in the approximant: child {c} at {pos[:depth]}")
 
 
 def simulation_suite(

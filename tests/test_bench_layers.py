@@ -12,7 +12,7 @@ import os
 import types
 
 import mulam
-from mulam import gen, lamu, measures, oracle, resource, suites, syntax, taylor
+from mulam import gen, lamu, measures, oracle, resource, suites, syntax, taylor, textio
 
 PKG_DIR = os.path.dirname(os.path.abspath(mulam.__file__))
 LAYERS_PY = os.path.join(os.path.dirname(os.path.dirname(PKG_DIR)), "bench", "layers.py")
@@ -60,3 +60,19 @@ def test_every_counted_function_is_a_plain_function_of_the_package():
     for fn in wrapped:
         assert getattr(importlib.import_module(fn.__module__), fn.__name__) is fn
     assert dict(suites.SUITES) == layers.SUITE_FUNCS
+
+
+def test_traced_normalization_counts_its_steps():
+    # Normalization must reach step_r through its module-level name, where
+    # the tracer's wrapper counts the addends each step produces.
+    layers = _load_layers()
+    tracer = layers.Tracer()
+    untraced = resource.step_r
+    s = textio.parse_sum("(mu 'a.<'a> mu 'e.<'a> mu 'f.<'a> x)[y0, y1, y2]", syntax.NAT)
+    with tracer:
+        nf = resource.normalize_r(s, syntax.NAT)
+    assert textio.print_sum(nf) == "mu 'a.<'a> x[y0,y1,y2]"
+    counters = tracer.counters
+    assert counters.addends_produced > 0
+    assert counters.nf_addends == 1
+    assert resource.step_r is untraced

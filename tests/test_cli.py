@@ -1,5 +1,6 @@
 """Command line interface, exercised in-process through main(argv)."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -108,6 +109,25 @@ def test_normalize_totals_the_golden_example(capsys):
     )
     assert code == 0
     assert out.strip() == "normal form: mu 'a.<'a> x[y,y]"
+
+
+def test_normalize_trace_shows_every_whole_one_step_reduct(capsys):
+    # The trace steps the full reducts, dead addends included: 3^3 addends
+    # after the first step, and the digest of the trace as the engine printed
+    # it before normalization learned to prune them.
+    code, out, _ = _run(
+        capsys,
+        "normalize", "--trace",
+        "-e", "(mu 'a.<'a> mu 'e.<'a> mu 'f.<'a> x)[y0, y1, y2]",
+    )
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 46
+    assert lines[0].count(" + ") == 3 ** 3 - 1
+    assert lines[-1] == "normal form: mu 'a.<'a> x[y0,y1,y2]"
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "678332402b0a37ab8666c3524afaf154ad29d5efc1bea1a20f5c4a08d7b9e02d"
+    )
 
 
 def test_normalize_rejects_control_terms(capsys):

@@ -1,10 +1,15 @@
 """Weak compositions of multisets and their multiplicities."""
 
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 
+import pytest
 from hypothesis import given, strategies as st
 
+import mulam
 from mulam.combinatorics import (
     assignment_to_composition,
     compositions_of,
@@ -97,3 +102,52 @@ def test_sized_splits_with_unmatched_sizes_are_empty():
     assert list(weak_compositions_with_counts(bag, 2, [1, 0])) == []
     assert list(weak_compositions_with_counts(bag, 2, [3, None])) == []
     assert list(weak_compositions_with_counts(bag, 2, [0, None])) == [(((), bag), 1)]
+
+
+# ---------- validation that survives python -O ----------
+
+_BAG = "mkbag([RVar('x'), RVar('y')])"
+
+# Each case is an expression that must raise ValueError, with or without -O.
+INVALID_CALLS = {
+    "negative total": "list(compositions_of(-1, 2))",
+    "negative part count": "list(compositions_of(2, -1))",
+    "caps of the wrong length": "list(compositions_of(2, 2, [2]))",
+    "negative nparts": f"list(weak_compositions_with_counts({_BAG}, -1))",
+    "sizes of the wrong length": f"list(weak_compositions_with_counts({_BAG}, 2, [1]))",
+    "negative size": f"list(weak_compositions_with_counts({_BAG}, 2, [-1, None]))",
+    "negative largest index": f"list(index_assignments({_BAG}, -1))",
+    "assignment index too large": f"assignment_to_composition({_BAG}, (0, 2), 1)",
+    "negative assignment index": f"assignment_to_composition({_BAG}, (0, -1), 1)",
+    "assignment of the wrong length": f"assignment_to_composition({_BAG}, (0,), 1)",
+}
+_NAMES = ("from mulam.combinatorics import assignment_to_composition, compositions_of, "
+          "index_assignments, weak_compositions_with_counts\n"
+          "from mulam.syntax import RVar, mkbag\n")
+
+
+@pytest.mark.parametrize("call", list(INVALID_CALLS.values()), ids=list(INVALID_CALLS))
+def test_invalid_arguments_are_rejected(call):
+    env = {}
+    exec(_NAMES, env)
+    with pytest.raises(ValueError):
+        eval(call, env)
+
+
+def test_invalid_arguments_are_rejected_under_python_O():
+    code = _NAMES + f"""
+for call in {list(INVALID_CALLS.values())!r}:
+    try:
+        eval(call)
+    except ValueError:
+        print('ValueError')
+    else:
+        print('accepted')
+"""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(mulam.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["ValueError"] * len(INVALID_CALLS)

@@ -1,9 +1,13 @@
 """Random term generators: determinism, coverage, and bounds."""
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import mulam
 from mulam.gen import FREE_NAMES, FREE_VARS, gen_bag, gen_random, gen_res, gen_term
 from mulam.syntax import (
     App,
@@ -130,3 +134,45 @@ def test_generated_population_is_not_degenerate():
         if any(isinstance(u, (RLam, RMu)) for u in _nodes(gen_random("resterm", 16, seed)))
     )
     assert 100 < binderful < 400
+
+
+# ---------- validation that survives python -O ----------
+
+# Each case is an expression that must raise ValueError, with or without -O.
+BAD_BUDGETS = {
+    "gen_term of 0 nodes": "gen_term(random.Random(0), 0)",
+    "gen_res of size 0": "gen_res(random.Random(0), 0)",
+    "gen_res of negative size": "gen_res(random.Random(0), -3)",
+    "gen_random term of 0": "gen_random('term', 0, 1)",
+    "gen_random resterm of 0": "gen_random('resterm', 0, 1)",
+    "split into no chunks": "_split_budget(random.Random(0), 3, 0)",
+    "split into too many chunks": "_split_budget(random.Random(0), 1, 2)",
+}
+_NAMES = "import random\nfrom mulam.gen import _split_budget, gen_random, gen_res, gen_term\n"
+
+
+@pytest.mark.parametrize("call", list(BAD_BUDGETS.values()), ids=list(BAD_BUDGETS))
+def test_budgets_below_one_are_rejected(call):
+    env = {}
+    exec(_NAMES, env)
+    with pytest.raises(ValueError):
+        eval(call, env)
+
+
+def test_budgets_below_one_are_rejected_under_python_O():
+    code = _NAMES + f"""
+for call in {list(BAD_BUDGETS.values())!r}:
+    try:
+        eval(call)
+    except ValueError:
+        print('ValueError')
+    else:
+        print('accepted')
+"""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(mulam.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["ValueError"] * len(BAD_BUDGETS)

@@ -301,13 +301,17 @@ def test_redexes_are_listed_in_pre_order(seed):
 def test_normalize_steps_the_first_redex(seed, semiring):
     taken = []
 
-    def recording_step(u, pos, sr):
+    def recording_step(u, pos, sr, **kw):
+        assert kw == {"keep_dead": False}
         taken.append((u, pos))
-        return step_r(u, pos, sr)
+        return step_r(u, pos, sr, **kw)
 
+    t = gen_res(random.Random(seed), 14)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(resource, "step_r", recording_step)
-        normalize_r(gen_res(random.Random(seed), 14), semiring)
+        normalize_r(t, semiring)
+    # every term with a redex is stepped through the module-level step_r
+    assert bool(taken) == (not is_normal_res(t))
     for u, pos in taken:
         assert pos == redexes_res(u)[0][0], u
 
@@ -367,6 +371,114 @@ def test_lambda_fanout_with_repeated_bag_elements():
     ]
     assert normalize_r(_s(src), NAT) == _s(" + ".join("4*" + a for a in addends))
     assert normalize_r(_s(src, BOOL), BOOL) == _s(" + ".join(addends), BOOL)
+
+
+# ---------- normalization never builds dead addends ----------
+#
+# normalize_r steps with keep_dead=False: a mu redex's named application
+# leaves out the addends whose new application at a naming of the binder is
+# a vanishing redex.  The reference below normalizes through full one-step
+# reducts instead, as normalize_r did before the pruning.  It takes them from
+# the always-opening reference step, which equals step_r's default path (see
+# above) but shares no vanishing test with the engine, so a wrong rule for
+# which bag sizes vanish cannot hide in both.
+
+
+def _normalize_full(x, semiring):
+    start = x if isinstance(x, Sum) else Sum.unit(x, semiring)
+    memo = {}
+
+    def nf(t):
+        if t not in memo:
+            first = next(iter_redexes_res(t), None)
+            memo[t] = (Sum.unit(t, semiring) if first is None
+                       else _reference_step(t, first[0], semiring).bind(nf))
+        return memo[t]
+
+    return start.bind(nf)
+
+
+def _mu_stress(k):
+    return "(mu 'a.<'a> mu 'e.<'a> mu 'f.<'a> x)[" + ", ".join(f"y{i}" for i in range(k)) + "]"
+
+
+# Bodies at the naming <'a> of the planted redex (mu 'a.<'a> BODY)[bag], by
+# what the new application BODY[w2] needs of |w2|.
+PLANTED_BODIES = [
+    # a lambda of degree 0, 1 or 2, with and without a deeper naming of 'a
+    "\\x. z", "\\x. x", "\\x. x[x]",
+    "\\x. mu 'e.<'a> z", "\\x. mu 'e.<'a> x", "\\x. mu 'e.<'a> x[x]",
+    # a mu naming its binder at its own naming
+    "mu 'e.<'e> z", "mu 'e.<'e> mu 'f.<'a> z",
+    # a mu whose binder is named only deeper
+    "mu 'e.<'a> mu 'f.<'e> x", "mu 'e.<'b> mu 'f.<'e> x",
+    # a mu whose binder is never named
+    "mu 'e.<'b> z", "mu 'e.<'a> z", "mu 'e.<'a> mu 'f.<'a> x",
+]
+
+
+def _planted(body, k, repeated, under_lambda):
+    elems = ["y0"] * k if repeated else [f"y{i}" for i in range(k)]
+    if under_lambda and elems:
+        elems[0] = "w"
+    redex = f"(mu 'a.<'a> {body})[{', '.join(elems)}]"
+    return f"\\w. {redex}" if under_lambda else redex
+
+
+PLANTED = [
+    _planted(body, k, repeated, under_lambda)
+    for body in PLANTED_BODIES
+    for k in range(5)
+    for repeated in (False, True)
+    for under_lambda in (False, True)
+    if not (repeated and k < 2)
+]
+
+
+@pytest.mark.parametrize("semiring", [BOOL, NAT])
+def test_pruned_normalization_matches_full_reducts_on_random_terms(semiring):
+    for seed in range(400):
+        t = gen_res(random.Random(seed), 18)
+        assert normalize_r(t, semiring) == _normalize_full(t, semiring), seed
+
+
+@pytest.mark.parametrize("semiring", [BOOL, NAT])
+def test_pruned_normalization_matches_full_reducts_on_planted_mu_redexes(semiring):
+    for src in PLANTED:
+        s = _s(src, semiring)
+        assert normalize_r(s, semiring) == _normalize_full(s, semiring), src
+
+
+@pytest.mark.parametrize("src", [_mu_stress(k) for k in range(5, 9)]
+                         + ["(\\x. x[x][x][x][x][x])[y0, y1, y2, y3, y4, y5]"])
+@pytest.mark.parametrize("semiring", [BOOL, NAT])
+def test_pruned_normalization_matches_full_reducts_on_stress_inputs(src, semiring):
+    s = _s(src, semiring)
+    assert normalize_r(s, semiring) == _normalize_full(s, semiring)
+
+
+def test_a_binder_named_only_deeper_takes_the_bag():
+    src = "(mu 'a.<'a> mu 'e.<'a> mu 'f.<'e> x)[y0, y1]"
+    for semiring in (BOOL, NAT):
+        assert normalize_r(_s(src, semiring), semiring) == _s("mu 'a.<'a> x[y0, y1]", semiring)
+
+
+@pytest.mark.parametrize("src", PLANTED[::3] + [_mu_stress(4)])
+def test_pruned_reduct_drops_only_addends_with_a_vanishing_redex(src):
+    t = _p(src)
+    pos = redexes_res(t)[0][0]
+    full = step_r(t, pos, NAT)
+    pruned = step_r(t, pos, NAT, keep_dead=False)
+    assert dict(pruned.items).items() <= dict(full.items).items()
+    for v in set(full.terms()) - set(pruned.terms()):
+        assert any(step_r(v, p, NAT).is_zero for p, _ in redexes_res(v)), print_sum(full)
+        assert normalize_r(v, NAT).is_zero
+
+
+def test_step_r_keeps_the_whole_one_step_reduct():
+    t = _p(_mu_stress(8))
+    assert len(step_r(t, (), NAT)) == 3 ** 8
+    assert len(step_r(t, (), NAT, keep_dead=False)) == 1
 
 
 # ---------- head reduction ----------
