@@ -8,6 +8,18 @@ sink; the oracle checks that independently of the engine's normalizer.
 An addend usually recurs in many sums of one graph.  Each exploration keeps
 a table from addend to its redexes and their reducts, so each distinct
 addend is stepped once per exploration, however many nodes contain it.
+
+Most edges lead to a node already found, so a successor is looked up by a
+key that costs only the change: the sum over its addends of coefficient
+times addend hash, modulo 2^61 - 1 (an additive multiset hash; Clarke et
+al., "Incremental multiset hash functions", ASIACRYPT 2003).  Stepping
+``k`` units of ``t`` to ``r`` subtracts ``k`` times the hash of ``t`` and
+adds ``k`` times the key of ``r``.  Over Bool, where coefficients saturate,
+the key is taken over the support instead.  Keys only find a candidate: a
+node is known when its coefficients equal the successor's exactly, and on a
+collision the next key is probed.  Node numbers come from the order nodes
+are found, never from keys, so graphs do not depend on the string hash
+seed.
 """
 
 from __future__ import annotations
@@ -15,8 +27,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
-from .resource import SumStep, _apply_sum_step, _as_sum, _check_mode, redexes_res, step_r
-from .syntax import Pos, ResTerm, Sum
+from .resource import _as_sum, _check_mode, redexes_res, step_r
+from .syntax import BOOL, Pos, ResTerm, Sum, SumBuilder
 
 
 class GraphOverflow(Exception):
@@ -28,7 +40,7 @@ class GraphOverflow(Exception):
         self.visited = visited
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Edge:
     src: int
     dst: int
@@ -46,57 +58,89 @@ class ReductionGraph:
     edges: list[Edge] = field(default_factory=list)
     sinks: list[int] = field(default_factory=list)
 
-    def node_index(self) -> dict[Sum, int]:
-        return {s: i for i, s in enumerate(self.nodes)}
+
+# Node keys are taken modulo this Mersenne prime.
+_P = (1 << 61) - 1
 
 
-def successors(
-    s: Sum, mode: str, steps: dict[ResTerm, list[tuple[Pos, str, Sum]]]
-) -> list[tuple[Sum, ResTerm, Pos, str]]:
-    """Every one-step successor of ``s`` with the addend, position and kind
-    of its step.  ``steps`` holds each addend's redexes and reducts; an
-    addend not in it yet is stepped and added."""
-    out = []
-    for t, c in s.items:
-        table = steps.get(t)
-        if table is None:
-            table = [(pos, kind, step_r(t, pos, s.semiring)) for pos, kind in redexes_res(t)]
-            steps[t] = table
-        for pos, kind, reduct in table:
-            nxt = _apply_sum_step(s, SumStep(t, c, pos, kind), mode, reduct)
-            out.append((nxt, t, pos, kind))
-    return out
+def _addend_hash(t: ResTerm) -> int:
+    """The hash of one addend in a node key."""
+    return hash(t.enc) % _P
+
+
+def _step_table(t: ResTerm, semiring: str) -> tuple[int, list[tuple[Pos, str, tuple, int]]]:
+    """``t``'s hash, and for each of its redexes the position, the kind, the
+    reduct's items as (term, coefficient, hash) and the reduct's key."""
+    reducts = []
+    for pos, kind in redexes_res(t):
+        items = tuple((u, c, _addend_hash(u)) for u, c in step_r(t, pos, semiring).items)
+        reducts.append((pos, kind, items, sum(c * h for _, c, h in items) % _P))
+    return _addend_hash(t), reducts
 
 
 def explore(
     x: ResTerm | Sum, semiring: str, node_cap: int = 50_000, mode: str = "coeff"
 ) -> ReductionGraph:
     """Breadth-first closure of one-step reduction; raises GraphOverflow
-    rather than returning a truncated graph."""
+    rather than returning a truncated graph.
+
+    A successor is built as a copy of its parent's coefficient dict with the
+    step applied, keyed from the parent's key (see the module docstring);
+    only a new node becomes a canonical sum.
+    """
     _check_mode(mode)
     root = _as_sum(x, semiring)
     g = ReductionGraph(root=root, semiring=semiring, mode=mode)
-    index: dict[Sum, int] = {root: 0}
-    g.nodes.append(root)
-    queue: deque[int] = deque([0])
-    steps: dict[ResTerm, list[tuple[Pos, str, Sum]]] = {}
+    nodes, edges = g.nodes, g.edges
+    saturate = semiring == BOOL
+    root_key = sum(c * _addend_hash(t) for t, c in root.items) % _P
+    index = {root_key: 0}  # probed key -> node
+    nodes.append(root)
+    queue: deque[tuple[int, int]] = deque([(0, root_key)])  # node, its key
+    steps: dict[ResTerm, tuple[int, list[tuple[Pos, str, tuple, int]]]] = {}
     while queue:
-        i = queue.popleft()
-        s = g.nodes[i]
-        succ = successors(s, mode, steps)
-        if not succ:
+        i, key = queue.popleft()
+        s = nodes[i]
+        parent = dict(s.items)
+        seen_edges = len(edges)
+        for t, c in s.items:
+            entry = steps.get(t)
+            if entry is None:
+                entry = steps[t] = _step_table(t, semiring)
+            ht, reducts = entry
+            k = c if mode == "coeff" else 1
+            for pos, kind, items, rkey in reducts:
+                d = parent.copy()
+                if c == k:
+                    del d[t]
+                else:
+                    d[t] = c - k
+                if saturate:
+                    # Over Bool the key is the support's: an addend already
+                    # there adds nothing.
+                    nkey = key - ht
+                    for u, _, hu in items:
+                        if u not in d:
+                            d[u] = 1
+                            nkey += hu
+                    nkey %= _P
+                else:
+                    nkey = (key + k * (rkey - ht)) % _P
+                    for u, cu, _ in items:
+                        d[u] = d.get(u, 0) + k * cu
+                # A key hit is the successor only if the coefficients agree.
+                probe = nkey
+                while (j := index.get(probe)) is not None and d != dict(nodes[j].items):
+                    probe += 1
+                if j is None:
+                    if len(nodes) >= node_cap:
+                        raise GraphOverflow(node_cap, len(nodes))
+                    j = index[probe] = len(nodes)
+                    nodes.append(SumBuilder(semiring, d).build())
+                    queue.append((j, nkey))
+                edges.append(Edge(i, j, t, pos, kind))
+        if len(edges) == seen_edges:
             g.sinks.append(i)
-            continue
-        for nxt, t, pos, kind in succ:
-            j = index.get(nxt)
-            if j is None:
-                if len(g.nodes) >= node_cap:
-                    raise GraphOverflow(node_cap, len(g.nodes))
-                j = len(g.nodes)
-                index[nxt] = j
-                g.nodes.append(nxt)
-                queue.append(j)
-            g.edges.append(Edge(i, j, t, pos, kind))
     g.sinks.sort()
     return g
 

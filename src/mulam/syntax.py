@@ -46,18 +46,28 @@ def fresh_atom(stem: str = "g") -> str:
 
 def _enc_vref(ref: Ref) -> bytes:
     if isinstance(ref, int):
-        assert ref >= 0, ref
-        return b"%d;" % ref
-    assert isinstance(ref, str) and ref, ref
-    return b"." + ref.encode() + b";"
+        if ref >= 0:
+            return b"%d;" % ref
+    elif isinstance(ref, str) and ref:
+        return b"." + ref.encode() + b";"
+    raise _bad_ref(ref)
 
 
 def _enc_nref(ref: Ref) -> bytes:
     if isinstance(ref, int):
-        assert ref >= 0, ref
-        return b"%d;" % ref
-    assert isinstance(ref, str) and ref, ref
-    return b"'" + ref.encode() + b";"
+        if ref >= 0:
+            return b"%d;" % ref
+    elif isinstance(ref, str) and ref:
+        return b"'" + ref.encode() + b";"
+    raise _bad_ref(ref)
+
+
+def _bad_ref(ref: object) -> Exception:
+    """The error for a reference that is neither an index (int >= 0) nor an
+    atom (non-empty str)."""
+    if isinstance(ref, (int, str)):
+        return ValueError(f"a reference must be an index >= 0 or a non-empty atom, got {ref!r}")
+    return TypeError(f"a reference must be an int or a str, not {ref!r}")
 
 
 # ---------- lambda-mu terms ----------
@@ -96,7 +106,8 @@ class Lam(Term):
     __slots__ = ("body", "enc")
 
     def __init__(self, body: Term):
-        assert isinstance(body, Term), body
+        if not isinstance(body, Term):
+            raise TypeError(f"a lambda body must be a term, not {body!r}")
         self.body = body
         self.enc = b"L" + body.enc
 
@@ -105,7 +116,8 @@ class App(Term):
     __slots__ = ("fun", "arg", "enc")
 
     def __init__(self, fun: Term, arg: Term):
-        assert isinstance(fun, Term) and isinstance(arg, Term), (fun, arg)
+        if not (isinstance(fun, Term) and isinstance(arg, Term)):
+            raise TypeError(f"an application needs two terms, not {fun!r} and {arg!r}")
         self.fun = fun
         self.arg = arg
         self.enc = b"A" + fun.enc + arg.enc
@@ -115,7 +127,8 @@ class Mu(Term):
     __slots__ = ("named", "body", "enc")
 
     def __init__(self, named: Ref, body: Term):
-        assert isinstance(body, Term), body
+        if not isinstance(body, Term):
+            raise TypeError(f"a mu body must be a term, not {body!r}")
         self.named = named
         self.body = body
         self.enc = b"M" + _enc_nref(named) + body.enc
@@ -166,7 +179,8 @@ class RLam(ResTerm):
     __slots__ = ("body", "enc", "size", "nmu")
 
     def __init__(self, body: ResTerm):
-        assert isinstance(body, ResTerm), body
+        if not isinstance(body, ResTerm):
+            raise TypeError(f"a lambda body must be a resource term, not {body!r}")
         self.body = body
         self.enc = b"L" + body.enc
         self.size = 1 + body.size
@@ -177,7 +191,8 @@ class RApp(ResTerm):
     __slots__ = ("head", "bag", "enc", "size", "nmu")
 
     def __init__(self, head: ResTerm, bag: Iterable[ResTerm], *, _raw: bool = False):
-        assert isinstance(head, ResTerm), head
+        if not isinstance(head, ResTerm):
+            raise TypeError(f"an application head must be a resource term, not {head!r}")
         if _raw:
             # Internal: keep the given element order.  Used only while a
             # surrounding binder is opened; closing re-canonicalizes.
@@ -195,7 +210,8 @@ class RMu(ResTerm):
     __slots__ = ("named", "body", "enc", "size", "nmu")
 
     def __init__(self, named: Ref, body: ResTerm):
-        assert isinstance(body, ResTerm), body
+        if not isinstance(body, ResTerm):
+            raise TypeError(f"a mu body must be a resource term, not {body!r}")
         self.named = named
         self.body = body
         self.enc = b"M" + _enc_nref(named) + body.enc
@@ -316,7 +332,8 @@ def degree(nu: str, t: Term | ResTerm) -> int:
     ``nu`` is written grammar-style: ``"x"`` counts a variable, ``"'a"``
     counts a name (names only ever occur in naming position).
     """
-    assert nu, nu
+    if not nu:
+        raise ValueError("degree of an empty variable or name")
     want = NAME if nu.startswith("'") else VAR
     atom = _strip_quote(nu)
     return sum(1 for kind, r, _ in iter_refs(t) if kind == want and r == atom)

@@ -5,6 +5,7 @@ from collections import deque
 
 import pytest
 
+from mulam import oracle
 from mulam.gen import gen_res
 from mulam.oracle import (
     GraphOverflow,
@@ -46,6 +47,19 @@ def test_annihilation_has_the_empty_sink():
 def test_node_cap_raises_instead_of_truncating():
     with pytest.raises(GraphOverflow):
         explore(_p("(mu 'a.<'a> mu 'e.<'a> x)[y,y]"), NAT, node_cap=2)
+
+
+@pytest.mark.parametrize("semiring", [BOOL, NAT])
+@pytest.mark.parametrize("mode", ["coeff", "occurrence"])
+def test_node_cap_is_the_largest_graph_allowed(semiring, mode):
+    root = parse_sum("2*(mu 'a.<'a> mu 'e.<'a> x)[y0, y1]", semiring)
+    whole = explore(root, semiring, mode=mode)
+    count = len(whole.nodes)
+    exact = explore(root, semiring, node_cap=count, mode=mode)
+    assert (exact.nodes, exact.edges, exact.sinks) == (whole.nodes, whole.edges, whole.sinks)
+    with pytest.raises(GraphOverflow) as err:
+        explore(root, semiring, node_cap=count - 1, mode=mode)
+    assert (err.value.node_cap, err.value.visited) == (count - 1, count - 1)
 
 
 def test_joinable_after_diverging_first_steps():
@@ -98,6 +112,8 @@ _SMALL = [
     "(mu 'a.<'a> mu 'e.<'a> x)[y, y]",
     "2*(\\z.z[z])[(\\x.x)[y], w] + (mu 'a.<'b> x)[y] + (\\z.z)[y]",
     "3*mu 'a.<'b> mu 'g.<'a> (\\x.x)[mu 'd.<'g> y]",
+    # both addends reach (\w.w)[v], so reducts merge into addends already there
+    "(\\z.z)[(\\w.w)[v]] + (\\u.(\\w.w)[u])[v]",
 ]
 
 
@@ -112,9 +128,22 @@ def test_explore_matches_naive_search(semiring, mode):
         assert got == _naive_graph(root, semiring, mode), root
 
 
+@pytest.mark.parametrize("semiring", [BOOL, NAT])
+@pytest.mark.parametrize("mode", ["coeff", "occurrence"])
+def test_explore_matches_naive_search_when_all_keys_collide(semiring, mode, monkeypatch):
+    # Every node gets key 0, so each lookup is decided by the exact
+    # comparison of coefficients alone.
+    monkeypatch.setattr(oracle, "_addend_hash", lambda t: 0)
+    test_explore_matches_naive_search(semiring, mode)
+
+
 @pytest.mark.parametrize(
     "bag, semiring, mode, nodes, edges",
-    [("y, y, y, y", NAT, "occurrence", 1052, 3808), ("y0, y1, y2", BOOL, "coeff", 386, 1603)],
+    [
+        ("y0, y1, y1, y2", NAT, "coeff", 6146, 37891),
+        ("y, y, y, y", NAT, "occurrence", 1052, 3808),
+        ("y0, y1, y2", BOOL, "coeff", 386, 1603),
+    ],
 )
 def test_graph_sizes_of_the_two_copy_fanout(bag, semiring, mode, nodes, edges):
     g = explore(parse_sum(f"(mu 'a.<'a> mu 'e.<'a> x)[{bag}]", semiring), semiring, mode=mode)

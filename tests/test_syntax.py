@@ -254,6 +254,55 @@ for case in cases:
     assert proc.stdout.split() == ["ValueError"] * 5
 
 
+# ---------- term constructors raise, so python -O keeps it ----------
+
+# Each case is an expression and the error it must raise, with or without -O.
+BAD_TERMS = {
+    "RLam of an int": ("RLam(3)", TypeError),
+    "RLam of a lambda-mu term": ("RLam(Var('x'))", TypeError),
+    "RApp of a str head": ("RApp('x', [])", TypeError),
+    "RMu of a non-term body": ("RMu(0, 'x')", TypeError),
+    "Lam of a resource term": ("Lam(RVar('x'))", TypeError),
+    "App of a non-term argument": ("App(Var('x'), 3)", TypeError),
+    "Mu of a non-term body": ("Mu(0, None)", TypeError),
+    "RVar of a negative index": ("RVar(-1)", ValueError),
+    "Var of an empty atom": ("Var('')", ValueError),
+    "RVar of a float": ("RVar(1.0)", TypeError),
+    "RMu naming a negative index": ("RMu(-2, RVar('x'))", ValueError),
+    "Mu naming an empty atom": ("Mu('', Var('x'))", ValueError),
+    "RMu naming a float": ("RMu(0.5, RVar('x'))", TypeError),
+    "degree of an empty atom": ("degree('', RVar('x'))", ValueError),
+}
+_TERM_NAMES = "from mulam.syntax import App, Lam, Mu, RApp, RLam, RMu, RVar, Var, degree\n"
+
+
+@pytest.mark.parametrize("call, error", list(BAD_TERMS.values()), ids=list(BAD_TERMS))
+def test_ill_formed_terms_are_rejected(call, error):
+    env = {}
+    exec(_TERM_NAMES, env)
+    with pytest.raises(error):
+        eval(call, env)
+
+
+def test_term_validation_holds_under_python_O():
+    code = _TERM_NAMES + f"""
+for call in {[call for call, _ in BAD_TERMS.values()]!r}:
+    try:
+        eval(call)
+    except (TypeError, ValueError) as e:
+        print(type(e).__name__)
+    else:
+        print('accepted')
+"""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(mulam.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [error.__name__ for _, error in BAD_TERMS.values()]
+
+
 # ---------- positions ----------
 
 
