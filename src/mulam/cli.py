@@ -13,18 +13,17 @@ import os
 import random
 import sys
 
-from .lamu import head_redex_pos, redexes, reduce_redex
+from .lamu import reduce_redex
 from .measures import bold_ms, mu_degree, ms
 from .resource import (
     _apply_sum_step,
-    head_redex_pos_res,
     normalize_r,
     pick_step,
     reducible_addends,
     step_r,
 )
 from .suites import SUITES, run_suite
-from .syntax import BOOL, NAT, Sum, size
+from .syntax import BOOL, NAT, Sum, head_redex_pos, mkbag, redexes, size
 from .taylor import Solvable, nft_truncated, solvable, taylor_enum
 from .textio import (
     ParseError,
@@ -34,9 +33,7 @@ from .textio import (
     print_res,
     print_sum,
     print_term,
-    res_to_json,
-    sum_to_json,
-    term_to_json,
+    to_json,
 )
 
 _ENV_NODE_CAP = "MULAM_NODE_CAP"
@@ -111,12 +108,12 @@ def _cmd_parse(args: argparse.Namespace) -> int:
         except ParseError:
             return _fail_parse(src, lamu_err)
         if args.json:
-            _emit_json({"kind": "resource", "value": sum_to_json(s)})
+            _emit_json({"kind": "resource", "value": to_json(s)})
         else:
             print(f"resource: {print_sum(s)}")
         return 0
     if args.json:
-        _emit_json({"kind": "lamu", "value": term_to_json(term)})
+        _emit_json({"kind": "lamu", "value": to_json(term)})
     else:
         print(f"lamu: {print_term(term)}")
     return 0
@@ -157,7 +154,7 @@ def _reduce_lamu(args: argparse.Namespace, src: str) -> int:
 
 def _res_head_step(s: Sum):
     for t, c in s.items:
-        hit = head_redex_pos_res(t)
+        hit = head_redex_pos(t)
         if hit is not None:
             from .resource import SumStep
 
@@ -229,7 +226,7 @@ def _cmd_normalize(args: argparse.Namespace) -> int:
     else:
         nf = normalize_r(s, args.semiring)
     if args.json:
-        _emit_json({"normal_form": sum_to_json(nf)})
+        _emit_json({"normal_form": to_json(nf)})
     else:
         print(f"normal form: {print_sum(nf)}")
     return 0
@@ -280,7 +277,7 @@ def _cmd_taylor(args: argparse.Namespace) -> int:
             {
                 "max_size": args.max_size,
                 "count": len(approx),
-                "approximants": [res_to_json(t) for t in shown],
+                "approximants": [to_json(t) for t in shown],
             }
         )
         return 0
@@ -290,24 +287,20 @@ def _cmd_taylor(args: argparse.Namespace) -> int:
     return 0
 
 
-def _sorted_resset(ts) -> list:
-    return sorted(ts, key=lambda t: (len(t.enc), t.enc))
-
-
 def _cmd_nft(args: argparse.Namespace) -> int:
     src = _read_input(args)
     try:
         m = parse_term(src)
     except ParseError as e:
         return _fail_parse(src, e)
-    nf = _sorted_resset(nft_truncated(m, args.max_size))
+    nf = mkbag(nft_truncated(m, args.max_size))
     shown = nf if args.limit is None else nf[: args.limit]
     if args.json:
         _emit_json(
             {
                 "max_size": args.max_size,
                 "count": len(nf),
-                "normal_forms": [res_to_json(t) for t in shown],
+                "normal_forms": [to_json(t) for t in shown],
             }
         )
         return 0
@@ -332,8 +325,8 @@ def _cmd_nft_eq(args: argparse.Namespace) -> int:
     if args.json:
         payload = {"max_size": args.max_size, "equal": equal}
         if not equal:
-            left = _sorted_resset(a - b)
-            right = _sorted_resset(b - a)
+            left = mkbag(a - b)
+            right = mkbag(b - a)
             payload["only_left"] = [print_res(t) for t in left]
             payload["only_right"] = [print_res(t) for t in right]
         _emit_json(payload)
@@ -342,9 +335,9 @@ def _cmd_nft_eq(args: argparse.Namespace) -> int:
         print(f"equal up to size {args.max_size}")
         return 0
     print(f"different up to size {args.max_size}")
-    for t in _sorted_resset(a - b):
+    for t in mkbag(a - b):
         print(f"  only left:  {print_res(t)}")
-    for t in _sorted_resset(b - a):
+    for t in mkbag(b - a):
         print(f"  only right: {print_res(t)}")
     return 1
 

@@ -12,6 +12,11 @@ where it occurs as an index of the body, and the mu's name is followed as an
 index through the body, so the redex's binder is never opened.  Only the
 binders above the redex are opened, which makes the argument locally closed
 so that it goes under binders as it is.
+
+The redex finder (``redex_kind``, ``redexes``), the head position
+(``head_redex_pos``, ``is_hnf``) and the step that opens a binder on the way
+down (``open_binder``) are shared with the resource calculus and defined in
+``syntax``; this module exports the first four under the same names.
 """
 
 from __future__ import annotations
@@ -28,15 +33,20 @@ from .syntax import (
     Var,
     _strip_quote,
     _under,
-    close_name,
-    close_var,
-    fresh_atom,
+    head_redex_pos,
     is_locally_closed,
     map_refs,
-    open_mu_binder,
-    open_var,
+    open_binder,
     subterm_at,
 )
+
+# Shared with the resource calculus and defined in ``syntax``.
+from .syntax import is_hnf, redex_kind, redexes  # noqa: F401
+
+# Also importable from here.  The walk down to a redex calls them through
+# ``open_binder`` in ``syntax``, so replacing them in this module does not
+# intercept it; replace them in ``syntax``.
+from .syntax import close_name, fresh_atom, open_mu_binder, open_var  # noqa: F401
 
 # ---------- substitution and named application ----------
 
@@ -116,36 +126,6 @@ def rho_term(t: Mu) -> Mu:
 # ---------- redexes and single-step reduction ----------
 
 
-def redex_kind(t: Term) -> str | None:
-    match t:
-        case App(fun=Lam()):
-            return "lam"
-        case App(fun=Mu()):
-            return "mu"
-        case Mu(body=Mu()):
-            return "rho"
-    return None
-
-
-def redexes(t: Term) -> list[tuple[Pos, str]]:
-    """All redex positions with their kind, in leftmost-outermost order."""
-    out: list[tuple[Pos, str]] = []
-
-    def go(u: Term, pos: Pos) -> None:
-        k = redex_kind(u)
-        if k is not None:
-            out.append((pos, k))
-        match u:
-            case Lam(body=b) | Mu(body=b):
-                go(b, pos + (0,))
-            case App(fun=f, arg=a):
-                go(f, pos + (0,))
-                go(a, pos + (1,))
-
-    go(t, ())
-    return out
-
-
 def contract(t: Term) -> Term:
     """Contract a redex at the root.  The term must already be opened with
     respect to any surrounding binders (free references are atoms), so the
@@ -171,21 +151,12 @@ def reduce_redex(t: Term, pos: Pos) -> Term:
     def go(u: Term, p: Pos) -> Term:
         if not p:
             return contract(u)
-        rest = p[1:]
-        match u:
-            case Lam(body=b):
-                x = fresh_atom("v")
-                return Lam(close_var(go(open_var(b, x), rest), x))
-            case Mu() as m:
-                a = fresh_atom("n")
-                named, body = open_mu_binder(m, a)
-                out = go(body, rest)
-                return Mu(0 if named == a else named, close_name(out, a))
-            case App(fun=f, arg=arg):
-                if p[0] == 0:
-                    return App(go(f, rest), arg)
-                return App(f, go(arg, rest))
-        raise AssertionError((u, p))
+        if type(u) is App:
+            if p[0] == 0:
+                return App(go(u.fun, p[1:]), u.arg)
+            return App(u.fun, go(u.arg, p[1:]))
+        body, close = open_binder(u)
+        return close(go(body, p[1:]))
 
     return go(t, pos)
 
@@ -248,42 +219,6 @@ def reassemble(shape: HeadShape) -> Term:
         for _ in range(lams):
             t = Lam(t)
     return t
-
-
-def is_hnf(t: Term) -> bool:
-    """Head normal: head variable and no adjacent namings in the prefix."""
-    shape = head_decompose(t)
-    if not isinstance(shape.head, Var):
-        return False
-    bs = shape.blocks
-    for i in range(len(bs) - 1):
-        if bs[i][1] is not None and bs[i + 1][1] is not None and bs[i + 1][0] == 0:
-            return False
-    return True
-
-
-def head_redex_pos(t: Term) -> tuple[Pos, str] | None:
-    """Position of the next head-reduction step, or None on a head normal
-    form.  A naming merge in the prefix wins over the head redex."""
-    pos: list[int] = []
-    u = t
-    while True:
-        match u:
-            case Mu(body=Mu()):
-                return tuple(pos), "rho"
-            case Lam(body=b) | Mu(body=b):
-                pos.append(0)
-                u = b
-            case _:
-                break
-    nargs = 0
-    while isinstance(u, App):
-        nargs += 1
-        u = u.fun
-    if nargs == 0 or isinstance(u, Var):
-        return None
-    kind = "lam" if isinstance(u, Lam) else "mu"
-    return tuple(pos) + (0,) * (nargs - 1), kind
 
 
 def head_step(t: Term) -> Term | None:

@@ -27,8 +27,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
-from .resource import _as_sum, _check_mode, redexes_res, step_r
-from .syntax import BOOL, Pos, ResTerm, Sum, SumBuilder
+from .resource import _as_sum, _check_mode, step_r
+from .syntax import BOOL, Pos, ResTerm, Sum, SumBuilder, redexes
 
 
 class GraphOverflow(Exception):
@@ -72,7 +72,7 @@ def _step_table(t: ResTerm, semiring: str) -> tuple[int, list[tuple[Pos, str, tu
     """``t``'s hash, and for each of its redexes the position, the kind, the
     reduct's items as (term, coefficient, hash) and the reduct's key."""
     reducts = []
-    for pos, kind in redexes_res(t):
+    for pos, kind in redexes(t):
         items = tuple((u, c, _addend_hash(u)) for u, c in step_r(t, pos, semiring).items)
         reducts.append((pos, kind, items, sum(c * h for _, c, h in items) % _P))
     return _addend_hash(t), reducts

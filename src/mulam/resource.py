@@ -49,13 +49,17 @@ the reduct without the other sizes.  That is sound:
 
 Every other caller (``step_sum``, the oracle, the CLI's traces) sees the
 whole one-step reduct, which is observable.
+
+The redex finder, the head position and the step that opens a binder on the
+way down to a redex are shared with the lambda-mu calculus and defined in
+``syntax``; ``redex_kind_res``, ``iter_redexes_res``, ``redexes_res``,
+``head_redex_pos_res`` and ``is_hnf_res`` are their names here.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterator
 
 from .combinatorics import weak_compositions_with_counts
 from .syntax import (
@@ -74,15 +78,21 @@ from .syntax import (
     _strip_quote,
     _under,
     add_app,
-    close_rname,
-    close_rvar,
-    fresh_atom,
+    head_redex_pos,
+    is_hnf,
+    iter_redexes,
     mkbag,
-    open_mu_binder,
-    open_rvar,
+    open_binder,
+    redex_kind,
+    redexes,
     subterm_at,
 )
 from .lamu import rho_inner_parts
+
+# Also importable from here.  The walk down to a redex calls them through
+# ``open_binder`` in ``syntax``, so replacing them in this module does not
+# intercept it; replace them in ``syntax``.
+from .syntax import close_rname, close_rvar, fresh_atom, open_mu_binder, open_rvar  # noqa: F401
 
 # A distribution is collected as a term -> coefficient dict of positive
 # coefficients and canonicalized into a ``Sum`` once, by its caller.
@@ -233,41 +243,17 @@ def linear_named_app_named(eta: str, t: ResTerm, alpha: str, bag, semiring: str)
 # ---------- redexes and single steps ----------
 
 
-def redex_kind_res(t: ResTerm) -> str | None:
-    match t:
-        case RApp(head=RLam()):
-            return "lam"
-        case RApp(head=RMu()):
-            return "mu"
-        case RMu(body=RMu()):
-            return "rho"
-    return None
-
-
-def iter_redexes_res(t: ResTerm) -> Iterator[tuple[Pos, str]]:
-    """The redexes of ``t`` with their kinds, in pre-order: a node before
-    its children, a head before its bag, bag elements in order."""
-    stack: list[tuple[ResTerm, Pos]] = [(t, ())]
-    while stack:
-        u, pos = stack.pop()
-        k = redex_kind_res(u)
-        if k is not None:
-            yield pos, k
-        match u:
-            case RLam(body=b) | RMu(body=b):
-                stack.append((b, pos + (0,)))
-            case RApp(head=h, bag=bag):
-                for i in range(len(bag), 0, -1):
-                    stack.append((bag[i - 1], pos + (i,)))
-                stack.append((h, pos + (0,)))
-
-
-def redexes_res(t: ResTerm) -> list[tuple[Pos, str]]:
-    return list(iter_redexes_res(t))
+# The redex finder and the head position are shared with the lambda-mu
+# calculus and defined in ``syntax``; these are their names in this module.
+redex_kind_res = redex_kind
+iter_redexes_res = iter_redexes
+redexes_res = redexes
+head_redex_pos_res = head_redex_pos
+is_hnf_res = is_hnf
 
 
 def is_normal_res(t: ResTerm) -> bool:
-    return next(iter_redexes_res(t), None) is None
+    return next(iter_redexes(t), None) is None
 
 
 def _arity(head: ResTerm) -> int | None:
@@ -338,25 +324,16 @@ def _step_at(u: ResTerm, p: Pos, keep_dead: bool) -> Coeffs:
     if not p:
         return _contract(u, keep_dead)
     i, rest = p[0], p[1:]
-    match u:
-        case RLam(body=b):
-            x = fresh_atom("v")
-            return {RLam(close_rvar(w, x)): c
-                    for w, c in _step_at(open_rvar(b, x), rest, keep_dead).items()}
-        case RMu() as m:
-            a = fresh_atom("n")
-            named, body = open_mu_binder(m, a)
-            closed = 0 if named == a else named
-            return {RMu(closed, close_rname(w, a)): c
-                    for w, c in _step_at(body, rest, keep_dead).items()}
-        case RApp(head=h, bag=bag):
-            if i == 0:
-                return {RApp(w, bag): c for w, c in _step_at(h, rest, keep_dead).items()}
-            return {
-                RApp(h, bag[: i - 1] + (w,) + bag[i:]): c
-                for w, c in _step_at(bag[i - 1], rest, keep_dead).items()
-            }
-    raise AssertionError((u, p))
+    if type(u) is RApp:
+        h, bag = u.head, u.bag
+        if i == 0:
+            return {RApp(w, bag): c for w, c in _step_at(h, rest, keep_dead).items()}
+        return {
+            RApp(h, bag[: i - 1] + (w,) + bag[i:]): c
+            for w, c in _step_at(bag[i - 1], rest, keep_dead).items()
+        }
+    body, close = open_binder(u)
+    return {close(w): c for w, c in _step_at(body, rest, keep_dead).items()}
 
 
 # ---------- stepping whole sums ----------
@@ -375,7 +352,7 @@ class SumStep:
 def reducible_addends(s: Sum) -> list[tuple[ResTerm, int, list[tuple[Pos, str]]]]:
     out = []
     for t, c in s.items:
-        rs = redexes_res(t)
+        rs = redexes(t)
         if rs:
             out.append((t, c, rs))
     return out
@@ -472,7 +449,7 @@ def normalize_r(x: ResTerm | Sum, semiring: str) -> Sum:
                 stack.pop()
                 continue
             if u not in steps:
-                first = next(iter_redexes_res(u), None)
+                first = next(iter_redexes(u), None)
                 if first is None:
                     memo[u] = Sum.unit(u, semiring)
                     stack.pop()
@@ -491,37 +468,10 @@ def normalize_r(x: ResTerm | Sum, semiring: str) -> Sum:
 # ---------- head reduction ----------
 
 
-def head_redex_pos_res(t: ResTerm) -> tuple[Pos, str] | None:
-    """Mirror of the head-position rule on resource terms."""
-    pos: list[int] = []
-    u = t
-    while True:
-        match u:
-            case RMu(body=RMu()):
-                return tuple(pos), "rho"
-            case RLam(body=b) | RMu(body=b):
-                pos.append(0)
-                u = b
-            case _:
-                break
-    nargs = 0
-    while isinstance(u, RApp):
-        nargs += 1
-        u = u.head
-    if nargs == 0 or isinstance(u, RVar):
-        return None
-    kind = "lam" if isinstance(u, RLam) else "mu"
-    return tuple(pos) + (0,) * (nargs - 1), kind
-
-
-def is_hnf_res(t: ResTerm) -> bool:
-    return head_redex_pos_res(t) is None
-
-
 def head_step_res(t: ResTerm, semiring: str = BOOL) -> Sum:
     """One head step as a sum; zero on head normal forms (they are erased,
     not kept, under iteration)."""
-    hit = head_redex_pos_res(t)
+    hit = head_redex_pos(t)
     if hit is None:
         return Sum.zero(semiring)
     return step_r(t, hit[0], semiring)

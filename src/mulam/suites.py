@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from .combinatorics import weak_compositions_with_counts
 from .gen import gen_bag, gen_res, gen_term
-from .lamu import redexes, reduce_redex
+from .lamu import reduce_redex
 from .measures import bold_ms, compare_bold
 from .oracle import GraphOverflow, explore, reachable_sums, unique_sink
 from .resource import (
@@ -23,7 +23,6 @@ from .resource import (
     linear_named_app_named,
     linear_subst,
     pick_step,
-    redexes_res,
     reducible_addends,
     step_r,
 )
@@ -34,22 +33,18 @@ from .syntax import (
     Pos,
     RApp,
     RLam,
-    RMu,
     RVar,
     ResTerm,
     Sum,
     SumBuilder,
     Term,
-    close_rname,
-    close_rvar,
     deg_bag,
     degree,
     free_vars,
-    fresh_atom,
     lift_app,
     mkbag,
-    open_mu_binder,
-    open_rvar,
+    open_binder,
+    redexes,
     rename_name,
 )
 from .taylor import taylor_enum, taylor_member
@@ -259,28 +254,20 @@ def _mirror(t: ResTerm, pos: Pos, depth: int, semiring: str) -> Sum:
     if depth == len(pos):
         return contract_res(t, semiring)  # raises on a non-redex
     c = pos[depth]
-    match t:
-        case RLam(body=b):
-            _check_child(c, 0, pos, depth)
-            x = fresh_atom("v")
-            s = _mirror(open_rvar(b, x), pos, depth + 1, semiring)
-            return s.map(lambda w: RLam(close_rvar(w, x)))
-        case RMu() as m:
-            _check_child(c, 0, pos, depth)
-            a = fresh_atom("n")
-            named, body = open_mu_binder(m, a)
-            closed = 0 if named == a else named
-            s = _mirror(body, pos, depth + 1, semiring)
-            return s.map(lambda w: RMu(closed, close_rname(w, a)))
-        case RApp(head=h, bag=bag):
-            if c == 0:
-                return _mirror(h, pos, depth + 1, semiring).map(lambda w: RApp(w, bag))
-            _check_child(c, 1, pos, depth)
-            if not bag:
-                return Sum.unit(t, semiring)
-            sums = [_mirror(e, pos, depth + 1, semiring) for e in bag]
-            return lift_app(Sum.unit(h, semiring), sums)
-    raise ValueError(f"no position {pos} in the approximant: a variable at {pos[:depth]}")
+    if type(t) is RVar:
+        raise ValueError(f"no position {pos} in the approximant: a variable at {pos[:depth]}")
+    if type(t) is RApp:
+        h, bag = t.head, t.bag
+        if c == 0:
+            return _mirror(h, pos, depth + 1, semiring).map(lambda w: RApp(w, bag))
+        _check_child(c, 1, pos, depth)
+        if not bag:
+            return Sum.unit(t, semiring)
+        sums = [_mirror(e, pos, depth + 1, semiring) for e in bag]
+        return lift_app(Sum.unit(h, semiring), sums)
+    _check_child(c, 0, pos, depth)
+    body, close = open_binder(t)
+    return _mirror(body, pos, depth + 1, semiring).map(close)
 
 
 def _check_child(c: int, want: int, pos: Pos, depth: int) -> None:
@@ -411,6 +398,27 @@ def _distinct_names(r: random.Random):
     return (a, b) if a != b else None
 
 
+def _bag_where(rng: random.Random, ok) -> Bag:
+    """A bag of generated elements for which ``ok(bag)`` holds, redrawn
+    until it does."""
+
+    def pick(r):
+        u = gen_bag(r, 4)
+        return u if ok(u) else None
+
+    return _draw(rng, pick)
+
+
+def _over_splits(bag: Bag, n: int, f) -> Sum:
+    """The sum over the weak compositions of ``bag`` into ``n`` parts of
+    ``f(parts)``, each weighted by the number of index assignments that
+    induce the composition."""
+    acc = SumBuilder(NAT)
+    for parts, cnt in weak_compositions_with_counts(bag, n):
+        acc.add(f(parts), cnt)
+    return acc.build()
+
+
 def _distributed_rhs(u: Bag, v: Bag, head, elem, then) -> Sum:
     """The right-hand side of the identities that push an operation with bag
     ``u`` inside one with bag ``v``: ``u`` splits over the term and the
@@ -492,14 +500,7 @@ def _inst_rename_named_pair(rng: random.Random, size: int):
 
 def _inst_subst_subst(rng: random.Random, size: int):
     x, y = "x", "y"
-
-    def pick(r):
-        u = gen_bag(r, 4)
-        if all(y not in free_vars(e) for e in u):
-            return u
-        return None
-
-    u = _draw(rng, pick)
+    u = _bag_where(rng, lambda u: all(y not in free_vars(e) for e in u))
     t = gen_res(rng, size)
     v = gen_bag(rng, 4)
     lhs = _lsub(t, y, v).bind(lambda tt: _lsub(tt, x, u))
@@ -511,14 +512,7 @@ def _inst_subst_subst(rng: random.Random, size: int):
 def _inst_subst_named_app(rng: random.Random, size: int):
     x = "x"
     a = rng.choice(_NAME_POOL)
-
-    def pick(r):
-        u = gen_bag(r, 4)
-        if _bag_deg(a, u) == 0:
-            return u
-        return None
-
-    u = _draw(rng, pick)
+    u = _bag_where(rng, lambda u: _bag_deg(a, u) == 0)
     t = gen_res(rng, size)
     v = gen_bag(rng, 4)
     lhs = _lna(t, a, v).bind(lambda s: _lsub(s, x, u))
@@ -529,14 +523,7 @@ def _inst_subst_named_app(rng: random.Random, size: int):
 
 def _inst_named_app_skips_bag(rng: random.Random, size: int):
     a = rng.choice(_NAME_POOL)
-
-    def pick(r):
-        v = gen_bag(r, 4)
-        if _bag_deg(a, v) == 0:
-            return v
-        return None
-
-    v = _draw(rng, pick)
+    v = _bag_where(rng, lambda v: _bag_deg(a, v) == 0)
     t = gen_res(rng, size)
     u = gen_bag(rng, 4)
     lhs = linear_named_app(RApp(t, v), a, u, NAT)
@@ -555,28 +542,21 @@ def _inst_named_app_join(rng: random.Random, size: int):
     v = gen_bag(rng, 4)
     u = gen_bag(rng, 4)
     lhs = _lna(t, a, v).bind(lambda s: _lna(s, b, u))
-    n = len(v)
-    rhs = Sum.zero(NAT)
-    for parts, cnt in weak_compositions_with_counts(u, n):
-        inner = [_lna(v[k], b, parts[k]) for k in range(n)]
-        for picked, c in _bag_choices(inner):
-            rhs = rhs.add(_lna(t, a, mkbag(picked)).scale(c * cnt))
+
+    def joined(parts):
+        acc = SumBuilder(NAT)
+        for picked, c in _bag_choices([_lna(e, b, p) for e, p in zip(v, parts)]):
+            acc.add(_lna(t, a, mkbag(picked)), c)
+        return acc.build()
+
+    rhs = _over_splits(u, len(v), joined)
     return f"t={print_res(t)} v=[{', '.join(map(print_res, v))}] u=[{', '.join(map(print_res, u))}] '{a}' then '{b}'", lhs, rhs
 
 
 def _inst_swap_disjoint(rng: random.Random, size: int):
     a, b = _draw(rng, _distinct_names)
-
-    def pick_v(r):
-        v = gen_bag(r, 4)
-        return v if _bag_deg(a, v) == 0 else None
-
-    def pick_u(r):
-        u = gen_bag(r, 4)
-        return u if _bag_deg(b, u) == 0 else None
-
-    v = _draw(rng, pick_v)
-    u = _draw(rng, pick_u)
+    v = _bag_where(rng, lambda v: _bag_deg(a, v) == 0)
+    u = _bag_where(rng, lambda u: _bag_deg(b, u) == 0)
     t = gen_res(rng, size)
     lhs = _lna(t, a, u).bind(lambda s: _lna(s, b, v))
     rhs = _lna(t, b, v).bind(lambda s: _lna(s, a, u))
@@ -585,34 +565,27 @@ def _inst_swap_disjoint(rng: random.Random, size: int):
 
 def _inst_swap_fresh_left(rng: random.Random, size: int):
     a, b = _draw(rng, _distinct_names)
-
-    def pick_v(r):
-        v = gen_bag(r, 4)
-        return v if _bag_deg(a, v) == 0 else None
-
-    v = _draw(rng, pick_v)
+    v = _bag_where(rng, lambda v: _bag_deg(a, v) == 0)
     u = gen_bag(rng, 4)
     t = gen_res(rng, size)
     d = _FRESH
     lhs = _lna(t, a, u).bind(lambda s: _lna(s, b, v))
-    rhs = Sum.zero(NAT)
     u_masked = _rename_bag(u, d, b)
-    for (w1, w2), cnt in weak_compositions_with_counts(v, 2):
+
+    def swapped(parts):
+        w1, w2 = parts
         s = _lna(t, b, w1)
         s = s.bind(lambda ss: _lna(ss, a, u_masked))
         s = s.bind(lambda ss: _lna(ss, d, w2))
-        rhs = rhs.add(rename_name(s, b, d).scale(cnt))
+        return rename_name(s, b, d)
+
+    rhs = _over_splits(v, 2, swapped)
     return f"t={print_res(t)} u=[{', '.join(map(print_res, u))}]@'{a}' v=[{', '.join(map(print_res, v))}]@'{b}'", lhs, rhs
 
 
 def _inst_swap_fresh_right(rng: random.Random, size: int):
     a, b = _draw(rng, _distinct_names)
-
-    def pick_u(r):
-        u = gen_bag(r, 4)
-        return u if _bag_deg(b, u) == 0 else None
-
-    u = _draw(rng, pick_u)
+    u = _bag_where(rng, lambda u: _bag_deg(b, u) == 0)
     v = gen_bag(rng, 4)
     t = gen_res(rng, size)
     d = _FRESH
@@ -623,34 +596,27 @@ def _inst_swap_fresh_right(rng: random.Random, size: int):
     return f"t={print_res(t)} u=[{', '.join(map(print_res, u))}]@'{a}' v=[{', '.join(map(print_res, v))}]@'{b}'", lhs, rhs
 
 
+def _merged(t: ResTerm, a: str, b: str, parts) -> Sum:
+    """The right-hand side of the name-merging identity for one split of
+    the bag: ``parts[0]`` at ``a`` and ``parts[1]`` at ``b``, then ``b``
+    renamed to ``a``."""
+    w1, w2 = parts
+    return rename_name(_lna(t, a, w1).bind(lambda ss: _lna(ss, b, w2)), a, b)
+
+
 def _inst_rename_then_named_app(rng: random.Random, size: int):
     a, b = _draw(rng, _distinct_names)
-
-    def pick_u(r):
-        u = gen_bag(r, 4)
-        return u if _bag_deg(b, u) == 0 else None
-
-    u = _draw(rng, pick_u)
+    u = _bag_where(rng, lambda u: _bag_deg(b, u) == 0)
     t = gen_res(rng, size)
     lhs = linear_named_app(rename_name(t, a, b), a, u, NAT)
-    rhs = Sum.zero(NAT)
-    for (w1, w2), cnt in weak_compositions_with_counts(u, 2):
-        s = _lna(t, a, w1).bind(lambda ss: _lna(ss, b, w2))
-        rhs = rhs.add(rename_name(s, a, b).scale(cnt))
+    rhs = _over_splits(u, 2, lambda w: _merged(t, a, b, w))
     return f"t={print_res(t)} u=[{', '.join(map(print_res, u))}] merge '{b}' into '{a}'", lhs, rhs
 
 
 def _inst_named_app_after_subst(rng: random.Random, size: int):
     x = "x"
     a = rng.choice(_NAME_POOL)
-
-    def pick_u(r):
-        u = gen_bag(r, 4)
-        if all(x not in free_vars(e) for e in u):
-            return u
-        return None
-
-    u = _draw(rng, pick_u)
+    u = _bag_where(rng, lambda u: all(x not in free_vars(e) for e in u))
     t = gen_res(rng, size)
     v = gen_bag(rng, 4)
     lhs = _lsub(t, x, v).bind(lambda s: _lna(s, a, u))
@@ -666,12 +632,7 @@ def _two_named_apps_rhs(t: ResTerm, a: str, g: str, v: Bag, u: Bag) -> Sum:
 
 def _inst_two_named_apps(rng: random.Random, size: int):
     a, g = _draw(rng, _distinct_names)
-
-    def pick_u(r):
-        u = gen_bag(r, 4)
-        return u if _bag_deg(g, u) == 0 else None
-
-    u = _draw(rng, pick_u)
+    u = _bag_where(rng, lambda u: _bag_deg(g, u) == 0)
     t = gen_res(rng, size)
     v = gen_bag(rng, 4)
     lhs = _lna(t, g, v).bind(lambda s: _lna(s, a, u))
@@ -681,12 +642,7 @@ def _inst_two_named_apps(rng: random.Random, size: int):
 
 def _inst_two_named_apps_pair(rng: random.Random, size: int):
     a, g = _draw(rng, _distinct_names)
-
-    def pick_u(r):
-        u = gen_bag(r, 4)
-        return u if _bag_deg(g, u) == 0 else None
-
-    u = _draw(rng, pick_u)
+    u = _bag_where(rng, lambda u: _bag_deg(g, u) == 0)
     eta = rng.choice(_NAME_POOL)
     t = gen_res(rng, size)
     v = gen_bag(rng, 4)
@@ -752,7 +708,7 @@ def _ce_blocked_swap() -> list[Failure]:
     if got != Sum.unit(blocked, NAT):
         fails.append(Failure(0, 0, print_res(orig), print_res(blocked), print_sum(got),
                              note="outer application step"))
-    kinds = {kind for _, kind in redexes_res(blocked)}
+    kinds = {kind for _, kind in redexes(blocked)}
     if "rho" in kinds:
         fails.append(Failure(0, 0, print_res(blocked), "no collapse redex",
                              str(sorted(kinds)), note="blocked term"))
@@ -771,10 +727,7 @@ def _ce_subst_subst_same_var() -> list[Failure]:
     t = RVar("x")
     u = mkbag([RVar("z")])
     lhs = _lsub(t, "x", ()).bind(lambda tt: _lsub(tt, "x", u))
-    rhs = Sum.zero(NAT)
-    for parts, cnt in weak_compositions_with_counts(u, 1):
-        s0 = _lsub(t, "x", parts[0])
-        rhs = rhs.add(s0.bind(lambda tt: _lsub(tt, "x", ())).scale(cnt))
+    rhs = _over_splits(u, 1, lambda parts: _lsub(t, "x", parts[0]).bind(lambda tt: _lsub(tt, "x", ())))
     if not (lhs.is_zero and rhs == Sum.unit(RVar("z"), NAT)):
         fails.append(Failure(1, 0, "x with v=1, u=[z], y=x", "0 vs z",
                              f"{print_sum(lhs)} vs {print_sum(rhs)}",
@@ -788,10 +741,7 @@ def _ce_rename_then_named_app() -> list[Failure]:
     t = parse_res("mu 'g.<'a> x")
     # same name on both sides
     lhs1 = linear_named_app(rename_name(t, "a", "a"), "a", (), NAT)
-    rhs1 = Sum.zero(NAT)
-    for (w1, w2), cnt in weak_compositions_with_counts((), 2):
-        s = _lna(t, "a", w1).bind(lambda ss: _lna(ss, "a", w2))
-        rhs1 = rhs1.add(rename_name(s, "a", "a").scale(cnt))
+    rhs1 = _over_splits((), 2, lambda w: _merged(t, "a", "a", w))
     want_l1 = Sum.unit(parse_res("mu 'g.<'a> x 1"), NAT)
     want_r1 = Sum.unit(parse_res("mu 'g.<'a> (x 1) 1"), NAT)
     if not (lhs1 == want_l1 and rhs1 == want_r1 and lhs1 != rhs1):
@@ -802,10 +752,7 @@ def _ce_rename_then_named_app() -> list[Failure]:
     # bag mentioning the merged name
     u = mkbag([parse_res("mu 'g.<'b> y")])
     lhs2 = linear_named_app(rename_name(t, "a", "b"), "a", u, NAT)
-    rhs2 = Sum.zero(NAT)
-    for (w1, w2), cnt in weak_compositions_with_counts(u, 2):
-        s = _lna(t, "a", w1).bind(lambda ss: _lna(ss, "b", w2))
-        rhs2 = rhs2.add(rename_name(s, "a", "b").scale(cnt))
+    rhs2 = _over_splits(u, 2, lambda w: _merged(t, "a", "b", w))
     want_l2 = Sum.unit(parse_res("mu 'g.<'a> x[mu 'g.<'b> y]"), NAT)
     want_r2 = Sum.unit(parse_res("mu 'g.<'a> x[mu 'g.<'a> y 1]"), NAT)
     if not (lhs2 == want_l2 and rhs2 == want_r2 and lhs2 != rhs2):
@@ -823,10 +770,7 @@ def _ce_named_app_after_subst() -> list[Failure]:
     t = parse_res("mu 'g.<'a> y")
     u = mkbag([RVar("x")])
     lhs = _lsub(t, "x", ()).bind(lambda s: _lna(s, "a", u))
-    rhs = Sum.zero(NAT)
-    for parts, cnt in weak_compositions_with_counts(u, 1):
-        s0 = _lna(t, "a", parts[0])
-        rhs = rhs.add(s0.bind(lambda tt: _lsub(tt, "x", ())).scale(cnt))
+    rhs = _over_splits(u, 1, lambda parts: _lna(t, "a", parts[0]).bind(lambda tt: _lsub(tt, "x", ())))
     want_l = Sum.unit(parse_res("mu 'g.<'a> y[x]"), NAT)
     if not (lhs == want_l and rhs.is_zero):
         fails.append(Failure(3, 0, "mu 'g.<'a> y with v=1, u=[x]",

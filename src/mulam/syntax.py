@@ -13,6 +13,15 @@ A mu node ``Mu(named, body)`` fuses the binder and the naming: it stands for
 scope that includes the mu's own binder (index 0 is the mu itself).  Named
 terms therefore never float free; they only occur under a mu, which matches
 the grammar.
+
+The two syntaxes have the same shape node for node (a resource application
+carries a bag where a lambda-mu application carries one argument), so every
+shape-directed operation is defined here once, for both, and dispatches on
+the node's exact class: the reference walks ``map_refs`` and ``iter_refs``,
+the path step ``open_binder``, ``children`` and ``subterm_at``, and the redex
+finder ``redex_kind``, ``iter_redexes``/``redexes``, ``head_redex_pos`` and
+``is_hnf``.  ``lamu`` and ``resource`` export the redex finder under
+their own names; ``textio`` has the one printer and the one JSON export.
 """
 
 from __future__ import annotations
@@ -82,9 +91,6 @@ class Term:
     def __eq__(self, other: object) -> bool:
         return self.__class__ is other.__class__ and self.enc == other.enc  # type: ignore[attr-defined]
 
-    def __ne__(self, other: object) -> bool:
-        return not self.__eq__(other)
-
     def __hash__(self) -> int:
         return hash(self.enc)
 
@@ -153,9 +159,6 @@ class ResTerm:
     def __eq__(self, other: object) -> bool:
         return self.__class__ is other.__class__ and self.enc == other.enc  # type: ignore[attr-defined]
 
-    def __ne__(self, other: object) -> bool:
-        return not self.__eq__(other)
-
     def __hash__(self) -> int:
         return hash(self.enc)
 
@@ -193,17 +196,27 @@ class RApp(ResTerm):
     def __init__(self, head: ResTerm, bag: Iterable[ResTerm], *, _raw: bool = False):
         if not isinstance(head, ResTerm):
             raise TypeError(f"an application head must be a resource term, not {head!r}")
-        if _raw:
-            # Internal: keep the given element order.  Used only while a
-            # surrounding binder is opened; closing re-canonicalizes.
-            bag = tuple(bag)
-        else:
-            bag = mkbag(bag)
+        # The elements are only checked when reading their attributes fails,
+        # so well-formed bags pay nothing for the check.
+        try:
+            if _raw:
+                # Internal: keep the given element order.  Used only while a
+                # surrounding binder is opened; closing re-canonicalizes.
+                elems = tuple(bag)
+            else:
+                elems = mkbag(bag)
+            self.enc = b"A" + head.enc + b"[" + b"".join(e.enc for e in elems) + b"]"
+            self.size = 1 + len(elems) + head.size + sum(e.size for e in elems)
+            self.nmu = head.nmu + sum(e.nmu for e in elems)
+        except AttributeError:
+            # A bag given as an iterator has been used up, so nothing is found
+            # in it and the original error stands.
+            bad = [e for e in bag if not isinstance(e, ResTerm)]
+            if not bad:
+                raise
+            raise TypeError(f"a bag element must be a resource term, not {bad[0]!r}") from None
         self.head = head
-        self.bag = bag
-        self.enc = b"A" + head.enc + b"[" + b"".join(e.enc for e in bag) + b"]"
-        self.size = 1 + len(bag) + head.size + sum(e.size for e in bag)
-        self.nmu = head.nmu + sum(e.nmu for e in bag)
+        self.bag = elems
 
 
 class RMu(ResTerm):
@@ -449,9 +462,6 @@ class Sum:
             and self.items == other.items
         )
 
-    def __ne__(self, other: object) -> bool:
-        return not self.__eq__(other)
-
     def __hash__(self) -> int:
         return hash((self.semiring, self.items))
 
@@ -688,6 +698,115 @@ def subterm_at(t: Term | ResTerm, pos: Pos) -> Term | ResTerm:
             raise ValueError(f"no position {pos} in {t!r}")
         u = kids[i]
     return u
+
+
+def open_binder(u: Term | ResTerm):
+    """Open the binder at the top of ``u``, a lambda or a mu of either
+    syntax, on a fresh atom.
+
+    Returns ``(body, close)``: the body with the bound variable or name
+    replaced by the atom, and ``close``, which turns an opened body back into
+    a node of ``u``'s kind by closing the atom.  This is the step of every
+    walk down a path that rewrites below binders (``lamu.reduce_redex``,
+    ``resource.step_r``, ``suites.mirror_step``).  A mu keeps its naming: the
+    atom is fresh, so it never stands for any naming but the mu's own.
+    """
+    cls = type(u)
+    if cls is Lam or cls is RLam:
+        x = fresh_atom("v")
+        if cls is Lam:
+            return open_var(u.body, x), lambda w: Lam(close_var(w, x))
+        return open_rvar(u.body, x), lambda w: RLam(close_rvar(w, x))
+    if cls is not Mu and cls is not RMu:
+        raise ValueError(f"not a binder: {u!r}")
+    a = fresh_atom("n")
+    named = u.named
+    if cls is Mu:
+        return open_name(u.body, a), lambda w: Mu(named, close_name(w, a))
+    return open_rname(u.body, a), lambda w: RMu(named, close_rname(w, a))
+
+
+# ---------- redexes and the head position ----------
+#
+# One definition each for both syntaxes, which have the same redex shapes:
+# an abstraction (lambda or mu) applied, as a function or as the head of a
+# bag application, and a mu whose body is directly a mu.
+
+
+def redex_kind(t: Term | ResTerm) -> str | None:
+    """The kind of the redex at the root of ``t``: "lam", "mu", "rho", or
+    None when the root is not a redex."""
+    cls = type(t)
+    if cls is App:
+        head = type(t.fun)
+    elif cls is RApp:
+        head = type(t.head)
+    elif cls is Mu or cls is RMu:
+        return "rho" if type(t.body) is cls else None
+    else:
+        return None
+    if head is Lam or head is RLam:
+        return "lam"
+    if head is Mu or head is RMu:
+        return "mu"
+    return None
+
+
+def iter_redexes(t: Term | ResTerm) -> Iterator[tuple[Pos, str]]:
+    """The redexes of ``t`` with their kinds, in pre-order: a node before
+    its children, and the children in order (function before argument, head
+    before bag, bag elements in canonical order)."""
+    stack: list[tuple[Term | ResTerm, Pos]] = [(t, ())]
+    while stack:
+        u, pos = stack.pop()
+        k = redex_kind(u)
+        if k is not None:
+            yield pos, k
+        cls = type(u)
+        if cls is RApp:
+            bag = u.bag
+            for i in range(len(bag), 0, -1):
+                stack.append((bag[i - 1], pos + (i,)))
+            stack.append((u.head, pos + (0,)))
+        elif cls is App:
+            stack.append((u.arg, pos + (1,)))
+            stack.append((u.fun, pos + (0,)))
+        elif cls is not Var and cls is not RVar:
+            stack.append((u.body, pos + (0,)))
+
+
+def redexes(t: Term | ResTerm) -> list[tuple[Pos, str]]:
+    """Every redex position with its kind, in pre-order."""
+    return list(iter_redexes(t))
+
+
+def head_redex_pos(t: Term | ResTerm) -> tuple[Pos, str] | None:
+    """Position and kind of the next head-reduction step, or None on a head
+    normal form.  A naming merge in the binder prefix wins over the head
+    redex, which is the innermost application of the spine."""
+    pos: list[int] = []
+    u = t
+    cls = type(u)
+    while cls is Lam or cls is RLam or cls is Mu or cls is RMu:
+        if type(u.body) is cls and (cls is Mu or cls is RMu):
+            return tuple(pos), "rho"
+        pos.append(0)
+        u = u.body
+        cls = type(u)
+    nargs = 0
+    while cls is App or cls is RApp:
+        nargs += 1
+        u = u.fun if cls is App else u.head
+        cls = type(u)
+    if nargs == 0 or cls is Var or cls is RVar:
+        return None
+    kind = "lam" if cls is Lam or cls is RLam else "mu"
+    return tuple(pos) + (0,) * (nargs - 1), kind
+
+
+def is_hnf(t: Term | ResTerm) -> bool:
+    """Head normal: no head-reduction step applies."""
+    return head_redex_pos(t) is None
 
 
 # ---------- contexts ----------

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .lamu import head_redex_pos, head_step, head_run, Hnf
+from .lamu import head_step, head_run, Hnf
 from .resource import head_step_res, normalize_r
 from .syntax import (
     App,
@@ -27,7 +27,7 @@ from .syntax import (
     ResTerm,
     Term,
     Var,
-    _bag_key,
+    head_redex_pos,
     mkbag,
 )
 
@@ -86,7 +86,7 @@ def _approximants(
                 pool = _approximants(a, room - 1, memo) if room >= 1 else ()
                 for bag in _bags(pool, 0, room):
                     out.append(RApp(h, bag))
-    result = tuple(sorted(out, key=_bag_key))
+    result = mkbag(out)
     memo[key] = result
     return result
 

@@ -23,6 +23,12 @@ Grammar (ASCII; whitespace insensitive; ``mu`` is a keyword):
 Printers choose binder display names deterministically (never clashing with
 a free atom or an enclosing binder), so printing is a pure function of the
 term and parsing is its inverse.
+
+Each walk is written once for both term syntaxes: one printer (``_print``,
+behind ``print_term``, ``print_res`` and ``print_sum``), one JSON export
+(``_json``, which ``term_to_json`` and ``res_to_json`` name), one parser of
+binder headers (``_parse_binder``, with ``_mu_header`` shared by contexts)
+and one atom parser (``_parse_atom``).
 """
 
 from __future__ import annotations
@@ -32,7 +38,6 @@ from dataclasses import dataclass
 
 from .syntax import (
     App,
-    BOOL,
     CApp,
     CHole,
     CLam,
@@ -201,48 +206,65 @@ def _empty_scope() -> _Scope:
     return _Scope({}, {}, 0, 0)
 
 
-# ---------- lambda-mu terms ----------
+# ---------- lambda-mu terms and resource terms ----------
+#
+# The two term grammars differ only in their constructors and in what
+# follows the binders: an application chain or a chain of bags.
 
 
-def _parse_term(p: _Parser, sc: _Scope) -> Term:
-    t = p.peek()
-    if t.kind == "LAM":
+def _mu_header(p: _Parser) -> tuple[str, str]:
+    """The binder and the naming of ``mu 'a.<'b>``, after the keyword."""
+    a = p.expect("NAME", "a name like 'a").text
+    p.expect("DOT", "'.'")
+    p.expect("LT", "'<'")
+    e = p.expect("NAME", "a name like 'a").text
+    p.expect("GT", "'>'")
+    return a, e
+
+
+def _parse_binder(p: _Parser, sc: _Scope, lam, mu, rest):
+    """``\\x. body`` or ``mu 'a.<'b> body`` built by ``lam(body)`` or
+    ``mu(named, body)``, the body parsed by this same function in the scope
+    its header pushes; with neither header next, ``rest(p, sc)``."""
+    kind = p.peek().kind
+    if kind == "LAM":
         p.next()
         x = p.expect("VAR", "a variable").text
         p.expect("DOT", "'.'")
-        return Lam(_parse_term(p, sc.push_var(x)))
-    if t.kind == "MU":
+        return lam(_parse_binder(p, sc.push_var(x), lam, mu, rest))
+    if kind == "MU":
         p.next()
-        a = p.expect("NAME", "a name like 'a").text
-        p.expect("DOT", "'.'")
-        p.expect("LT", "'<'")
-        e = p.expect("NAME", "a name like 'a").text
-        p.expect("GT", "'>'")
+        a, e = _mu_header(p)
         inner = sc.push_name(a)
         named = (inner.nd - 1 - inner.nenv[e]) if e in inner.nenv else e
-        return Mu(named, _parse_term(p, inner))
-    return _parse_app(p, sc)
+        return mu(named, _parse_binder(p, inner, lam, mu, rest))
+    return rest(p, sc)
 
 
-def _parse_app(p: _Parser, sc: _Scope) -> Term:
-    fun = _parse_atom(p, sc)
-    while p.peek().kind in ("VAR", "LPAR"):
-        fun = App(fun, _parse_atom(p, sc))
-    return fun
-
-
-def _parse_atom(p: _Parser, sc: _Scope) -> Term:
+def _parse_atom(p: _Parser, sc: _Scope, var, inner, noun: str):
+    """A variable built by ``var(ref)``, or ``inner`` in parentheses."""
     t = p.peek()
     if t.kind == "VAR":
         p.next()
-        return Var(sc.var_ref(t.text))
+        return var(sc.var_ref(t.text))
     if t.kind == "LPAR":
         p.next()
-        inner = _parse_term(p, sc)
+        out = inner(p, sc)
         p.expect("RPAR", "')'")
-        return inner
+        return out
     found = t.text or "end of input"
-    raise ParseError(f"expected a term, found {found!r}", t.start, t.end)
+    raise ParseError(f"expected {noun}, found {found!r}", t.start, t.end)
+
+
+def _parse_term(p: _Parser, sc: _Scope) -> Term:
+    return _parse_binder(p, sc, Lam, Mu, _parse_app)
+
+
+def _parse_app(p: _Parser, sc: _Scope) -> Term:
+    fun = _parse_atom(p, sc, Var, _parse_term, "a term")
+    while p.peek().kind in ("VAR", "LPAR"):
+        fun = App(fun, _parse_atom(p, sc, Var, _parse_term, "a term"))
+    return fun
 
 
 def parse_term(src: str) -> Term:
@@ -252,31 +274,12 @@ def parse_term(src: str) -> Term:
     return out
 
 
-# ---------- resource terms and sums ----------
-
-
 def _parse_res(p: _Parser, sc: _Scope) -> ResTerm:
-    t = p.peek()
-    if t.kind == "LAM":
-        p.next()
-        x = p.expect("VAR", "a variable").text
-        p.expect("DOT", "'.'")
-        return RLam(_parse_res(p, sc.push_var(x)))
-    if t.kind == "MU":
-        p.next()
-        a = p.expect("NAME", "a name like 'a").text
-        p.expect("DOT", "'.'")
-        p.expect("LT", "'<'")
-        e = p.expect("NAME", "a name like 'a").text
-        p.expect("GT", "'>'")
-        inner = sc.push_name(a)
-        named = (inner.nd - 1 - inner.nenv[e]) if e in inner.nenv else e
-        return RMu(named, _parse_res(p, inner))
-    return _parse_rchain(p, sc)
+    return _parse_binder(p, sc, RLam, RMu, _parse_rchain)
 
 
 def _parse_rchain(p: _Parser, sc: _Scope) -> ResTerm:
-    out = _parse_ratom(p, sc)
+    out = _parse_atom(p, sc, RVar, _parse_res, "a resource term")
     while True:
         t = p.peek()
         if t.kind == "LBRACK":
@@ -300,20 +303,6 @@ def _parse_rchain(p: _Parser, sc: _Scope) -> ResTerm:
             out = RApp(out, ())
         else:
             return out
-
-
-def _parse_ratom(p: _Parser, sc: _Scope) -> ResTerm:
-    t = p.peek()
-    if t.kind == "VAR":
-        p.next()
-        return RVar(sc.var_ref(t.text))
-    if t.kind == "LPAR":
-        p.next()
-        inner = _parse_res(p, sc)
-        p.expect("RPAR", "')'")
-        return inner
-    found = t.text or "end of input"
-    raise ParseError(f"expected a resource term, found {found!r}", t.start, t.end)
 
 
 def parse_res(src: str) -> ResTerm:
@@ -358,11 +347,7 @@ def _parse_ctx(p: _Parser) -> Ctx:
         return CLam(x, _parse_ctx(p))
     if t.kind == "MU":
         p.next()
-        a = p.expect("NAME", "a name like 'a").text
-        p.expect("DOT", "'.'")
-        p.expect("LT", "'<'")
-        e = p.expect("NAME", "a name like 'a").text
-        p.expect("GT", "'>'")
+        a, e = _mu_header(p)
         return CMu(a, e, _parse_ctx(p))
     out = _parse_ctx_atom(p)
     while p.peek().kind in ("VAR", "LPAR", "HOLE"):
@@ -453,58 +438,48 @@ def _disp_ref(ref: Ref, stack: list[str]) -> str:
     return f"#{ref}"
 
 
-def print_term(t: Term) -> str:
+def _print(t: Term | ResTerm) -> str:
+    """The printer of both syntaxes."""
     nm = _Namer(t)
 
-    def go(u: Term, vs: list[str], ns: list[str]) -> str:
-        match u:
-            case Var(ref=r):
-                return _disp_ref(r, vs)
-            case Lam(body=b):
-                x = nm.fresh_var(vs)
-                return f"\\{x}.{go(b, vs + [x], ns)}"
-            case Mu(named=nr, body=b):
-                a = nm.fresh_name(ns)
-                ns2 = ns + [a]
-                return f"mu '{a}.<'{_disp_ref(nr, ns2)}> {go(b, vs, ns2)}"
-            case App(fun=f, arg=arg):
-                fs = go(f, vs, ns)
-                if isinstance(f, (Lam, Mu)):
-                    fs = f"({fs})"
-                as_ = go(arg, vs, ns)
-                if not isinstance(arg, Var):
-                    as_ = f"({as_})"
-                return f"{fs} {as_}"
+    def go(u, vs: list[str], ns: list[str]) -> str:
+        cls = type(u)
+        if cls is Var or cls is RVar:
+            return _disp_ref(u.ref, vs)
+        if cls is Lam or cls is RLam:
+            x = nm.fresh_var(vs)
+            return f"\\{x}.{go(u.body, vs + [x], ns)}"
+        if cls is Mu or cls is RMu:
+            a = nm.fresh_name(ns)
+            ns2 = ns + [a]
+            return f"mu '{a}.<'{_disp_ref(u.named, ns2)}> {go(u.body, vs, ns2)}"
+        if cls is App:
+            f, arg = u.fun, u.arg
+            fs = go(f, vs, ns)
+            if type(f) is Lam or type(f) is Mu:
+                fs = f"({fs})"
+            if type(arg) is Var:
+                return f"{fs} {go(arg, vs, ns)}"
+            return f"{fs} ({go(arg, vs, ns)})"
+        if cls is RApp:
+            h, bag = u.head, u.bag
+            hs = go(h, vs, ns)
+            if type(h) is RLam or type(h) is RMu:
+                hs = f"({hs})"
+            if not bag:
+                return f"{hs} 1"
+            return f"{hs}[{','.join([go(e, vs, ns) for e in bag])}]"
         raise AssertionError(u)
 
     return go(t, [], [])
+
+
+def print_term(t: Term) -> str:
+    return _print(t)
 
 
 def print_res(t: ResTerm) -> str:
-    nm = _Namer(t)
-
-    def go(u: ResTerm, vs: list[str], ns: list[str]) -> str:
-        match u:
-            case RVar(ref=r):
-                return _disp_ref(r, vs)
-            case RLam(body=b):
-                x = nm.fresh_var(vs)
-                return f"\\{x}.{go(b, vs + [x], ns)}"
-            case RMu(named=nr, body=b):
-                a = nm.fresh_name(ns)
-                ns2 = ns + [a]
-                return f"mu '{a}.<'{_disp_ref(nr, ns2)}> {go(b, vs, ns2)}"
-            case RApp(head=h, bag=bag):
-                hs = go(h, vs, ns)
-                if isinstance(h, (RLam, RMu)):
-                    hs = f"({hs})"
-                if not bag:
-                    return f"{hs} 1"
-                inner = ",".join(go(e, vs, ns) for e in bag)
-                return f"{hs}[{inner}]"
-        raise AssertionError(u)
-
-    return go(t, [], [])
+    return _print(t)
 
 
 def print_sum(s: Sum) -> str:
@@ -512,7 +487,7 @@ def print_sum(s: Sum) -> str:
         return "0"
     parts = []
     for t, c in s.items:
-        rendered = print_res(t)
+        rendered = _print(t)
         parts.append(rendered if c == 1 else f"{c}*{rendered}")
     return " + ".join(parts)
 
@@ -520,78 +495,53 @@ def print_sum(s: Sum) -> str:
 # ---------- JSON export ----------
 
 
-def term_to_json(t: Term) -> dict:
+def _json(t: Term | ResTerm) -> dict:
+    """The JSON export of both syntaxes, with the printer's binder names."""
     nm = _Namer(t)
 
-    def go(u: Term, vs: list[str], ns: list[str]) -> dict:
-        match u:
-            case Var(ref=r):
-                return {"tag": "var", "name": _disp_ref(r, vs)}
-            case Lam(body=b):
-                x = nm.fresh_var(vs)
-                return {"tag": "lam", "binder": x, "body": go(b, vs + [x], ns)}
-            case Mu(named=nr, body=b):
-                a = nm.fresh_name(ns)
-                ns2 = ns + [a]
-                return {
-                    "tag": "mu",
-                    "binder": a,
-                    "named": _disp_ref(nr, ns2),
-                    "body": go(b, vs, ns2),
-                }
-            case App(fun=f, arg=arg):
-                return {"tag": "app", "fun": go(f, vs, ns), "arg": go(arg, vs, ns)}
+    def go(u, vs: list[str], ns: list[str]) -> dict:
+        cls = type(u)
+        if cls is Var or cls is RVar:
+            return {"tag": "var", "name": _disp_ref(u.ref, vs)}
+        if cls is Lam or cls is RLam:
+            x = nm.fresh_var(vs)
+            return {"tag": "lam", "binder": x, "body": go(u.body, vs + [x], ns)}
+        if cls is Mu or cls is RMu:
+            a = nm.fresh_name(ns)
+            ns2 = ns + [a]
+            return {
+                "tag": "mu",
+                "binder": a,
+                "named": _disp_ref(u.named, ns2),
+                "body": go(u.body, vs, ns2),
+            }
+        if cls is App:
+            return {"tag": "app", "fun": go(u.fun, vs, ns), "arg": go(u.arg, vs, ns)}
+        if cls is RApp:
+            return {
+                "tag": "bagapp",
+                "head": go(u.head, vs, ns),
+                "bag": [go(e, vs, ns) for e in u.bag],
+            }
         raise AssertionError(u)
 
     return go(t, [], [])
 
 
-def res_to_json(t: ResTerm) -> dict:
-    nm = _Namer(t)
-
-    def go(u: ResTerm, vs: list[str], ns: list[str]) -> dict:
-        match u:
-            case RVar(ref=r):
-                return {"tag": "var", "name": _disp_ref(r, vs)}
-            case RLam(body=b):
-                x = nm.fresh_var(vs)
-                return {"tag": "lam", "binder": x, "body": go(b, vs + [x], ns)}
-            case RMu(named=nr, body=b):
-                a = nm.fresh_name(ns)
-                ns2 = ns + [a]
-                return {
-                    "tag": "mu",
-                    "binder": a,
-                    "named": _disp_ref(nr, ns2),
-                    "body": go(b, vs, ns2),
-                }
-            case RApp(head=h, bag=bag):
-                return {
-                    "tag": "bagapp",
-                    "head": go(h, vs, ns),
-                    "bag": [go(e, vs, ns) for e in bag],
-                }
-        raise AssertionError(u)
-
-    return go(t, [], [])
+term_to_json = res_to_json = _json
 
 
 def sum_to_json(s: Sum) -> dict:
     return {
         "tag": "sum",
         "semiring": s.semiring,
-        "addends": [{"coeff": c, "term": res_to_json(t)} for t, c in s.items],
+        "addends": [{"coeff": c, "term": _json(t)} for t, c in s.items],
     }
 
 
 def to_json(value) -> dict:
     if isinstance(value, Sum):
         return sum_to_json(value)
-    if isinstance(value, ResTerm):
-        return res_to_json(value)
-    if isinstance(value, Term):
-        return term_to_json(value)
+    if isinstance(value, (Term, ResTerm)):
+        return _json(value)
     raise TypeError(f"cannot export {type(value).__name__}")
-
-
-_ = BOOL  # re-exported semiring tags are part of this module's CLI surface

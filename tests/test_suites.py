@@ -65,3 +65,24 @@ for pos in [(3, 0), (0, 2), (0, 1, 0), ()]:
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["ValueError"] * 4
+
+
+def test_lemma_instances_are_drawn_as_before():
+    # The sha256 of every instance the lemmas suite draws at seed 0 (all 15
+    # identities x 200 samples): the text shown and both printed sides.  A
+    # change in the order of the random draws, or in either side, moves it.
+    import hashlib
+    import random
+
+    from mulam.suites import LEMMA_INSTANCES, _sample_seed
+    from mulam.textio import print_sum
+
+    h = hashlib.sha256()
+    k = 0
+    for _, make in LEMMA_INSTANCES:
+        for _ in range(200):
+            shown, lhs, rhs = make(random.Random(_sample_seed(0, k)), 6)
+            h.update(repr((shown, print_sum(lhs), print_sum(rhs))).encode())
+            k += 1
+    assert k == 3000
+    assert h.hexdigest() == "10c2b010852289fa2772ae735cda8305038d9f44aff980c26a9731bbda4b54c4"

@@ -438,3 +438,42 @@ def test_builder_equals_sum_of_scaled_items(semiring, parts):
         acc.add(Sum(semiring, items), k)
     flat = [(t, c * k) for items, k in parts for t, c in items]
     assert acc.build() == Sum(semiring, flat)
+
+
+# ---------- bag elements ----------
+
+# A bag element that is not a resource term, and the repr the error names.
+BAD_BAG_ELEMENTS = {
+    "an int": ("RApp(RVar('x'), [3])", "3"),
+    "a lambda-mu variable": ("RApp(RVar('x'), [Var('y')])", "<Var y>"),
+    "an int among terms": ("RApp(RVar('x'), [RVar('y'), 3])", "3"),
+    "a str in a raw bag": ("RApp(RVar('x'), ['y'], _raw=True)", "'y'"),
+}
+
+
+@pytest.mark.parametrize("call, shown", list(BAD_BAG_ELEMENTS.values()), ids=list(BAD_BAG_ELEMENTS))
+def test_bag_elements_must_be_resource_terms(call, shown):
+    env = {}
+    exec(_TERM_NAMES, env)
+    with pytest.raises(TypeError, match="bag element") as info:
+        eval(call, env)
+    assert str(info.value).endswith(f"not {shown}")
+
+
+def test_bag_element_check_holds_under_python_O():
+    code = _TERM_NAMES + f"""
+for call in {[call for call, _ in BAD_BAG_ELEMENTS.values()]!r}:
+    try:
+        eval(call)
+    except TypeError as e:
+        print(str(e).split(', not ')[-1])
+    else:
+        print('accepted')
+"""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(mulam.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [shown for _, shown in BAD_BAG_ELEMENTS.values()]
