@@ -16,6 +16,7 @@ import sys
 from .lamu import reduce_redex
 from .measures import bold_ms, mu_degree, ms
 from .resource import (
+    SumStep,
     _apply_sum_step,
     normalize_r,
     pick_step,
@@ -156,8 +157,6 @@ def _res_head_step(s: Sum):
     for t, c in s.items:
         hit = head_redex_pos(t)
         if hit is not None:
-            from .resource import SumStep
-
             pos, kind = hit
             return SumStep(t, c, pos, kind)
     return None

@@ -17,9 +17,8 @@ from __future__ import annotations
 import itertools
 from typing import Iterator, Sequence
 
-from .syntax import Bag, ResTerm, mkbag, multinomial
+from .syntax import Bag, ResTerm, multinomial
 
-IndexAssignment = tuple[int, ...]
 WeakComposition = tuple[Bag, ...]
 
 
@@ -106,32 +105,3 @@ def weak_compositions_with_counts(
         # Elements are appended in bag order (already sorted), and equal
         # elements stay adjacent, so each part is canonical as built.
         yield tuple(tuple(p) for p in parts), count
-
-
-def weak_compositions(bag: Bag, nparts: int) -> list[WeakComposition]:
-    """The set of weak compositions, without multiplicities."""
-    return [wc for wc, _ in weak_compositions_with_counts(bag, nparts)]
-
-
-def index_assignments(bag: Bag, n: int) -> Iterator[IndexAssignment]:
-    """All maps from bag slots into {0, ..., n}, in counter order.
-
-    There are (n + 1) ** len(bag) of them; ``assignment_to_composition``
-    recovers the induced weak composition into n + 1 parts.
-    """
-    if n < 0:
-        raise ValueError(f"negative largest part index: {n}")
-    return itertools.product(range(n + 1), repeat=len(bag))
-
-
-def assignment_to_composition(bag: Bag, assignment: Sequence[int], n: int) -> WeakComposition:
-    if n < 0:
-        raise ValueError(f"negative largest part index: {n}")
-    if len(assignment) != len(bag):
-        raise ValueError(f"{len(assignment)} part indices for a bag of {len(bag)}")
-    parts: list[list[ResTerm]] = [[] for _ in range(n + 1)]
-    for elem, i in zip(bag, assignment):
-        if not 0 <= i <= n:
-            raise ValueError(f"part index {i} outside 0..{n}")
-        parts[i].append(elem)
-    return tuple(mkbag(p) for p in parts)

@@ -4,8 +4,8 @@ Three redex shapes: a lambda applied to an argument, a mu applied to an
 argument (which pushes the argument through the body at every naming of the
 mu's own name), and a mu whose body is directly another mu (which merges the
 two namings).  Head reduction prefers the leftmost merge redex in the binder
-prefix and otherwise fires the head redex, following the standard head-shape
-decomposition.
+prefix and otherwise fires the head redex, the innermost application of the
+spine below the prefix.
 
 A redex is contracted on its own index: the lambda's variable is replaced
 where it occurs as an index of the body, and the mu's name is followed as an
@@ -13,10 +13,9 @@ index through the body, so the redex's binder is never opened.  Only the
 binders above the redex are opened, which makes the argument locally closed
 so that it goes under binders as it is.
 
-The redex finder (``redex_kind``, ``redexes``), the head position
-(``head_redex_pos``, ``is_hnf``) and the step that opens a binder on the way
-down (``open_binder``) are shared with the resource calculus and defined in
-``syntax``; this module exports the first four under the same names.
+The redex finder, the head position (``head_redex_pos``) and the step that
+opens a binder on the way down (``open_binder``) are shared with the
+resource calculus and defined in ``syntax``.
 """
 
 from __future__ import annotations
@@ -39,14 +38,6 @@ from .syntax import (
     open_binder,
     subterm_at,
 )
-
-# Shared with the resource calculus and defined in ``syntax``.
-from .syntax import is_hnf, redex_kind, redexes  # noqa: F401
-
-# Also importable from here.  The walk down to a redex calls them through
-# ``open_binder`` in ``syntax``, so replacing them in this module does not
-# intercept it; replace them in ``syntax``.
-from .syntax import close_name, fresh_atom, open_mu_binder, open_var  # noqa: F401
 
 # ---------- substitution and named application ----------
 
@@ -161,64 +152,7 @@ def reduce_redex(t: Term, pos: Pos) -> Term:
     return go(t, pos)
 
 
-# ---------- head shape ----------
-
-
-@dataclass(frozen=True)
-class HeadShape:
-    """Binder prefix, head and spine of a term.
-
-    ``blocks`` is a sequence of (lambda-run length, naming reference) pairs;
-    a ``None`` naming only occurs in a final block of trailing lambdas.  The
-    head is a variable or, when an abstraction sits under the spine, the
-    innermost application (a redex); the spine holds the remaining
-    arguments.  Subterms keep their de Bruijn references into the prefix, so
-    the shape reassembles exactly; display whole terms, not parts.
-    """
-
-    blocks: tuple[tuple[int, Ref | None], ...]
-    head: Term
-    spine: tuple[Term, ...]
-
-
-def head_decompose(t: Term) -> HeadShape:
-    blocks: list[tuple[int, Ref | None]] = []
-    lams = 0
-    u = t
-    while True:
-        match u:
-            case Lam(body=b):
-                lams += 1
-                u = b
-            case Mu(named=nr, body=b):
-                blocks.append((lams, nr))
-                lams = 0
-                u = b
-            case _:
-                break
-    if lams:
-        blocks.append((lams, None))
-    args: list[Term] = []
-    while isinstance(u, App):
-        args.append(u.arg)
-        u = u.fun
-    args.reverse()
-    if isinstance(u, (Lam, Mu)) and args:
-        # The head is the redex itself: the abstraction applied once.
-        return HeadShape(tuple(blocks), App(u, args[0]), tuple(args[1:]))
-    return HeadShape(tuple(blocks), u, tuple(args))
-
-
-def reassemble(shape: HeadShape) -> Term:
-    t = shape.head
-    for a in shape.spine:
-        t = App(t, a)
-    for lams, named in reversed(shape.blocks):
-        if named is not None:
-            t = Mu(named, t)
-        for _ in range(lams):
-            t = Lam(t)
-    return t
+# ---------- head reduction ----------
 
 
 def head_step(t: Term) -> Term | None:

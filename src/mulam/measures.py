@@ -69,21 +69,6 @@ def compare_multiset(a: Multiset, b: Multiset) -> int:
     return 0
 
 
-def multiset_less_brute(a: Multiset, b: Multiset) -> bool:
-    """Direct quantifier form of the Dershowitz-Manna order, as a cross-check:
-    a < b iff they differ and wherever a has more copies of some value, b has
-    more copies of some strictly larger value."""
-    from collections import Counter
-
-    ca, cb = Counter(a), Counter(b)
-    if ca == cb:
-        return False
-    for n in set(ca) | set(cb):
-        if ca[n] > cb[n] and not any(m > n and cb[m] > ca[m] for m in set(ca) | set(cb)):
-            return False
-    return True
-
-
 def compare_bold(a: BoldMeasure, b: BoldMeasure) -> int:
     c = compare_multiset(a[0], b[0])
     if c:

@@ -52,8 +52,7 @@ whole one-step reduct, which is observable.
 
 The redex finder, the head position and the step that opens a binder on the
 way down to a redex are shared with the lambda-mu calculus and defined in
-``syntax``; ``redex_kind_res``, ``iter_redexes_res``, ``redexes_res``,
-``head_redex_pos_res`` and ``is_hnf_res`` are their names here.
+``syntax``.
 """
 
 from __future__ import annotations
@@ -79,20 +78,13 @@ from .syntax import (
     _under,
     add_app,
     head_redex_pos,
-    is_hnf,
     iter_redexes,
     mkbag,
     open_binder,
-    redex_kind,
     redexes,
     subterm_at,
 )
 from .lamu import rho_inner_parts
-
-# Also importable from here.  The walk down to a redex calls them through
-# ``open_binder`` in ``syntax``, so replacing them in this module does not
-# intercept it; replace them in ``syntax``.
-from .syntax import close_rname, close_rvar, fresh_atom, open_mu_binder, open_rvar  # noqa: F401
 
 # A distribution is collected as a term -> coefficient dict of positive
 # coefficients and canonicalized into a ``Sum`` once, by its caller.
@@ -241,15 +233,6 @@ def linear_named_app_named(eta: str, t: ResTerm, alpha: str, bag, semiring: str)
 
 
 # ---------- redexes and single steps ----------
-
-
-# The redex finder and the head position are shared with the lambda-mu
-# calculus and defined in ``syntax``; these are their names in this module.
-redex_kind_res = redex_kind
-iter_redexes_res = iter_redexes
-redexes_res = redexes
-head_redex_pos_res = head_redex_pos
-is_hnf_res = is_hnf
 
 
 def is_normal_res(t: ResTerm) -> bool:

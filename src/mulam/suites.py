@@ -22,6 +22,7 @@ from .resource import (
     linear_named_app,
     linear_named_app_named,
     linear_subst,
+    normalize_r,
     pick_step,
     reducible_addends,
     step_r,
@@ -172,8 +173,6 @@ def confluence_suite(
     and forgetting exact counts lands on the boolean normal form."""
     t0 = time.perf_counter()
     report = SuiteReport("confluence", samples)
-    from .resource import normalize_r
-
     for i in range(samples):
         si = _sample_seed(seed, i)
         t = gen_res(random.Random(si), max_term_size)
@@ -218,8 +217,6 @@ def support_suite(samples: int = 500, seed: int = 0, max_term_size: int = 14) ->
     """support(exact-count normal form) = boolean normal form, engine only."""
     t0 = time.perf_counter()
     report = SuiteReport("support", samples)
-    from .resource import normalize_r
-
     for i in range(samples):
         si = _sample_seed(seed, i)
         t = gen_res(random.Random(si), max_term_size)
@@ -325,8 +322,6 @@ def injectivity_suite(
     """Distinct approximants of one term never share a normal-form addend."""
     t0 = time.perf_counter()
     report = SuiteReport("injectivity", samples)
-    from .resource import normalize_r
-
     for i in range(samples):
         si = _sample_seed(seed, i)
         m = gen_term(random.Random(si), max_term_size)

@@ -20,8 +20,8 @@ shape-directed operation is defined here once, for both, and dispatches on
 the node's exact class: the reference walks ``map_refs`` and ``iter_refs``,
 the path step ``open_binder``, ``children`` and ``subterm_at``, and the redex
 finder ``redex_kind``, ``iter_redexes``/``redexes``, ``head_redex_pos`` and
-``is_hnf``.  ``lamu`` and ``resource`` export the redex finder under
-their own names; ``textio`` has the one printer and the one JSON export.
+``is_hnf``.  Both engines and their callers import these from here;
+``textio`` has the one printer and the one JSON export.
 """
 
 from __future__ import annotations
@@ -373,18 +373,6 @@ def rename_name(t, alpha: str, beta: str):
     if alpha == beta:
         return t
     return map_refs(t, name=lambda r, d: alpha if r == beta else r)
-
-
-def term_nodes(t: Term) -> int:
-    """Plain node count for lambda-mu terms (generator budgets, nothing else)."""
-    match t:
-        case Var():
-            return 1
-        case Lam(body=b) | Mu(body=b):
-            return 1 + term_nodes(b)
-        case App(fun=f, arg=a):
-            return 1 + term_nodes(f) + term_nodes(a)
-    raise AssertionError(t)
 
 
 # ---------- sums ----------
@@ -807,124 +795,6 @@ def head_redex_pos(t: Term | ResTerm) -> tuple[Pos, str] | None:
 def is_hnf(t: Term | ResTerm) -> bool:
     """Head normal: no head-reduction step applies."""
     return head_redex_pos(t) is None
-
-
-# ---------- contexts ----------
-#
-# Contexts are surface-named lambda-mu trees with indexed holes; filling is
-# capture-permitting, which is the entire reason they are not plain terms.
-
-
-class Ctx:
-    __slots__ = ()
-
-
-class CVar(Ctx):
-    __slots__ = ("name",)
-
-    def __init__(self, name: str):
-        self.name = name
-
-
-class CLam(Ctx):
-    __slots__ = ("var", "body")
-
-    def __init__(self, var: str, body: Ctx):
-        self.var = var
-        self.body = body
-
-
-class CApp(Ctx):
-    __slots__ = ("fun", "arg")
-
-    def __init__(self, fun: Ctx, arg: Ctx):
-        self.fun = fun
-        self.arg = arg
-
-
-class CMu(Ctx):
-    __slots__ = ("bind", "named", "body")
-
-    def __init__(self, bind: str, named: str, body: Ctx):
-        self.bind = bind
-        self.named = named
-        self.body = body
-
-
-class CHole(Ctx):
-    __slots__ = ("index",)
-
-    def __init__(self, index: int):
-        if index < 1:
-            raise ValueError(f"holes are numbered from 1, got {index}")
-        self.index = index
-
-
-class ContextArityError(ValueError):
-    pass
-
-
-def holes(c: Ctx) -> tuple[int, ...]:
-    out: set[int] = set()
-
-    def go(u: Ctx) -> None:
-        match u:
-            case CHole(index=i):
-                out.add(i)
-            case CVar():
-                pass
-            case CLam(body=b):
-                go(b)
-            case CMu(body=b):
-                go(b)
-            case CApp(fun=f, arg=a):
-                go(f)
-                go(a)
-
-    go(c)
-    return tuple(sorted(out))
-
-
-def fill(c: Ctx, args: dict[int, Term] | list[Term]) -> Term:
-    """Plug terms into a context's holes, permitting capture.
-
-    Free atoms of a plugged term that coincide with binders in scope at the
-    hole become bound; this is deliberate (it is what separates contexts
-    from terms).
-    """
-    if isinstance(args, list):
-        args = {i + 1: t for i, t in enumerate(args)}
-    need = holes(c)
-    missing = [i for i in need if i not in args]
-    if missing:
-        raise ContextArityError(f"no argument for hole(s) {missing}")
-
-    def graft(u: Term, vmap: dict[str, int], nmap: dict[str, int], ld: int, nd: int) -> Term:
-        return map_refs(
-            u,
-            var=lambda r, dl: Var(ld + dl - 1 - vmap[r]) if r in vmap else None,
-            name=lambda r, dn: nd + dn - nmap[r] if r in nmap else r,
-        )
-
-    def go(u: Ctx, vmap: dict[str, int], nmap: dict[str, int], ld: int, nd: int) -> Term:
-        match u:
-            case CHole(index=i):
-                return graft(args[i], vmap, nmap, ld, nd)
-            case CVar(name=x):
-                if x in vmap:
-                    return Var(ld - 1 - vmap[x])
-                return Var(x)
-            case CLam(var=x, body=b):
-                return Lam(go(b, {**vmap, x: ld}, nmap, ld + 1, nd))
-            case CMu(bind=a, named=e, body=b):
-                nmap2 = {**nmap, a: nd}
-                named: Ref = (nd - nmap2[e]) if e in nmap2 else e
-                return Mu(named, go(b, vmap, nmap2, ld, nd + 1))
-            case CApp(fun=f, arg=a2):
-                return App(go(f, vmap, nmap, ld, nd), go(a2, vmap, nmap, ld, nd))
-        raise AssertionError(u)
-
-    return go(c, {}, {}, 0, 0)
 
 
 # ---------- combinatorial checks ----------

@@ -27,7 +27,7 @@ from .syntax import (
     ResTerm,
     Term,
     Var,
-    head_redex_pos,
+    is_locally_closed,
     mkbag,
 )
 
@@ -163,10 +163,9 @@ def head_commute_slices(m: Term, max_size: int) -> tuple[frozenset[ResTerm], fro
     """Left: approximants of the head reduct, up to the budget.  Right: head
     reducts of sufficiently many approximants of the source, cut to the same
     budget.  The two sets must coincide."""
-    if head_redex_pos(m) is None:
-        raise ValueError("term is already a head normal form")
     reduct = head_step(m)
-    assert reduct is not None
+    if reduct is None:
+        raise ValueError("term is already a head normal form")
     left = frozenset(taylor_enum(reduct, max_size))
     right: set[ResTerm] = set()
     for t in taylor_enum(m, head_slice_bound(max_size)):
@@ -194,8 +193,6 @@ def church_false() -> Term:
 
 def pair_of(m: Term, n: Term) -> Term:
     """<m, n> = \\z. z m n (grafting is safe: inputs are locally closed)."""
-    from .syntax import is_locally_closed
-
     if not (is_locally_closed(m) and is_locally_closed(n)):
         raise ValueError(f"a pair needs locally closed terms, got {m!r} and {n!r}")
     return Lam(App(App(Var(0), m), n))

@@ -16,9 +16,7 @@ Grammar (ASCII; whitespace insensitive; ``mu`` is a keyword):
     sum     := '0' | addend ('+' addend)*
     addend  := (NUM '*')? rterm
 
-    context := term grammar extended with holes '_1', '_2', ...
-
-    VAR  := [A-Za-z_][A-Za-z0-9_]*   NAME := '\\'' VAR   NUM := [0-9]+
+    VAR  := [a-z][A-Za-z0-9_]*   NAME := '\\'' VAR   NUM := [0-9]+
 
 Printers choose binder display names deterministically (never clashing with
 a free atom or an enclosing binder), so printing is a pure function of the
@@ -26,9 +24,8 @@ term and parsing is its inverse.
 
 Each walk is written once for both term syntaxes: one printer (``_print``,
 behind ``print_term``, ``print_res`` and ``print_sum``), one JSON export
-(``_json``, which ``term_to_json`` and ``res_to_json`` name), one parser of
-binder headers (``_parse_binder``, with ``_mu_header`` shared by contexts)
-and one atom parser (``_parse_atom``).
+(``_json``, behind ``to_json`` and ``sum_to_json``), one parser of binder
+headers (``_parse_binder``) and one atom parser (``_parse_atom``).
 """
 
 from __future__ import annotations
@@ -38,12 +35,6 @@ from dataclasses import dataclass
 
 from .syntax import (
     App,
-    CApp,
-    CHole,
-    CLam,
-    CMu,
-    Ctx,
-    CVar,
     Lam,
     Mu,
     NAT,
@@ -132,13 +123,6 @@ def lex(src: str) -> list[Token]:
             toks.append(Token("NAME", src[i + 1 : j], i, j))
             i = j
             continue
-        if c == "_" and i + 1 < n and src[i + 1].isdigit():
-            j = i + 1
-            while j < n and src[j].isdigit():
-                j += 1
-            toks.append(Token("HOLE", src[i + 1 : j], i, j))
-            i = j
-            continue
         if _is_ident_start(c):
             j = i
             while j < n and _is_ident_char(src[j]):
@@ -212,16 +196,6 @@ def _empty_scope() -> _Scope:
 # follows the binders: an application chain or a chain of bags.
 
 
-def _mu_header(p: _Parser) -> tuple[str, str]:
-    """The binder and the naming of ``mu 'a.<'b>``, after the keyword."""
-    a = p.expect("NAME", "a name like 'a").text
-    p.expect("DOT", "'.'")
-    p.expect("LT", "'<'")
-    e = p.expect("NAME", "a name like 'a").text
-    p.expect("GT", "'>'")
-    return a, e
-
-
 def _parse_binder(p: _Parser, sc: _Scope, lam, mu, rest):
     """``\\x. body`` or ``mu 'a.<'b> body`` built by ``lam(body)`` or
     ``mu(named, body)``, the body parsed by this same function in the scope
@@ -234,7 +208,11 @@ def _parse_binder(p: _Parser, sc: _Scope, lam, mu, rest):
         return lam(_parse_binder(p, sc.push_var(x), lam, mu, rest))
     if kind == "MU":
         p.next()
-        a, e = _mu_header(p)
+        a = p.expect("NAME", "a name like 'a").text
+        p.expect("DOT", "'.'")
+        p.expect("LT", "'<'")
+        e = p.expect("NAME", "a name like 'a").text
+        p.expect("GT", "'>'")
         inner = sc.push_name(a)
         named = (inner.nd - 1 - inner.nenv[e]) if e in inner.nenv else e
         return mu(named, _parse_binder(p, inner, lam, mu, rest))
@@ -335,53 +313,6 @@ def parse_sum(src: str, semiring: str = NAT) -> Sum:
     return Sum(semiring, items)
 
 
-# ---------- contexts ----------
-
-
-def _parse_ctx(p: _Parser) -> Ctx:
-    t = p.peek()
-    if t.kind == "LAM":
-        p.next()
-        x = p.expect("VAR", "a variable").text
-        p.expect("DOT", "'.'")
-        return CLam(x, _parse_ctx(p))
-    if t.kind == "MU":
-        p.next()
-        a, e = _mu_header(p)
-        return CMu(a, e, _parse_ctx(p))
-    out = _parse_ctx_atom(p)
-    while p.peek().kind in ("VAR", "LPAR", "HOLE"):
-        out = CApp(out, _parse_ctx_atom(p))
-    return out
-
-
-def _parse_ctx_atom(p: _Parser) -> Ctx:
-    t = p.peek()
-    if t.kind == "VAR":
-        p.next()
-        return CVar(t.text)
-    if t.kind == "HOLE":
-        p.next()
-        index = int(t.text)
-        if index < 1:
-            raise ParseError(f"holes are numbered from 1, found _{t.text}", t.start, t.end)
-        return CHole(index)
-    if t.kind == "LPAR":
-        p.next()
-        inner = _parse_ctx(p)
-        p.expect("RPAR", "')'")
-        return inner
-    found = t.text or "end of input"
-    raise ParseError(f"expected a context, found {found!r}", t.start, t.end)
-
-
-def parse_context(src: str) -> Ctx:
-    p = _Parser(src)
-    out = _parse_ctx(p)
-    p.done()
-    return out
-
-
 # ---------- printers ----------
 
 _VAR_BASES = ("x", "y", "z", "u", "v", "w")
@@ -432,9 +363,9 @@ def _disp_ref(ref: Ref, stack: list[str]) -> str:
         return ref
     if 0 <= ref < len(stack):
         return stack[-1 - ref]
-    # Dangling reference: the fragment was cut below its binder (head
-    # decomposition does this).  '#' is not lexable, so this cannot be
-    # mistaken for a canonical printing.
+    # Dangling reference: a subterm shown on its own, cut below its binder
+    # (error messages show the offending subterm).  '#' is not lexable, so
+    # this cannot be mistaken for a canonical printing.
     return f"#{ref}"
 
 
@@ -526,9 +457,6 @@ def _json(t: Term | ResTerm) -> dict:
         raise AssertionError(u)
 
     return go(t, [], [])
-
-
-term_to_json = res_to_json = _json
 
 
 def sum_to_json(s: Sum) -> dict:

@@ -48,6 +48,14 @@ def test_parse_error_has_caret_and_exit_2(capsys):
     assert "^" in err and err.startswith("error:")
 
 
+def test_underscore_digits_are_not_a_token(capsys):
+    # '_<digits>' is not part of any grammar, so the lexer stops at the '_'.
+    code, out, err = _run(capsys, "parse", "-e", "x _1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: unexpected character '_' at 2..3\n  x _1\n    ^\n"
+
+
 # ---------- reduce ----------
 
 

@@ -1,5 +1,6 @@
 """Weak compositions of multisets and their multiplicities."""
 
+import itertools
 import os
 import random
 import subprocess
@@ -10,14 +11,36 @@ import pytest
 from hypothesis import given, strategies as st
 
 import mulam
-from mulam.combinatorics import (
-    assignment_to_composition,
-    compositions_of,
-    index_assignments,
-    weak_compositions,
-    weak_compositions_with_counts,
-)
+from mulam.combinatorics import compositions_of, weak_compositions_with_counts
 from mulam.syntax import RVar, mkbag
+
+# ---------- test oracles ----------
+
+
+def weak_compositions(bag, nparts):
+    """The set of weak compositions, without multiplicities."""
+    return [wc for wc, _ in weak_compositions_with_counts(bag, nparts)]
+
+
+def index_assignments(bag, n):
+    """All maps from bag slots into {0, ..., n}, in counter order."""
+    if n < 0:
+        raise ValueError(f"negative largest part index: {n}")
+    return itertools.product(range(n + 1), repeat=len(bag))
+
+
+def assignment_to_composition(bag, assignment, n):
+    """The weak composition into n + 1 parts that an index assignment induces."""
+    if n < 0:
+        raise ValueError(f"negative largest part index: {n}")
+    if len(assignment) != len(bag):
+        raise ValueError(f"{len(assignment)} part indices for a bag of {len(bag)}")
+    parts = [[] for _ in range(n + 1)]
+    for elem, i in zip(bag, assignment):
+        if not 0 <= i <= n:
+            raise ValueError(f"part index {i} outside 0..{n}")
+        parts[i].append(elem)
+    return tuple(mkbag(p) for p in parts)
 
 
 def test_compositions_of_cover_everything():
@@ -116,19 +139,24 @@ INVALID_CALLS = {
     "negative nparts": f"list(weak_compositions_with_counts({_BAG}, -1))",
     "sizes of the wrong length": f"list(weak_compositions_with_counts({_BAG}, 2, [1]))",
     "negative size": f"list(weak_compositions_with_counts({_BAG}, 2, [-1, None]))",
+}
+_NAMES = ("from mulam.combinatorics import compositions_of, weak_compositions_with_counts\n"
+          "from mulam.syntax import RVar, mkbag\n")
+# The oracles above check their arguments too; they are test code, so they
+# are only called in-process.
+ORACLE_INVALID_CALLS = {
     "negative largest index": f"list(index_assignments({_BAG}, -1))",
     "assignment index too large": f"assignment_to_composition({_BAG}, (0, 2), 1)",
     "negative assignment index": f"assignment_to_composition({_BAG}, (0, -1), 1)",
     "assignment of the wrong length": f"assignment_to_composition({_BAG}, (0,), 1)",
 }
-_NAMES = ("from mulam.combinatorics import assignment_to_composition, compositions_of, "
-          "index_assignments, weak_compositions_with_counts\n"
-          "from mulam.syntax import RVar, mkbag\n")
+_ALL_INVALID_CALLS = {**INVALID_CALLS, **ORACLE_INVALID_CALLS}
 
 
-@pytest.mark.parametrize("call", list(INVALID_CALLS.values()), ids=list(INVALID_CALLS))
+@pytest.mark.parametrize("call", list(_ALL_INVALID_CALLS.values()), ids=list(_ALL_INVALID_CALLS))
 def test_invalid_arguments_are_rejected(call):
-    env = {}
+    env = {"index_assignments": index_assignments,
+           "assignment_to_composition": assignment_to_composition}
     exec(_NAMES, env)
     with pytest.raises(ValueError):
         eval(call, env)

@@ -20,7 +20,6 @@ from mulam.syntax import (
     children,
     is_locally_closed,
     size,
-    term_nodes,
 )
 
 
@@ -28,6 +27,11 @@ def _nodes(t):
     yield t
     for _, kid in children(t):
         yield from _nodes(kid)
+
+
+def term_nodes(t):
+    """Plain node count of a lambda-mu term, the unit of its generator's budget."""
+    return sum(1 for _ in _nodes(t))
 
 
 def test_seeded_generation_is_deterministic():

@@ -15,8 +15,8 @@ from mulam.oracle import (
     reachable_sums,
     unique_sink,
 )
-from mulam.resource import normalize_r, redexes_res, step_r
-from mulam.syntax import BOOL, NAT, Sum
+from mulam.resource import normalize_r, step_r
+from mulam.syntax import BOOL, NAT, Sum, redexes
 from mulam.textio import parse_res, parse_sum
 
 
@@ -95,7 +95,7 @@ def _naive_graph(root, semiring, mode):
         for t, c in s.items:
             k = c if mode == "coeff" else 1
             rest = Sum(semiring, [(u, cu - k if u == t else cu) for u, cu in s.items])
-            for pos, kind in redexes_res(t):
+            for pos, kind in redexes(t):
                 out.append((rest + step_r(t, pos, semiring).scale(k), t, pos, kind))
         if not out:
             sinks.append(i)

@@ -11,15 +11,12 @@ from mulam.oracle import explore, unique_sink
 from mulam.resource import (
     contract_res,
     head_step_res,
-    is_hnf_res,
     is_normal_res,
-    iter_redexes_res,
     linear_named_app,
     linear_named_app_named,
     linear_subst,
     normalize_r,
     pick_step,
-    redexes_res,
     step_r,
     step_sum,
 )
@@ -36,9 +33,13 @@ from mulam.syntax import (
     close_rvar,
     degree,
     fresh_atom,
+    is_hnf,
+    iter_redexes,
     mkbag,
     open_mu_binder,
     open_rvar,
+    redex_kind,
+    redexes,
 )
 from mulam.textio import parse_res, parse_sum, print_sum
 
@@ -139,7 +140,7 @@ def test_rho_step_resource():
 
 def test_step_r_inside_a_bag():
     t = _p("z[(\\x.x)[y]]")
-    [(pos, kind)] = redexes_res(t)
+    [(pos, kind)] = redexes(t)
     assert kind == "lam"
     assert step_r(t, pos, NAT) == _s("z[y]")
 
@@ -187,7 +188,7 @@ def _reference_step(t, pos, semiring):
 
 
 def _assert_steps_match_reference(t, semiring):
-    for pos, _ in redexes_res(t):
+    for pos, _ in redexes(t):
         assert step_r(t, pos, semiring) == _reference_step(t, pos, semiring), (t, pos)
 
 
@@ -214,17 +215,13 @@ def test_step_r_matches_the_reference_near_the_vanishing_boundary(src, semiring)
     _assert_steps_match_reference(_p(src), semiring)
 
 
-def test_vanishing_redex_opens_no_binder(monkeypatch):
-    def boom(*args):
-        raise AssertionError("a binder was opened")
-
-    monkeypatch.setattr(resource, "open_rvar", boom)
-    monkeypatch.setattr(resource, "open_mu_binder", boom)
+def test_vanishing_redex_opens_no_binder(forbid_binder_opening):
+    forbid_binder_opening()
     # a lambda redex with one bag element too many, and a mu redex whose
     # body never names its binder, each under a lambda and a mu
     for src in ("\\z. mu 'a.<'a> (\\x.x[z])[y, z]", "\\z. mu 'a.<'a> (mu 'g.<'b> z)[y]"):
         t = _p(src)
-        [pos] = [p for p, kind in redexes_res(t) if kind in ("lam", "mu")]
+        [pos] = [p for p, kind in redexes(t) if kind in ("lam", "mu")]
         assert step_r(t, pos, NAT).is_zero
 
 
@@ -237,12 +234,8 @@ def test_vanishing_redex_opens_no_binder(monkeypatch):
      "mu 'a.<'a> (mu 'e.<'a> x[y0, y1]) 1 + mu 'a.<'a> (mu 'e.<'a> x[y0]) [y1]"
      " + mu 'a.<'a> (mu 'e.<'a> x[y1]) [y0] + mu 'a.<'a> (mu 'e.<'a> x 1) [y0, y1]"),
 ])
-def test_root_redex_contracts_without_opening_its_binder(monkeypatch, src, want):
-    def boom(*args):
-        raise AssertionError("a binder was opened or closed")
-
-    for f in ("fresh_atom", "open_rvar", "open_mu_binder", "close_rvar", "close_rname"):
-        monkeypatch.setattr(resource, f, boom)
+def test_root_redex_contracts_without_opening_its_binder(forbid_binder_opening, src, want):
+    forbid_binder_opening()
     t = _p(src)
     assert step_r(t, (), NAT) == _s(want)
     assert contract_res(t, BOOL) == _s(want, BOOL)
@@ -277,7 +270,7 @@ def test_index_contraction_equals_the_atom_path(seed, semiring):
 def _recursive_redexes(t, pos=()):
     """Pre-order redex list, written as a plain recursion."""
     out = []
-    k = resource.redex_kind_res(t)
+    k = redex_kind(t)
     if k is not None:
         out.append((pos, k))
     match t:
@@ -293,8 +286,8 @@ def _recursive_redexes(t, pos=()):
 @given(st.integers(min_value=0, max_value=100_000))
 def test_redexes_are_listed_in_pre_order(seed):
     t = gen_res(random.Random(seed), 20)
-    assert redexes_res(t) == _recursive_redexes(t)
-    assert next(iter_redexes_res(t), None) == (redexes_res(t) or [None])[0]
+    assert redexes(t) == _recursive_redexes(t)
+    assert next(iter_redexes(t), None) == (redexes(t) or [None])[0]
 
 
 @given(st.integers(min_value=0, max_value=100_000), st.sampled_from([BOOL, NAT]))
@@ -313,7 +306,7 @@ def test_normalize_steps_the_first_redex(seed, semiring):
     # every term with a redex is stepped through the module-level step_r
     assert bool(taken) == (not is_normal_res(t))
     for u, pos in taken:
-        assert pos == redexes_res(u)[0][0], u
+        assert pos == redexes(u)[0][0], u
 
 
 # ---------- sum stepping ----------
@@ -390,7 +383,7 @@ def _normalize_full(x, semiring):
 
     def nf(t):
         if t not in memo:
-            first = next(iter_redexes_res(t), None)
+            first = next(iter_redexes(t), None)
             memo[t] = (Sum.unit(t, semiring) if first is None
                        else _reference_step(t, first[0], semiring).bind(nf))
         return memo[t]
@@ -466,12 +459,12 @@ def test_a_binder_named_only_deeper_takes_the_bag():
 @pytest.mark.parametrize("src", PLANTED[::3] + [_mu_stress(4)])
 def test_pruned_reduct_drops_only_addends_with_a_vanishing_redex(src):
     t = _p(src)
-    pos = redexes_res(t)[0][0]
+    pos = redexes(t)[0][0]
     full = step_r(t, pos, NAT)
     pruned = step_r(t, pos, NAT, keep_dead=False)
     assert dict(pruned.items).items() <= dict(full.items).items()
     for v in set(full.terms()) - set(pruned.terms()):
-        assert any(step_r(v, p, NAT).is_zero for p, _ in redexes_res(v)), print_sum(full)
+        assert any(step_r(v, p, NAT).is_zero for p, _ in redexes(v)), print_sum(full)
         assert normalize_r(v, NAT).is_zero
 
 
@@ -486,7 +479,7 @@ def test_step_r_keeps_the_whole_one_step_reduct():
 
 def test_head_step_res_stops_at_hnf():
     t = _p("\\x.x[(\\y.y)[z]]")
-    assert is_hnf_res(t)
+    assert is_hnf(t)
     assert head_step_res(t, BOOL) == Sum.zero(BOOL)
 
 
@@ -511,6 +504,21 @@ def test_sum_of_another_semiring_is_rejected():
 def test_random_strategy_needs_an_rng():
     with pytest.raises(ValueError):
         pick_step(_s("(\\x.x)[y]"), "random", None)
+
+
+def test_unknown_strategy_is_rejected():
+    with pytest.raises(ValueError, match="unknown strategy"):
+        pick_step(_s("(\\x.x)[y]"), "outermost")
+
+
+def test_a_normal_sum_has_no_step_to_pick():
+    with pytest.raises(ValueError, match="normal form"):
+        pick_step(_s("x[y] + \\x.x"), "leftmost")
+
+
+def test_unknown_semiring_is_rejected():
+    with pytest.raises(ValueError, match="unknown semiring"):
+        normalize_r(_p("(\\x.x)[y]"), "int")
 
 
 def test_step_r_rejects_a_missing_position():

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import mulam
-from mulam.suites import mirror_step
+from mulam.suites import mirror_step, run_suite
 from mulam.syntax import BOOL
 from mulam.textio import parse_res, parse_sum
 
@@ -44,6 +44,11 @@ def test_mirror_step_rejects_a_position_under_a_mu():
 def test_mirror_step_rejects_a_position_without_a_redex():
     with pytest.raises(ValueError, match="not a redex"):
         mirror_step(parse_res(APPROXIMANT), (), BOOL)
+
+
+def test_unknown_suite_is_rejected():
+    with pytest.raises(ValueError, match="unknown suite: termination"):
+        run_suite("termination")
 
 
 def test_mirror_step_rejects_bad_positions_under_python_O():

@@ -2,6 +2,7 @@
 
 import os
 import random
+import re
 import subprocess
 import sys
 
@@ -14,8 +15,6 @@ from mulam.syntax import (
     BOOL,
     NAT,
     App,
-    CHole,
-    ContextArityError,
     Lam,
     Mu,
     RApp,
@@ -29,11 +28,9 @@ from mulam.syntax import (
     close_rvar,
     deg_bag,
     degree,
-    fill,
     free_names,
     free_vars,
     fresh_atom,
-    holes,
     is_locally_closed,
     lift_app,
     mkbag,
@@ -43,7 +40,7 @@ from mulam.syntax import (
     size,
     subterm_at,
 )
-from mulam.textio import ParseError, parse_context, parse_res, parse_sum, parse_term
+from mulam.textio import ParseError, parse_res, parse_sum, parse_term
 
 # ---------- alpha equality and canonical bags ----------
 
@@ -261,9 +258,11 @@ BAD_TERMS = {
     "RLam of an int": ("RLam(3)", TypeError),
     "RLam of a lambda-mu term": ("RLam(Var('x'))", TypeError),
     "RApp of a str head": ("RApp('x', [])", TypeError),
+    "RApp of a lambda-mu head": ("RApp(Var('x'), [])", TypeError),
     "RMu of a non-term body": ("RMu(0, 'x')", TypeError),
     "Lam of a resource term": ("Lam(RVar('x'))", TypeError),
     "App of a non-term argument": ("App(Var('x'), 3)", TypeError),
+    "App of a non-term function": ("App(3, Var('x'))", TypeError),
     "Mu of a non-term body": ("Mu(0, None)", TypeError),
     "RVar of a negative index": ("RVar(-1)", ValueError),
     "Var of an empty atom": ("Var('')", ValueError),
@@ -314,67 +313,17 @@ def test_subterm_at_follows_children():
     assert subterm_at(t, (1, 0)) == Var("y")
 
 
+@pytest.mark.parametrize("pos", [(2,), (0, 1), (1, 1), (1, 0, 0)], ids=str)
+def test_subterm_at_rejects_a_missing_position(pos):
+    t = parse_term(r"(\x.x) (mu 'a.<'a> y)")
+    with pytest.raises(ValueError, match=re.escape(f"no position {pos}")):
+        subterm_at(t, pos)
+
+
 def test_subterm_at_resource_bags():
     t = parse_res("x[y,z 1]")
     got = {subterm_at(t, (1,)), subterm_at(t, (2,))}
     assert got == {RVar("y"), parse_res("z 1")}
-
-
-# ---------- contexts ----------
-
-
-def test_fill_is_capture_permitting():
-    c = parse_context(r"\x._1")
-    assert fill(c, [Var("x")]) == parse_term(r"\x.x")
-
-
-def test_fill_captures_names_too():
-    c = parse_context(r"mu 'a.<'a> _1")
-    filled = fill(c, [parse_term(r"mu 'b.<'a> x")])
-    # the free 'a of the argument is captured by the context's mu
-    assert free_names(filled) == set()
-
-
-def test_fill_checks_arity():
-    c = parse_context("_1 _2")
-    assert holes(c) == (1, 2)
-    with pytest.raises(ContextArityError):
-        fill(c, [Var("x")])
-
-
-@pytest.mark.parametrize("src, span", [("_0", (0, 2)), ("\\x._0", (3, 5)), ("_1 _00", (3, 6))])
-def test_hole_zero_is_a_parse_error_at_the_hole(src, span):
-    with pytest.raises(ParseError) as err:
-        parse_context(src)
-    assert (err.value.start, err.value.end) == span
-
-
-def test_hole_numbers_start_at_one():
-    with pytest.raises(ValueError):
-        CHole(0)
-    with pytest.raises(ValueError):
-        CHole(-1)
-
-
-def test_hole_checks_hold_under_python_O():
-    code = """
-from mulam.syntax import CHole
-from mulam.textio import ParseError, parse_context
-for case in (lambda: CHole(0), lambda: parse_context("_0")):
-    try:
-        case()
-    except ValueError as e:
-        print(type(e).__name__)
-    else:
-        print('accepted')
-"""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(mulam.__file__)))
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", code],
-        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["ValueError", "ParseError"]
 
 
 # ---------- fresh atoms ----------

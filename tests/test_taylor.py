@@ -2,10 +2,11 @@
 
 import random
 
+import pytest
+
 from mulam.gen import gen_term
-from mulam.lamu import head_redex_pos
 from mulam.resource import normalize_r
-from mulam.syntax import BOOL, RApp, RLam, RVar, is_locally_closed, size
+from mulam.syntax import RLam, RVar, head_redex_pos, is_locally_closed, size
 from mulam.taylor import (
     Solvable,
     Unknown,
@@ -125,6 +126,11 @@ def test_head_reduction_commutes_with_truncation():
         if checked >= 25:
             break
     assert checked >= 10
+
+
+def test_head_commutes_rejects_a_head_normal_form():
+    with pytest.raises(ValueError):
+        head_commutes(church_true(), 5)
 
 
 # ---------- stock terms ----------

@@ -5,20 +5,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mulam.gen import gen_random
-from mulam.syntax import BOOL, NAT, RApp, RVar, Sum, alpha_eq
+from mulam.syntax import BOOL, NAT, RApp, RVar, Sum, Var, alpha_eq
 from mulam.textio import (
     ParseError,
     lex,
-    parse_context,
     parse_res,
     parse_sum,
     parse_term,
     print_res,
     print_sum,
     print_term,
-    res_to_json,
     sum_to_json,
-    term_to_json,
     to_json,
 )
 
@@ -188,28 +185,40 @@ def test_lambda_missing_dot():
         parse_term(r"\x x")
 
 
-# ---------- contexts ----------
+# An underscore may continue an identifier but never start a token.
+UNDERSCORE_STARTS = [
+    (parse_term, "_0", (0, 1)),
+    (parse_term, r"\x._0", (3, 4)),
+    (parse_term, "_1 _00", (0, 1)),
+    (parse_res, "x[_1]", (2, 3)),
+]
 
 
-def test_context_parsing_and_holes():
-    c = parse_context(r"\p.p _1 _1")
-    from mulam.syntax import holes
+@pytest.mark.parametrize("parse, src, span", UNDERSCORE_STARTS, ids=[s for _, s, _ in UNDERSCORE_STARTS])
+def test_underscore_is_a_parse_error_at_its_position(parse, src, span):
+    with pytest.raises(ParseError, match="unexpected character '_'") as e:
+        parse(src)
+    assert (e.value.start, e.value.end) == span
 
-    assert holes(c) == (1,)
+
+def test_underscore_continues_an_identifier():
+    assert parse_term("x_1") == Var("x_1")
+    assert print_term(parse_term("mu 'a_1.<'a_1> x_1")) == "mu 'a.<'a> x_1"
 
 
-def test_context_hole_numbering_is_arbitrary():
-    c = parse_context(r"(\x._1) _2")
-    from mulam.syntax import holes
-
-    assert holes(c) == (1, 2)
+# A quote before a non-identifier, and a quote that ends the input.
+@pytest.mark.parametrize("src, at", [("mu 'a.<'> x", 7), ("mu 'a.<'a> x'", 12)])
+def test_quote_needs_an_identifier(src, at):
+    with pytest.raises(ParseError, match="expected identifier after quote") as e:
+        parse_term(src)
+    assert (e.value.start, e.value.end) == (at, at + 1)
 
 
 # ---------- JSON ----------
 
 
 def test_term_json_shape():
-    j = term_to_json(parse_term(r"\x.mu 'a.<'a> x y"))
+    j = to_json(parse_term(r"\x.mu 'a.<'a> x y"))
     assert j["tag"] == "lam"
     body = j["body"]
     assert body["tag"] == "mu"
@@ -220,7 +229,7 @@ def test_term_json_shape():
 
 
 def test_res_json_shape():
-    j = res_to_json(parse_res("x[y, y] 1"))
+    j = to_json(parse_res("x[y, y] 1"))
     assert j["tag"] == "bagapp" and j["bag"] == []
     inner = j["head"]
     assert inner["tag"] == "bagapp"
