@@ -379,6 +379,16 @@ def pick_step(s: Sum, strategy: str, rng: random.Random | None = None) -> SumSte
     cands = reducible_addends(s)
     if not cands:
         raise ValueError("sum is in normal form")
+    return choose_step(cands, strategy, rng)
+
+
+def choose_step(
+    cands: list[tuple[ResTerm, int, list[tuple[Pos, str]]]],
+    strategy: str,
+    rng: random.Random | None = None,
+) -> SumStep:
+    """The step a strategy takes among the non-empty ``reducible_addends``
+    of a sum."""
     if strategy == "leftmost":
         t, c, rs = cands[0]
         pos, kind = rs[0]

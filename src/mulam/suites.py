@@ -18,12 +18,12 @@ from .measures import bold_ms, compare_bold
 from .oracle import GraphOverflow, explore, reachable_sums, unique_sink
 from .resource import (
     _apply_sum_step,
+    choose_step,
     contract_res,
     linear_named_app,
     linear_named_app_named,
     linear_subst,
     normalize_r,
-    pick_step,
     reducible_addends,
     step_r,
 )
@@ -135,14 +135,14 @@ def sn_suite(samples: int = 1000, seed: int = 0, max_term_size: int = 30) -> Sui
             rng = random.Random(si * 4 + sidx + 1)
             s = Sum.unit(t, NAT)
             steps = 0
-            while reducible_addends(s):
+            while cands := reducible_addends(s):
                 if steps >= _STEP_CAP:
                     report.failures.append(
                         Failure(i, si, shown, f"normal form within {_STEP_CAP} steps",
                                 "still reducible", note=f"strategy={strategy}")
                     )
                     break
-                step = pick_step(s, strategy, rng)
+                step = choose_step(cands, strategy, rng)
                 before = bold_ms(step.term)
                 reduct = step_r(step.term, step.pos, NAT)
                 bad = [u for u, _ in reduct.items if compare_bold(bold_ms(u), before) >= 0]

@@ -7,6 +7,11 @@ budget are finitely many and computable; normalizing them over the
 idempotent semiring yields a truncated picture of the term's full normal
 form, good enough to compare terms, decide head-termination empirically, and
 check that head reduction commutes with approximation.
+
+That check head-steps approximants of the source and keeps the reducts that
+fit the budget.  The size of every head reduct of an approximant is read off
+its head redex before stepping, so only the approximants whose reducts can
+fit are stepped; the others could only add reducts that the budget drops.
 """
 
 from __future__ import annotations
@@ -27,8 +32,10 @@ from .syntax import (
     ResTerm,
     Term,
     Var,
+    head_redex_pos,
     is_locally_closed,
     mkbag,
+    subterm_at,
 )
 
 # ---------- membership and enumeration ----------
@@ -151,24 +158,55 @@ def solvable(m: Term, fuel: int) -> Solvable | Unknown:
 # ---------- head reduction commutes with approximation ----------
 
 
+def _head_reduct_size_floor(t: ResTerm) -> int | None:
+    """A lower bound on the size of every addend of ``head_step_res(t)``,
+    read off the head redex alone; None on a head normal form.
+
+    The size rule of the three head steps:
+    - lambda, (\\x.s)[u1, ..., uk] -> s{u1, ..., uk / x}: the application
+      node, its k slots, the lambda and the k occurrences of x go, so every
+      addend has size exactly ``t.size - 2 - 2k`` (a bag whose size is not
+      the degree of x gives no addend at all);
+    - mu, (mu 'a.s)[u1, ..., uk]: the application node goes and each of the
+      n namings of 'a gets one, so every addend has size ``t.size - 1 + n``;
+    - merge (rho), mu 'a.<'b> mu 'c.<'d> s -> mu 'a.<'d> s{'b / 'c}: one mu
+      goes, so every addend has size exactly ``t.size - 1``.
+    """
+    hit = head_redex_pos(t)
+    if hit is None:
+        return None
+    pos, kind = hit
+    if kind == "lam":
+        return t.size - 2 - 2 * len(subterm_at(t, pos).bag)
+    return t.size - 1
+
+
 def head_slice_bound(max_size: int) -> int:
     """Approximants at most this large can head-step to something of size
-    <= max_size: a lambda step shrinks by 2 + 2k (k bag slots, every element
-    surviving in the result), a mu step changes size by at most 1 downward,
-    a merge step shrinks by exactly 1."""
+    <= max_size.  By the size rule of ``_head_reduct_size_floor``, a lambda
+    step shrinks by 2 + 2k and keeps each of the k bag elements, so k is at
+    most the reduct's size; mu and merge steps shrink by at most 1."""
     return 3 * max_size + 2
 
 
 def head_commute_slices(m: Term, max_size: int) -> tuple[frozenset[ResTerm], frozenset[ResTerm]]:
     """Left: approximants of the head reduct, up to the budget.  Right: head
     reducts of sufficiently many approximants of the source, cut to the same
-    budget.  The two sets must coincide."""
+    budget.  The two sets must coincide.
+
+    Only the approximants whose head reducts can fit the budget are stepped:
+    ``_head_reduct_size_floor`` bounds every reduct's size from below, and
+    an approximant whose bound exceeds the budget could only add reducts
+    that the cut drops, so no reduct of the right slice is lost."""
     reduct = head_step(m)
     if reduct is None:
         raise ValueError("term is already a head normal form")
     left = frozenset(taylor_enum(reduct, max_size))
     right: set[ResTerm] = set()
     for t in taylor_enum(m, head_slice_bound(max_size)):
+        floor = _head_reduct_size_floor(t)
+        if floor is None or floor > max_size:
+            continue
         for u in head_step_res(t, BOOL).terms():
             if u.size <= max_size:
                 right.add(u)

@@ -2,7 +2,6 @@
 
 import itertools
 import os
-import random
 import subprocess
 import sys
 from collections import Counter

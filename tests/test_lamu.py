@@ -30,7 +30,7 @@ from mulam.syntax import (
     redexes,
     subterm_at,
 )
-from mulam.taylor import church_true, omega, pair_of
+from mulam.taylor import omega, pair_of
 from mulam.textio import parse_term, print_term
 
 

@@ -9,12 +9,17 @@ package module (``syntax.size``, ``mulam.syntax.size``).  A local variable
 that shares a definition's name in the same module still counts as a use.
 What only the tests call belongs in ``tests/``.  The exceptions are
 documented entry points, listed with the reason each one stays.
+
+The test modules are held to the same rule for what they import: a name a
+module imports must be referred to somewhere in that module's code (code in
+strings, run with ``exec`` or in a subprocess, imports its own names).
 """
 
 import ast
 import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 PKG = ROOT / "src" / "mulam"
 PROGRAM = sorted(PKG.glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
 MODULES = {p.stem for p in PKG.glob("*.py")} - {"__init__"}
@@ -145,3 +150,27 @@ def test_every_entry_point_is_defined():
     names = {name for _, name in defined}
     stale = [name for name in ENTRY_POINTS if name not in names]
     assert stale == [], f"allowlisted but defined nowhere in src/mulam: {stale}"
+
+
+def _unused_imports(tree: ast.Module) -> list[str]:
+    imported: dict[str, int] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                imported[a.asname or a.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for a in node.names:
+                if a.name != "*":
+                    imported[a.asname or a.name] = node.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
+
+
+def test_every_test_module_uses_what_it_imports():
+    unused = {path.name: names for path in TESTS if (names := _unused_imports(_parse(path)))}
+    assert unused == {}, f"imported but never referred to: {unused}"
+
+
+def test_an_unused_import_is_reported():
+    tree = ast.parse("import os\nfrom mulam.syntax import RVar, mkbag as mk\nmk([RVar('x')])\n")
+    assert _unused_imports(tree) == ["os (line 1)"]

@@ -27,7 +27,6 @@ from mulam.syntax import (
     RApp,
     RLam,
     RMu,
-    RVar,
     Sum,
     close_rname,
     close_rvar,
@@ -35,7 +34,6 @@ from mulam.syntax import (
     fresh_atom,
     is_hnf,
     iter_redexes,
-    mkbag,
     open_mu_binder,
     open_rvar,
     redex_kind,

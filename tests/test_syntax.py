@@ -14,17 +14,14 @@ from mulam.gen import gen_res, gen_term
 from mulam.syntax import (
     BOOL,
     NAT,
-    App,
     Lam,
     Mu,
     RApp,
     RLam,
-    RMu,
     RVar,
     Sum,
     SumBuilder,
     Var,
-    alpha_eq,
     close_rvar,
     deg_bag,
     degree,
@@ -33,7 +30,6 @@ from mulam.syntax import (
     fresh_atom,
     is_locally_closed,
     lift_app,
-    mkbag,
     multinomial,
     open_mu_binder,
     open_rvar,

@@ -4,14 +4,17 @@ import random
 
 import pytest
 
+from mulam import taylor
 from mulam.gen import gen_term
-from mulam.resource import normalize_r
-from mulam.syntax import RLam, RVar, head_redex_pos, is_locally_closed, size
+from mulam.lamu import head_step
+from mulam.resource import head_step_res
+from mulam.syntax import BOOL, RLam, RVar, head_redex_pos, is_locally_closed, size
 from mulam.taylor import (
     Solvable,
     Unknown,
     church_false,
     church_true,
+    head_commute_slices,
     head_commutes,
     head_slice_bound,
     leq_truncated,
@@ -131,6 +134,76 @@ def test_head_reduction_commutes_with_truncation():
 def test_head_commutes_rejects_a_head_normal_form():
     with pytest.raises(ValueError):
         head_commutes(church_true(), 5)
+
+
+# ---------- the size rule that decides which approximants are stepped ----------
+
+# The two head-commutation inputs of the benchmark's approx workload.
+_CHURCH_2 = r"(\f.\x.f (f x))"
+_HEAD_COMMUTE_INPUTS = (r"(\x.\y.x y y) (\z.z) w", f"{_CHURCH_2} {_CHURCH_2}")
+
+
+def _size_rule_cases():
+    """(term, budget): sampled terms with a head redex at budgets 4 to 8,
+    and the benchmark's head-commutation inputs at 12."""
+    cases = []
+    for seed in range(200):
+        m = gen_term(random.Random(seed), 10)
+        if head_redex_pos(m) is not None:
+            cases += [(m, budget) for budget in range(4, 9)]
+    return cases + [(_p(src), 12) for src in _HEAD_COMMUTE_INPUTS]
+
+
+def _slices_stepping_every_approximant(m, max_size):
+    """``head_commute_slices`` without the size filter: every approximant up
+    to the slice bound is head-stepped."""
+    left = frozenset(taylor_enum(head_step(m), max_size))
+    right = set()
+    for t in taylor_enum(m, head_slice_bound(max_size)):
+        for u in head_step_res(t, BOOL).terms():
+            if u.size <= max_size:
+                right.add(u)
+    return left, frozenset(right)
+
+
+def test_size_floor_bounds_every_head_reduct():
+    """The floor is at most every head reduct's size, and equals it for
+    lambda and merge steps."""
+    stepped = set()
+    for m, budget in _size_rule_cases():
+        for t in taylor_enum(m, head_slice_bound(budget)):
+            floor = taylor._head_reduct_size_floor(t)
+            sizes = {u.size for u in head_step_res(t, BOOL).terms()}
+            hit = head_redex_pos(t)
+            if hit is None:
+                assert floor is None and not sizes, t
+                continue
+            assert all(floor <= n for n in sizes), (t, floor, sizes)
+            if hit[1] != "mu":
+                assert sizes <= {floor}, (t, floor, sizes)
+            if sizes:
+                stepped.add(hit[1])
+    assert stepped == {"lam", "mu", "rho"}
+
+
+def test_filtered_slices_match_stepping_every_approximant():
+    for m, budget in _size_rule_cases():
+        assert head_commute_slices(m, budget) == _slices_stepping_every_approximant(m, budget), (m, budget)
+
+
+def test_an_overestimating_size_floor_is_caught(monkeypatch):
+    """A floor one too high skips approximants whose reducts fit exactly,
+    and the check notices on the benchmark's inputs."""
+    floor = taylor._head_reduct_size_floor
+    monkeypatch.setattr(taylor, "_head_reduct_size_floor",
+                        lambda t: None if floor(t) is None else floor(t) + 1)
+    caught = []
+    for src in _HEAD_COMMUTE_INPUTS:
+        m = _p(src)
+        _, right = head_commute_slices(m, 12)
+        caught.append(not head_commutes(m, 12)
+                      or right != _slices_stepping_every_approximant(m, 12)[1])
+    assert any(caught)
 
 
 # ---------- stock terms ----------
