@@ -177,6 +177,8 @@ class FuelExhausted:
 
 def head_run(t: Term, fuel: int) -> Hnf | FuelExhausted:
     """Iterate head reduction up to ``fuel`` steps."""
+    if fuel < 0:
+        raise ValueError(f"fuel must be at least 0, got {fuel}")
     if not is_locally_closed(t):
         raise ValueError(f"head reduction needs a locally closed term, got {t!r}")
     u = t

@@ -8,10 +8,23 @@ idempotent semiring yields a truncated picture of the term's full normal
 form, good enough to compare terms, decide head-termination empirically, and
 check that head reduction commutes with approximation.
 
-That check head-steps approximants of the source and keeps the reducts that
-fit the budget.  The size of every head reduct of an approximant is read off
-its head redex before stepping, so only the approximants whose reducts can
-fit are stepped; the others could only add reducts that the budget drops.
+The enumeration builds only what its caller keeps.  Resource reduction is
+linear in every subterm, so an approximant that holds a vanishing redex (an
+application whose head's binder asks for another bag size, see
+``resource._arity``) has normal form 0: contracting that redex gives 0, and
+reduction is confluent and strongly normalizing.  Truncated normal forms
+therefore enumerate only bags of the size the head asks for, at every
+application node and inside the bags.
+
+The commutation check head-steps approximants of the source and keeps the
+reducts that fit the budget.  Approximants keep the term's shape, so each
+has the source's head position and redex kind, and the size of its head
+reducts is read off the head redex (``_head_step_shrink``).  At a lambda
+head only bags of the lambda's arity k give a reduct, and the reduct is
+2 + 2k smaller than the approximant; that credit of size travels up the
+spine with each partial approximant, so the enumeration builds exactly the
+approximants whose reducts fit.  Vanishing redexes elsewhere stay: both
+slices are sets of raw approximants, not normal forms.
 """
 
 from __future__ import annotations
@@ -19,12 +32,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .lamu import head_step, head_run, Hnf
-from .resource import head_step_res, normalize_r
+from .resource import _arity, head_step_res, normalize_r
 from .syntax import (
     App,
     BOOL,
     Lam,
     Mu,
+    Pos,
     RApp,
     RLam,
     RMu,
@@ -35,7 +49,6 @@ from .syntax import (
     head_redex_pos,
     is_locally_closed,
     mkbag,
-    subterm_at,
 )
 
 # ---------- membership and enumeration ----------
@@ -55,24 +68,38 @@ def taylor_member(t: ResTerm, m: Term) -> bool:
     return False
 
 
-def taylor_enum(m: Term, max_size: int) -> tuple[ResTerm, ...]:
-    """All approximants of ``m`` of size at most ``max_size``, sorted.
+KEEPS = ("all", "nonvanishing", "head-reducts")
+
+
+def taylor_enum(m: Term, max_size: int, keep: str = "all") -> tuple[ResTerm, ...]:
+    """Approximants of ``m``, sorted: those the caller keeps.
 
     Sizes count one per node plus one per bag slot, so an application with k
     arguments in the bag costs 1 + k on top of its subterms.
+
+    - ``"all"``: every approximant of size at most ``max_size``;
+    - ``"nonvanishing"``: those of them that hold no vanishing redex, the
+      only ones whose normal form can be nonzero;
+    - ``"head-reducts"``: the approximants whose head step can give a reduct
+      of size at most ``max_size`` (exactly those for a lambda or merge
+      head, and for a mu head every approximant one larger); none when
+      ``m`` is a head normal form.
     """
-    return _approximants(m, max_size, {})
+    if keep not in KEEPS:
+        raise ValueError(f"keep must be one of {KEEPS}, got {keep!r}")
+    if keep == "head-reducts":
+        return _head_reduct_sources(m, max_size)
+    return _approximants(m, max_size, {}, keep == "nonvanishing")
 
 
 # The enumeration is written with module-level functions and an explicit
 # memo, not nested closures: a nested recursive function refers to itself,
 # and that cycle would keep the whole memo alive until the cycle collector
-# ran.
+# ran.  The memo maps (subterm encoding, budget) to approximants.
+Memo = dict[tuple[bytes, int], tuple[ResTerm, ...]]
 
 
-def _approximants(
-    u: Term, budget: int, memo: dict[tuple[bytes, int], tuple[ResTerm, ...]]
-) -> tuple[ResTerm, ...]:
+def _approximants(u: Term, budget: int, memo: Memo, nonvanishing: bool) -> tuple[ResTerm, ...]:
     if budget <= 0:
         return ()
     key = (u.enc, budget)
@@ -84,29 +111,73 @@ def _approximants(
         case Var(ref=r):
             out.append(RVar(r))
         case Lam(body=b):
-            out.extend(RLam(t) for t in _approximants(b, budget - 1, memo))
+            out.extend(RLam(t) for t in _approximants(b, budget - 1, memo, nonvanishing))
         case Mu(named=nr, body=b):
-            out.extend(RMu(nr, t) for t in _approximants(b, budget - 1, memo))
+            out.extend(RMu(nr, t) for t in _approximants(b, budget - 1, memo, nonvanishing))
         case App(fun=f, arg=a):
-            for h in _approximants(f, budget - 1, memo):
+            for h in _approximants(f, budget - 1, memo, nonvanishing):
                 room = budget - 1 - h.size
-                pool = _approximants(a, room - 1, memo) if room >= 1 else ()
-                for bag in _bags(pool, 0, room):
-                    out.append(RApp(h, bag))
+                pool = _approximants(a, room - 1, memo, nonvanishing) if room >= 1 else ()
+                arity = _arity(h) if nonvanishing else None
+                out.extend(RApp(h, bag) for bag in _bags(pool, 0, room, arity))
     result = mkbag(out)
     memo[key] = result
     return result
 
 
-def _bags(pool: tuple[ResTerm, ...], start: int, left: int):
+def _bags(pool: tuple[ResTerm, ...], start: int, left: int, n: int | None = None):
     """Bags drawn from ``pool[start:]`` (as non-decreasing index sequences)
-    whose slots cost at most ``left``: one per element plus its size."""
-    yield ()
+    whose slots cost at most ``left``: one per element plus its size.  With
+    ``n``, only the bags of exactly ``n`` elements."""
+    if n is None or n == 0:
+        yield ()
+    if n == 0:
+        return
+    rest_n = None if n is None else n - 1
     for j in range(start, len(pool)):
         cost = 1 + pool[j].size
         if cost <= left:
-            for rest in _bags(pool, j, left - cost):
+            for rest in _bags(pool, j, left - cost, rest_n):
                 yield (pool[j],) + rest
+
+
+def _head_reduct_sources(m: Term, max_size: int) -> tuple[ResTerm, ...]:
+    """The approximants of ``taylor_enum(m, max_size, "head-reducts")``."""
+    hit = head_redex_pos(m)
+    if hit is None:
+        return ()
+    pos, kind = hit
+    if kind != "lam":
+        return _approximants(m, max_size + _head_step_shrink(kind, 0), {}, False)
+    return mkbag(t for t, _ in _head_spine(m, pos, max_size, {}))
+
+
+def _head_spine(u: Term, path: Pos, budget: int, memo: Memo) -> list[tuple[ResTerm, int]]:
+    """Approximants t of ``u`` whose lambda redex at ``path`` has a bag of
+    the lambda's arity, each with its credit: the shrink of its head step,
+    so that its reducts have size ``t.size - credit``, at most ``budget``."""
+    out: list[tuple[ResTerm, int]] = []
+    if not path:
+        # Each slot with its element costs at least 2, as much as it adds to
+        # the shrink, so the lambda alone fits the credit of an empty bag.
+        for h in _approximants(u.fun, budget + _head_step_shrink("lam", 0) - 1, memo, False):
+            k = _arity(h)
+            credit = _head_step_shrink("lam", k)
+            room = budget + credit - 1 - h.size
+            pool = _approximants(u.arg, room - 1, memo, False) if room >= 1 else ()
+            out.extend((RApp(h, bag), credit) for bag in _bags(pool, 0, room, k))
+        return out
+    match u:
+        case Lam(body=b):
+            out.extend((RLam(t), c) for t, c in _head_spine(b, path[1:], budget - 1, memo))
+        case Mu(named=nr, body=b):
+            out.extend((RMu(nr, t), c) for t, c in _head_spine(b, path[1:], budget - 1, memo))
+        case App(fun=f, arg=a):
+            for h, credit in _head_spine(f, path[1:], budget - 1, memo):
+                room = budget + credit - 1 - h.size
+                pool = _approximants(a, room - 1, memo, False) if room >= 1 else ()
+                out.extend((RApp(h, bag), credit) for bag in _bags(pool, 0, room))
+    return out
 
 
 # ---------- truncated normal-form sets ----------
@@ -114,9 +185,16 @@ def _bags(pool: tuple[ResTerm, ...], start: int, left: int):
 
 def nft_truncated(m: Term, max_size: int) -> frozenset[ResTerm]:
     """Normal forms of all approximants up to the size budget (idempotent
-    semiring); approximants that vanish contribute nothing."""
+    semiring); approximants that vanish contribute nothing.
+
+    Only approximants without a vanishing redex are normalized.  The others
+    have normal form 0: a resource term is linear in each of its subterms,
+    so contracting the vanishing redex gives 0 wherever it sits, and since
+    resource reduction is confluent and strongly normalizing, every
+    reduction of the approximant ends in 0.  Leaving them out changes no
+    set of normal forms."""
     out: set[ResTerm] = set()
-    for t in taylor_enum(m, max_size):
+    for t in taylor_enum(m, max_size, "nonvanishing"):
         out.update(normalize_r(t, BOOL).terms())
     return frozenset(out)
 
@@ -148,7 +226,8 @@ class Unknown:
 
 def solvable(m: Term, fuel: int) -> Solvable | Unknown:
     """Head reduction with fuel: reaching a head normal form proves the term
-    solvable; running out is inconclusive (reported, never silently cut)."""
+    solvable; running out is inconclusive (reported, never silently cut).
+    Negative fuel is a ValueError."""
     res = head_run(m, fuel)
     if isinstance(res, Hnf):
         return Solvable(res.steps, res.term)
@@ -158,35 +237,21 @@ def solvable(m: Term, fuel: int) -> Solvable | Unknown:
 # ---------- head reduction commutes with approximation ----------
 
 
-def _head_reduct_size_floor(t: ResTerm) -> int | None:
-    """A lower bound on the size of every addend of ``head_step_res(t)``,
-    read off the head redex alone; None on a head normal form.
+def _head_step_shrink(kind: str, k: int) -> int:
+    """How much smaller than an approximant every addend of its head step is
+    at least, for a head redex of ``kind`` whose bag has ``k`` elements.
 
     The size rule of the three head steps:
     - lambda, (\\x.s)[u1, ..., uk] -> s{u1, ..., uk / x}: the application
       node, its k slots, the lambda and the k occurrences of x go, so every
-      addend has size exactly ``t.size - 2 - 2k`` (a bag whose size is not
-      the degree of x gives no addend at all);
+      addend is exactly 2 + 2k smaller (a bag whose size is not the degree
+      of x gives no addend at all);
     - mu, (mu 'a.s)[u1, ..., uk]: the application node goes and each of the
-      n namings of 'a gets one, so every addend has size ``t.size - 1 + n``;
+      n namings of 'a gets one, so every addend is 1 - n smaller;
     - merge (rho), mu 'a.<'b> mu 'c.<'d> s -> mu 'a.<'d> s{'b / 'c}: one mu
-      goes, so every addend has size exactly ``t.size - 1``.
+      goes, so every addend is exactly 1 smaller.
     """
-    hit = head_redex_pos(t)
-    if hit is None:
-        return None
-    pos, kind = hit
-    if kind == "lam":
-        return t.size - 2 - 2 * len(subterm_at(t, pos).bag)
-    return t.size - 1
-
-
-def head_slice_bound(max_size: int) -> int:
-    """Approximants at most this large can head-step to something of size
-    <= max_size.  By the size rule of ``_head_reduct_size_floor``, a lambda
-    step shrinks by 2 + 2k and keeps each of the k bag elements, so k is at
-    most the reduct's size; mu and merge steps shrink by at most 1."""
-    return 3 * max_size + 2
+    return 2 + 2 * k if kind == "lam" else 1
 
 
 def head_commute_slices(m: Term, max_size: int) -> tuple[frozenset[ResTerm], frozenset[ResTerm]]:
@@ -194,19 +259,16 @@ def head_commute_slices(m: Term, max_size: int) -> tuple[frozenset[ResTerm], fro
     reducts of sufficiently many approximants of the source, cut to the same
     budget.  The two sets must coincide.
 
-    Only the approximants whose head reducts can fit the budget are stepped:
-    ``_head_reduct_size_floor`` bounds every reduct's size from below, and
-    an approximant whose bound exceeds the budget could only add reducts
-    that the cut drops, so no reduct of the right slice is lost."""
+    Only the approximants whose head reducts can fit the budget are built
+    and stepped (``taylor_enum``'s ``"head-reducts"``); the others could only
+    add reducts that the cut drops, so no reduct of the right slice is
+    lost."""
     reduct = head_step(m)
     if reduct is None:
         raise ValueError("term is already a head normal form")
     left = frozenset(taylor_enum(reduct, max_size))
     right: set[ResTerm] = set()
-    for t in taylor_enum(m, head_slice_bound(max_size)):
-        floor = _head_reduct_size_floor(t)
-        if floor is None or floor > max_size:
-            continue
+    for t in taylor_enum(m, max_size, "head-reducts"):
         for u in head_step_res(t, BOOL).terms():
             if u.size <= max_size:
                 right.add(u)

@@ -229,7 +229,7 @@ def test_lamu_validation_holds_under_python_O():
     code = """
 from mulam.lamu import head_run, reduce_redex, rho_term
 from mulam.syntax import Lam, Var
-from mulam.taylor import head_commutes, pair_of
+from mulam.taylor import church_true, head_commutes, pair_of, solvable
 from mulam.textio import parse_term
 cases = [
     lambda: reduce_redex(parse_term(r"\\x.(\\y.y) x"), (3,)),
@@ -237,6 +237,8 @@ cases = [
     lambda: rho_term(parse_term("mu 'a.<'a> x")),
     lambda: pair_of(Var(0), Var("x")),
     lambda: head_commutes(Lam(Var(0)), 3),
+    lambda: head_run(church_true(), -1),
+    lambda: solvable(church_true(), -1),
 ]
 for case in cases:
     try:
@@ -252,4 +254,4 @@ for case in cases:
         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["ValueError"] * 5
+    assert proc.stdout.split() == ["ValueError"] * 7

@@ -1,14 +1,18 @@
 """Finite approximants, truncated normal-form sets, solvability."""
 
+import inspect
 import random
+import sys
+import types
 
 import pytest
 
-from mulam import taylor
+from mulam import resource, taylor
 from mulam.gen import gen_term
 from mulam.lamu import head_step
-from mulam.resource import head_step_res
-from mulam.syntax import BOOL, RLam, RVar, head_redex_pos, is_locally_closed, size
+from mulam.resource import head_step_res, normalize_r
+from mulam.syntax import (BOOL, RLam, RVar, head_redex_pos, is_locally_closed, iter_redexes,
+                          size, subterm_at)
 from mulam.taylor import (
     Solvable,
     Unknown,
@@ -16,7 +20,6 @@ from mulam.taylor import (
     church_true,
     head_commute_slices,
     head_commutes,
-    head_slice_bound,
     leq_truncated,
     nft_eq_truncated,
     nft_truncated,
@@ -31,6 +34,25 @@ from mulam.textio import parse_res, parse_term
 
 def _p(src):
     return parse_term(src)
+
+
+# The inputs of the benchmark's approx workload: truncated normal forms with
+# their budgets, and head commutation (at budget 12).
+_CHURCH_2 = r"(\f.\x.f (f x))"
+_CHURCH_4 = r"(\f.\x.f (f (f (f x))))"
+_NFT_INPUTS = ((f"{_CHURCH_2} {_CHURCH_2}", 32), (_CHURCH_4, 24))
+_HEAD_COMMUTE_INPUTS = (r"(\x.\y.x y y) (\z.z) w", f"{_CHURCH_2} {_CHURCH_2}")
+
+
+def _mutant_taylor(monkeypatch, old, new):
+    """A copy of the taylor module with one piece of its source replaced."""
+    src = inspect.getsource(taylor)
+    assert src.count(old) == 1, old
+    mod = types.ModuleType("mulam._taylor_mutant")
+    mod.__package__ = "mulam"
+    monkeypatch.setitem(sys.modules, mod.__name__, mod)
+    exec(compile(src.replace(old, new), taylor.__file__, "exec"), vars(mod))
+    return mod
 
 
 # ---------- membership and enumeration agree ----------
@@ -64,7 +86,68 @@ def test_enumeration_of_self_application():
     assert got == {"<RLam \\x.x 1>", "<RLam \\x.x[x]>"}
 
 
+def _vanishing_redexes(t):
+    return [r for r in (subterm_at(t, pos) for pos, _ in iter_redexes(t)) if resource._vanishes(r)]
+
+
+def test_nonvanishing_enumeration_leaves_out_exactly_the_vanishing_approximants():
+    heads = set()
+    for seed in range(60):
+        m = gen_term(random.Random(seed), 10)
+        full = taylor_enum(m, 10)
+        assert taylor_enum(m, 10, "nonvanishing") == tuple(
+            t for t in full if not _vanishing_redexes(t)), seed
+        heads.update(type(r.head).__name__ for t in full for r in _vanishing_redexes(t))
+    # both kinds of vanishing redex were left out somewhere
+    assert heads == {"RLam", "RMu"}
+
+
+def test_enumeration_rejects_an_unknown_keep():
+    with pytest.raises(ValueError):
+        taylor_enum(_p("x"), 4, "nonzero")
+
+
 # ---------- truncated normal forms ----------
+
+
+def _nft_normalizing_every_approximant(m, max_size):
+    """``nft_truncated`` without the pruning: every approximant up to the
+    budget is normalized."""
+    out = set()
+    for t in taylor_enum(m, max_size):
+        out.update(normalize_r(t, BOOL).terms())
+    return frozenset(out)
+
+
+def test_nft_matches_normalizing_every_approximant():
+    cases = [(gen_term(random.Random(seed), 10), budget)
+             for seed in range(300) for budget in (6, 9, 12)]
+    cases += [(_p(src), budget) for src, budget in _NFT_INPUTS]
+    nonempty = 0
+    for m, budget in cases:
+        got = nft_truncated(m, budget)
+        assert got == _nft_normalizing_every_approximant(m, budget), (m, budget)
+        nonempty += bool(got)
+    assert nonempty >= 100
+
+
+def test_nft_normalizes_only_the_nonvanishing_approximants_of_2_2():
+    m = _p(_NFT_INPUTS[0][0])
+    assert len(taylor_enum(m, 32)) == 1113
+    assert len(taylor_enum(m, 32, "nonvanishing")) == 201
+
+
+@pytest.mark.parametrize("delta", (1, -1))
+def test_a_wrong_arity_is_caught(monkeypatch, delta):
+    """Bags one too large or too small at every head with an arity leave out
+    the approximants whose normal forms survive, and the right slice loses
+    every reduct of a lambda head."""
+    arity = resource._arity
+    monkeypatch.setattr(taylor, "_arity", lambda h: None if arity(h) is None else arity(h) + delta)
+    src, budget = _NFT_INPUTS[0]
+    assert nft_truncated(_p(src), budget) != _nft_normalizing_every_approximant(_p(src), budget)
+    for src in _HEAD_COMMUTE_INPUTS:
+        assert head_commute_slices(_p(src), 12) != _slices_stepping_every_approximant(_p(src), 12)
 
 
 def test_nft_of_the_identity_redex():
@@ -95,6 +178,12 @@ def test_solvable_examples():
     assert isinstance(out, Unknown) and out.fuel == 40
 
 
+def test_solvable_rejects_negative_fuel():
+    with pytest.raises(ValueError):
+        solvable(church_true(), -1)
+    assert solvable(church_true(), 0) == Solvable(0, church_true())
+
+
 def test_solvable_iff_nonempty_truncation_on_samples():
     """On small closed-ish samples the two solvability views agree: a head
     normal form is found exactly when some truncated approximant survives."""
@@ -111,11 +200,6 @@ def test_solvable_iff_nonempty_truncation_on_samples():
 
 
 # ---------- head steps commute with approximation ----------
-
-
-def test_head_slice_bound_grows_linearly():
-    assert head_slice_bound(4) == 14
-    assert head_slice_bound(10) == 32
 
 
 def test_head_reduction_commutes_with_truncation():
@@ -136,27 +220,44 @@ def test_head_commutes_rejects_a_head_normal_form():
         head_commutes(church_true(), 5)
 
 
-# ---------- the size rule that decides which approximants are stepped ----------
+# ---------- the size rule that decides which approximants are built ----------
 
-# The two head-commutation inputs of the benchmark's approx workload.
-_CHURCH_2 = r"(\f.\x.f (f x))"
-_HEAD_COMMUTE_INPUTS = (r"(\x.\y.x y y) (\z.z) w", f"{_CHURCH_2} {_CHURCH_2}")
+
+# A vanishing redex ``(\z.z)[]`` in an approximant away from the head redex:
+# along the spine, in the head redex's bag and in its lambda.  Both slices
+# are raw approximants, so it must stay in the right slice.
+_OFF_HEAD_VANISHING = (r"(\x.x) y ((\z.z) w)", r"(\x.x) ((\z.z) w)", r"(\x.x ((\z.z) w)) y")
 
 
 def _size_rule_cases():
     """(term, budget): sampled terms with a head redex at budgets 4 to 8,
-    and the benchmark's head-commutation inputs at 12."""
+    the off-head vanishing inputs at 8 and the benchmark's head-commutation
+    inputs at 12."""
     cases = []
-    for seed in range(200):
+    for seed in range(300):
         m = gen_term(random.Random(seed), 10)
         if head_redex_pos(m) is not None:
             cases += [(m, budget) for budget in range(4, 9)]
+    cases += [(_p(src), 8) for src in _OFF_HEAD_VANISHING]
     return cases + [(_p(src), 12) for src in _HEAD_COMMUTE_INPUTS]
 
 
+def head_slice_bound(max_size):
+    """Approximants at most this large can head-step to something of size
+    <= max_size.  By the size rule of ``taylor._head_step_shrink``, a lambda
+    step shrinks by 2 + 2k and keeps each of the k bag elements, so k is at
+    most the reduct's size; mu and merge steps shrink by at most 1."""
+    return 3 * max_size + 2
+
+
+def test_head_slice_bound_grows_linearly():
+    assert head_slice_bound(4) == 14
+    assert head_slice_bound(10) == 32
+
+
 def _slices_stepping_every_approximant(m, max_size):
-    """``head_commute_slices`` without the size filter: every approximant up
-    to the slice bound is head-stepped."""
+    """``head_commute_slices`` without the directed enumeration: every
+    approximant up to the slice bound is head-stepped."""
     left = frozenset(taylor_enum(head_step(m), max_size))
     right = set()
     for t in taylor_enum(m, head_slice_bound(max_size)):
@@ -167,23 +268,44 @@ def _slices_stepping_every_approximant(m, max_size):
 
 
 def test_size_floor_bounds_every_head_reduct():
-    """The floor is at most every head reduct's size, and equals it for
-    lambda and merge steps."""
+    """An approximant's size less the shrink of its head step is at most
+    every head reduct's size, and equals it for lambda and merge steps."""
     stepped = set()
     for m, budget in _size_rule_cases():
         for t in taylor_enum(m, head_slice_bound(budget)):
-            floor = taylor._head_reduct_size_floor(t)
             sizes = {u.size for u in head_step_res(t, BOOL).terms()}
             hit = head_redex_pos(t)
             if hit is None:
-                assert floor is None and not sizes, t
+                assert not sizes, t
                 continue
+            pos, kind = hit
+            k = 0 if kind == "rho" else len(subterm_at(t, pos).bag)
+            floor = t.size - taylor._head_step_shrink(kind, k)
             assert all(floor <= n for n in sizes), (t, floor, sizes)
-            if hit[1] != "mu":
+            if kind != "mu":
                 assert sizes <= {floor}, (t, floor, sizes)
             if sizes:
-                stepped.add(hit[1])
+                stepped.add(kind)
     assert stepped == {"lam", "mu", "rho"}
+
+
+def test_head_reduct_enumeration_builds_what_can_fit():
+    """Exactly the approximants with a reduct that fits, for lambda and
+    merge heads; for a mu head, a superset of them."""
+    kinds = set()
+    for m, budget in _size_rule_cases():
+        full = taylor_enum(m, head_slice_bound(budget))
+        kept = taylor_enum(m, budget, "head-reducts")
+        fits = tuple(t for t in full
+                     if any(u.size <= budget for u in head_step_res(t, BOOL).terms()))
+        kind = head_redex_pos(m)[1]
+        kinds.add(kind)
+        if kind == "mu":
+            assert set(fits) <= set(kept) <= set(full), (m, budget)
+        else:
+            assert kept == fits, (m, budget)
+    assert kinds == {"lam", "mu", "rho"}
+    assert taylor_enum(church_true(), 5, "head-reducts") == ()
 
 
 def test_filtered_slices_match_stepping_every_approximant():
@@ -191,19 +313,40 @@ def test_filtered_slices_match_stepping_every_approximant():
         assert head_commute_slices(m, budget) == _slices_stepping_every_approximant(m, budget), (m, budget)
 
 
-def test_an_overestimating_size_floor_is_caught(monkeypatch):
-    """A floor one too high skips approximants whose reducts fit exactly,
-    and the check notices on the benchmark's inputs."""
-    floor = taylor._head_reduct_size_floor
-    monkeypatch.setattr(taylor, "_head_reduct_size_floor",
-                        lambda t: None if floor(t) is None else floor(t) + 1)
+def _caught_on_head_commute_inputs(slices):
     caught = []
     for src in _HEAD_COMMUTE_INPUTS:
         m = _p(src)
-        _, right = head_commute_slices(m, 12)
-        caught.append(not head_commutes(m, 12)
-                      or right != _slices_stepping_every_approximant(m, 12)[1])
-    assert any(caught)
+        left, right = slices(m, 12)
+        caught.append(left != right or right != _slices_stepping_every_approximant(m, 12)[1])
+    return any(caught)
+
+
+def test_an_overestimating_size_floor_is_caught(monkeypatch):
+    """A floor one too high (a shrink one too small) leaves out the
+    approximants whose reducts fit exactly, and the check notices on the
+    benchmark's inputs."""
+    shrink = taylor._head_step_shrink
+    monkeypatch.setattr(taylor, "_head_step_shrink", lambda kind, k: shrink(kind, k) - 1)
+    assert _caught_on_head_commute_inputs(head_commute_slices)
+
+
+def test_a_lambda_budget_one_short_is_caught(monkeypatch):
+    """Lambda heads enumerated up to max_size + 1 + 2k instead of
+    max_size + 2 + 2k."""
+    shrink = taylor._head_step_shrink
+    monkeypatch.setattr(taylor, "_head_step_shrink",
+                        lambda kind, k: shrink(kind, k) - (kind == "lam"))
+    assert _caught_on_head_commute_inputs(head_commute_slices)
+
+
+def test_a_dropped_spine_credit_is_caught(monkeypatch):
+    """Above the head redex each partial approximant carries the credit of
+    its head step; without it, the bags along the spine lose room."""
+    spine_room = ("_head_spine(f, path[1:], budget - 1, memo):\n"
+                  "                room = budget + credit - 1 - h.size")
+    mutant = _mutant_taylor(monkeypatch, spine_room, spine_room.replace(" + credit", ""))
+    assert _caught_on_head_commute_inputs(mutant.head_commute_slices)
 
 
 # ---------- stock terms ----------
