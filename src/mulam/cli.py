@@ -23,7 +23,7 @@ from .resource import (
     reducible_addends,
     step_r,
 )
-from .suites import SUITES, run_suite
+from .suites import SUITES, NoSample, run_suite
 from .syntax import BOOL, NAT, Sum, head_redex_pos, mkbag, redexes, size
 from .taylor import Solvable, nft_truncated, solvable, taylor_enum
 from .textio import (
@@ -377,13 +377,17 @@ def _cmd_check(args: argparse.Namespace) -> int:
             except argparse.ArgumentTypeError as e:
                 sys.stderr.write(f"error: {_ENV_NODE_CAP}: {e}\n")
                 return 2
-    report = run_suite(
-        args.suite,
-        samples=args.samples,
-        seed=args.seed,
-        max_term_size=args.max_term_size,
-        node_cap=node_cap,
-    )
+    try:
+        report = run_suite(
+            args.suite,
+            samples=args.samples,
+            seed=args.seed,
+            max_term_size=args.max_term_size,
+            node_cap=node_cap,
+        )
+    except NoSample as e:
+        sys.stderr.write(f"error: {args.suite}: {e}\n")
+        return 2
     if args.json:
         _emit_json(report.as_dict())
     else:

@@ -9,12 +9,13 @@ spine below the prefix.
 
 A redex is contracted on its own index: the lambda's variable is replaced
 where it occurs as an index of the body, and the mu's name is followed as an
-index through the body, so the redex's binder is never opened.  Only the
-binders above the redex are opened, which makes the argument locally closed
-so that it goes under binders as it is.
+index through the body, so the redex's binder is never opened.  The redex
+alone is opened on the binders above it, in one pass that makes the argument
+locally closed so that it goes under binders as it is; the binders above are
+never opened.
 
-The redex finder, the head position (``head_redex_pos``) and the step that
-opens a binder on the way down (``open_binder``) are shared with the
+The redex finder, the head position (``head_redex_pos``) and the opening of
+a redex on the binders above it (``open_outer``) are shared with the
 resource calculus and defined in ``syntax``.
 """
 
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import syntax
 from .syntax import (
     App,
     Lam,
@@ -35,8 +37,7 @@ from .syntax import (
     head_redex_pos,
     is_locally_closed,
     map_refs,
-    open_binder,
-    subterm_at,
+    path_to,
 )
 
 # ---------- substitution and named application ----------
@@ -133,23 +134,32 @@ def contract(t: Term) -> Term:
 
 
 def reduce_redex(t: Term, pos: Pos) -> Term:
-    """Contract the redex at ``pos``; binders along the path are opened so
-    the contraction can graft siblings without index shifts.  A position
-    that is not in ``t`` raises ``ValueError``, as does one that is not a
-    redex."""
-    subterm_at(t, pos)
+    """Contract the redex at ``pos``.
 
-    def go(u: Term, p: Pos) -> Term:
-        if not p:
-            return contract(u)
-        if type(u) is App:
-            if p[0] == 0:
-                return App(go(u.fun, p[1:]), u.arg)
-            return App(u.fun, go(u.arg, p[1:]))
-        body, close = open_binder(u)
-        return close(go(body, p[1:]))
-
-    return go(t, pos)
+    The walk down is a loop (``syntax.path_to``) that counts the lambda and
+    mu binders above the redex.  The redex alone is opened on them
+    (``syntax.open_outer``; nothing at the root), so that the contraction
+    grafts its argument without index shifts, and the reduct is closed once
+    and put back on the path with the plain constructors.  A position that
+    is not in ``t`` raises ``ValueError``, as does one that is not a redex.
+    """
+    path, u, nl, nm = path_to(t, pos)
+    if nl or nm:
+        opened, close = syntax.open_outer(u, nl, nm)
+        w = close(contract(opened))
+    else:
+        w = contract(u)
+    for v, i in reversed(path):
+        cls = type(v)
+        if cls is Lam:
+            w = Lam(w)
+        elif cls is Mu:
+            w = Mu(v.named, w)
+        elif i == 0:
+            w = App(w, v.arg)
+        else:
+            w = App(v.fun, w)
+    return w
 
 
 # ---------- head reduction ----------

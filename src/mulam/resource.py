@@ -19,18 +19,20 @@ Substitution and named application take their target as a reference: a
 free atom (the public entry points) or a de Bruijn index, which goes up by
 one under each binder of its kind.  A redex is contracted on its own index
 (the lambda's variable is index 0 of its body, the mu's name index 0 at its
-naming), so its binder is never opened; ``step_r`` opens only the binders
-above the redex.  A distribution is collected in plain term -> coefficient
-dicts and canonicalized once per contraction by one ``SumBuilder``.
+naming), so its binder is never opened.  Nor are the binders above it:
+``step_r`` opens the redex alone on them, in one pass over the redex
+(``syntax.open_outer``), and closes each reduct once.  A distribution is
+collected in plain term -> coefficient dicts and canonicalized once per
+contraction by one ``SumBuilder``.
 
 A redex that contracts to zero (a lambda redex whose bag size differs from
 the occurrences of its variable, a mu redex whose non-empty bag finds no
-naming of its binder) is recognized on the closed term, before ``step_r``
-opens any binder on the way to it.  A step of a whole sum copies the sum,
-takes the stepped weight away and adds the reduct in one ``SumBuilder``; the
-reduct is computed by the caller, so a caller that meets the same addend
-again (the reduction-graph oracle) steps it only once.  Normalization steps
-the first redex of an addend in pre-order and stops looking there.
+naming of its binder) is recognized on the closed term and opens nothing.
+A step of a whole sum copies the sum, takes the stepped weight away and adds
+the reduct in one ``SumBuilder``; the reduct is computed by the caller, so a
+caller that meets the same addend again (the reduction-graph oracle) steps
+it only once.  Normalization steps the first redex of an addend in
+pre-order and stops looking there.
 
 Normalization also sizes the split at each naming of a mu redex's binder.
 There the part ``w2`` becomes the argument of the body, ``body'[w2]``, and
@@ -50,8 +52,8 @@ the reduct without the other sizes.  That is sound:
 Every other caller (``step_sum``, the oracle, the CLI's traces) sees the
 whole one-step reduct, which is observable.
 
-The redex finder, the head position and the step that opens a binder on the
-way down to a redex are shared with the lambda-mu calculus and defined in
+The redex finder, the head position and the opening of a redex on the
+binders above it are shared with the lambda-mu calculus and defined in
 ``syntax``.
 """
 
@@ -60,6 +62,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+from . import syntax
 from .combinatorics import weak_compositions_with_counts
 from .syntax import (
     BOOL,
@@ -80,9 +83,8 @@ from .syntax import (
     head_redex_pos,
     iter_redexes,
     mkbag,
-    open_binder,
+    path_to,
     redexes,
-    subterm_at,
 )
 from .lamu import rho_inner_parts
 
@@ -260,11 +262,23 @@ def _vanishes(t: ResTerm) -> bool:
     return arity is not None and arity != len(t.bag)
 
 
-def contract_res(t: ResTerm, semiring: str) -> Sum:
-    """Contract a root redex (term opened with respect to outer binders)."""
+def contract_res(t: ResTerm, semiring: str, nl: int = 0, nm: int = 0) -> Sum:
+    """Contract the redex at the root of ``t``, which sits below ``nl``
+    lambda and ``nm`` mu binders that its indices may still point to."""
     if _vanishes(t):
         return Sum.zero(semiring)
-    return SumBuilder(semiring, _contract(t)).build()
+    return SumBuilder(semiring, _contract_under(t, nl, nm)).build()
+
+
+def _contract_under(t: ResTerm, nl: int, nm: int, keep_dead: bool = True) -> Coeffs:
+    """The reducts of the live redex ``t`` below ``nl`` lambda and ``nm`` mu
+    binders: ``t`` is opened on those binders (not at all at the root),
+    contracted, and each reduct closed once.  Closing is injective, so no
+    two reducts merge."""
+    if not (nl or nm):
+        return _contract(t, keep_dead)
+    opened, close = syntax.open_outer(t, nl, nm)
+    return {close(w): c for w, c in _contract(opened, keep_dead).items()}
 
 
 def _contract(t: ResTerm, keep_dead: bool = True) -> Coeffs:
@@ -287,9 +301,13 @@ def _contract(t: ResTerm, keep_dead: bool = True) -> Coeffs:
 def step_r(t: ResTerm, pos: Pos, semiring: str, *, keep_dead: bool = True) -> Sum:
     """One reduction step at a given position, as a sum.
 
-    A redex that contracts to zero is recognized before any binder above it
-    is opened; the binders above any other redex are opened on the way down
-    and closed again around its reducts, which are canonicalized once.
+    The walk down to the redex is a loop (``syntax.path_to``) that counts
+    the lambda and mu binders above it.  A redex that contracts to zero is
+    recognized there, on the closed term, and opens nothing.  Any other
+    redex is opened on those binders alone (``syntax.open_outer``, one pass
+    over the redex), contracted, and each reduct closed once; the path above
+    is rebuilt around the reducts with the plain constructors, and the sum
+    is canonicalized once.
 
     By default the sum is the whole one-step reduct.  With ``keep_dead``
     false, a mu redex's named applications leave out every addend that
@@ -297,26 +315,25 @@ def step_r(t: ResTerm, pos: Pos, semiring: str, *, keep_dead: bool = True) -> Su
     addends have normal form 0, so the reduct normalizes to the same sum
     (see the module docstring), but it is no longer the one-step reduct.
     """
-    if _vanishes(subterm_at(t, pos)):
+    path, u, nl, nm = path_to(t, pos)
+    if _vanishes(u):
         return Sum.zero(semiring)
-    return SumBuilder(semiring, _step_at(t, pos, keep_dead)).build()
-
-
-def _step_at(u: ResTerm, p: Pos, keep_dead: bool) -> Coeffs:
+    coeffs = _contract_under(u, nl, nm, keep_dead)
     # Each wrapper is injective on the reducts, so no two of them merge.
-    if not p:
-        return _contract(u, keep_dead)
-    i, rest = p[0], p[1:]
-    if type(u) is RApp:
-        h, bag = u.head, u.bag
-        if i == 0:
-            return {RApp(w, bag): c for w, c in _step_at(h, rest, keep_dead).items()}
-        return {
-            RApp(h, bag[: i - 1] + (w,) + bag[i:]): c
-            for w, c in _step_at(bag[i - 1], rest, keep_dead).items()
-        }
-    body, close = open_binder(u)
-    return {close(w): c for w, c in _step_at(body, rest, keep_dead).items()}
+    for v, i in reversed(path):
+        cls = type(v)
+        if cls is RLam:
+            coeffs = {RLam(w): c for w, c in coeffs.items()}
+        elif cls is RMu:
+            named = v.named
+            coeffs = {RMu(named, w): c for w, c in coeffs.items()}
+        elif i == 0:
+            bag = v.bag
+            coeffs = {RApp(w, bag): c for w, c in coeffs.items()}
+        else:
+            h, bag = v.head, v.bag
+            coeffs = {RApp(h, bag[: i - 1] + (w,) + bag[i:]): c for w, c in coeffs.items()}
+    return SumBuilder(semiring, coeffs).build()
 
 
 # ---------- stepping whole sums ----------

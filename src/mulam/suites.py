@@ -2,7 +2,9 @@
 
 Each suite draws seeded samples, checks one family of facts, and returns a
 SuiteReport whose failure records carry enough to replay the sample by hand
-(derived seed, printed inputs, expected vs actual).
+(derived seed, printed inputs, expected vs actual).  That text is rendered
+only when a failure is recorded; a passing sample prints nothing.  Inputs
+that cannot produce a sample at all raise ``NoSample``.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from .syntax import (
     Pos,
     RApp,
     RLam,
+    RMu,
     RVar,
     ResTerm,
     Sum,
@@ -44,7 +47,6 @@ from .syntax import (
     free_vars,
     lift_app,
     mkbag,
-    open_binder,
     redexes,
     rename_name,
 )
@@ -112,6 +114,11 @@ class SuiteReport:
         return "\n".join(lines)
 
 
+class NoSample(ValueError):
+    """A suite's inputs cannot produce a sample, so it cannot run at all (a
+    usage error, not a failed check)."""
+
+
 def _sample_seed(seed: int, i: int) -> int:
     # Spread per-sample seeds so neighbouring suites never share streams.
     return seed * 1_000_003 + i
@@ -130,7 +137,6 @@ def sn_suite(samples: int = 1000, seed: int = 0, max_term_size: int = 30) -> Sui
     for i in range(samples):
         si = _sample_seed(seed, i)
         t = gen_res(random.Random(si), max_term_size)
-        shown = print_res(t)
         for sidx, strategy in enumerate(_STRATEGIES):
             rng = random.Random(si * 4 + sidx + 1)
             s = Sum.unit(t, NAT)
@@ -138,7 +144,7 @@ def sn_suite(samples: int = 1000, seed: int = 0, max_term_size: int = 30) -> Sui
             while cands := reducible_addends(s):
                 if steps >= _STEP_CAP:
                     report.failures.append(
-                        Failure(i, si, shown, f"normal form within {_STEP_CAP} steps",
+                        Failure(i, si, print_res(t), f"normal form within {_STEP_CAP} steps",
                                 "still reducible", note=f"strategy={strategy}")
                     )
                     break
@@ -148,7 +154,7 @@ def sn_suite(samples: int = 1000, seed: int = 0, max_term_size: int = 30) -> Sui
                 bad = [u for u, _ in reduct.items if compare_bold(bold_ms(u), before) >= 0]
                 if bad:
                     report.failures.append(
-                        Failure(i, si, shown,
+                        Failure(i, si, print_res(t),
                                 f"measure below {before}",
                                 f"{print_res(bad[0])} has {bold_ms(bad[0])}",
                                 note=f"strategy={strategy} stepped={print_res(step.term)} pos={step.pos}")
@@ -176,21 +182,20 @@ def confluence_suite(
     for i in range(samples):
         si = _sample_seed(seed, i)
         t = gen_res(random.Random(si), max_term_size)
-        shown = print_res(t)
         nfs: dict[str, Sum] = {}
         for semiring in (BOOL, NAT):
             try:
                 g = explore(t, semiring, node_cap=node_cap)
             except GraphOverflow as e:
                 report.failures.append(
-                    Failure(i, si, shown, f"graph within {node_cap} nodes",
+                    Failure(i, si, print_res(t), f"graph within {node_cap} nodes",
                             f"overflow at {e.visited}", note=f"semiring={semiring}")
                 )
                 break
             sink = unique_sink(g)
             if sink is None:
                 report.failures.append(
-                    Failure(i, si, shown, "exactly one sink",
+                    Failure(i, si, print_res(t), "exactly one sink",
                             f"{len(g.sinks)} sinks", note=f"semiring={semiring}")
                 )
                 break
@@ -198,14 +203,14 @@ def confluence_suite(
             nfs[semiring] = nf
             if nf != sink:
                 report.failures.append(
-                    Failure(i, si, shown, print_sum(sink), print_sum(nf),
+                    Failure(i, si, print_res(t), print_sum(sink), print_sum(nf),
                             note=f"engine vs oracle, semiring={semiring}")
                 )
                 break
         else:
             if nfs[NAT].support() != nfs[BOOL]:
                 report.failures.append(
-                    Failure(i, si, shown, print_sum(nfs[BOOL]),
+                    Failure(i, si, print_res(t), print_sum(nfs[BOOL]),
                             print_sum(nfs[NAT].support()),
                             note="support of exact-count normal form")
                 )
@@ -242,29 +247,53 @@ def mirror_step(t: ResTerm, pos: Pos, semiring: str) -> Sum:
     A position the approximant does not have (a child other than 0 under a
     binder, other than 0 or 1 at an application, or any below a variable),
     or one that ends at a non-redex, is a ``ValueError``.
+
+    The walk is a loop.  It goes down in pre-order, counting the lambda and
+    mu binders above each copy of the redex, and contracts each copy opened
+    on those binders alone (``contract_res``); then it rebuilds the nodes
+    above from their children's sums with the plain constructors.
     """
-    return _mirror(t, pos, 0, semiring)
-
-
-def _mirror(t: ResTerm, pos: Pos, depth: int, semiring: str) -> Sum:
-    # ``t`` sits at ``pos[:depth]`` of the approximant.
-    if depth == len(pos):
-        return contract_res(t, semiring)  # raises on a non-redex
-    c = pos[depth]
-    if type(t) is RVar:
-        raise ValueError(f"no position {pos} in the approximant: a variable at {pos[:depth]}")
-    if type(t) is RApp:
-        h, bag = t.head, t.bag
-        if c == 0:
-            return _mirror(h, pos, depth + 1, semiring).map(lambda w: RApp(w, bag))
-        _check_child(c, 1, pos, depth)
-        if not bag:
-            return Sum.unit(t, semiring)
-        sums = [_mirror(e, pos, depth + 1, semiring) for e in bag]
-        return lift_app(Sum.unit(h, semiring), sums)
-    _check_child(c, 0, pos, depth)
-    body, close = open_binder(t)
-    return _mirror(body, pos, depth + 1, semiring).map(close)
+    # Down: every node at pos[:depth], in pre-order, with the reducts of the
+    # nodes at the end of the position.
+    down: list[tuple[ResTerm, int, Sum | None]] = []
+    stack = [(t, 0, 0, 0)]
+    while stack:
+        u, depth, nl, nm = stack.pop()
+        if depth == len(pos):
+            down.append((u, depth, contract_res(u, semiring, nl, nm)))  # raises on a non-redex
+            continue
+        down.append((u, depth, None))
+        c = pos[depth]
+        cls = type(u)
+        if cls is RVar:
+            raise ValueError(f"no position {pos} in the approximant: a variable at {pos[:depth]}")
+        if cls is RApp:
+            if c == 0:
+                stack.append((u.head, depth + 1, nl, nm))
+            else:
+                _check_child(c, 1, pos, depth)
+                stack.extend([(e, depth + 1, nl, nm) for e in reversed(u.bag)])
+        else:
+            _check_child(c, 0, pos, depth)
+            stack.append((u.body, depth + 1, nl + (cls is RLam), nm + (cls is RMu)))
+    # Up, in reverse pre-order: a node's children are done before it, and
+    # come off ``done`` in their order.
+    done: list[Sum] = []
+    for u, depth, s in reversed(down):
+        if s is None:
+            cls = type(u)
+            if cls is RLam:
+                s = done.pop().map(RLam)
+            elif cls is RMu:
+                s = done.pop().map(lambda w, named=u.named: RMu(named, w))
+            elif pos[depth] == 0:
+                s = done.pop().map(lambda w, bag=u.bag: RApp(w, bag))
+            elif not u.bag:
+                s = Sum.unit(u, semiring)
+            else:
+                s = lift_app(Sum.unit(u.head, semiring), [done.pop() for _ in u.bag])
+        done.append(s)
+    return done[0]
 
 
 def _check_child(c: int, want: int, pos: Pos, depth: int) -> None:
@@ -291,16 +320,17 @@ def simulation_suite(
             if rs:
                 break
         else:
-            raise AssertionError("no reducible term found")
+            raise NoSample(f"no term of at most {max_term_size} nodes with a redex in 1000 draws "
+                           f"(sample {i}, seed {si}); the smallest redex has 3 nodes")
         pos, kind = rng.choice(rs)
         m2 = reduce_redex(m, pos)
-        shown = f"{print_term(m)}  --{kind}@{'.'.join(map(str, pos)) or 'root'}-->  {print_term(m2)}"
         for t in taylor_enum(m, budget):
             s = mirror_step(t, pos, BOOL)
             bad = [u for u in s.terms() if not taylor_member(u, m2)]
             if bad:
+                at = ".".join(map(str, pos)) or "root"
                 report.failures.append(
-                    Failure(i, si, shown,
+                    Failure(i, si, f"{print_term(m)}  --{kind}@{at}-->  {print_term(m2)}",
                             "every addend approximates the reduct",
                             print_res(bad[0]),
                             note=f"approximant={print_res(t)}")
@@ -346,6 +376,11 @@ def injectivity_suite(
 
 
 # ---------- identity suite ----------
+#
+# Each ``_inst_*`` maker draws one instance of its identity and returns
+# ``(shown, lhs, rhs)``: the two sides, and a zero-argument callable that
+# renders the instance.  The text is read only for a failure record, so it is
+# rendered only then.
 
 _NAME_POOL = ("a", "b", "c", "d")
 _FRESH = "qq"  # outside every generator pool, so always fresh
@@ -385,7 +420,7 @@ def _draw(rng: random.Random, want, tries: int = 500):
         v = want(rng)
         if v is not None:
             return v
-    raise AssertionError("side-condition sampling exhausted its tries")
+    raise NoSample(f"no draw met the side conditions in {tries} tries")
 
 
 def _distinct_names(r: random.Random):
@@ -444,7 +479,7 @@ def _inst_rename_rename(rng: random.Random, size: int):
     t = gen_res(rng, size)
     lhs = Sum.unit(rename_name(rename_name(t, a, b), g, h), NAT)
     rhs = Sum.unit(rename_name(rename_name(t, g, h), a, b), NAT)
-    return f"t={print_res(t)} new/old pairs ({a},{b}) then ({g},{h})", lhs, rhs
+    return (lambda: f"t={print_res(t)} new/old pairs ({a},{b}) then ({g},{h})"), lhs, rhs
 
 
 def _inst_rename_subst(rng: random.Random, size: int):
@@ -454,7 +489,7 @@ def _inst_rename_subst(rng: random.Random, size: int):
     u = gen_bag(rng, 4)
     lhs = rename_name(_lsub(t, x, u), a, b)
     rhs = linear_subst(rename_name(t, a, b), x, _rename_bag(u, a, b), NAT)
-    return f"t={print_res(t)} u=[{', '.join(map(print_res, u))}] ({a},{b})", lhs, rhs
+    return (lambda: f"t={print_res(t)} u=[{', '.join(map(print_res, u))}] ({a},{b})"), lhs, rhs
 
 
 def _inst_rename_named_app(rng: random.Random, size: int):
@@ -469,7 +504,7 @@ def _inst_rename_named_app(rng: random.Random, size: int):
     u = gen_bag(rng, 4)
     lhs = rename_name(_lna(t, g, u), a, b)
     rhs = linear_named_app(rename_name(t, a, b), g, _rename_bag(u, a, b), NAT)
-    return f"t={print_res(t)} u=[{', '.join(map(print_res, u))}] ({a},{b}) at '{g}'", lhs, rhs
+    return (lambda: f"t={print_res(t)} u=[{', '.join(map(print_res, u))}] ({a},{b}) at '{g}'"), lhs, rhs
 
 
 def _inst_rename_named_pair(rng: random.Random, size: int):
@@ -487,7 +522,7 @@ def _inst_rename_named_pair(rng: random.Random, size: int):
     eta2 = a if eta == b else eta
     rhs = linear_named_app_named(eta2, rename_name(t, a, b), g, _rename_bag(u, a, b), NAT)
     return (
-        f"<'{eta}| {print_res(t)}> u=[{', '.join(map(print_res, u))}] ({a},{b}) at '{g}'",
+        lambda: f"<'{eta}| {print_res(t)}> u=[{', '.join(map(print_res, u))}] ({a},{b}) at '{g}'",
         lhs,
         rhs,
     )
@@ -501,7 +536,7 @@ def _inst_subst_subst(rng: random.Random, size: int):
     lhs = _lsub(t, y, v).bind(lambda tt: _lsub(tt, x, u))
     rhs = _distributed_rhs(u, v, lambda p: _lsub(t, x, p), lambda e, p: _lsub(e, x, p),
                            lambda tt, b: _lsub(tt, y, b))
-    return f"t={print_res(t)} v=[{', '.join(map(print_res, v))}] u=[{', '.join(map(print_res, u))}]", lhs, rhs
+    return (lambda: f"t={print_res(t)} v=[{', '.join(map(print_res, v))}] u=[{', '.join(map(print_res, u))}]"), lhs, rhs
 
 
 def _inst_subst_named_app(rng: random.Random, size: int):
@@ -513,7 +548,7 @@ def _inst_subst_named_app(rng: random.Random, size: int):
     lhs = _lna(t, a, v).bind(lambda s: _lsub(s, x, u))
     rhs = _distributed_rhs(u, v, lambda p: _lsub(t, x, p), lambda e, p: _lsub(e, x, p),
                            lambda tt, b: _lna(tt, a, b))
-    return f"t={print_res(t)} v=[{', '.join(map(print_res, v))}] u=[{', '.join(map(print_res, u))}] '{a}' x", lhs, rhs
+    return (lambda: f"t={print_res(t)} v=[{', '.join(map(print_res, v))}] u=[{', '.join(map(print_res, u))}] '{a}' x"), lhs, rhs
 
 
 def _inst_named_app_skips_bag(rng: random.Random, size: int):
@@ -523,7 +558,7 @@ def _inst_named_app_skips_bag(rng: random.Random, size: int):
     u = gen_bag(rng, 4)
     lhs = linear_named_app(RApp(t, v), a, u, NAT)
     rhs = _lna(t, a, u).map(lambda s: RApp(s, v))
-    return f"t={print_res(t)} v=[{', '.join(map(print_res, v))}] u=[{', '.join(map(print_res, u))}] '{a}'", lhs, rhs
+    return (lambda: f"t={print_res(t)} v=[{', '.join(map(print_res, v))}] u=[{', '.join(map(print_res, u))}] '{a}'"), lhs, rhs
 
 
 def _inst_named_app_join(rng: random.Random, size: int):
@@ -545,7 +580,7 @@ def _inst_named_app_join(rng: random.Random, size: int):
         return acc.build()
 
     rhs = _over_splits(u, len(v), joined)
-    return f"t={print_res(t)} v=[{', '.join(map(print_res, v))}] u=[{', '.join(map(print_res, u))}] '{a}' then '{b}'", lhs, rhs
+    return (lambda: f"t={print_res(t)} v=[{', '.join(map(print_res, v))}] u=[{', '.join(map(print_res, u))}] '{a}' then '{b}'"), lhs, rhs
 
 
 def _inst_swap_disjoint(rng: random.Random, size: int):
@@ -555,7 +590,7 @@ def _inst_swap_disjoint(rng: random.Random, size: int):
     t = gen_res(rng, size)
     lhs = _lna(t, a, u).bind(lambda s: _lna(s, b, v))
     rhs = _lna(t, b, v).bind(lambda s: _lna(s, a, u))
-    return f"t={print_res(t)} u=[{', '.join(map(print_res, u))}]@'{a}' v=[{', '.join(map(print_res, v))}]@'{b}'", lhs, rhs
+    return (lambda: f"t={print_res(t)} u=[{', '.join(map(print_res, u))}]@'{a}' v=[{', '.join(map(print_res, v))}]@'{b}'"), lhs, rhs
 
 
 def _inst_swap_fresh_left(rng: random.Random, size: int):
@@ -575,7 +610,7 @@ def _inst_swap_fresh_left(rng: random.Random, size: int):
         return rename_name(s, b, d)
 
     rhs = _over_splits(v, 2, swapped)
-    return f"t={print_res(t)} u=[{', '.join(map(print_res, u))}]@'{a}' v=[{', '.join(map(print_res, v))}]@'{b}'", lhs, rhs
+    return (lambda: f"t={print_res(t)} u=[{', '.join(map(print_res, u))}]@'{a}' v=[{', '.join(map(print_res, v))}]@'{b}'"), lhs, rhs
 
 
 def _inst_swap_fresh_right(rng: random.Random, size: int):
@@ -588,7 +623,7 @@ def _inst_swap_fresh_right(rng: random.Random, size: int):
     rhs = rename_name(
         _lna(t, b, _rename_bag(v, d, a)).bind(lambda s: _lna(s, a, u)), a, d
     )
-    return f"t={print_res(t)} u=[{', '.join(map(print_res, u))}]@'{a}' v=[{', '.join(map(print_res, v))}]@'{b}'", lhs, rhs
+    return (lambda: f"t={print_res(t)} u=[{', '.join(map(print_res, u))}]@'{a}' v=[{', '.join(map(print_res, v))}]@'{b}'"), lhs, rhs
 
 
 def _merged(t: ResTerm, a: str, b: str, parts) -> Sum:
@@ -605,7 +640,7 @@ def _inst_rename_then_named_app(rng: random.Random, size: int):
     t = gen_res(rng, size)
     lhs = linear_named_app(rename_name(t, a, b), a, u, NAT)
     rhs = _over_splits(u, 2, lambda w: _merged(t, a, b, w))
-    return f"t={print_res(t)} u=[{', '.join(map(print_res, u))}] merge '{b}' into '{a}'", lhs, rhs
+    return (lambda: f"t={print_res(t)} u=[{', '.join(map(print_res, u))}] merge '{b}' into '{a}'"), lhs, rhs
 
 
 def _inst_named_app_after_subst(rng: random.Random, size: int):
@@ -617,7 +652,7 @@ def _inst_named_app_after_subst(rng: random.Random, size: int):
     lhs = _lsub(t, x, v).bind(lambda s: _lna(s, a, u))
     rhs = _distributed_rhs(u, v, lambda p: _lna(t, a, p), lambda e, p: _lna(e, a, p),
                            lambda tt, b: _lsub(tt, x, b))
-    return f"t={print_res(t)} v=[{', '.join(map(print_res, v))}]/x u=[{', '.join(map(print_res, u))}]@'{a}'", lhs, rhs
+    return (lambda: f"t={print_res(t)} v=[{', '.join(map(print_res, v))}]/x u=[{', '.join(map(print_res, u))}]@'{a}'"), lhs, rhs
 
 
 def _two_named_apps_rhs(t: ResTerm, a: str, g: str, v: Bag, u: Bag) -> Sum:
@@ -632,7 +667,7 @@ def _inst_two_named_apps(rng: random.Random, size: int):
     v = gen_bag(rng, 4)
     lhs = _lna(t, g, v).bind(lambda s: _lna(s, a, u))
     rhs = _two_named_apps_rhs(t, a, g, v, u)
-    return f"t={print_res(t)} v=[{', '.join(map(print_res, v))}]@'{g}' u=[{', '.join(map(print_res, u))}]@'{a}'", lhs, rhs
+    return (lambda: f"t={print_res(t)} v=[{', '.join(map(print_res, v))}]@'{g}' u=[{', '.join(map(print_res, u))}]@'{a}'"), lhs, rhs
 
 
 def _inst_two_named_apps_pair(rng: random.Random, size: int):
@@ -647,7 +682,7 @@ def _inst_two_named_apps_pair(rng: random.Random, size: int):
     rhs = _distributed_rhs(u, v, lambda p: linear_named_app_named(eta, t, a, p, NAT),
                            lambda e, p: _lna(e, a, p),
                            lambda tt, b: linear_named_app_named(eta, tt, g, b, NAT))
-    return f"<'{eta}| {print_res(t)}> v=[{', '.join(map(print_res, v))}]@'{g}' u=[{', '.join(map(print_res, u))}]@'{a}'", lhs, rhs
+    return (lambda: f"<'{eta}| {print_res(t)}> v=[{', '.join(map(print_res, v))}]@'{g}' u=[{', '.join(map(print_res, u))}]@'{a}'"), lhs, rhs
 
 
 LEMMA_INSTANCES = (
@@ -683,7 +718,7 @@ def lemmas_suite(samples: int = 200, seed: int = 0, max_term_size: int = 6) -> S
             shown, lhs, rhs = make(random.Random(si), max_term_size)
             if lhs != rhs:
                 report.failures.append(
-                    Failure(k, si, shown, print_sum(lhs), print_sum(rhs), note=name)
+                    Failure(k, si, shown(), print_sum(lhs), print_sum(rhs), note=name)
                 )
             k += 1
     report.wall_time = time.perf_counter() - t0

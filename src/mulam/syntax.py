@@ -18,10 +18,15 @@ The two syntaxes have the same shape node for node (a resource application
 carries a bag where a lambda-mu application carries one argument), so every
 shape-directed operation is defined here once, for both, and dispatches on
 the node's exact class: the reference walks ``map_refs`` and ``iter_refs``,
-the path step ``open_binder``, ``children`` and ``subterm_at``, and the redex
-finder ``redex_kind``, ``iter_redexes``/``redexes``, ``head_redex_pos`` and
-``is_hnf``.  Both engines and their callers import these from here;
-``textio`` has the one printer and the one JSON export.
+the walk down a position ``path_to``, the redex opener ``open_outer``, and
+the redex finder ``redex_kind``, ``iter_redexes``/``redexes``,
+``head_redex_pos`` and ``is_hnf``.  Both engines and their callers import
+these from here; ``textio`` has the one printer and the one JSON export.
+
+A step at a position walks down to the redex in a loop, counting the lambda
+and mu binders above it, and opens the redex alone on them in one pass
+(``open_outer``); the binders above are never opened, and each reduct is
+closed once.
 """
 
 from __future__ import annotations
@@ -655,6 +660,55 @@ def open_mu_binder(t: Mu | RMu, atom: str):
     return named, body
 
 
+def open_outer(u: Term | ResTerm, nl: int, nm: int):
+    """Open a redex on the binders above it, in one pass over the redex.
+
+    ``u`` sits below ``nl`` lambda and ``nm`` mu binders.  Every reference
+    of ``u`` that points to one of them becomes a fresh atom: a variable
+    with index ``r`` at lambda depth ``d`` becomes ``atoms[r - d]`` when
+    ``r >= d``, and a naming with index ``r`` at mu depth ``d`` becomes
+    ``names[r - d - 1]`` when ``r > d`` (entry 0 is the nearest binder).  An
+    index past all of them is left as it is.  Bag order is kept, as in
+    every opening.
+
+    Returns ``(opened, close)``: ``close`` turns a term of ``u``'s syntax
+    built from the opened one (a reduct) back into indices at its top, so
+    that it fits where ``u`` was.  Only ``u`` is walked; the binders above
+    it and their other children are never opened.  This is the step of
+    every walk down a path to a redex (``lamu.reduce_redex``,
+    ``resource.step_r``, ``suites.mirror_step``).
+    """
+    mk = RVar if isinstance(u, ResTerm) else Var
+    atoms = [fresh_atom("v") for _ in range(nl)]
+    names = [fresh_atom("n") for _ in range(nm)]
+
+    def var_in(r, d):
+        if isinstance(r, int) and d <= r < d + nl:
+            return mk(atoms[r - d])
+        return None
+
+    def name_in(r, d):
+        if isinstance(r, int) and d < r <= d + nm:
+            return names[r - d - 1]
+        return r
+
+    var_at = {a: k for k, a in enumerate(atoms)}
+    name_at = {a: k for k, a in enumerate(names)}
+
+    def var_out(r, d):
+        k = var_at.get(r)
+        return None if k is None else mk(d + k)
+
+    def name_out(r, d):
+        k = name_at.get(r)
+        return r if k is None else d + 1 + k
+
+    def close(w):
+        return map_refs(w, var=var_out, name=name_out)
+
+    return map_refs(u, var=var_in, name=name_in, raw=True), close
+
+
 # ---------- positions ----------
 #
 # A position is a tuple of child indices.  Bodies are child 0; an
@@ -665,53 +719,34 @@ def open_mu_binder(t: Mu | RMu, atom: str):
 Pos = tuple[int, ...]
 
 
-def children(t: Term | ResTerm) -> list[tuple[int, Term | ResTerm]]:
-    match t:
-        case Var() | RVar():
-            return []
-        case Lam(body=b) | Mu(body=b) | RLam(body=b) | RMu(body=b):
-            return [(0, b)]
-        case App(fun=f, arg=a):
-            return [(0, f), (1, a)]
-        case RApp(head=h, bag=bag):
-            return [(0, h)] + [(i + 1, e) for i, e in enumerate(bag)]
-    raise AssertionError(t)
+def path_to(t: Term | ResTerm, pos: Pos):
+    """Follow ``pos`` down ``t``, in a loop, for either syntax.
 
-
-def subterm_at(t: Term | ResTerm, pos: Pos) -> Term | ResTerm:
-    u = t
-    for i in pos:
-        kids = dict(children(u))
-        if i not in kids:
-            raise ValueError(f"no position {pos} in {t!r}")
-        u = kids[i]
-    return u
-
-
-def open_binder(u: Term | ResTerm):
-    """Open the binder at the top of ``u``, a lambda or a mu of either
-    syntax, on a fresh atom.
-
-    Returns ``(body, close)``: the body with the bound variable or name
-    replaced by the atom, and ``close``, which turns an opened body back into
-    a node of ``u``'s kind by closing the atom.  This is the step of every
-    walk down a path that rewrites below binders (``lamu.reduce_redex``,
-    ``resource.step_r``, ``suites.mirror_step``).  A mu keeps its naming: the
-    atom is fresh, so it never stands for any naming but the mu's own.
+    Returns ``(path, u, nl, nm)``: the nodes passed, each with the child
+    index taken there; the subterm ``u`` at ``pos``; and the numbers of
+    lambda and mu binders above ``u``, the binders ``open_outer`` opens it
+    on.  A position that is not in ``t`` raises ``ValueError``.
     """
-    cls = type(u)
-    if cls is Lam or cls is RLam:
-        x = fresh_atom("v")
-        if cls is Lam:
-            return open_var(u.body, x), lambda w: Lam(close_var(w, x))
-        return open_rvar(u.body, x), lambda w: RLam(close_rvar(w, x))
-    if cls is not Mu and cls is not RMu:
-        raise ValueError(f"not a binder: {u!r}")
-    a = fresh_atom("n")
-    named = u.named
-    if cls is Mu:
-        return open_name(u.body, a), lambda w: Mu(named, close_name(w, a))
-    return open_rname(u.body, a), lambda w: RMu(named, close_rname(w, a))
+    path = []
+    u = t
+    nl = nm = 0
+    for i in pos:
+        cls = type(u)
+        if cls is RApp and 0 <= i <= len(u.bag):
+            kid = u.bag[i - 1] if i else u.head
+        elif cls is App and (i == 0 or i == 1):
+            kid = u.arg if i else u.fun
+        elif i == 0 and (cls is RLam or cls is Lam):
+            nl += 1
+            kid = u.body
+        elif i == 0 and (cls is RMu or cls is Mu):
+            nm += 1
+            kid = u.body
+        else:
+            raise ValueError(f"no position {pos} in {t!r}")
+        path.append((u, i))
+        u = kid
+    return path, u, nl, nm
 
 
 # ---------- redexes and the head position ----------

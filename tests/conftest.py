@@ -5,10 +5,12 @@ import pytest
 
 from mulam import syntax
 
-# Every walk down to a redex opens a binder through ``syntax.open_binder``,
-# which looks these up in ``syntax`` when it is called.
-_BINDER_OPS = ("fresh_atom", "open_mu_binder", "open_var", "close_var", "open_name",
-               "close_name", "open_rvar", "close_rvar", "open_rname", "close_rname")
+# Every walk down to a redex opens it through ``syntax.open_outer``, which
+# its callers and the helper itself (for ``fresh_atom``) look up in
+# ``syntax`` when they are called.
+_BINDER_OPS = ("fresh_atom", "open_outer", "open_mu_binder", "open_var", "close_var",
+               "open_name", "close_name", "open_rvar", "close_rvar", "open_rname",
+               "close_rname")
 
 _CRITERION_LINES: list[str] = []
 

@@ -225,6 +225,35 @@ def test_check_json_report_shape(capsys):
     assert doc["failures"] == []
 
 
+@pytest.mark.parametrize("size", ["1", "2"])
+@pytest.mark.parametrize("fmt", [[], ["--json"]], ids=["text", "json"])
+def test_simulation_below_the_smallest_redex_is_a_usage_error(capsys, size, fmt):
+    # The smallest lambda-mu redex, (\x.x) y, has 3 nodes, so no sample can
+    # be drawn below that.
+    code, out, err = _run(capsys, "check", "--suite", "simulation", "--max-term-size", size,
+                          *fmt)
+    assert (code, out) == (2, "")
+    assert err == (f"error: simulation: no term of at most {size} nodes with a redex in 1000"
+                   " draws (sample 0, seed 0); the smallest redex has 3 nodes\n")
+
+
+def test_simulation_at_the_smallest_redex_runs(capsys):
+    code, out, _ = _run(capsys, "check", "--suite", "simulation", "--max-term-size", "3",
+                        "--samples", "5")
+    assert code == 0 and "failures: 0" in out
+
+
+def test_unmet_side_conditions_are_a_usage_error(capsys, monkeypatch):
+    # With a single name no two distinct names can be drawn, so the lemma
+    # instances that need them cannot be sampled.
+    from mulam import suites
+
+    monkeypatch.setattr(suites, "_NAME_POOL", ("a",))
+    code, out, err = _run(capsys, "check", "--suite", "lemmas", "--samples", "1")
+    assert (code, out) == (2, "")
+    assert err == "error: lemmas: no draw met the side conditions in 500 tries\n"
+
+
 def test_check_node_cap_env_var(capsys, monkeypatch):
     monkeypatch.setenv("MULAM_NODE_CAP", "2")
     code, out, _ = _run(

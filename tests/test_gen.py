@@ -8,6 +8,7 @@ import sys
 import pytest
 
 import mulam
+from mulam import gen
 from mulam.gen import FREE_NAMES, FREE_VARS, gen_bag, gen_random, gen_res, gen_term
 from mulam.syntax import (
     App,
@@ -17,7 +18,6 @@ from mulam.syntax import (
     RLam,
     RMu,
     RVar,
-    children,
     is_locally_closed,
     size,
 )
@@ -25,8 +25,15 @@ from mulam.syntax import (
 
 def _nodes(t):
     yield t
-    for _, kid in children(t):
-        yield from _nodes(kid)
+    cls = type(t)
+    if cls in (Lam, Mu, RLam, RMu):
+        yield from _nodes(t.body)
+    elif cls is App:
+        yield from _nodes(t.fun)
+        yield from _nodes(t.arg)
+    elif cls is RApp:
+        for kid in (t.head, *t.bag):
+            yield from _nodes(kid)
 
 
 def term_nodes(t):
@@ -180,3 +187,58 @@ for call in {list(BAD_BUDGETS.values())!r}:
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["ValueError"] * len(BAD_BUDGETS)
+
+
+# ---------- precomputed weight tables ----------
+
+
+def _choices_of_gen_res(max_size, nd, mu_cap):
+    # The lists gen_res built for rng.choices at every node before its
+    # tables were precomputed.
+    choices, weights = ["var"], [2]
+    if max_size >= 2:
+        choices += ["lam", "app"]
+        weights += [2, 4]
+        if nd < mu_cap:
+            choices.append("mu")
+            weights.append(2)
+    return choices, weights
+
+
+def _choices_of_gen_term(max_nodes, nd, mu_cap):
+    choices, weights = ["var"], [2]
+    if max_nodes >= 2:
+        choices += ["lam", "mu"] if nd < mu_cap else ["lam"]
+        weights += [2, 2] if nd < mu_cap else [2]
+    if max_nodes >= 3:
+        choices.append("app")
+        weights.append(5)
+    return choices, weights
+
+
+def _tables():
+    return [gen._BAG_SIZE, *gen._RES_KINDS.values(), *gen._TERM_KINDS.values()]
+
+
+@pytest.mark.parametrize("table", range(11))
+def test_a_table_draws_as_random_choices_does(table):
+    w = _tables()[table]
+    for seed in range(500):
+        mine, theirs = random.Random(seed), random.Random(seed)
+        for _ in range(8):
+            assert w.pick(mine) == theirs.choices(w.population, w.weights)[0]
+            assert mine.getstate() == theirs.getstate()
+
+
+def test_the_tables_are_the_lists_the_generators_built():
+    assert len(_tables()) == 11
+    assert (gen._BAG_SIZE.population, gen._BAG_SIZE.weights) == ((0, 1, 2), (30, 45, 25))
+    for size in range(1, 6):
+        for nd in range(5):
+            for mu_cap in range(4):
+                w = gen._RES_KINDS[size >= 2, nd < mu_cap]
+                assert [list(w.population), list(w.weights)] == list(
+                    _choices_of_gen_res(size, nd, mu_cap))
+                w = gen._TERM_KINDS[min(size, 3), nd < mu_cap]
+                assert [list(w.population), list(w.weights)] == list(
+                    _choices_of_gen_term(size, nd, mu_cap))

@@ -26,9 +26,9 @@ from mulam.syntax import (
     head_redex_pos,
     is_hnf,
     is_locally_closed,
+    path_to,
     redex_kind,
     redexes,
-    subterm_at,
 )
 from mulam.taylor import omega, pair_of
 from mulam.textio import parse_term, print_term
@@ -125,7 +125,7 @@ def test_reduce_redex_below_mu():
 def test_head_of_an_application_redex_is_the_redex():
     t = _p("(\\y.y) z w")
     pos, kind = head_redex_pos(t)
-    assert subterm_at(t, pos) == _p("(\\y.y) z")
+    assert path_to(t, pos)[1] == _p("(\\y.y) z")
     assert kind == "lam"
 
 

@@ -41,6 +41,10 @@ from mulam.textio import _disp_ref, _Namer, parse_res, parse_term
 
 SEEDS = range(400)
 
+
+def _at(t, pos):
+    return syntax.path_to(t, pos)[1]
+
 # ---------- the reference walkers ----------
 
 
@@ -386,9 +390,9 @@ def test_redex_finder_and_head_position_match_the_twin_walkers(chunk):
         assert syntax.redexes(m) == ref_redexes(m)
         assert syntax.redexes(t) == ref_redexes_res(t)
         assert list(syntax.iter_redexes(t)) == ref_redexes_res(t)
-        for u in (m, *[syntax.subterm_at(m, p) for p, _ in ref_redexes(m)]):
+        for u in (m, *[_at(m, p) for p, _ in ref_redexes(m)]):
             assert syntax.redex_kind(u) == ref_redex_kind(u)
-        for u in (t, *[syntax.subterm_at(t, p) for p, _ in ref_redexes_res(t)]):
+        for u in (t, *[_at(t, p) for p, _ in ref_redexes_res(t)]):
             assert syntax.redex_kind(u) == ref_redex_kind_res(u)
         assert syntax.head_redex_pos(m) == ref_head_redex_pos(m)
         assert syntax.head_redex_pos(t) == ref_head_redex_pos_res(t)
@@ -438,58 +442,104 @@ def test_mirror_step_matches_the_twin_walk():
     assert checked > 400
 
 
-# ---------- the path walk opens exactly the binders above the redex ----------
+# ---------- the path walk opens the redex alone, once ----------
 
 
-def _count_opening(monkeypatch):
-    opened = []
-    for name in ("open_var", "open_name", "open_rvar", "open_rname"):
-        real = getattr(syntax, name)
+def _spy_opening(monkeypatch):
+    """Record every ``syntax.open_outer`` call as ``(redex, nl, nm)``, and
+    every ``syntax.map_refs`` pass as ``(term, raw)``: an opening pass is
+    the one raw pass, a closing pass a canonical one."""
+    opened, passes = [], []
+    real_open, real_map = syntax.open_outer, syntax.map_refs
 
-        def spy(t, atom, real=real, name=name):
-            opened.append(name)
-            return real(t, atom)
+    def open_spy(u, nl, nm):
+        opened.append((u, nl, nm))
+        return real_open(u, nl, nm)
 
-        monkeypatch.setattr(syntax, name, spy)
-    return opened
+    def map_spy(t, var=None, name=None, raw=False):
+        passes.append((t, raw))
+        return real_map(t, var, name, raw)
+
+    monkeypatch.setattr(syntax, "open_outer", open_spy)
+    monkeypatch.setattr(syntax, "map_refs", map_spy)
+    return opened, passes
+
+
+def _assert_opened_once(opened, passes, redex, want, reducts):
+    if want is None:
+        assert opened == [] and passes == []
+        return
+    assert opened == [(redex, *want)]
+    # One opening pass, over the redex alone, and one closing pass per reduct.
+    assert [u for u, raw in passes if raw] == [redex]
+    assert sum(1 for _, raw in passes if not raw) == reducts
 
 
 @pytest.mark.parametrize("src, pos, want", [
-    ("(\\x.x) y", (), []),
-    ("(mu 'a.<'a> x) y", (), []),
-    ("mu 'a.<'b> mu 'g.<'a> x", (), []),
-    ("\\z. mu 'a.<'a> (\\x.x) z", (0, 0), ["open_var", "open_name"]),
+    ("(\\x.x) y", (), None),
+    ("(mu 'a.<'a> x) y", (), None),
+    ("mu 'a.<'b> mu 'g.<'a> x", (), None),
+    ("\\z. mu 'a.<'a> (\\x.x) z", (0, 0), (1, 1)),
+    ("\\w. \\z. mu 'a.<'a> (\\x.x w) (mu 'b.<'a> z)", (0, 0, 0), (2, 1)),
+    ("\\w. mu 'a.<'a> \\z. mu 'b.<'a> (mu 'g.<'b> w z) z", (0, 0, 0, 0), (2, 2)),
+    ("\\w. mu 'a.<'a> mu 'b.<'b> mu 'g.<'a> w", (0, 0), (1, 1)),
 ])
-def test_reduce_redex_opens_only_the_binders_above(monkeypatch, src, pos, want):
-    opened = _count_opening(monkeypatch)
+def test_reduce_redex_opens_the_redex_once_on_the_binders_above(monkeypatch, src, pos, want):
     t = parse_term(src)
+    assert (pos, syntax.redex_kind(_at(t, pos))) in syntax.redexes(t)
+    opened, passes = _spy_opening(monkeypatch)
     got = reduce_redex(t, pos)
-    assert opened == want
+    _assert_opened_once(opened, passes, _at(t, pos), want, 1)
     assert got == ref_reduce_redex(t, pos)
 
 
 @pytest.mark.parametrize("src, want", [
-    ("(\\x.x[x])[y, z]", []),
-    ("(mu 'a.<'a> x[y])[z]", []),
+    ("(\\x.x[x])[y, z]", None),
+    ("(mu 'a.<'a> x[y])[z]", None),
     # vanishing redexes under a lambda and a mu open nothing
-    ("\\z. mu 'a.<'a> (\\x.x[z])[y, z]", []),
-    ("\\z. mu 'a.<'a> (mu 'g.<'b> z)[y]", []),
-    ("\\z. mu 'a.<'a> (\\x.x[z])[y]", ["open_rvar", "open_rname"]),
+    ("\\z. mu 'a.<'a> (\\x.x[z])[y, z]", None),
+    ("\\z. mu 'a.<'a> (mu 'g.<'b> z)[y]", None),
+    ("\\z. mu 'a.<'a> (\\x.x[z])[y]", (1, 1)),
+    ("\\z. mu 'a.<'a> (\\x.x[x][z])[y, z]", (1, 1)),
+    ("\\w. mu 'a.<'a> \\z. (mu 'b.<'b> x[mu 'g.<'b> w, mu 'd.<'a> z])[w, z]", (2, 1)),
 ])
-def test_step_r_opens_only_the_binders_above_a_live_redex(monkeypatch, src, want):
-    opened = _count_opening(monkeypatch)
+def test_step_r_opens_a_live_redex_once_on_the_binders_above(monkeypatch, src, want):
     t = parse_res(src)
     [pos] = [p for p, kind in ref_redexes_res(t) if kind in ("lam", "mu")]
+    want_sum = ref_step_r(t, pos, NAT)
+    opened, passes = _spy_opening(monkeypatch)
     got = step_r(t, pos, NAT)
-    assert opened == want
-    assert got == ref_step_r(t, pos, NAT)
+    _assert_opened_once(opened, passes, _at(t, pos), want, len(got))
+    assert got == want_sum
 
 
-def test_open_binder_rejects_a_non_binder():
-    with pytest.raises(ValueError):
-        syntax.open_binder(RVar("x"))
-    with pytest.raises(ValueError):
-        syntax.open_binder(App(Var("x"), Var("y")))
+@pytest.mark.parametrize("src, pos, copies", [
+    ("z[(\\y.y)[x], (\\y.y)[w]]", (1,), []),
+    ("\\x.(\\y.y)[x]", (0,), [((0,), 1, 0)]),
+    ("\\u. mu 'a.<'a> z[(\\y.y)[u], (\\y.y)[w]]", (0, 0, 1),
+     [((0, 0, 1), 1, 1), ((0, 0, 2), 1, 1)]),
+])
+def test_mirror_step_opens_each_copy_once_on_the_binders_above(monkeypatch, src, pos, copies):
+    # ``copies`` are the approximant's positions of the redex's copies, each
+    # with the lambda and mu binders above it.
+    t = parse_res(src)
+    want = ref_mirror_step(t, pos, BOOL)
+    opened, _ = _spy_opening(monkeypatch)
+    got = mirror_step(t, pos, BOOL)
+    assert opened == [(_at(t, c), nl, nm) for c, nl, nm in copies]
+    assert got == want
+
+
+@pytest.mark.parametrize("chunk", range(4))
+def test_open_outer_opens_every_outer_reference_and_closes_back(chunk):
+    for t in (t for seed in SEEDS[chunk::4] for t in _terms(seed)):
+        for pos, _ in syntax.redexes(t):
+            path, u, nl, nm = syntax.path_to(t, pos)
+            assert (nl, nm) == (sum(type(v) in (Lam, RLam) for v, _ in path),
+                                sum(type(v) in (Mu, RMu) for v, _ in path))
+            opened, close = syntax.open_outer(u, nl, nm)
+            assert syntax.is_locally_closed(opened)
+            assert close(opened) == u
 
 
 # ---------- depth ----------

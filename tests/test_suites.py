@@ -87,7 +87,7 @@ def test_lemma_instances_are_drawn_as_before():
     for _, make in LEMMA_INSTANCES:
         for _ in range(200):
             shown, lhs, rhs = make(random.Random(_sample_seed(0, k)), 6)
-            h.update(repr((shown, print_sum(lhs), print_sum(rhs))).encode())
+            h.update(repr((shown(), print_sum(lhs), print_sum(rhs))).encode())
             k += 1
     assert k == 3000
     assert h.hexdigest() == "10c2b010852289fa2772ae735cda8305038d9f44aff980c26a9731bbda4b54c4"

@@ -33,8 +33,8 @@ from mulam.syntax import (
     multinomial,
     open_mu_binder,
     open_rvar,
+    path_to,
     size,
-    subterm_at,
 )
 from mulam.textio import ParseError, parse_res, parse_sum, parse_term
 
@@ -301,25 +301,30 @@ for call in {[call for call, _ in BAD_TERMS.values()]!r}:
 # ---------- positions ----------
 
 
-def test_subterm_at_follows_children():
-    t = parse_term(r"(\x.x) (mu 'a.<'a> y)")
-    assert subterm_at(t, ()) == t
-    assert isinstance(subterm_at(t, (0,)), Lam)
-    assert isinstance(subterm_at(t, (1,)), Mu)
-    assert subterm_at(t, (1, 0)) == Var("y")
+def test_path_to_follows_children_and_counts_the_binders_above():
+    t = parse_term(r"(\x.x) (mu 'a.<'a> \y.y)")
+    assert path_to(t, ()) == ([], t, 0, 0)
+    assert isinstance(path_to(t, (0,))[1], Lam)
+    assert isinstance(path_to(t, (1,))[1], Mu)
+    path, u, nl, nm = path_to(t, (1, 0, 0))
+    assert (u, nl, nm) == (Var(0), 1, 1)
+    assert path == [(t, 1), (t.arg, 0), (t.arg.body, 0)]
 
 
-@pytest.mark.parametrize("pos", [(2,), (0, 1), (1, 1), (1, 0, 0)], ids=str)
-def test_subterm_at_rejects_a_missing_position(pos):
-    t = parse_term(r"(\x.x) (mu 'a.<'a> y)")
+@pytest.mark.parametrize("pos", [(2,), (0, 1), (1, 1), (1, 0, 1), (1, 0, 0, 0), (-1,)], ids=str)
+def test_path_to_rejects_a_missing_position(pos):
+    t = parse_term(r"(\x.x) (mu 'a.<'a> \y.y)")
     with pytest.raises(ValueError, match=re.escape(f"no position {pos}")):
-        subterm_at(t, pos)
+        path_to(t, pos)
 
 
-def test_subterm_at_resource_bags():
+def test_path_to_resource_bags():
     t = parse_res("x[y,z 1]")
-    got = {subterm_at(t, (1,)), subterm_at(t, (2,))}
+    got = {path_to(t, (1,))[1], path_to(t, (2,))[1]}
     assert got == {RVar("y"), parse_res("z 1")}
+    for pos in [(3,), (-1,), (0, 0)]:
+        with pytest.raises(ValueError, match=re.escape(f"no position {pos}")):
+            path_to(t, pos)
 
 
 # ---------- fresh atoms ----------

@@ -12,7 +12,7 @@ from mulam.gen import gen_term
 from mulam.lamu import head_step
 from mulam.resource import head_step_res, normalize_r
 from mulam.syntax import (BOOL, RLam, RVar, head_redex_pos, is_locally_closed, iter_redexes,
-                          size, subterm_at)
+                          path_to, size)
 from mulam.taylor import (
     Solvable,
     Unknown,
@@ -87,7 +87,7 @@ def test_enumeration_of_self_application():
 
 
 def _vanishing_redexes(t):
-    return [r for r in (subterm_at(t, pos) for pos, _ in iter_redexes(t)) if resource._vanishes(r)]
+    return [r for r in (path_to(t, pos)[1] for pos, _ in iter_redexes(t)) if resource._vanishes(r)]
 
 
 def test_nonvanishing_enumeration_leaves_out_exactly_the_vanishing_approximants():
@@ -279,7 +279,7 @@ def test_size_floor_bounds_every_head_reduct():
                 assert not sizes, t
                 continue
             pos, kind = hit
-            k = 0 if kind == "rho" else len(subterm_at(t, pos).bag)
+            k = 0 if kind == "rho" else len(path_to(t, pos)[1].bag)
             floor = t.size - taylor._head_step_shrink(kind, k)
             assert all(floor <= n for n in sizes), (t, floor, sizes)
             if kind != "mu":
