@@ -5,7 +5,8 @@ argument (which pushes the argument through the body at every naming of the
 mu's own name), and a mu whose body is directly another mu (which merges the
 two namings).  Head reduction prefers the leftmost merge redex in the binder
 prefix and otherwise fires the head redex, the innermost application of the
-spine below the prefix.
+spine below the prefix.  A head run (``head_run``) that comes back to a
+term it has seen jumps to the end of its fuel.
 
 A redex is contracted on its own index: the lambda's variable is replaced
 where it occurs as an index of the body, and the mu's name is followed as an
@@ -35,6 +36,7 @@ from .syntax import (
     _strip_quote,
     _under,
     head_redex_pos,
+    is_hnf,
     is_locally_closed,
     map_refs,
     path_to,
@@ -181,20 +183,47 @@ class Hnf:
 
 @dataclass(frozen=True)
 class FuelExhausted:
+    """No head normal form within ``fuel`` steps; ``term`` is the term after
+    exactly ``fuel`` steps."""
+
     fuel: int
     term: Term
 
 
 def head_run(t: Term, fuel: int) -> Hnf | FuelExhausted:
-    """Iterate head reduction up to ``fuel`` steps."""
+    """Iterate head reduction for at most ``fuel`` steps.
+
+    Returns ``Hnf(n, u)`` when the term after ``n <= fuel`` steps is a head
+    normal form, and otherwise ``FuelExhausted(fuel, u)`` with ``u`` the term
+    after exactly ``fuel`` steps.
+
+    The run looks for a cycle as Brent's algorithm does: one saved term,
+    replaced at the step counts that are powers of two, is compared with each
+    new term.  A head step depends only on the term (``==`` compares
+    encodings), so when the term after step ``n`` equals the one saved at
+    step ``s``, the run repeats with period ``n - s`` and never reaches a
+    head normal form; the term after ``fuel`` steps is then reached with
+    ``(fuel - n) mod (n - s)`` more steps.  A cyclic unsolvable term costs
+    about its cycle, not its fuel, and only one term is kept alive besides
+    the current one.
+    """
     if fuel < 0:
         raise ValueError(f"fuel must be at least 0, got {fuel}")
     if not is_locally_closed(t):
         raise ValueError(f"head reduction needs a locally closed term, got {t!r}")
-    u = t
-    for n in range(fuel + 1):
+    u = saved = t
+    s = 0
+    for n in range(1, fuel + 1):
         nxt = head_step(u)
         if nxt is None:
-            return Hnf(n, u)
+            return Hnf(n - 1, u)
         u = nxt
+        if u == saved:
+            for _ in range((fuel - n) % (n - s)):
+                u = head_step(u)
+            return FuelExhausted(fuel, u)
+        if n & (n - 1) == 0:
+            saved, s = u, n
+    if is_hnf(u):
+        return Hnf(fuel, u)
     return FuelExhausted(fuel, u)

@@ -14,7 +14,13 @@ application whose head's binder asks for another bag size, see
 ``resource._arity``) has normal form 0: contracting that redex gives 0, and
 reduction is confluent and strongly normalizing.  Truncated normal forms
 therefore enumerate only bags of the size the head asks for, at every
-application node and inside the bags.
+application node and inside the bags.  They also leave out a lambda redex
+whose bag elements cannot land: each element goes to one occurrence of the
+lambda's variable, and an element with an arity that goes to an occurrence
+heading a bag of another size makes a vanishing redex.  When every way of
+sending the elements does that (``_landing_sites``, ``_lands``), every
+addend of the redex's reduct holds a vanishing redex, and the approximant's
+normal form is 0 again.
 
 The commutation check head-steps approximants of the source and keeps the
 reducts that fit the budget.  Approximants keep the term's shape, so each
@@ -78,8 +84,10 @@ def taylor_enum(m: Term, max_size: int, keep: str = "all") -> tuple[ResTerm, ...
     arguments in the bag costs 1 + k on top of its subterms.
 
     - ``"all"``: every approximant of size at most ``max_size``;
-    - ``"nonvanishing"``: those of them that hold no vanishing redex, the
-      only ones whose normal form can be nonzero;
+    - ``"nonvanishing"``: those of them that hold no vanishing redex and
+      no lambda redex whose bag elements cannot land, that is, whose
+      one-step reducts each hold a vanishing redex at an occurrence of the
+      lambda's variable; the others have normal form zero;
     - ``"head-reducts"``: the approximants whose head step can give a reduct
       of size at most ``max_size`` (exactly those for a lambda or merge
       head, and for a mu head every approximant one larger); none when
@@ -89,17 +97,20 @@ def taylor_enum(m: Term, max_size: int, keep: str = "all") -> tuple[ResTerm, ...
         raise ValueError(f"keep must be one of {KEEPS}, got {keep!r}")
     if keep == "head-reducts":
         return _head_reduct_sources(m, max_size)
-    return _approximants(m, max_size, {}, keep == "nonvanishing")
+    return _approximants(m, max_size, {}, {} if keep == "nonvanishing" else None)
 
 
 # The enumeration is written with module-level functions and an explicit
 # memo, not nested closures: a nested recursive function refers to itself,
 # and that cycle would keep the whole memo alive until the cycle collector
-# ran.  The memo maps (subterm encoding, budget) to approximants.
+# ran.  The memo maps (subterm encoding, budget) to approximants.  The
+# arities are None when every approximant is kept, and otherwise hold
+# ``_arity`` of the approximants asked about so far.
 Memo = dict[tuple[bytes, int], tuple[ResTerm, ...]]
+Arities = dict[ResTerm, int | None]
 
 
-def _approximants(u: Term, budget: int, memo: Memo, nonvanishing: bool) -> tuple[ResTerm, ...]:
+def _approximants(u: Term, budget: int, memo: Memo, arities: Arities | None) -> tuple[ResTerm, ...]:
     if budget <= 0:
         return ()
     key = (u.enc, budget)
@@ -111,18 +122,73 @@ def _approximants(u: Term, budget: int, memo: Memo, nonvanishing: bool) -> tuple
         case Var(ref=r):
             out.append(RVar(r))
         case Lam(body=b):
-            out.extend(RLam(t) for t in _approximants(b, budget - 1, memo, nonvanishing))
+            out.extend(RLam(t) for t in _approximants(b, budget - 1, memo, arities))
         case Mu(named=nr, body=b):
-            out.extend(RMu(nr, t) for t in _approximants(b, budget - 1, memo, nonvanishing))
+            out.extend(RMu(nr, t) for t in _approximants(b, budget - 1, memo, arities))
         case App(fun=f, arg=a):
-            for h in _approximants(f, budget - 1, memo, nonvanishing):
+            for h in _approximants(f, budget - 1, memo, arities):
                 room = budget - 1 - h.size
-                pool = _approximants(a, room - 1, memo, nonvanishing) if room >= 1 else ()
-                arity = _arity(h) if nonvanishing else None
-                out.extend(RApp(h, bag) for bag in _bags(pool, 0, room, arity))
+                pool = _approximants(a, room - 1, memo, arities) if room >= 1 else ()
+                if arities is None:
+                    out.extend(RApp(h, bag) for bag in _bags(pool, 0, room))
+                    continue
+                k = _known_arity(h, arities)
+                bags = tuple(_bags(pool, 0, room, k))
+                if k and bags:
+                    heads, other = _landing_sites(h.body)
+                    bags = [bag for bag in bags if _lands(bag, arities, heads, other)]
+                out.extend(RApp(h, bag) for bag in bags)
     result = mkbag(out)
     memo[key] = result
     return result
+
+
+def _known_arity(t: ResTerm, arities: Arities) -> int | None:
+    """``_arity(t)``, computed once per enumeration."""
+    a = arities.get(t, -1)
+    if a == -1:
+        a = arities[t] = _arity(t)
+    return a
+
+
+def _landing_sites(body: ResTerm) -> tuple[dict[int, int], int]:
+    """Where the bag elements of a lambda redex with this body land: the
+    number of occurrences of the lambda's variable (index 0 of ``body``)
+    that head an application, by the size of its bag, and the number of
+    the other occurrences."""
+    heads: dict[int, int] = {}
+    other = 0
+    stack = [(body, 0)]
+    while stack:
+        u, d = stack.pop()
+        cls = type(u)
+        if cls is RVar:
+            other += u.ref == d
+        elif cls is RLam:
+            stack.append((u.body, d + 1))
+        elif cls is RMu:
+            stack.append((u.body, d))
+        else:
+            h = u.head
+            if type(h) is RVar and h.ref == d:
+                heads[len(u.bag)] = heads.get(len(u.bag), 0) + 1
+            else:
+                stack.append((h, d))
+            stack.extend((e, d) for e in u.bag)
+    return heads, other
+
+
+def _lands(bag: tuple[ResTerm, ...], arities: Arities, heads: dict[int, int], other: int) -> bool:
+    """Can the bag's elements go to the occurrences ``_landing_sites``
+    counted without making a vanishing redex?  An element of arity a fits
+    a head with a bag of size a or an occurrence that is no head, and an
+    element without an arity fits anywhere."""
+    want: dict[int, int] = {}
+    for e in bag:
+        a = _known_arity(e, arities)
+        if a is not None:
+            want[a] = want.get(a, 0) + 1
+    return sum(max(0, n - heads.get(a, 0)) for a, n in want.items()) <= other
 
 
 def _bags(pool: tuple[ResTerm, ...], start: int, left: int, n: int | None = None):
@@ -148,7 +214,7 @@ def _head_reduct_sources(m: Term, max_size: int) -> tuple[ResTerm, ...]:
         return ()
     pos, kind = hit
     if kind != "lam":
-        return _approximants(m, max_size + _head_step_shrink(kind, 0), {}, False)
+        return _approximants(m, max_size + _head_step_shrink(kind, 0), {}, None)
     return mkbag(t for t, _ in _head_spine(m, pos, max_size, {}))
 
 
@@ -160,11 +226,11 @@ def _head_spine(u: Term, path: Pos, budget: int, memo: Memo) -> list[tuple[ResTe
     if not path:
         # Each slot with its element costs at least 2, as much as it adds to
         # the shrink, so the lambda alone fits the credit of an empty bag.
-        for h in _approximants(u.fun, budget + _head_step_shrink("lam", 0) - 1, memo, False):
+        for h in _approximants(u.fun, budget + _head_step_shrink("lam", 0) - 1, memo, None):
             k = _arity(h)
             credit = _head_step_shrink("lam", k)
             room = budget + credit - 1 - h.size
-            pool = _approximants(u.arg, room - 1, memo, False) if room >= 1 else ()
+            pool = _approximants(u.arg, room - 1, memo, None) if room >= 1 else ()
             out.extend((RApp(h, bag), credit) for bag in _bags(pool, 0, room, k))
         return out
     match u:
@@ -175,7 +241,7 @@ def _head_spine(u: Term, path: Pos, budget: int, memo: Memo) -> list[tuple[ResTe
         case App(fun=f, arg=a):
             for h, credit in _head_spine(f, path[1:], budget - 1, memo):
                 room = budget + credit - 1 - h.size
-                pool = _approximants(a, room - 1, memo, False) if room >= 1 else ()
+                pool = _approximants(a, room - 1, memo, None) if room >= 1 else ()
                 out.extend((RApp(h, bag), credit) for bag in _bags(pool, 0, room))
     return out
 
@@ -220,14 +286,20 @@ class Solvable:
 
 @dataclass(frozen=True)
 class Unknown:
+    """No head normal form within ``fuel`` steps; ``term`` is the term after
+    exactly ``fuel`` steps."""
+
     fuel: int
     term: Term
 
 
 def solvable(m: Term, fuel: int) -> Solvable | Unknown:
-    """Head reduction with fuel: reaching a head normal form proves the term
-    solvable; running out is inconclusive (reported, never silently cut).
-    Negative fuel is a ValueError."""
+    """Head reduction with fuel (``lamu.head_run``): reaching a head normal
+    form within ``fuel`` steps proves the term solvable; running out is
+    inconclusive (reported, never silently cut) and gives the term after
+    exactly ``fuel`` steps.  A run that returns to a term it has seen is cut
+    short at no change to the answer, so a cyclic unsolvable term such as
+    omega costs its cycle, not its fuel.  Negative fuel is a ValueError."""
     res = head_run(m, fuel)
     if isinstance(res, Hnf):
         return Solvable(res.steps, res.term)

@@ -1,5 +1,10 @@
 """Shared pytest plumbing: the acceptance run prints one line per criterion,
-and tests can forbid opening or closing binders."""
+tests can forbid opening or closing binders, and tests can load a mutant
+copy of a module to show that they catch it."""
+
+import inspect
+import sys
+import types
 
 import pytest
 
@@ -40,3 +45,22 @@ def forbid_binder_opening(monkeypatch):
             monkeypatch.setattr(syntax, f, boom)
 
     return forbid
+
+
+@pytest.fixture
+def mutant_module(monkeypatch):
+    """Call the returned function with a module of the package and a piece
+    of its source that occurs exactly once, to get a copy of the module with
+    that piece replaced.  The copy imports the rest of the package as it is."""
+
+    def make(module: types.ModuleType, old: str, new: str) -> types.ModuleType:
+        src = inspect.getsource(module)
+        assert src.count(old) == 1, old
+        name = module.__name__.replace(".", "._", 1) + "_mutant"
+        mod = types.ModuleType(name)
+        mod.__package__ = module.__package__
+        monkeypatch.setitem(sys.modules, name, mod)
+        exec(compile(src.replace(old, new), module.__file__, "exec"), vars(mod))
+        return mod
+
+    return make

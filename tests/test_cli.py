@@ -204,6 +204,16 @@ def test_solvable_verdicts(capsys):
     assert out.strip() == "unknown: no head normal form within 50 steps"
 
 
+@pytest.mark.parametrize("fuel, src, last", [
+    ("1", r"(\x.x x) (\y.y)", r"(\x.x) (\x.x)"),
+    ("0", r"(\x.x x x) (\x.x x x)", r"(\x.x x x) (\x.x x x)"),
+])
+def test_solvable_reports_the_term_after_exactly_fuel_steps(capsys, fuel, src, last):
+    code, out, _ = _run(capsys, "solvable", "--fuel", fuel, "--json", "-e", src)
+    assert code == 0
+    assert json.loads(out) == {"solvable": None, "fuel": int(fuel), "last": last}
+
+
 # ---------- check ----------
 
 

@@ -1,6 +1,8 @@
 """Classical lambda-mu reduction: beta, structural mu, renaming collapse."""
 
+import functools
 import os
+import random
 import subprocess
 import sys
 
@@ -8,6 +10,8 @@ import pytest
 
 import mulam
 
+from mulam import lamu
+from mulam.gen import gen_term
 from mulam.lamu import (
     FuelExhausted,
     Hnf,
@@ -173,6 +177,123 @@ def test_callcc_is_already_head_normal():
     assert is_hnf(cc)
     out = head_run(cc, 5)
     assert isinstance(out, Hnf) and out.steps == 0
+
+
+def test_head_run_stops_after_exactly_fuel_steps():
+    # One step of fuel: the term after it is not yet head normal.
+    t = _p("(\\x.x x) (\\y.y)")
+    assert head_run(t, 1) == FuelExhausted(1, _p("(\\y.y) (\\y.y)"))
+    assert head_run(t, 2) == Hnf(2, _p("\\y.y"))
+    # No fuel: the input itself, not its reduct.
+    t = _p("(\\x.x x x) (\\x.x x x)")
+    assert head_run(t, 0) == FuelExhausted(0, t)
+    assert head_run(t, 1) == FuelExhausted(1, _p("(\\x.x x x) (\\x.x x x) (\\x.x x x)"))
+
+
+# ---------- cycle detection in head runs ----------
+
+
+@functools.cache
+def _reference_head_run(t, fuel):
+    """Head reduction for ``fuel`` steps, one step at a time (cached, since
+    the runs at fuel 20000 take that many steps)."""
+    u = t
+    for n in range(fuel):
+        nxt = head_step(u)
+        if nxt is None:
+            return Hnf(n, u)
+        u = nxt
+    return Hnf(fuel, u) if is_hnf(u) else FuelExhausted(fuel, u)
+
+
+_OMEGA = "(\\x.x x) (\\x.x x)"
+
+# Terms whose head run cycles, with (steps before the cycle, its period).
+_CYCLING = (
+    (_OMEGA, 0, 1),
+    (f"\\w.{_OMEGA}", 0, 1),
+    (f"mu 'b.<'b> {_OMEGA}", 0, 1),
+    ("(mu 'a.<'a> (\\x.x x)) (\\x.x x)", 1, 1),
+    ("(\\x.x x) (\\y.(\\z.z) (y y))", 1, 2),
+    # lambda and naming-merge steps
+    ("(\\x. mu 'a.<'a> x x) (\\x. mu 'a.<'a> x x)", 1, 2),
+    # one lambda, one mu and one naming-merge step
+    ("(\\x.(mu 'a.<'a> x) x) (\\x.(mu 'a.<'a> x) x)", 2, 3),
+)
+
+
+def _cycle_of(t):
+    """(steps before the cycle, period) of a head run known to cycle."""
+    seen = {}
+    u, n = t, 0
+    while u not in seen:
+        seen[u] = n
+        u, n = head_step(u), n + 1
+    return seen[u], n - seen[u]
+
+
+def _head_run_disagreements(run):
+    """(term, fuel) pairs where ``run`` differs from the reference: every
+    fuel up to three times around the cycle and well past it, and 20000."""
+    bad = []
+    for src, mu, lam in _CYCLING:
+        t = _p(src)
+        for fuel in [*range(3 * (mu + lam) + 3), 20000]:
+            if run(t, fuel) != _reference_head_run(t, fuel):
+                bad.append((src, fuel))
+    return bad
+
+
+def test_the_cycling_terms_have_their_cycles():
+    for src, mu, lam in _CYCLING:
+        assert _cycle_of(_p(src)) == (mu, lam), src
+
+
+def test_head_run_jumps_to_the_term_the_reference_reaches():
+    assert _head_run_disagreements(head_run) == []
+
+
+def test_head_run_agrees_with_the_reference_on_samples():
+    for seed in range(300):
+        t = gen_term(random.Random(seed), 14)
+        steps = _reference_head_run(t, 20000)
+        assert isinstance(steps, Hnf), seed
+        for fuel in [*range(steps.steps + 3), 20000]:
+            assert head_run(t, fuel) == _reference_head_run(t, fuel), (seed, fuel)
+
+
+def test_head_run_finds_no_cycle_in_a_growing_term():
+    t = _p("(\\x.x x x) (\\x.x x x)")
+    for fuel in range(40):
+        assert head_run(t, fuel) == _reference_head_run(t, fuel), fuel
+
+
+def test_a_cycle_costs_its_cycle_not_its_fuel(monkeypatch):
+    calls = [0]
+    step = lamu.head_step
+
+    def counting(t):
+        calls[0] += 1
+        return step(t)
+
+    monkeypatch.setattr(lamu, "head_step", counting)
+    assert head_run(omega(), 10**6) == FuelExhausted(10**6, omega())
+    assert calls[0] == 1
+    for src, mu, lam in _CYCLING:
+        calls[0] = 0
+        head_run(_p(src), 10**6)
+        assert calls[0] <= 4 * (mu + lam), src
+
+
+@pytest.mark.parametrize("old, new", (
+    ("(fuel - n) % (n - s)", "(fuel - n + 1) % (n - s)"),
+    ("(fuel - n) % (n - s)", "(fuel - n - 1) % (n - s)"),
+    ("(fuel - n) % (n - s)", "(fuel - n) % (n - s + 1)"),
+    ("saved, s = u, n", "saved, s = u, n - 1"),
+))
+def test_an_off_by_one_jump_is_caught(mutant_module, old, new):
+    mutant = mutant_module(lamu, old, new)
+    assert _head_run_disagreements(mutant.head_run)
 
 
 # ---------- printing stays in sync ----------
