@@ -5,9 +5,14 @@ reducible addend, every redex position) up to a node cap, recording the
 graph.  Strong normalization plus confluence predict a DAG with exactly one
 sink; the oracle checks that independently of the engine's normalizer.
 
-An addend usually recurs in many sums of one graph.  Each exploration keeps
-a table from addend to its redexes and their reducts, so each distinct
+An addend usually recurs in many sums of one graph.  Each exploration
+interns its addends (hash-consing scoped to one call; Filliatre and
+Conchon, "Type-safe modular hash-consing", 2006): the first time an addend
+is seen it gets a dense id, and lists indexed by id hold the addend, its
+hash, its sort key and its redexes with their reducts, so each distinct
 addend is stepped once per exploration, however many nodes contain it.
+While exploring, a node is a dict from addend id to coefficient, so copying
+and comparing nodes runs on ints and never calls a term's hash.
 
 Most edges lead to a node already found, so a successor is looked up by a
 key that costs only the change: the sum over its addends of coefficient
@@ -20,15 +25,20 @@ node is known when its coefficients equal the successor's exactly, and on a
 collision the next key is probed.  Node numbers come from the order nodes
 are found, never from keys, so graphs do not depend on the string hash
 seed.
+
+The canonical sums of ``g.nodes`` are built once the search is over (never
+when it overflows), and all of them share one ``(term, coefficient)`` item
+per distinct pair.  An ``Edge`` is a named tuple.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .resource import _as_sum, _check_mode, step_r
-from .syntax import BOOL, Pos, ResTerm, Sum, SumBuilder, redexes
+from .syntax import BOOL, Pos, ResTerm, Sum, _bag_key, redexes
 
 
 class GraphOverflow(Exception):
@@ -40,8 +50,7 @@ class GraphOverflow(Exception):
         self.visited = visited
 
 
-@dataclass(frozen=True, slots=True)
-class Edge:
+class Edge(NamedTuple):
     src: int
     dst: int
     addend: ResTerm
@@ -68,80 +77,115 @@ def _addend_hash(t: ResTerm) -> int:
     return hash(t.enc) % _P
 
 
-def _step_table(t: ResTerm, semiring: str) -> tuple[int, list[tuple[Pos, str, tuple, int]]]:
-    """``t``'s hash, and for each of its redexes the position, the kind, the
-    reduct's items as (term, coefficient, hash) and the reduct's key."""
-    reducts = []
-    for pos, kind in redexes(t):
-        items = tuple((u, c, _addend_hash(u)) for u, c in step_r(t, pos, semiring).items)
-        reducts.append((pos, kind, items, sum(c * h for _, c, h in items) % _P))
-    return _addend_hash(t), reducts
-
-
 def explore(
     x: ResTerm | Sum, semiring: str, node_cap: int = 50_000, mode: str = "coeff"
 ) -> ReductionGraph:
     """Breadth-first closure of one-step reduction; raises GraphOverflow
     rather than returning a truncated graph.
 
-    A successor is built as a copy of its parent's coefficient dict with the
-    step applied, keyed from the parent's key (see the module docstring);
-    only a new node becomes a canonical sum.
+    While exploring, a node is a dict from addend id to coefficient in
+    canonical addend order.  A successor is a copy of its parent's dict with
+    the step applied, keyed from the parent's key (see the module
+    docstring).  The nodes become canonical sums once the search is over.
     """
     _check_mode(mode)
     root = _as_sum(x, semiring)
     g = ReductionGraph(root=root, semiring=semiring, mode=mode)
-    nodes, edges = g.nodes, g.edges
     saturate = semiring == BOOL
-    root_key = sum(c * _addend_hash(t) for t, c in root.items) % _P
-    index = {root_key: 0}  # probed key -> node
-    nodes.append(root)
-    queue: deque[tuple[int, int]] = deque([(0, root_key)])  # node, its key
-    steps: dict[ResTerm, tuple[int, list[tuple[Pos, str, tuple, int]]]] = {}
-    while queue:
-        i, key = queue.popleft()
-        s = nodes[i]
-        parent = dict(s.items)
+    occurrence = mode != "coeff"
+
+    # Addend id -> the addend, its hash, its sort key and (once stepped) for
+    # each of its redexes the position, the kind, the reduct's items as
+    # (id, coefficient, hash) and the reduct's key.
+    ids: dict[ResTerm, int] = {}
+    terms: list[ResTerm] = []
+    hashes: list[int] = []
+    sort_keys: list[tuple[int, bytes]] = []
+    steps: list[list[tuple[Pos, str, tuple, int]] | None] = []
+
+    def intern(t: ResTerm) -> int:
+        u = ids.get(t)
+        if u is None:
+            u = ids[t] = len(terms)
+            terms.append(t)
+            hashes.append(_addend_hash(t))
+            sort_keys.append(_bag_key(t))
+            steps.append(None)
+        return u
+
+    def step_table(u: int) -> list[tuple[Pos, str, tuple, int]]:
+        t = terms[u]
+        reducts = []
+        for pos, kind in redexes(t):
+            items = []
+            for v, c in step_r(t, pos, semiring).items:
+                v = intern(v)
+                items.append((v, c, hashes[v]))
+            reducts.append((pos, kind, items, sum(c * h for _, c, h in items) % _P))
+        return reducts
+
+    coeffs = [{intern(t): c for t, c in root.items}]  # node -> addend id -> coefficient
+    node_keys = [sum(c * hashes[u] for u, c in coeffs[0].items()) % _P]
+    index = {node_keys[0]: 0}  # probed key -> node
+    edges = g.edges
+    i = 0
+    while i < len(coeffs):
+        parent, key = coeffs[i], node_keys[i]
         seen_edges = len(edges)
-        for t, c in s.items:
-            entry = steps.get(t)
-            if entry is None:
-                entry = steps[t] = _step_table(t, semiring)
-            ht, reducts = entry
-            k = c if mode == "coeff" else 1
+        for u, c in parent.items():
+            reducts = steps[u]
+            if reducts is None:
+                reducts = steps[u] = step_table(u)
+            hu = hashes[u]
+            k = 1 if occurrence else c
             for pos, kind, items, rkey in reducts:
                 d = parent.copy()
                 if c == k:
-                    del d[t]
+                    del d[u]
                 else:
-                    d[t] = c - k
+                    d[u] = c - k
                 if saturate:
                     # Over Bool the key is the support's: an addend already
                     # there adds nothing.
-                    nkey = key - ht
-                    for u, _, hu in items:
-                        if u not in d:
-                            d[u] = 1
-                            nkey += hu
+                    nkey = key - hu
+                    for v, _, hv in items:
+                        if v not in d:
+                            d[v] = 1
+                            nkey += hv
                     nkey %= _P
                 else:
-                    nkey = (key + k * (rkey - ht)) % _P
-                    for u, cu, _ in items:
-                        d[u] = d.get(u, 0) + k * cu
+                    nkey = (key + k * (rkey - hu)) % _P
+                    for v, cv, _ in items:
+                        d[v] = d.get(v, 0) + k * cv
                 # A key hit is the successor only if the coefficients agree.
                 probe = nkey
-                while (j := index.get(probe)) is not None and d != dict(nodes[j].items):
+                while (j := index.get(probe)) is not None and d != coeffs[j]:
                     probe += 1
                 if j is None:
-                    if len(nodes) >= node_cap:
-                        raise GraphOverflow(node_cap, len(nodes))
-                    j = index[probe] = len(nodes)
-                    nodes.append(SumBuilder(semiring, d).build())
-                    queue.append((j, nkey))
-                edges.append(Edge(i, j, t, pos, kind))
+                    if len(coeffs) >= node_cap:
+                        raise GraphOverflow(node_cap, len(coeffs))
+                    j = index[probe] = len(coeffs)
+                    coeffs.append({v: d[v] for v in sorted(d, key=sort_keys.__getitem__)})
+                    node_keys.append(nkey)
+                edges.append(Edge(i, j, terms[u], pos, kind))
         if len(edges) == seen_edges:
             g.sinks.append(i)
-    g.sinks.sort()
+        i += 1
+
+    # Every node shares one (term, coefficient) item per distinct pair; the
+    # root's own items are the first ones.
+    pairs = {(ids[item[0]], item[1]): item for item in root.items}
+    nodes = g.nodes
+    nodes.append(root)
+    for j in range(1, len(coeffs)):
+        items = []
+        for p in coeffs[j].items():
+            item = pairs.get(p)
+            if item is None:
+                item = pairs[p] = (terms[p[0]], p[1])
+            items.append(item)
+        coeffs[j] = None
+        nodes.append(Sum.of_canonical(semiring, tuple(items)))
     return g
 
 

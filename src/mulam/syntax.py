@@ -424,6 +424,16 @@ class Sum:
     def unit(cls, t: ResTerm, semiring: str) -> "Sum":
         return cls(semiring, ((t, 1),))
 
+    @classmethod
+    def of_canonical(cls, semiring: str, items: tuple[tuple[ResTerm, int], ...]) -> "Sum":
+        """The sum whose items are ``items``, which must already be
+        canonical: sorted by encoding, merged, positive and, over Bool,
+        saturated.  Nothing is checked."""
+        out = object.__new__(cls)
+        out.semiring = semiring
+        out.items = items
+        return out
+
     # -- queries --
 
     @property
@@ -571,10 +581,7 @@ class SumBuilder:
             del self.coeffs[t]
 
     def build(self) -> Sum:
-        out = object.__new__(Sum)
-        out.semiring = self.semiring
-        out.items = _canonical_items(self.semiring, self.coeffs)
-        return out
+        return Sum.of_canonical(self.semiring, _canonical_items(self.semiring, self.coeffs))
 
 
 def add_app(

@@ -2,21 +2,26 @@
 
 import random
 from collections import deque
+from dataclasses import dataclass
 
 import pytest
 
 from mulam import oracle
 from mulam.gen import gen_res
 from mulam.oracle import (
+    _P,
+    Edge,
     GraphOverflow,
+    ReductionGraph,
+    _addend_hash,
     explore,
     is_dag,
     joinable,
     reachable_sums,
     unique_sink,
 )
-from mulam.resource import normalize_r, step_r
-from mulam.syntax import BOOL, NAT, Sum, redexes
+from mulam.resource import _as_sum, _check_mode, normalize_r, step_r
+from mulam.syntax import BOOL, NAT, Pos, ResTerm, Sum, SumBuilder, redexes
 from mulam.textio import parse_res, parse_sum
 
 
@@ -60,6 +65,29 @@ def test_node_cap_is_the_largest_graph_allowed(semiring, mode):
     with pytest.raises(GraphOverflow) as err:
         explore(root, semiring, node_cap=count - 1, mode=mode)
     assert (err.value.node_cap, err.value.visited) == (count - 1, count - 1)
+
+
+def test_distinct_normal_forms_are_not_joinable():
+    assert not joinable(_p("x"), _p("y"), NAT)
+
+
+def _hand_graph(arcs):
+    nodes = [parse_sum(f"y{i}", NAT) for i in range(3)]
+    edges = [Edge(i, j, _p("x"), (), "lam") for i, j in arcs]
+    return ReductionGraph(nodes[0], NAT, "coeff", nodes, edges, [])
+
+
+@pytest.mark.parametrize(
+    "arcs, acyclic",
+    [
+        ([(0, 1), (1, 2), (0, 2)], True),
+        ([(0, 1), (1, 0)], False),  # a 2-cycle
+        ([(0, 1), (1, 1)], False),  # a self-loop
+        ([(0, 1), (1, 2), (2, 1)], False),  # a cycle below a source
+    ],
+)
+def test_is_dag_on_hand_built_graphs(arcs, acyclic):
+    assert is_dag(_hand_graph(arcs)) is acyclic
 
 
 def test_joinable_after_diverging_first_steps():
@@ -117,37 +145,187 @@ _SMALL = [
 ]
 
 
+def _graph(g):
+    return (g.nodes, [(e.src, e.dst, e.addend, e.pos, e.kind) for e in g.edges], g.sinks)
+
+
+def _small_roots(semiring):
+    roots = [parse_sum(src, semiring) for src in _SMALL]
+    return roots + [Sum(semiring, [(gen_res(random.Random(seed), 10), 2)]) for seed in range(40)]
+
+
+def _assert_canonical_and_shared(g):
+    """Nodes bypass the validating constructor: each must equal, and hash
+    like, the sum that constructor makes of its items, and each distinct
+    (term, coefficient) item must be one object across all nodes."""
+    shared = {}
+    for s in g.nodes:
+        again = Sum(g.semiring, s.items)
+        assert s == again and hash(s) == hash(again), s
+        for item in s.items:
+            assert shared.setdefault(item, item) is item, item
+
+
 @pytest.mark.parametrize("semiring", [BOOL, NAT])
 @pytest.mark.parametrize("mode", ["coeff", "occurrence"])
 def test_explore_matches_naive_search(semiring, mode):
-    roots = [parse_sum(src, semiring) for src in _SMALL]
-    roots += [Sum(semiring, [(gen_res(random.Random(seed), 10), 2)]) for seed in range(40)]
-    for root in roots:
+    for root in _small_roots(semiring):
         g = explore(root, semiring, mode=mode)
-        got = (g.nodes, [(e.src, e.dst, e.addend, e.pos, e.kind) for e in g.edges], g.sinks)
-        assert got == _naive_graph(root, semiring, mode), root
+        assert _graph(g) == _naive_graph(root, semiring, mode), root
+        _assert_canonical_and_shared(g)
 
 
 @pytest.mark.parametrize("semiring", [BOOL, NAT])
 @pytest.mark.parametrize("mode", ["coeff", "occurrence"])
 def test_explore_matches_naive_search_when_all_keys_collide(semiring, mode, monkeypatch):
     # Every node gets key 0, so each lookup is decided by the exact
-    # comparison of coefficients alone.
-    monkeypatch.setattr(oracle, "_addend_hash", lambda t: 0)
-    test_explore_matches_naive_search(semiring, mode)
+    # comparison of coefficients alone.  That holds only if every addend's
+    # hash is taken through _addend_hash, which the spy checks.
+    hashed = set()
+    monkeypatch.setattr(oracle, "_addend_hash", lambda t: hashed.add(t) or 0)
+    for root in _small_roots(semiring):
+        hashed.clear()
+        g = explore(root, semiring, mode=mode)
+        assert _graph(g) == _naive_graph(root, semiring, mode), root
+        assert {t for s in g.nodes for t, _ in s.items} <= hashed
 
 
-@pytest.mark.parametrize(
-    "bag, semiring, mode, nodes, edges",
-    [
-        ("y0, y1, y1, y2", NAT, "coeff", 6146, 37891),
-        ("y, y, y, y", NAT, "occurrence", 1052, 3808),
-        ("y0, y1, y2", BOOL, "coeff", 386, 1603),
-    ],
-)
+# The two-copy mu redex applied to a bag: the inputs of the benchmark's
+# graphs workload, with their sizes.
+_FANOUTS = [
+    ("y0, y1, y1, y2", NAT, "coeff", 6146, 37891),
+    ("y, y, y, y", NAT, "occurrence", 1052, 3808),
+    ("y0, y1, y2", BOOL, "coeff", 386, 1603),
+]
+
+
+def _fanout(bag, semiring):
+    return parse_sum(f"(mu 'a.<'a> mu 'e.<'a> x)[{bag}]", semiring)
+
+
+@pytest.mark.parametrize("bag, semiring, mode, nodes, edges", _FANOUTS)
 def test_graph_sizes_of_the_two_copy_fanout(bag, semiring, mode, nodes, edges):
-    g = explore(parse_sum(f"(mu 'a.<'a> mu 'e.<'a> x)[{bag}]", semiring), semiring, mode=mode)
+    g = explore(_fanout(bag, semiring), semiring, mode=mode)
     assert (len(g.nodes), len(g.edges), len(g.sinks)) == (nodes, edges, 1)
+    _assert_canonical_and_shared(g)
+
+
+# ---------- the explorer against the one it replaced ----------
+#
+# The explorer before addends were interned, kept as written (its Edge was a
+# frozen dataclass): nodes were canonical sums from the start, and a key hit
+# was confirmed by rebuilding the candidate's coefficient dict.
+
+
+@dataclass(frozen=True, slots=True)
+class RefEdge:
+    src: int
+    dst: int
+    addend: ResTerm
+    pos: Pos
+    kind: str
+
+
+def ref_step_table(t: ResTerm, semiring: str) -> tuple[int, list[tuple[Pos, str, tuple, int]]]:
+    """``t``'s hash, and for each of its redexes the position, the kind, the
+    reduct's items as (term, coefficient, hash) and the reduct's key."""
+    reducts = []
+    for pos, kind in redexes(t):
+        items = tuple((u, c, _addend_hash(u)) for u, c in step_r(t, pos, semiring).items)
+        reducts.append((pos, kind, items, sum(c * h for _, c, h in items) % _P))
+    return _addend_hash(t), reducts
+
+
+def ref_explore(
+    x: ResTerm | Sum, semiring: str, node_cap: int = 50_000, mode: str = "coeff"
+) -> ReductionGraph:
+    """Breadth-first closure of one-step reduction; raises GraphOverflow
+    rather than returning a truncated graph.
+
+    A successor is built as a copy of its parent's coefficient dict with the
+    step applied, keyed from the parent's key (see the module docstring);
+    only a new node becomes a canonical sum.
+    """
+    _check_mode(mode)
+    root = _as_sum(x, semiring)
+    g = ReductionGraph(root=root, semiring=semiring, mode=mode)
+    nodes, edges = g.nodes, g.edges
+    saturate = semiring == BOOL
+    root_key = sum(c * _addend_hash(t) for t, c in root.items) % _P
+    index = {root_key: 0}  # probed key -> node
+    nodes.append(root)
+    queue: deque[tuple[int, int]] = deque([(0, root_key)])  # node, its key
+    steps: dict[ResTerm, tuple[int, list[tuple[Pos, str, tuple, int]]]] = {}
+    while queue:
+        i, key = queue.popleft()
+        s = nodes[i]
+        parent = dict(s.items)
+        seen_edges = len(edges)
+        for t, c in s.items:
+            entry = steps.get(t)
+            if entry is None:
+                entry = steps[t] = ref_step_table(t, semiring)
+            ht, reducts = entry
+            k = c if mode == "coeff" else 1
+            for pos, kind, items, rkey in reducts:
+                d = parent.copy()
+                if c == k:
+                    del d[t]
+                else:
+                    d[t] = c - k
+                if saturate:
+                    # Over Bool the key is the support's: an addend already
+                    # there adds nothing.
+                    nkey = key - ht
+                    for u, _, hu in items:
+                        if u not in d:
+                            d[u] = 1
+                            nkey += hu
+                    nkey %= _P
+                else:
+                    nkey = (key + k * (rkey - ht)) % _P
+                    for u, cu, _ in items:
+                        d[u] = d.get(u, 0) + k * cu
+                # A key hit is the successor only if the coefficients agree.
+                probe = nkey
+                while (j := index.get(probe)) is not None and d != dict(nodes[j].items):
+                    probe += 1
+                if j is None:
+                    if len(nodes) >= node_cap:
+                        raise GraphOverflow(node_cap, len(nodes))
+                    j = index[probe] = len(nodes)
+                    nodes.append(SumBuilder(semiring, d).build())
+                    queue.append((j, nkey))
+                edges.append(RefEdge(i, j, t, pos, kind))
+        if len(edges) == seen_edges:
+            g.sinks.append(i)
+    g.sinks.sort()
+    return g
+
+
+def _outcome(search, root, semiring, mode, node_cap):
+    try:
+        return _graph(search(root, semiring, node_cap, mode))
+    except GraphOverflow as err:
+        return ("overflow", err.node_cap, err.visited)
+
+
+@pytest.mark.parametrize("bag, semiring, mode, nodes, edges", _FANOUTS)
+def test_explore_matches_the_reference_on_the_fanouts(bag, semiring, mode, nodes, edges):
+    root = _fanout(bag, semiring)
+    assert _graph(explore(root, semiring, mode=mode)) == _graph(ref_explore(root, semiring, mode=mode))
+
+
+@pytest.mark.parametrize("semiring", [BOOL, NAT])
+@pytest.mark.parametrize("mode", ["coeff", "occurrence"])
+def test_explore_matches_the_reference_on_generated_roots(semiring, mode):
+    # Two addends, so that nodes have several and reducts merge into them;
+    # one of these graphs passes the cap (nat, occurrence).
+    for seed in range(300):
+        rng = random.Random(seed)
+        root = Sum(semiring, [(gen_res(rng, 12), 2), (gen_res(rng, 12), 1)])
+        got = _outcome(explore, root, semiring, mode, 2000)
+        assert got == _outcome(ref_explore, root, semiring, mode, 2000), seed
 
 
 def test_explore_rejects_an_unknown_mode():
