@@ -48,6 +48,16 @@ def _fail_parse(src: str, err: ParseError) -> int:
     return 2
 
 
+def _parse(parse, src: str, *args):
+    """``parse(src, *args)``.  A parse error is reported here, with a caret
+    under its span, and goes on up to ``main``, which returns 2."""
+    try:
+        return parse(src, *args)
+    except ParseError as e:
+        _fail_parse(src, e)
+        raise
+
+
 def _read_input(args: argparse.Namespace) -> str:
     if getattr(args, "expr", None) is not None:
         return args.expr
@@ -124,10 +134,7 @@ def _cmd_parse(args: argparse.Namespace) -> int:
 
 
 def _reduce_lamu(args: argparse.Namespace, src: str) -> int:
-    try:
-        t = parse_term(src)
-    except ParseError as e:
-        return _fail_parse(src, e)
+    t = _parse(parse_term, src)
     rng = random.Random(args.seed)
     print(f"start: {print_term(t)}")
     for i in range(args.max_steps + 1):
@@ -163,10 +170,7 @@ def _res_head_step(s: Sum):
 
 
 def _reduce_res(args: argparse.Namespace, src: str) -> int:
-    try:
-        s = parse_sum(src, args.semiring)
-    except ParseError as e:
-        return _fail_parse(src, e)
+    s = _parse(parse_sum, src, args.semiring)
     rng = random.Random(args.seed)
     print(f"start: {print_sum(s)}")
     for i in range(args.max_steps + 1):
@@ -235,11 +239,7 @@ def _cmd_normalize(args: argparse.Namespace) -> int:
 
 
 def _cmd_measure(args: argparse.Namespace) -> int:
-    src = _read_input(args)
-    try:
-        t = parse_res(src)
-    except ParseError as e:
-        return _fail_parse(src, e)
+    t = _parse(parse_res, _read_input(args))
     slack = ms(t)
     layered = bold_ms(t)
     if args.json:
@@ -263,61 +263,35 @@ def _cmd_measure(args: argparse.Namespace) -> int:
 # ---------- taylor / nft / nft-eq ----------
 
 
-def _cmd_taylor(args: argparse.Namespace) -> int:
-    src = _read_input(args)
-    try:
-        m = parse_term(src)
-    except ParseError as e:
-        return _fail_parse(src, e)
-    approx = taylor_enum(m, args.max_size)
-    shown = approx if args.limit is None else approx[: args.limit]
+def _emit_terms(args: argparse.Namespace, title: str, key: str, terms) -> int:
+    """List ``terms`` under ``title`` (under ``key`` with ``--json``), at
+    most ``--limit`` of them, after their count."""
+    shown = terms if args.limit is None else terms[: args.limit]
     if args.json:
-        _emit_json(
-            {
-                "max_size": args.max_size,
-                "count": len(approx),
-                "approximants": [to_json(t) for t in shown],
-            }
-        )
+        _emit_json({"max_size": args.max_size, "count": len(terms),
+                    key: [to_json(t) for t in shown]})
         return 0
-    print(f"approximants of size <= {args.max_size}: {len(approx)}")
+    print(f"{title}: {len(terms)}")
     for t in shown:
         print(print_res(t))
     return 0
+
+
+def _cmd_taylor(args: argparse.Namespace) -> int:
+    m = _parse(parse_term, _read_input(args))
+    return _emit_terms(args, f"approximants of size <= {args.max_size}", "approximants",
+                       taylor_enum(m, args.max_size))
 
 
 def _cmd_nft(args: argparse.Namespace) -> int:
-    src = _read_input(args)
-    try:
-        m = parse_term(src)
-    except ParseError as e:
-        return _fail_parse(src, e)
-    nf = mkbag(nft_truncated(m, args.max_size))
-    shown = nf if args.limit is None else nf[: args.limit]
-    if args.json:
-        _emit_json(
-            {
-                "max_size": args.max_size,
-                "count": len(nf),
-                "normal_forms": [to_json(t) for t in shown],
-            }
-        )
-        return 0
-    print(f"truncated normal forms (size <= {args.max_size}): {len(nf)}")
-    for t in shown:
-        print(print_res(t))
-    return 0
+    m = _parse(parse_term, _read_input(args))
+    return _emit_terms(args, f"truncated normal forms (size <= {args.max_size})", "normal_forms",
+                       mkbag(nft_truncated(m, args.max_size)))
 
 
 def _cmd_nft_eq(args: argparse.Namespace) -> int:
-    try:
-        m = parse_term(args.expr1)
-    except ParseError as e:
-        return _fail_parse(args.expr1, e)
-    try:
-        n = parse_term(args.expr2)
-    except ParseError as e:
-        return _fail_parse(args.expr2, e)
+    m = _parse(parse_term, args.expr1)
+    n = _parse(parse_term, args.expr2)
     a = nft_truncated(m, args.max_size)
     b = nft_truncated(n, args.max_size)
     equal = a == b
@@ -345,20 +319,16 @@ def _cmd_nft_eq(args: argparse.Namespace) -> int:
 
 
 def _cmd_solvable(args: argparse.Namespace) -> int:
-    src = _read_input(args)
-    try:
-        m = parse_term(src)
-    except ParseError as e:
-        return _fail_parse(src, e)
+    m = _parse(parse_term, _read_input(args))
     out = solvable(m, args.fuel)
     if args.json:
         if isinstance(out, Solvable):
-            _emit_json({"solvable": True, "steps": out.steps, "hnf": print_term(out.hnf)})
+            _emit_json({"solvable": True, "steps": out.steps, "hnf": print_term(out.term)})
         else:
             _emit_json({"solvable": None, "fuel": out.fuel, "last": print_term(out.term)})
         return 0
     if isinstance(out, Solvable):
-        print(f"solvable: head normal form after {out.steps} steps: {print_term(out.hnf)}")
+        print(f"solvable: head normal form after {out.steps} steps: {print_term(out.term)}")
     else:
         print(f"unknown: no head normal form within {out.fuel} steps")
     return 0
@@ -480,6 +450,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except ParseError:
+        # Already reported by ``_parse``.
+        return 2
     except RecursionError:
         # The parser, printer and engine recurse on the term's structure, so
         # very deep input is beyond them; that is the input's fault (exit 2),

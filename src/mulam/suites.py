@@ -4,14 +4,19 @@ Each suite draws seeded samples, checks one family of facts, and returns a
 SuiteReport whose failure records carry enough to replay the sample by hand
 (derived seed, printed inputs, expected vs actual).  That text is rendered
 only when a failure is recorded; a passing sample prints nothing.  Inputs
-that cannot produce a sample at all raise ``NoSample``.
+that cannot produce a sample at all raise ``NoSample``.  The identity suite
+and the counterexample pack share their draws, the builders of both sides of
+each family of identities, and one check of a pair of sides.  ``run_suite``
+takes each suite's defaults from its signature.
 """
 
 from __future__ import annotations
 
+import inspect
 import random
 import time
 from dataclasses import dataclass, field
+from operator import ne
 
 from .combinatorics import weak_compositions_with_counts
 from .gen import gen_bag, gen_res, gen_term
@@ -44,7 +49,6 @@ from .syntax import (
     Term,
     deg_bag,
     degree,
-    free_vars,
     lift_app,
     mkbag,
     redexes,
@@ -378,65 +382,75 @@ def injectivity_suite(
 # ---------- identity suite ----------
 #
 # Each ``_inst_*`` maker draws one instance of its identity and returns
-# ``(shown, lhs, rhs)``: the two sides, and a zero-argument callable that
-# renders the instance.  The text is read only for a failure record, so it is
-# rendered only then.
+# ``(shown, lhs, rhs)``: a zero-argument callable that renders the instance
+# (``_show``; the text is read only for a failure record), and the two sides.
+# The draws share one redraw loop, ``_draw``, through ``_names`` and ``_bag``
+# for names and bags under side conditions.  The sides of each family of
+# identities come from one builder: ``_renamed`` pushes a renaming through an
+# operation, ``_pushed`` pushes one linear operation through another, and
+# ``_merge_sides`` merges two names.
 
 _NAME_POOL = ("a", "b", "c", "d")
 _FRESH = "qq"  # outside every generator pool, so always fresh
-
-
-def _bag_choices(sums: list[Sum]) -> list[tuple[tuple[ResTerm, ...], int]]:
-    """Multilinear expansion of a bag of sums: all ways to pick one addend
-    per slot, with the product coefficient."""
-    combos: list[tuple[list[ResTerm], int]] = [([], 1)]
-    for s in sums:
-        combos = [(picked + [t], c * ct) for picked, c in combos for t, ct in s.items]
-    return [(tuple(picked), c) for picked, c in combos]
-
-
-def _lsub(t: ResTerm, x: str, bag: Bag) -> Sum:
-    return linear_subst(t, x, bag, NAT)
 
 
 def _lna(t: ResTerm, a: str, bag: Bag) -> Sum:
     return linear_named_app(t, a, bag, NAT)
 
 
+def _subst_for(x: str):
+    return lambda t, bag: linear_subst(t, x, bag, NAT)
+
+
+def _named_app_at(a: str):
+    return lambda t, bag: _lna(t, a, bag)
+
+
+def _pair_app_at(eta: str, a: str):
+    """The named application at ``a`` under the naming ``<'eta| ->``."""
+    return lambda t, bag: linear_named_app_named(eta, t, a, bag, NAT)
+
+
 def _rename_bag(bag: Bag, new: str, old: str) -> Bag:
     return mkbag(rename_name(e, new, old) for e in bag)
 
 
-def _deg(name: str, t: ResTerm) -> int:
-    return degree("'" + name, t)
-
-
-def _bag_deg(name: str, bag: Bag) -> int:
-    return deg_bag("'" + name, bag)
-
-
-def _draw(rng: random.Random, want, tries: int = 500):
-    for _ in range(tries):
-        v = want(rng)
-        if v is not None:
+def _draw(rng: random.Random, make, ok=None):
+    """``make(rng)``, redrawn until ``ok`` holds of it (the first draw when
+    there is no ``ok``)."""
+    for _ in range(500):
+        v = make(rng)
+        if ok is None or ok(v):
             return v
-    raise NoSample(f"no draw met the side conditions in {tries} tries")
+    raise NoSample("no draw met the side conditions in 500 tries")
 
 
-def _distinct_names(r: random.Random):
-    a, b = r.choice(_NAME_POOL), r.choice(_NAME_POOL)
-    return (a, b) if a != b else None
+def _names(rng: random.Random, k: int, ok=None) -> list[str]:
+    """``k`` names from the pool, all redrawn until ``ok(*names)`` holds."""
+    return _draw(rng, lambda r: [r.choice(_NAME_POOL) for _ in range(k)],
+                 None if ok is None else lambda names: ok(*names))
 
 
-def _bag_where(rng: random.Random, ok) -> Bag:
-    """A bag of generated elements for which ``ok(bag)`` holds, redrawn
-    until it does."""
+def _bag(rng: random.Random, without: str | None = None) -> Bag:
+    """A generated bag, redrawn until no element has ``without`` free (a
+    variable ``x``, or a name written ``'a``)."""
+    return _draw(rng, lambda r: gen_bag(r, 4),
+                 None if without is None else lambda u: deg_bag(without, u) == 0)
 
-    def pick(r):
-        u = gen_bag(r, 4)
-        return u if ok(u) else None
 
-    return _draw(rng, pick)
+def _show(fmt: str, **values):
+    """The renderer of an instance: ``fmt`` filled with ``values``, where
+    names stay as they are, terms are printed and bags are written
+    ``[e1, e2]``."""
+    return lambda: fmt.format(**{k: _text(v) for k, v in values.items()})
+
+
+def _text(v) -> str:
+    if isinstance(v, str):
+        return v
+    if isinstance(v, tuple):
+        return f"[{', '.join(map(print_res, v))}]"
+    return print_res(v)
 
 
 def _over_splits(bag: Bag, n: int, f) -> Sum:
@@ -449,240 +463,189 @@ def _over_splits(bag: Bag, n: int, f) -> Sum:
     return acc.build()
 
 
-def _distributed_rhs(u: Bag, v: Bag, head, elem, then) -> Sum:
-    """The right-hand side of the identities that push an operation with bag
-    ``u`` inside one with bag ``v``: ``u`` splits over the term and the
-    elements of ``v`` in every weak composition; ``head(part)`` acts on the
-    term, ``elem(e, part)`` on each element, and each choice of new elements
-    is finished by ``then(term, new_bag)``."""
-    acc = SumBuilder(NAT)
-    n = len(v)
-    for parts, cnt in weak_compositions_with_counts(u, n + 1):
-        s0 = head(parts[0])
-        if s0.is_zero:
+def _pushed(t: ResTerm, v: Bag, u: Bag, outer, inner, elem=None) -> tuple[Sum, Sum]:
+    """Both sides of the identities that push ``inner(-, u)`` through
+    ``outer(t, v)``.  On the left it acts after ``outer``.  On the right
+    ``u`` splits over ``t`` and the elements of ``v`` in every weak
+    composition: ``inner`` acts on ``t`` and ``elem`` (``inner`` when not
+    given) on each element with its part, and ``outer`` takes ``t``'s
+    addends with each choice of one addend per element as its bag."""
+    elem = elem or inner
+    lhs = outer(t, v).bind(lambda s: inner(s, u))
+    rhs = SumBuilder(NAT)
+    for parts, cnt in weak_compositions_with_counts(u, len(v) + 1):
+        head = inner(t, parts[0])
+        if head.is_zero:
             continue
-        inner = [elem(v[k], parts[k + 1]) for k in range(n)]
-        for picked, c in _bag_choices(inner):
-            new_bag = mkbag(picked)
-            acc.add(s0.bind(lambda tt: then(tt, new_bag)), c * cnt)
-    return acc.build()
+        choices = [((), cnt)]
+        for e, p in zip(v, parts[1:]):
+            items = elem(e, p).items
+            choices = [(picked + (w,), c * cw) for picked, c in choices for w, cw in items]
+        for picked, c in choices:
+            bag = mkbag(picked)
+            rhs.add(head.bind(lambda s: outer(s, bag)), c)
+    return lhs, rhs.build()
+
+
+def _renamed(t: ResTerm, u: Bag, a: str, b: str, op, op2=None) -> tuple[Sum, Sum]:
+    """Both sides of pushing the renaming of ``b`` to ``a`` through
+    ``op(t, u)``: after it, and before it on ``t`` and on each element of
+    ``u``, where ``op2`` stands for ``op`` when the renaming changes the
+    operation itself."""
+    lhs = rename_name(op(t, u), a, b)
+    return lhs, (op2 or op)(rename_name(t, a, b), _rename_bag(u, a, b))
+
+
+def _merge_sides(t: ResTerm, a: str, b: str, u: Bag) -> tuple[Sum, Sum]:
+    """Both sides of the name-merging identity: ``b`` renamed to ``a`` before
+    the named application of ``u`` at ``a``, and ``u`` split between ``a``
+    and ``b`` before the renaming."""
+    lhs = _lna(rename_name(t, a, b), a, u)
+    rhs = _over_splits(u, 2, lambda w: rename_name(
+        _lna(t, a, w[0]).bind(lambda s: _lna(s, b, w[1])), a, b))
+    return lhs, rhs
 
 
 def _inst_rename_rename(rng: random.Random, size: int):
-    def pick(r):
-        a, b, g, h = (r.choice(_NAME_POOL) for _ in range(4))
-        if a != h and b != h and b != g:
-            return a, b, g, h
-        return None
-
-    a, b, g, h = _draw(rng, pick)
+    a, b, g, h = _names(rng, 4, lambda a, b, g, h: a != h and b != h and b != g)
     t = gen_res(rng, size)
     lhs = Sum.unit(rename_name(rename_name(t, a, b), g, h), NAT)
     rhs = Sum.unit(rename_name(rename_name(t, g, h), a, b), NAT)
-    return (lambda: f"t={print_res(t)} new/old pairs ({a},{b}) then ({g},{h})"), lhs, rhs
+    return _show("t={t} new/old pairs ({a},{b}) then ({g},{h})", t=t, a=a, b=b, g=g, h=h), lhs, rhs
 
 
 def _inst_rename_subst(rng: random.Random, size: int):
-    a, b = rng.choice(_NAME_POOL), rng.choice(_NAME_POOL)
-    x = "x"
+    a, b = _names(rng, 2)
     t = gen_res(rng, size)
-    u = gen_bag(rng, 4)
-    lhs = rename_name(_lsub(t, x, u), a, b)
-    rhs = linear_subst(rename_name(t, a, b), x, _rename_bag(u, a, b), NAT)
-    return (lambda: f"t={print_res(t)} u=[{', '.join(map(print_res, u))}] ({a},{b})"), lhs, rhs
+    u = _bag(rng)
+    lhs, rhs = _renamed(t, u, a, b, _subst_for("x"))
+    return _show("t={t} u={u} ({a},{b})", t=t, u=u, a=a, b=b), lhs, rhs
 
 
 def _inst_rename_named_app(rng: random.Random, size: int):
-    def pick(r):
-        a, b, g = (r.choice(_NAME_POOL) for _ in range(3))
-        if a != g and b != g:
-            return a, b, g
-        return None
-
-    a, b, g = _draw(rng, pick)
+    a, b, g = _names(rng, 3, lambda a, b, g: a != g and b != g)
     t = gen_res(rng, size)
-    u = gen_bag(rng, 4)
-    lhs = rename_name(_lna(t, g, u), a, b)
-    rhs = linear_named_app(rename_name(t, a, b), g, _rename_bag(u, a, b), NAT)
-    return (lambda: f"t={print_res(t)} u=[{', '.join(map(print_res, u))}] ({a},{b}) at '{g}'"), lhs, rhs
+    u = _bag(rng)
+    lhs, rhs = _renamed(t, u, a, b, _named_app_at(g))
+    return _show("t={t} u={u} ({a},{b}) at '{g}'", t=t, u=u, a=a, b=b, g=g), lhs, rhs
 
 
 def _inst_rename_named_pair(rng: random.Random, size: int):
-    def pick(r):
-        a, b, g = (r.choice(_NAME_POOL) for _ in range(3))
-        if a != g and b != g:
-            return a, b, g
-        return None
-
-    a, b, g = _draw(rng, pick)
+    a, b, g = _names(rng, 3, lambda a, b, g: a != g and b != g)
     eta = rng.choice(_NAME_POOL)
     t = gen_res(rng, size)
-    u = gen_bag(rng, 4)
-    lhs = rename_name(linear_named_app_named(eta, t, g, u, NAT), a, b)
+    u = _bag(rng)
     eta2 = a if eta == b else eta
-    rhs = linear_named_app_named(eta2, rename_name(t, a, b), g, _rename_bag(u, a, b), NAT)
-    return (
-        lambda: f"<'{eta}| {print_res(t)}> u=[{', '.join(map(print_res, u))}] ({a},{b}) at '{g}'",
-        lhs,
-        rhs,
-    )
+    lhs, rhs = _renamed(t, u, a, b, _pair_app_at(eta, g), _pair_app_at(eta2, g))
+    return _show("<'{eta}| {t}> u={u} ({a},{b}) at '{g}'", eta=eta, t=t, u=u, a=a, b=b, g=g), lhs, rhs
 
 
 def _inst_subst_subst(rng: random.Random, size: int):
-    x, y = "x", "y"
-    u = _bag_where(rng, lambda u: all(y not in free_vars(e) for e in u))
+    u = _bag(rng, without="y")
     t = gen_res(rng, size)
-    v = gen_bag(rng, 4)
-    lhs = _lsub(t, y, v).bind(lambda tt: _lsub(tt, x, u))
-    rhs = _distributed_rhs(u, v, lambda p: _lsub(t, x, p), lambda e, p: _lsub(e, x, p),
-                           lambda tt, b: _lsub(tt, y, b))
-    return (lambda: f"t={print_res(t)} v=[{', '.join(map(print_res, v))}] u=[{', '.join(map(print_res, u))}]"), lhs, rhs
+    v = _bag(rng)
+    lhs, rhs = _pushed(t, v, u, _subst_for("y"), _subst_for("x"))
+    return _show("t={t} v={v} u={u}", t=t, v=v, u=u), lhs, rhs
 
 
 def _inst_subst_named_app(rng: random.Random, size: int):
-    x = "x"
     a = rng.choice(_NAME_POOL)
-    u = _bag_where(rng, lambda u: _bag_deg(a, u) == 0)
+    u = _bag(rng, without="'" + a)
     t = gen_res(rng, size)
-    v = gen_bag(rng, 4)
-    lhs = _lna(t, a, v).bind(lambda s: _lsub(s, x, u))
-    rhs = _distributed_rhs(u, v, lambda p: _lsub(t, x, p), lambda e, p: _lsub(e, x, p),
-                           lambda tt, b: _lna(tt, a, b))
-    return (lambda: f"t={print_res(t)} v=[{', '.join(map(print_res, v))}] u=[{', '.join(map(print_res, u))}] '{a}' x"), lhs, rhs
+    v = _bag(rng)
+    lhs, rhs = _pushed(t, v, u, _named_app_at(a), _subst_for("x"))
+    return _show("t={t} v={v} u={u} '{a}' x", t=t, v=v, u=u, a=a), lhs, rhs
 
 
 def _inst_named_app_skips_bag(rng: random.Random, size: int):
     a = rng.choice(_NAME_POOL)
-    v = _bag_where(rng, lambda v: _bag_deg(a, v) == 0)
+    v = _bag(rng, without="'" + a)
     t = gen_res(rng, size)
-    u = gen_bag(rng, 4)
-    lhs = linear_named_app(RApp(t, v), a, u, NAT)
+    u = _bag(rng)
+    lhs = _lna(RApp(t, v), a, u)
     rhs = _lna(t, a, u).map(lambda s: RApp(s, v))
-    return (lambda: f"t={print_res(t)} v=[{', '.join(map(print_res, v))}] u=[{', '.join(map(print_res, u))}] '{a}'"), lhs, rhs
+    return _show("t={t} v={v} u={u} '{a}'", t=t, v=v, u=u, a=a), lhs, rhs
 
 
 def _inst_named_app_join(rng: random.Random, size: int):
-    a, b = _draw(rng, _distinct_names)
-
-    def pick_t(r):
-        t = gen_res(r, size)
-        return t if _deg(b, t) == 0 else None
-
-    t = _draw(rng, pick_t)
-    v = gen_bag(rng, 4)
-    u = gen_bag(rng, 4)
-    lhs = _lna(t, a, v).bind(lambda s: _lna(s, b, u))
-
-    def joined(parts):
-        acc = SumBuilder(NAT)
-        for picked, c in _bag_choices([_lna(e, b, p) for e, p in zip(v, parts)]):
-            acc.add(_lna(t, a, mkbag(picked)), c)
-        return acc.build()
-
-    rhs = _over_splits(u, len(v), joined)
-    return (lambda: f"t={print_res(t)} v=[{', '.join(map(print_res, v))}] u=[{', '.join(map(print_res, u))}] '{a}' then '{b}'"), lhs, rhs
+    a, b = _names(rng, 2, ne)
+    t = _draw(rng, lambda r: gen_res(r, size), lambda t: degree("'" + b, t) == 0)
+    v = _bag(rng)
+    u = _bag(rng)
+    lhs, rhs = _pushed(t, v, u, _named_app_at(a), _named_app_at(b))
+    return _show("t={t} v={v} u={u} '{a}' then '{b}'", t=t, v=v, u=u, a=a, b=b), lhs, rhs
 
 
 def _inst_swap_disjoint(rng: random.Random, size: int):
-    a, b = _draw(rng, _distinct_names)
-    v = _bag_where(rng, lambda v: _bag_deg(a, v) == 0)
-    u = _bag_where(rng, lambda u: _bag_deg(b, u) == 0)
+    a, b = _names(rng, 2, ne)
+    v = _bag(rng, without="'" + a)
+    u = _bag(rng, without="'" + b)
     t = gen_res(rng, size)
     lhs = _lna(t, a, u).bind(lambda s: _lna(s, b, v))
     rhs = _lna(t, b, v).bind(lambda s: _lna(s, a, u))
-    return (lambda: f"t={print_res(t)} u=[{', '.join(map(print_res, u))}]@'{a}' v=[{', '.join(map(print_res, v))}]@'{b}'"), lhs, rhs
+    return _show("t={t} u={u}@'{a}' v={v}@'{b}'", t=t, u=u, a=a, v=v, b=b), lhs, rhs
 
 
 def _inst_swap_fresh_left(rng: random.Random, size: int):
-    a, b = _draw(rng, _distinct_names)
-    v = _bag_where(rng, lambda v: _bag_deg(a, v) == 0)
-    u = gen_bag(rng, 4)
+    a, b = _names(rng, 2, ne)
+    v = _bag(rng, without="'" + a)
+    u = _bag(rng)
     t = gen_res(rng, size)
     d = _FRESH
     lhs = _lna(t, a, u).bind(lambda s: _lna(s, b, v))
     u_masked = _rename_bag(u, d, b)
-
-    def swapped(parts):
-        w1, w2 = parts
-        s = _lna(t, b, w1)
-        s = s.bind(lambda ss: _lna(ss, a, u_masked))
-        s = s.bind(lambda ss: _lna(ss, d, w2))
-        return rename_name(s, b, d)
-
-    rhs = _over_splits(v, 2, swapped)
-    return (lambda: f"t={print_res(t)} u=[{', '.join(map(print_res, u))}]@'{a}' v=[{', '.join(map(print_res, v))}]@'{b}'"), lhs, rhs
+    # ``v`` splits between ``b`` before ``u`` and the fresh ``d`` after it.
+    rhs = _over_splits(v, 2, lambda w: rename_name(
+        _lna(t, b, w[0]).bind(lambda s: _lna(s, a, u_masked)).bind(lambda s: _lna(s, d, w[1])),
+        b, d))
+    return _show("t={t} u={u}@'{a}' v={v}@'{b}'", t=t, u=u, a=a, v=v, b=b), lhs, rhs
 
 
 def _inst_swap_fresh_right(rng: random.Random, size: int):
-    a, b = _draw(rng, _distinct_names)
-    u = _bag_where(rng, lambda u: _bag_deg(b, u) == 0)
-    v = gen_bag(rng, 4)
+    a, b = _names(rng, 2, ne)
+    u = _bag(rng, without="'" + b)
+    v = _bag(rng)
     t = gen_res(rng, size)
     d = _FRESH
     lhs = _lna(t, a, u).bind(lambda s: _lna(s, b, v))
-    rhs = rename_name(
-        _lna(t, b, _rename_bag(v, d, a)).bind(lambda s: _lna(s, a, u)), a, d
-    )
-    return (lambda: f"t={print_res(t)} u=[{', '.join(map(print_res, u))}]@'{a}' v=[{', '.join(map(print_res, v))}]@'{b}'"), lhs, rhs
-
-
-def _merged(t: ResTerm, a: str, b: str, parts) -> Sum:
-    """The right-hand side of the name-merging identity for one split of
-    the bag: ``parts[0]`` at ``a`` and ``parts[1]`` at ``b``, then ``b``
-    renamed to ``a``."""
-    w1, w2 = parts
-    return rename_name(_lna(t, a, w1).bind(lambda ss: _lna(ss, b, w2)), a, b)
+    rhs = rename_name(_lna(t, b, _rename_bag(v, d, a)).bind(lambda s: _lna(s, a, u)), a, d)
+    return _show("t={t} u={u}@'{a}' v={v}@'{b}'", t=t, u=u, a=a, v=v, b=b), lhs, rhs
 
 
 def _inst_rename_then_named_app(rng: random.Random, size: int):
-    a, b = _draw(rng, _distinct_names)
-    u = _bag_where(rng, lambda u: _bag_deg(b, u) == 0)
+    a, b = _names(rng, 2, ne)
+    u = _bag(rng, without="'" + b)
     t = gen_res(rng, size)
-    lhs = linear_named_app(rename_name(t, a, b), a, u, NAT)
-    rhs = _over_splits(u, 2, lambda w: _merged(t, a, b, w))
-    return (lambda: f"t={print_res(t)} u=[{', '.join(map(print_res, u))}] merge '{b}' into '{a}'"), lhs, rhs
+    lhs, rhs = _merge_sides(t, a, b, u)
+    return _show("t={t} u={u} merge '{b}' into '{a}'", t=t, u=u, a=a, b=b), lhs, rhs
 
 
 def _inst_named_app_after_subst(rng: random.Random, size: int):
-    x = "x"
     a = rng.choice(_NAME_POOL)
-    u = _bag_where(rng, lambda u: all(x not in free_vars(e) for e in u))
+    u = _bag(rng, without="x")
     t = gen_res(rng, size)
-    v = gen_bag(rng, 4)
-    lhs = _lsub(t, x, v).bind(lambda s: _lna(s, a, u))
-    rhs = _distributed_rhs(u, v, lambda p: _lna(t, a, p), lambda e, p: _lna(e, a, p),
-                           lambda tt, b: _lsub(tt, x, b))
-    return (lambda: f"t={print_res(t)} v=[{', '.join(map(print_res, v))}]/x u=[{', '.join(map(print_res, u))}]@'{a}'"), lhs, rhs
-
-
-def _two_named_apps_rhs(t: ResTerm, a: str, g: str, v: Bag, u: Bag) -> Sum:
-    return _distributed_rhs(u, v, lambda p: _lna(t, a, p), lambda e, p: _lna(e, a, p),
-                            lambda tt, b: _lna(tt, g, b))
+    v = _bag(rng)
+    lhs, rhs = _pushed(t, v, u, _subst_for("x"), _named_app_at(a))
+    return _show("t={t} v={v}/x u={u}@'{a}'", t=t, v=v, u=u, a=a), lhs, rhs
 
 
 def _inst_two_named_apps(rng: random.Random, size: int):
-    a, g = _draw(rng, _distinct_names)
-    u = _bag_where(rng, lambda u: _bag_deg(g, u) == 0)
+    a, g = _names(rng, 2, ne)
+    u = _bag(rng, without="'" + g)
     t = gen_res(rng, size)
-    v = gen_bag(rng, 4)
-    lhs = _lna(t, g, v).bind(lambda s: _lna(s, a, u))
-    rhs = _two_named_apps_rhs(t, a, g, v, u)
-    return (lambda: f"t={print_res(t)} v=[{', '.join(map(print_res, v))}]@'{g}' u=[{', '.join(map(print_res, u))}]@'{a}'"), lhs, rhs
+    v = _bag(rng)
+    lhs, rhs = _pushed(t, v, u, _named_app_at(g), _named_app_at(a))
+    return _show("t={t} v={v}@'{g}' u={u}@'{a}'", t=t, v=v, g=g, u=u, a=a), lhs, rhs
 
 
 def _inst_two_named_apps_pair(rng: random.Random, size: int):
-    a, g = _draw(rng, _distinct_names)
-    u = _bag_where(rng, lambda u: _bag_deg(g, u) == 0)
+    a, g = _names(rng, 2, ne)
+    u = _bag(rng, without="'" + g)
     eta = rng.choice(_NAME_POOL)
     t = gen_res(rng, size)
-    v = gen_bag(rng, 4)
-    lhs = linear_named_app_named(eta, t, g, v, NAT).bind(
-        lambda s: linear_named_app_named(eta, s, a, u, NAT)
-    )
-    rhs = _distributed_rhs(u, v, lambda p: linear_named_app_named(eta, t, a, p, NAT),
-                           lambda e, p: _lna(e, a, p),
-                           lambda tt, b: linear_named_app_named(eta, tt, g, b, NAT))
-    return (lambda: f"<'{eta}| {print_res(t)}> v=[{', '.join(map(print_res, v))}]@'{g}' u=[{', '.join(map(print_res, u))}]@'{a}'"), lhs, rhs
+    v = _bag(rng)
+    lhs, rhs = _pushed(t, v, u, _pair_app_at(eta, g), _pair_app_at(eta, a), _named_app_at(a))
+    return _show("<'{eta}| {t}> v={v}@'{g}' u={u}@'{a}'", eta=eta, t=t, v=v, g=g, u=u, a=a), lhs, rhs
 
 
 LEMMA_INSTANCES = (
@@ -728,6 +691,20 @@ def lemmas_suite(samples: int = 200, seed: int = 0, max_term_size: int = 6) -> S
 # ---------- counterexample pack ----------
 
 
+def _unit(src: str) -> Sum:
+    return Sum.unit(parse_res(src), NAT)
+
+
+def _expect_sides(k: int, shown: str, note: str, got: tuple[Sum, Sum],
+                  want: tuple[Sum, Sum]) -> list[Failure]:
+    """No failure when the two sides are exactly ``want``, else one that
+    shows both pairs as ``lhs vs rhs``."""
+    if got == want:
+        return []
+    return [Failure(k, 0, shown, " vs ".join(map(print_sum, want)),
+                    " vs ".join(map(print_sum, got)), note=note)]
+
+
 def _ce_blocked_swap() -> list[Failure]:
     """Contracting the outer application first hides the inner collapse:
     no single collapse step applies afterwards, yet both orders rejoin."""
@@ -743,7 +720,7 @@ def _ce_blocked_swap() -> list[Failure]:
         fails.append(Failure(0, 0, print_res(blocked), "no collapse redex",
                              str(sorted(kinds)), note="blocked term"))
     sink = unique_sink(explore(orig, NAT))
-    want = Sum.unit(parse_res("mu 'a.<'h> x"), NAT)
+    want = _unit("mu 'a.<'h> x")
     if sink != want:
         fails.append(Failure(0, 0, print_res(orig), print_sum(want),
                              "no unique sink" if sink is None else print_sum(sink),
@@ -753,91 +730,55 @@ def _ce_blocked_swap() -> list[Failure]:
 
 def _ce_subst_subst_same_var() -> list[Failure]:
     """The two-substitutions identity needs the variables distinct."""
-    fails = []
-    t = RVar("x")
-    u = mkbag([RVar("z")])
-    lhs = _lsub(t, "x", ()).bind(lambda tt: _lsub(tt, "x", u))
-    rhs = _over_splits(u, 1, lambda parts: _lsub(t, "x", parts[0]).bind(lambda tt: _lsub(tt, "x", ())))
-    if not (lhs.is_zero and rhs == Sum.unit(RVar("z"), NAT)):
-        fails.append(Failure(1, 0, "x with v=1, u=[z], y=x", "0 vs z",
-                             f"{print_sum(lhs)} vs {print_sum(rhs)}",
-                             note="same-variable substitution"))
-    return fails
+    return _expect_sides(
+        1, "x with v=1, u=[z], y=x", "same-variable substitution",
+        _pushed(RVar("x"), (), mkbag([RVar("z")]), _subst_for("x"), _subst_for("x")),
+        (Sum.zero(NAT), Sum.unit(RVar("z"), NAT)),
+    )
 
 
 def _ce_rename_then_named_app() -> list[Failure]:
-    """Both hypotheses of the name-merging identity are necessary."""
-    fails = []
+    """Both hypotheses of the name-merging identity are necessary: distinct
+    names, and a bag that does not mention the merged name."""
     t = parse_res("mu 'g.<'a> x")
-    # same name on both sides
-    lhs1 = linear_named_app(rename_name(t, "a", "a"), "a", (), NAT)
-    rhs1 = _over_splits((), 2, lambda w: _merged(t, "a", "a", w))
-    want_l1 = Sum.unit(parse_res("mu 'g.<'a> x 1"), NAT)
-    want_r1 = Sum.unit(parse_res("mu 'g.<'a> (x 1) 1"), NAT)
-    if not (lhs1 == want_l1 and rhs1 == want_r1 and lhs1 != rhs1):
-        fails.append(Failure(2, 0, "merge 'a into 'a on mu 'g.<'a> x, empty bag",
-                             f"{print_sum(want_l1)} vs {print_sum(want_r1)}",
-                             f"{print_sum(lhs1)} vs {print_sum(rhs1)}",
-                             note="name-merge, equal names"))
-    # bag mentioning the merged name
-    u = mkbag([parse_res("mu 'g.<'b> y")])
-    lhs2 = linear_named_app(rename_name(t, "a", "b"), "a", u, NAT)
-    rhs2 = _over_splits(u, 2, lambda w: _merged(t, "a", "b", w))
-    want_l2 = Sum.unit(parse_res("mu 'g.<'a> x[mu 'g.<'b> y]"), NAT)
-    want_r2 = Sum.unit(parse_res("mu 'g.<'a> x[mu 'g.<'a> y 1]"), NAT)
-    if not (lhs2 == want_l2 and rhs2 == want_r2 and lhs2 != rhs2):
-        fails.append(Failure(2, 0, "merge 'b into 'a on mu 'g.<'a> x, bag [mu 'g.<'b> y]",
-                             f"{print_sum(want_l2)} vs {print_sum(want_r2)}",
-                             f"{print_sum(lhs2)} vs {print_sum(rhs2)}",
-                             note="name-merge, name in bag"))
-    return fails
+    return _expect_sides(
+        2, "merge 'a into 'a on mu 'g.<'a> x, empty bag", "name-merge, equal names",
+        _merge_sides(t, "a", "a", ()),
+        (_unit("mu 'g.<'a> x 1"), _unit("mu 'g.<'a> (x 1) 1")),
+    ) + _expect_sides(
+        2, "merge 'b into 'a on mu 'g.<'a> x, bag [mu 'g.<'b> y]", "name-merge, name in bag",
+        _merge_sides(t, "a", "b", mkbag([parse_res("mu 'g.<'b> y")])),
+        (_unit("mu 'g.<'a> x[mu 'g.<'b> y]"), _unit("mu 'g.<'a> x[mu 'g.<'a> y 1]")),
+    )
 
 
 def _ce_named_app_after_subst() -> list[Failure]:
     """The bag of a trailing named application must not mention the
     substituted variable."""
-    fails = []
-    t = parse_res("mu 'g.<'a> y")
-    u = mkbag([RVar("x")])
-    lhs = _lsub(t, "x", ()).bind(lambda s: _lna(s, "a", u))
-    rhs = _over_splits(u, 1, lambda parts: _lna(t, "a", parts[0]).bind(lambda tt: _lsub(tt, "x", ())))
-    want_l = Sum.unit(parse_res("mu 'g.<'a> y[x]"), NAT)
-    if not (lhs == want_l and rhs.is_zero):
-        fails.append(Failure(3, 0, "mu 'g.<'a> y with v=1, u=[x]",
-                             f"{print_sum(want_l)} vs 0",
-                             f"{print_sum(lhs)} vs {print_sum(rhs)}",
-                             note="variable recaptured by the bag"))
-    return fails
+    return _expect_sides(
+        3, "mu 'g.<'a> y with v=1, u=[x]", "variable recaptured by the bag",
+        _pushed(parse_res("mu 'g.<'a> y"), (), mkbag([RVar("x")]),
+                _subst_for("x"), _named_app_at("a")),
+        (_unit("mu 'g.<'a> y[x]"), Sum.zero(NAT)),
+    )
 
 
 def _ce_two_named_apps() -> list[Failure]:
-    """Both hypotheses of the two-named-apps identity are necessary."""
-    fails = []
+    """Both hypotheses of the two-named-apps identity are necessary:
+    distinct names, and a second bag that does not mention the first name."""
     t = parse_res("mu 'd.<'a> x")
-    # equal names
-    u1 = mkbag([parse_res("mu 'd.<'d> x")])
-    v1 = mkbag([parse_res("mu 'd.<'d> y")])
-    lhs1 = _lna(t, "a", v1).bind(lambda s: _lna(s, "a", u1))
-    rhs1 = _two_named_apps_rhs(t, "a", "a", v1, u1)
-    want_l1 = Sum.unit(parse_res("mu 'd.<'a> x[mu 'd.<'d> y][mu 'd.<'d> x]"), NAT)
-    want_r1 = Sum.unit(parse_res("mu 'd.<'a> x[mu 'd.<'d> x][mu 'd.<'d> y]"), NAT)
-    if not (lhs1 == want_l1 and rhs1 == want_r1 and lhs1 != rhs1):
-        fails.append(Failure(4, 0, "two named apps at the same name",
-                             f"{print_sum(want_l1)} vs {print_sum(want_r1)}",
-                             f"{print_sum(lhs1)} vs {print_sum(rhs1)}",
-                             note="equal names"))
-    # second bag mentions the first name
-    u2 = mkbag([parse_res("mu 'd.<'g> x")])
-    v2 = mkbag([parse_res("mu 'd.<'d> x")])
-    lhs2 = _lna(t, "g", v2).bind(lambda s: _lna(s, "a", u2))
-    rhs2 = _two_named_apps_rhs(t, "a", "g", v2, u2)
-    want_r2 = Sum.unit(parse_res("mu 'd.<'a> x[mu 'd.<'g> x[mu 'd.<'d> x]]"), NAT)
-    if not (lhs2.is_zero and rhs2 == want_r2):
-        fails.append(Failure(4, 0, "second bag mentions the inner name",
-                             f"0 vs {print_sum(want_r2)}",
-                             f"{print_sum(lhs2)} vs {print_sum(rhs2)}",
-                             note="degree condition violated"))
-    return fails
+    return _expect_sides(
+        4, "two named apps at the same name", "equal names",
+        _pushed(t, mkbag([parse_res("mu 'd.<'d> y")]), mkbag([parse_res("mu 'd.<'d> x")]),
+                _named_app_at("a"), _named_app_at("a")),
+        (_unit("mu 'd.<'a> x[mu 'd.<'d> y][mu 'd.<'d> x]"),
+         _unit("mu 'd.<'a> x[mu 'd.<'d> x][mu 'd.<'d> y]")),
+    ) + _expect_sides(
+        4, "second bag mentions the inner name", "degree condition violated",
+        _pushed(t, mkbag([parse_res("mu 'd.<'d> x")]), mkbag([parse_res("mu 'd.<'g> x")]),
+                _named_app_at("g"), _named_app_at("a")),
+        (Sum.zero(NAT), _unit("mu 'd.<'a> x[mu 'd.<'g> x[mu 'd.<'d> x]]")),
+    )
 
 
 def _ce_copies_vs_occurrences() -> list[Failure]:
@@ -876,14 +817,8 @@ def counterexamples_suite(samples: int = 6, seed: int = 0, max_term_size: int = 
     """Fixed pack of negative results; exact expected values."""
     t0 = time.perf_counter()
     report = SuiteReport("counterexamples", 6)
-    for check in (
-        _ce_blocked_swap,
-        _ce_subst_subst_same_var,
-        _ce_rename_then_named_app,
-        _ce_named_app_after_subst,
-        _ce_two_named_apps,
-        _ce_copies_vs_occurrences,
-    ):
+    for check in (_ce_blocked_swap, _ce_subst_subst_same_var, _ce_rename_then_named_app,
+                  _ce_named_app_after_subst, _ce_two_named_apps, _ce_copies_vs_occurrences):
         report.failures.extend(check())
     report.wall_time = time.perf_counter() - t0
     return report
@@ -901,16 +836,6 @@ SUITES = {
     "counterexamples": counterexamples_suite,
 }
 
-SUITE_DEFAULTS: dict[str, dict[str, int]] = {
-    "sn": {"samples": 1000, "max_term_size": 30},
-    "confluence": {"samples": 500, "max_term_size": 14, "node_cap": 50_000},
-    "support": {"samples": 500, "max_term_size": 14},
-    "simulation": {"samples": 200, "max_term_size": 10},
-    "injectivity": {"samples": 100, "max_term_size": 12},
-    "lemmas": {"samples": 200, "max_term_size": 6},
-    "counterexamples": {"samples": 6, "max_term_size": 0},
-}
-
 
 def run_suite(
     name: str,
@@ -919,14 +844,11 @@ def run_suite(
     max_term_size: int | None = None,
     node_cap: int | None = None,
 ) -> SuiteReport:
+    """Run a suite by name.  A bound left as None keeps the suite's own
+    default, and ``node_cap`` goes only to a suite that takes it."""
     if name not in SUITES:
         raise ValueError(f"unknown suite: {name}")
-    kwargs: dict[str, int] = dict(SUITE_DEFAULTS[name])
-    if samples is not None:
-        kwargs["samples"] = samples
-    if max_term_size is not None:
-        kwargs["max_term_size"] = max_term_size
-    if node_cap is not None and "node_cap" in kwargs:
-        kwargs["node_cap"] = node_cap
-    kwargs["seed"] = seed
-    return SUITES[name](**kwargs)
+    suite = SUITES[name]
+    takes = inspect.signature(suite).parameters
+    given = {"samples": samples, "max_term_size": max_term_size, "node_cap": node_cap}
+    return suite(seed=seed, **{k: v for k, v in given.items() if v is not None and k in takes})

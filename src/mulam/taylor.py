@@ -35,9 +35,7 @@ slices are sets of raw approximants, not normal forms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .lamu import head_step, head_run, Hnf
+from .lamu import FuelExhausted, Hnf, head_run, head_step
 from .resource import _arity, head_step_res, normalize_r
 from .syntax import (
     App,
@@ -277,33 +275,12 @@ def nft_eq_truncated(m: Term, n: Term, max_size: int) -> bool:
 
 # ---------- solvability ----------
 
-
-@dataclass(frozen=True)
-class Solvable:
-    steps: int
-    hnf: Term
-
-
-@dataclass(frozen=True)
-class Unknown:
-    """No head normal form within ``fuel`` steps; ``term`` is the term after
-    exactly ``fuel`` steps."""
-
-    fuel: int
-    term: Term
-
-
-def solvable(m: Term, fuel: int) -> Solvable | Unknown:
-    """Head reduction with fuel (``lamu.head_run``): reaching a head normal
-    form within ``fuel`` steps proves the term solvable; running out is
-    inconclusive (reported, never silently cut) and gives the term after
-    exactly ``fuel`` steps.  A run that returns to a term it has seen is cut
-    short at no change to the answer, so a cyclic unsolvable term such as
-    omega costs its cycle, not its fuel.  Negative fuel is a ValueError."""
-    res = head_run(m, fuel)
-    if isinstance(res, Hnf):
-        return Solvable(res.steps, res.term)
-    return Unknown(res.fuel, res.term)
+# Solvability by head reduction with fuel (``lamu.head_run``, which documents
+# the run): a head normal form within the fuel (``Solvable``) proves a term
+# solvable; running out of fuel (``Unknown``) is inconclusive.
+solvable = head_run
+Solvable = Hnf
+Unknown = FuelExhausted
 
 
 # ---------- head reduction commutes with approximation ----------

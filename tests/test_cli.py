@@ -56,6 +56,23 @@ def test_underscore_digits_are_not_a_token(capsys):
     assert err == "error: unexpected character '_' at 2..3\n  x _1\n    ^\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["reduce", "-e", "x )"],
+    ["reduce", "--calculus", "res", "-e", "x )"],
+    ["measure", "-e", "x )"],
+    ["taylor", "--max-size", "3", "-e", "x )"],
+    ["nft", "--max-size", "3", "-e", "x )"],
+    ["nft-eq", "x )", "y", "--max-size", "3"],
+    ["nft-eq", "y", "x )", "--max-size", "3"],
+    ["solvable", "-e", "x )"],
+], ids=["reduce-lamu", "reduce-res", "measure", "taylor", "nft", "nft-eq-left", "nft-eq-right",
+        "solvable"])
+def test_parse_error_of_every_subcommand_returns_2_with_a_caret(capsys, argv):
+    code, out, err = _run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "error: unexpected trailing input ')' at 2..3\n  x )\n    ^\n"
+
+
 # ---------- reduce ----------
 
 

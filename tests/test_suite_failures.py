@@ -77,6 +77,13 @@ def _lemmas_rhs(mp):
     return suites.lemmas_suite(samples=2, seed=0)
 
 
+def _counterexamples_skewed_sides(mp):
+    for name in ("linear_subst", "linear_named_app"):
+        real = getattr(suites, name)
+        mp.setattr(suites, name, lambda *args, real=real: _plus_extra(real(*args)))
+    return suites.counterexamples_suite()
+
+
 CASES = {
     "sn-measure-never-drops": _sn_measure_never_drops,
     "sn-step-cap": _sn_step_cap,
@@ -86,6 +93,7 @@ CASES = {
     "confluence-overflow": _confluence_overflow,
     "simulation-not-an-approximant": _simulation,
     "lemmas-rhs-off-by-one-addend": _lemmas_rhs,
+    "counterexamples-sides-off-by-one-addend": _counterexamples_skewed_sides,
 }
 
 

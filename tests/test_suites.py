@@ -8,8 +8,8 @@ import sys
 import pytest
 
 import mulam
-from mulam.suites import mirror_step, run_suite
-from mulam.syntax import BOOL
+from mulam.suites import _pushed, _subst_for, mirror_step, run_suite
+from mulam.syntax import BOOL, NAT
 from mulam.textio import parse_res, parse_sum
 
 # An approximant of \x.(\y.y) x; its redex sits at position (0,).
@@ -49,6 +49,12 @@ def test_mirror_step_rejects_a_position_without_a_redex():
 def test_unknown_suite_is_rejected():
     with pytest.raises(ValueError, match="unknown suite: termination"):
         run_suite("termination")
+
+
+def test_run_suite_gives_node_cap_only_to_a_suite_that_takes_it():
+    assert run_suite("counterexamples", node_cap=1).ok
+    report = run_suite("confluence", samples=8, node_cap=1)
+    assert report.failures and all(f.expected == "graph within 1 nodes" for f in report.failures)
 
 
 def test_mirror_step_rejects_bad_positions_under_python_O():
@@ -91,3 +97,13 @@ def test_lemma_instances_are_drawn_as_before():
             k += 1
     assert k == 3000
     assert h.hexdigest() == "10c2b010852289fa2772ae735cda8305038d9f44aff980c26a9731bbda4b54c4"
+
+
+def test_pushed_weighs_each_split_by_its_count():
+    # (x[y]){[x]/y}{[z,z]/x} = x[x]{[z,z]/x} = 2*z[z]: the two copies of z go
+    # to the two occurrences of x in 2 ways.  On the right, [z,z] splits one
+    # z to x[y] and one to the x in [x], a split that 2 index assignments
+    # induce; a right side that dropped that count would read z[z].
+    t, v, u = parse_res("x[y]"), (parse_res("x"),), (parse_res("z"), parse_res("z"))
+    lhs, rhs = _pushed(t, v, u, _subst_for("y"), _subst_for("x"))
+    assert lhs == rhs == parse_sum("2*z[z]", NAT)
