@@ -18,13 +18,13 @@ from .measures import bold_ms, mu_degree, ms
 from .resource import (
     SumStep,
     _apply_sum_step,
+    choose_step,
     normalize_r,
-    pick_step,
     reducible_addends,
     step_r,
 )
 from .suites import SUITES, NoSample, run_suite
-from .syntax import BOOL, NAT, Sum, head_redex_pos, mkbag, redexes, size
+from .syntax import BOOL, NAT, head_redex_pos, mkbag, redexes, size
 from .taylor import Solvable, nft_truncated, solvable, taylor_enum
 from .textio import (
     ParseError,
@@ -130,75 +130,75 @@ def _cmd_parse(args: argparse.Namespace) -> int:
     return 0
 
 
-# ---------- reduce ----------
+# ---------- reduce / normalize --trace ----------
 
 
-def _reduce_lamu(args: argparse.Namespace, src: str) -> int:
-    t = _parse(parse_term, src)
-    rng = random.Random(args.seed)
-    print(f"start: {print_term(t)}")
-    for i in range(args.max_steps + 1):
-        if args.strategy == "head":
+def _trace(x, pick, show, max_steps: int | None):
+    """Print each step of a run from ``x``: ``pick(x)`` is None when no step
+    applies, else the step's label and a function that takes it.  Stops
+    after ``max_steps`` steps, or only where no step applies when that is
+    None.  Returns the last state, the number of steps, and whether no step
+    applies to it."""
+    i = 0
+    while (hit := pick(x)) is not None:
+        if i == max_steps:
+            return x, i, False
+        label, take = hit
+        x = take()
+        i += 1
+        print(f"step {i} [{label}]: {show(x)}")
+    return x, i, True
+
+
+def _lamu_picker(strategy: str, rng: random.Random):
+    def pick(t):
+        if strategy == "head":
             hit = head_redex_pos(t)
         else:
             rs = redexes(t)
-            if not rs:
-                hit = None
-            elif args.strategy == "leftmost":
-                hit = rs[0]
-            else:
-                hit = rng.choice(rs)
+            hit = (rs[0] if strategy == "leftmost" else rng.choice(rs)) if rs else None
         if hit is None:
-            print(f"normal for this strategy after {i} steps")
-            return 0
-        if i == args.max_steps:
-            break
+            return None
         pos, kind = hit
-        t = reduce_redex(t, pos)
-        print(f"step {i + 1} [{kind} @ {_pos_str(pos)}]: {print_term(t)}")
-    print(f"stopped after {args.max_steps} steps (still reducible)")
-    return 0
+        return f"{kind} @ {_pos_str(pos)}", lambda: reduce_redex(t, pos)
+
+    return pick
 
 
-def _res_head_step(s: Sum):
-    for t, c in s.items:
-        hit = head_redex_pos(t)
-        if hit is not None:
-            pos, kind = hit
-            return SumStep(t, c, pos, kind)
-    return None
+def _res_picker(strategy: str, rng: random.Random | None):
+    """Steps of a sum: the head redex of its first addend that has one, or
+    the strategy's choice among all its redexes, found once per step."""
 
-
-def _reduce_res(args: argparse.Namespace, src: str) -> int:
-    s = _parse(parse_sum, src, args.semiring)
-    rng = random.Random(args.seed)
-    print(f"start: {print_sum(s)}")
-    for i in range(args.max_steps + 1):
-        if args.strategy == "head":
-            step = _res_head_step(s)
-        elif reducible_addends(s):
-            step = pick_step(s, args.strategy, rng)
+    def pick(s):
+        if strategy == "head":
+            step = next((SumStep(t, c, *hit) for t, c in s.items
+                         if (hit := head_redex_pos(t)) is not None), None)
         else:
-            step = None
+            cands = reducible_addends(s)
+            step = choose_step(cands, strategy, rng) if cands else None
         if step is None:
-            label = "head-normal" if args.strategy == "head" else "normal"
-            print(f"{label} after {i} steps")
-            return 0
-        if i == args.max_steps:
-            break
-        s = _apply_sum_step(s, step, "coeff", step_r(step.term, step.pos, s.semiring))
-        print(
-            f"step {i + 1} [{step.kind} @ {_pos_str(step.pos)} in {print_res(step.term)}]: {print_sum(s)}"
-        )
-    print(f"stopped after {args.max_steps} steps (still reducible)")
-    return 0
+            return None
+        t, pos = step.term, step.pos
+        return (f"{step.kind} @ {_pos_str(pos)} in {print_res(t)}",
+                lambda: _apply_sum_step(s, step, "coeff", step_r(t, pos, s.semiring)))
+
+    return pick
 
 
 def _cmd_reduce(args: argparse.Namespace) -> int:
     src = _read_input(args)
+    rng = random.Random(args.seed)
     if args.calculus == "lamu":
-        return _reduce_lamu(args, src)
-    return _reduce_res(args, src)
+        x, show, pick = _parse(parse_term, src), print_term, _lamu_picker(args.strategy, rng)
+        end = "normal for this strategy"
+    else:
+        x, show = _parse(parse_sum, src, args.semiring), print_sum
+        pick = _res_picker(args.strategy, rng)
+        end = "head-normal" if args.strategy == "head" else "normal"
+    print(f"start: {show(x)}")
+    _, i, done = _trace(x, pick, show, args.max_steps)
+    print(f"{end} after {i} steps" if done else f"stopped after {i} steps (still reducible)")
+    return 0
 
 
 # ---------- normalize ----------
@@ -219,13 +219,7 @@ def _cmd_normalize(args: argparse.Namespace) -> int:
         )
         return 2
     if args.trace:
-        i = 0
-        while reducible_addends(s):
-            step = pick_step(s, "leftmost", None)
-            s = _apply_sum_step(s, step, "coeff", step_r(step.term, step.pos, s.semiring))
-            i += 1
-            print(f"step {i} [{step.kind} @ {_pos_str(step.pos)} in {print_res(step.term)}]: {print_sum(s)}")
-        nf = s
+        nf = _trace(s, _res_picker("leftmost", None), print_sum, None)[0]
     else:
         nf = normalize_r(s, args.semiring)
     if args.json:
@@ -454,9 +448,12 @@ def main(argv: list[str] | None = None) -> int:
         # Already reported by ``_parse``.
         return 2
     except RecursionError:
-        # The parser, printer and engine recurse on the term's structure, so
-        # very deep input is beyond them; that is the input's fault (exit 2),
-        # not a failed check (exit 1).
+        # The parser, ``map_refs``, the contractions and ``taylor``'s walks
+        # still recurse on the term's structure, so very deep input is beyond
+        # them; that is the input's fault (exit 2), not a failed check (exit
+        # 1).  The printer and ``to_json`` do not recurse, but the writer of
+        # ``--json`` output (``json.dumps`` with ``indent``) does, so a deep
+        # term exported as a tree ends here too.
         sys.stderr.write("error: input nested too deeply\n")
         return 2
 

@@ -40,6 +40,7 @@ from .syntax import (
     is_locally_closed,
     map_refs,
     path_to,
+    plug,
 )
 
 # ---------- substitution and named application ----------
@@ -142,26 +143,14 @@ def reduce_redex(t: Term, pos: Pos) -> Term:
     mu binders above the redex.  The redex alone is opened on them
     (``syntax.open_outer``; nothing at the root), so that the contraction
     grafts its argument without index shifts, and the reduct is closed once
-    and put back on the path with the plain constructors.  A position that
+    and plugged back into the path (``syntax.plug``).  A position that
     is not in ``t`` raises ``ValueError``, as does one that is not a redex.
     """
     path, u, nl, nm = path_to(t, pos)
-    if nl or nm:
-        opened, close = syntax.open_outer(u, nl, nm)
-        w = close(contract(opened))
-    else:
-        w = contract(u)
-    for v, i in reversed(path):
-        cls = type(v)
-        if cls is Lam:
-            w = Lam(w)
-        elif cls is Mu:
-            w = Mu(v.named, w)
-        elif i == 0:
-            w = App(w, v.arg)
-        else:
-            w = App(v.fun, w)
-    return w
+    if not (nl or nm):
+        return plug(path, contract(u))
+    opened, close = syntax.open_outer(u, nl, nm)
+    return plug(path, close(contract(opened)))
 
 
 # ---------- head reduction ----------

@@ -66,7 +66,9 @@ from . import syntax
 from .combinatorics import weak_compositions_with_counts
 from .syntax import (
     BOOL,
+    NAME,
     NAT,
+    VAR,
     Bag,
     Pos,
     RApp,
@@ -83,7 +85,9 @@ from .syntax import (
     head_redex_pos,
     iter_redexes,
     mkbag,
+    occurrences,
     path_to,
+    plug,
     redexes,
 )
 from .lamu import rho_inner_parts
@@ -96,38 +100,16 @@ Coeffs = dict[ResTerm, int]
 #
 # The target of a substitution or a named application is a reference: a free
 # atom, or the de Bruijn index of a binder above, resolved with the depth
-# convention of ``syntax.map_refs``.  An atom is the same at every depth; an
-# index goes up by one under each binder of its own kind (``_under``).
-
-
-def _count(t: ResTerm, target: Ref, name: bool) -> int:
-    """Occurrences in ``t`` of the variable (``name`` false) or the name
-    (``name`` true) that ``target`` refers to."""
-    n = 0
-    stack = [(t, target)]
-    while stack:
-        u, d = stack.pop()
-        match u:
-            case RVar(ref=r):
-                if not name and r == d:
-                    n += 1
-            case RLam(body=b):
-                stack.append((b, d if name else _under(d)))
-            case RMu(named=nr, body=b):
-                if name and nr == d:
-                    n += 1
-                stack.append((b, _under(d) if name else d))
-            case RApp(head=h, bag=bag):
-                stack.append((h, d))
-                stack.extend((e, d) for e in bag)
-    return n
+# convention of ``syntax.map_refs`` and counted by ``syntax.occurrences``.
+# An atom is the same at every depth; an index goes up by one under each
+# binder of its own kind (``_under``).
 
 
 # ---------- linear substitution ----------
 
 
 def _lsubst(t: ResTerm, x: Ref, bag: Bag) -> Coeffs:
-    # The caller guarantees len(bag) == _count(t, x, False); every split
+    # The caller guarantees len(bag) == occurrences(t, VAR, x); every split
     # below is directed by the children's counts, so each branch keeps that
     # invariant and none of them vanishes.  The constructors wrapped around
     # a child's addends are injective, so no two of them merge.
@@ -144,7 +126,7 @@ def _lsubst(t: ResTerm, x: Ref, bag: Bag) -> Coeffs:
         case RApp(head=h, bag=elems):
             kids = (h,) + elems
             acc: Coeffs = {}
-            sizes = [_count(k, x, False) for k in kids]
+            sizes = [occurrences(k, VAR, x) for k in kids]
             for parts, count in weak_compositions_with_counts(bag, len(kids), sizes):
                 maps = [_lsubst(k, x, p).items() for k, p in zip(kids, parts)]
                 add_app(acc, maps[0], maps[1:], count)
@@ -156,7 +138,7 @@ def linear_subst(t: ResTerm, x: str, bag, semiring: str) -> Sum:
     """t<[bag]/x>: replace the occurrences of ``x`` by the bag elements in
     all possible ways; zero when the counts cannot match."""
     bag = mkbag(bag)
-    if _count(t, x, False) != len(bag):
+    if occurrences(t, VAR, x) != len(bag):
         return Sum.zero(semiring)
     return SumBuilder(semiring, _lsubst(t, x, bag)).build()
 
@@ -180,7 +162,7 @@ def _lna_term(t: ResTerm, alpha: Ref, bag: Bag, n: int, keep_dead: bool = True) 
             # A child with no naming of alpha only takes the empty part.
             kids = (h,) + elems
             acc: Coeffs = {}
-            counts = [_count(k, alpha, True) for k in kids]
+            counts = [occurrences(k, NAME, alpha) for k in kids]
             sizes = [None if m else 0 for m in counts]
             for parts, count in weak_compositions_with_counts(bag, len(kids), sizes):
                 maps = [_lna_term(k, alpha, p, m, keep_dead).items()
@@ -222,7 +204,7 @@ def _lna_named(
 def linear_named_app(t: ResTerm, alpha: str, bag, semiring: str) -> Sum:
     """<t>_alpha [bag]: distribute the bag over the namings of ``alpha``."""
     alpha = _strip_quote(alpha)
-    got = _lna_term(t, alpha, mkbag(bag), _count(t, alpha, True))
+    got = _lna_term(t, alpha, mkbag(bag), occurrences(t, NAME, alpha))
     return SumBuilder(semiring, got).build()
 
 
@@ -230,7 +212,7 @@ def linear_named_app_named(eta: str, t: ResTerm, alpha: str, bag, semiring: str)
     """The named-pair form ``<<eta| t>>_alpha [bag]``, as a sum of bodies
     (the naming stays ``eta``)."""
     alpha = _strip_quote(alpha)
-    got = _lna_named(_strip_quote(eta), t, alpha, mkbag(bag), _count(t, alpha, True))
+    got = _lna_named(_strip_quote(eta), t, alpha, mkbag(bag), occurrences(t, NAME, alpha))
     return SumBuilder(semiring, got).build()
 
 
@@ -248,9 +230,9 @@ def _arity(head: ResTerm) -> int | None:
     answer is the same with outer binders open or closed."""
     match head:
         case RLam(body=b):
-            return _count(b, 0, False)
+            return occurrences(b, VAR, 0)
         case RMu(named=nr, body=b):
-            return None if nr == 0 or _count(b, 1, True) else 0
+            return None if nr == 0 or occurrences(b, NAME, 1) else 0
     return None
 
 
@@ -291,7 +273,7 @@ def _contract(t: ResTerm, keep_dead: bool = True) -> Coeffs:
         case RApp(head=RLam(body=b), bag=bag):
             return _lsubst(b, 0, bag)
         case RApp(head=RMu(named=nr, body=b), bag=bag):
-            inner = _lna_named(nr, b, 0, bag, _count(b, 1, True), keep_dead)
+            inner = _lna_named(nr, b, 0, bag, occurrences(b, NAME, 1), keep_dead)
             return {RMu(nr, u): c for u, c in inner.items()}
         case RMu(named=nr, body=RMu() as inner):
             return {RMu(*rho_inner_parts(nr, inner.named, inner.body)): 1}
@@ -305,9 +287,8 @@ def step_r(t: ResTerm, pos: Pos, semiring: str, *, keep_dead: bool = True) -> Su
     the lambda and mu binders above it.  A redex that contracts to zero is
     recognized there, on the closed term, and opens nothing.  Any other
     redex is opened on those binders alone (``syntax.open_outer``, one pass
-    over the redex), contracted, and each reduct closed once; the path above
-    is rebuilt around the reducts with the plain constructors, and the sum
-    is canonicalized once.
+    over the redex), contracted, and each reduct closed once and plugged
+    back into the path (``syntax.plug``); the sum is canonicalized once.
 
     By default the sum is the whole one-step reduct.  With ``keep_dead``
     false, a mu redex's named applications leave out every addend that
@@ -318,22 +299,9 @@ def step_r(t: ResTerm, pos: Pos, semiring: str, *, keep_dead: bool = True) -> Su
     path, u, nl, nm = path_to(t, pos)
     if _vanishes(u):
         return Sum.zero(semiring)
+    # Plugging is injective on the reducts, so no two of them merge.
     coeffs = _contract_under(u, nl, nm, keep_dead)
-    # Each wrapper is injective on the reducts, so no two of them merge.
-    for v, i in reversed(path):
-        cls = type(v)
-        if cls is RLam:
-            coeffs = {RLam(w): c for w, c in coeffs.items()}
-        elif cls is RMu:
-            named = v.named
-            coeffs = {RMu(named, w): c for w, c in coeffs.items()}
-        elif i == 0:
-            bag = v.bag
-            coeffs = {RApp(w, bag): c for w, c in coeffs.items()}
-        else:
-            h, bag = v.head, v.bag
-            coeffs = {RApp(h, bag[: i - 1] + (w,) + bag[i:]): c for w, c in coeffs.items()}
-    return SumBuilder(semiring, coeffs).build()
+    return SumBuilder(semiring, {plug(path, w): c for w, c in coeffs.items()}).build()
 
 
 # ---------- stepping whole sums ----------

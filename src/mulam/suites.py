@@ -7,7 +7,8 @@ only when a failure is recorded; a passing sample prints nothing.  Inputs
 that cannot produce a sample at all raise ``NoSample``.  The identity suite
 and the counterexample pack share their draws, the builders of both sides of
 each family of identities, and one check of a pair of sides.  ``run_suite``
-takes each suite's defaults from its signature.
+takes each suite's defaults from its signature and times the run; a suite
+called directly reports a wall time of 0.
 """
 
 from __future__ import annotations
@@ -136,7 +137,6 @@ _STEP_CAP = 200_000
 
 def sn_suite(samples: int = 1000, seed: int = 0, max_term_size: int = 30) -> SuiteReport:
     """Every strategy terminates and the layered measure drops at each step."""
-    t0 = time.perf_counter()
     report = SuiteReport("sn", samples)
     for i in range(samples):
         si = _sample_seed(seed, i)
@@ -166,7 +166,6 @@ def sn_suite(samples: int = 1000, seed: int = 0, max_term_size: int = 30) -> Sui
                     break
                 s = _apply_sum_step(s, step, "coeff", reduct)
                 steps += 1
-    report.wall_time = time.perf_counter() - t0
     return report
 
 
@@ -181,7 +180,6 @@ def confluence_suite(
 ) -> SuiteReport:
     """Exhaustive reduction graphs have one sink, the engine agrees with it,
     and forgetting exact counts lands on the boolean normal form."""
-    t0 = time.perf_counter()
     report = SuiteReport("confluence", samples)
     for i in range(samples):
         si = _sample_seed(seed, i)
@@ -218,13 +216,11 @@ def confluence_suite(
                             print_sum(nfs[NAT].support()),
                             note="support of exact-count normal form")
                 )
-    report.wall_time = time.perf_counter() - t0
     return report
 
 
 def support_suite(samples: int = 500, seed: int = 0, max_term_size: int = 14) -> SuiteReport:
     """support(exact-count normal form) = boolean normal form, engine only."""
-    t0 = time.perf_counter()
     report = SuiteReport("support", samples)
     for i in range(samples):
         si = _sample_seed(seed, i)
@@ -235,7 +231,6 @@ def support_suite(samples: int = 500, seed: int = 0, max_term_size: int = 14) ->
             report.failures.append(
                 Failure(i, si, print_res(t), print_sum(want), print_sum(got))
             )
-    report.wall_time = time.perf_counter() - t0
     return report
 
 
@@ -313,7 +308,6 @@ def simulation_suite(
 ) -> SuiteReport:
     """One step upstairs is matched downstairs: contracting the mirrored
     redex in any approximant lands inside the approximants of the reduct."""
-    t0 = time.perf_counter()
     report = SuiteReport("simulation", samples)
     for i in range(samples):
         si = _sample_seed(seed, i)
@@ -340,7 +334,6 @@ def simulation_suite(
                             note=f"approximant={print_res(t)}")
                 )
                 break
-    report.wall_time = time.perf_counter() - t0
     return report
 
 
@@ -354,7 +347,6 @@ def injectivity_suite(
     budget: int = 10,
 ) -> SuiteReport:
     """Distinct approximants of one term never share a normal-form addend."""
-    t0 = time.perf_counter()
     report = SuiteReport("injectivity", samples)
     for i in range(samples):
         si = _sample_seed(seed, i)
@@ -375,7 +367,6 @@ def injectivity_suite(
                 Failure(i, si, print_term(m), "disjoint normal forms",
                         f"{print_res(u)} from both {print_res(prev)} and {print_res(t)}")
             )
-    report.wall_time = time.perf_counter() - t0
     return report
 
 
@@ -672,7 +663,6 @@ def lemmas_suite(samples: int = 200, seed: int = 0, max_term_size: int = 6) -> S
     entry draws fresh instances that satisfy the identity's side conditions.
     The term ``t`` of an instance has size at most ``max_term_size``; bag
     elements keep their own bound of 4."""
-    t0 = time.perf_counter()
     report = SuiteReport("lemmas", samples * len(LEMMA_INSTANCES))
     k = 0
     for name, make in LEMMA_INSTANCES:
@@ -684,7 +674,6 @@ def lemmas_suite(samples: int = 200, seed: int = 0, max_term_size: int = 6) -> S
                     Failure(k, si, shown(), print_sum(lhs), print_sum(rhs), note=name)
                 )
             k += 1
-    report.wall_time = time.perf_counter() - t0
     return report
 
 
@@ -813,14 +802,12 @@ def _ce_copies_vs_occurrences() -> list[Failure]:
     return fails
 
 
-def counterexamples_suite(samples: int = 6, seed: int = 0, max_term_size: int = 0) -> SuiteReport:
+def counterexamples_suite() -> SuiteReport:
     """Fixed pack of negative results; exact expected values."""
-    t0 = time.perf_counter()
     report = SuiteReport("counterexamples", 6)
     for check in (_ce_blocked_swap, _ce_subst_subst_same_var, _ce_rename_then_named_app,
                   _ce_named_app_after_subst, _ce_two_named_apps, _ce_copies_vs_occurrences):
         report.failures.extend(check())
-    report.wall_time = time.perf_counter() - t0
     return report
 
 
@@ -844,11 +831,16 @@ def run_suite(
     max_term_size: int | None = None,
     node_cap: int | None = None,
 ) -> SuiteReport:
-    """Run a suite by name.  A bound left as None keeps the suite's own
-    default, and ``node_cap`` goes only to a suite that takes it."""
+    """Run a suite by name and time it.  A bound left as None keeps the
+    suite's own default, and the seed and the bounds go only to a suite
+    that takes them (the fixed counterexample pack takes none)."""
     if name not in SUITES:
         raise ValueError(f"unknown suite: {name}")
     suite = SUITES[name]
     takes = inspect.signature(suite).parameters
-    given = {"samples": samples, "max_term_size": max_term_size, "node_cap": node_cap}
-    return suite(seed=seed, **{k: v for k, v in given.items() if v is not None and k in takes})
+    given = {"samples": samples, "seed": seed, "max_term_size": max_term_size,
+             "node_cap": node_cap}
+    t0 = time.perf_counter()
+    report = suite(**{k: v for k, v in given.items() if v is not None and k in takes})
+    report.wall_time = time.perf_counter() - t0
+    return report

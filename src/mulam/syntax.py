@@ -18,15 +18,17 @@ The two syntaxes have the same shape node for node (a resource application
 carries a bag where a lambda-mu application carries one argument), so every
 shape-directed operation is defined here once, for both, and dispatches on
 the node's exact class: the reference walks ``map_refs`` and ``iter_refs``,
-the walk down a position ``path_to``, the redex opener ``open_outer``, and
-the redex finder ``redex_kind``, ``iter_redexes``/``redexes``,
+the occurrence count ``occurrences`` (on ``iter_refs``; ``degree`` and the
+resource engine's splits both use it), the walk down a position ``path_to``
+and the rebuild back up ``plug``, the redex opener ``open_outer``, and the
+redex finder ``redex_kind``, ``iter_redexes``/``redexes``,
 ``head_redex_pos`` and ``is_hnf``.  Both engines and their callers import
 these from here; ``textio`` has the one printer and the one JSON export.
 
 A step at a position walks down to the redex in a loop, counting the lambda
 and mu binders above it, and opens the redex alone on them in one pass
 (``open_outer``); the binders above are never opened, and each reduct is
-closed once.
+closed once and plugged back into the path (``plug``).
 """
 
 from __future__ import annotations
@@ -336,12 +338,14 @@ def _under(target: Ref) -> Ref:
     return target if isinstance(target, str) else target + 1
 
 
-def free_vars(t: Term | ResTerm) -> set[str]:
-    return {r for kind, r, _ in iter_refs(t) if kind == VAR and isinstance(r, str)}
-
-
-def free_names(t: Term | ResTerm) -> set[str]:
-    return {r for kind, r, _ in iter_refs(t) if kind == NAME and isinstance(r, str)}
+def occurrences(t: Term | ResTerm, kind: str, target: Ref) -> int:
+    """Occurrences in ``t`` of the variable (``kind`` ``VAR``) or the name
+    (``NAME``) that ``target`` refers to: a free atom, the same at every
+    depth, or an index at the top of ``t``, which points one binder of its
+    kind further out below each such binder."""
+    if isinstance(target, str):
+        return sum(1 for k, r, _ in iter_refs(t) if r == target and k == kind)
+    return sum(1 for k, r, d in iter_refs(t) if r == target + d and k == kind)
 
 
 def degree(nu: str, t: Term | ResTerm) -> int:
@@ -352,9 +356,7 @@ def degree(nu: str, t: Term | ResTerm) -> int:
     """
     if not nu:
         raise ValueError("degree of an empty variable or name")
-    want = NAME if nu.startswith("'") else VAR
-    atom = _strip_quote(nu)
-    return sum(1 for kind, r, _ in iter_refs(t) if kind == want and r == atom)
+    return occurrences(t, NAME if nu.startswith("'") else VAR, _strip_quote(nu))
 
 
 def deg_bag(nu: str, bag: Bag) -> int:
@@ -754,6 +756,23 @@ def path_to(t: Term | ResTerm, pos: Pos):
         path.append((u, i))
         u = kid
     return path, u, nl, nm
+
+
+def plug(path, w):
+    """The term that ``path_to`` walked down, with ``w`` in place of the
+    subterm at the end of ``path``: the nodes of the path rebuilt around it,
+    innermost first, for either syntax."""
+    for v, i in reversed(path):
+        cls = type(v)
+        if cls is RApp:
+            w = RApp(w, v.bag) if i == 0 else RApp(v.head, v.bag[: i - 1] + (w,) + v.bag[i:])
+        elif cls is App:
+            w = App(w, v.arg) if i == 0 else App(v.fun, w)
+        elif cls is RLam or cls is Lam:
+            w = cls(w)
+        else:
+            w = cls(v.named, w)
+    return w
 
 
 # ---------- redexes and the head position ----------

@@ -25,7 +25,10 @@ term and parsing is its inverse.
 Each walk is written once for both term syntaxes: one printer (``_print``,
 behind ``print_term``, ``print_res`` and ``print_sum``), one JSON export
 (``_json``, behind ``to_json`` and ``sum_to_json``), one parser of binder
-headers (``_parse_binder``) and one atom parser (``_parse_atom``).
+headers (``_parse_binder``) and one atom parser (``_parse_atom``).  The
+printer and the JSON export keep their own stacks, so any depth of term
+prints; the parser recurses, and so does ``json.dumps`` writing an exported
+tree out.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from .syntax import (
     App,
     Lam,
     Mu,
+    NAME,
     NAT,
     RApp,
     Ref,
@@ -46,9 +50,9 @@ from .syntax import (
     ResTerm,
     Sum,
     Term,
+    VAR,
     Var,
-    free_names,
-    free_vars,
+    iter_refs,
 )
 
 # ---------- lexer ----------
@@ -337,19 +341,13 @@ class _Namer:
     """Deterministic display names for binders: structure decides, nothing
     else, and no choice ever collides with a free atom or an active binder."""
 
-    def __init__(self, value):
-        vs: set[str] = set()
-        ns: set[str] = set()
-        todo = [value]
-        while todo:
-            v = todo.pop()
-            if isinstance(v, Sum):
-                todo.extend(v.terms())
-            else:
-                vs |= free_vars(v)
-                ns |= free_names(v)
-        self.free_v = vs
-        self.free_n = ns
+    def __init__(self, t: Term | ResTerm):
+        free: dict[str, set[str]] = {VAR: set(), NAME: set()}
+        for kind, r, _ in iter_refs(t):
+            if type(r) is str:
+                free[kind].add(r)
+        self.free_v = free[VAR]
+        self.free_n = free[NAME]
 
     def fresh_var(self, active: list[str]) -> str:
         return _pick(_VAR_BASES, self.free_v | set(active))
@@ -369,40 +367,66 @@ def _disp_ref(ref: Ref, stack: list[str]) -> str:
     return f"#{ref}"
 
 
-def _print(t: Term | ResTerm) -> str:
-    """The printer of both syntaxes."""
-    nm = _Namer(t)
+# Both walks keep their own stack, so a deep term prints as well as a
+# shallow one.  A node's scope is the display names of the lambda and of
+# the mu binders above it (``vs`` and ``ns``, innermost last).
 
-    def go(u, vs: list[str], ns: list[str]) -> str:
+
+def _print(t: Term | ResTerm) -> str:
+    """The printer of both syntaxes: the text of a node is pieces of text
+    and its children's texts, in order, so each node pushes them reversed
+    onto a stack whose texts are written as they come off."""
+    nm = _Namer(t)
+    out: list[str] = []
+    stack: list = [(t, [], [])]
+    push = stack.append
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        u, vs, ns = item
         cls = type(u)
         if cls is Var or cls is RVar:
-            return _disp_ref(u.ref, vs)
-        if cls is Lam or cls is RLam:
+            out.append(_disp_ref(u.ref, vs))
+        elif cls is Lam or cls is RLam:
             x = nm.fresh_var(vs)
-            return f"\\{x}.{go(u.body, vs + [x], ns)}"
-        if cls is Mu or cls is RMu:
+            out.append(f"\\{x}.")
+            push((u.body, vs + [x], ns))
+        elif cls is Mu or cls is RMu:
             a = nm.fresh_name(ns)
             ns2 = ns + [a]
-            return f"mu '{a}.<'{_disp_ref(u.named, ns2)}> {go(u.body, vs, ns2)}"
-        if cls is App:
-            f, arg = u.fun, u.arg
-            fs = go(f, vs, ns)
-            if type(f) is Lam or type(f) is Mu:
-                fs = f"({fs})"
-            if type(arg) is Var:
-                return f"{fs} {go(arg, vs, ns)}"
-            return f"{fs} ({go(arg, vs, ns)})"
-        if cls is RApp:
-            h, bag = u.head, u.bag
-            hs = go(h, vs, ns)
-            if type(h) is RLam or type(h) is RMu:
-                hs = f"({hs})"
-            if not bag:
-                return f"{hs} 1"
-            return f"{hs}[{','.join([go(e, vs, ns) for e in bag])}]"
-        raise AssertionError(u)
-
-    return go(t, [], [])
+            out.append(f"mu '{a}.<'{_disp_ref(u.named, ns2)}> ")
+            push((u.body, vs, ns2))
+        else:
+            if cls is App:
+                f, arg = u.fun, u.arg
+                if type(arg) is Var:
+                    push((arg, vs, ns))
+                    push(" ")
+                else:
+                    push(")")
+                    push((arg, vs, ns))
+                    push(" (")
+            else:
+                f, bag = u.head, u.bag
+                if not bag:
+                    push(" 1")
+                else:
+                    push("]")
+                    push((bag[-1], vs, ns))
+                    for e in bag[-2::-1]:
+                        push(",")
+                        push((e, vs, ns))
+                    push("[")
+            ft = type(f)
+            if ft is Lam or ft is Mu or ft is RLam or ft is RMu:
+                push(")")
+                push((f, vs, ns))
+                push("(")
+            else:
+                push((f, vs, ns))
+    return "".join(out)
 
 
 def print_term(t: Term) -> str:
@@ -427,36 +451,39 @@ def print_sum(s: Sum) -> str:
 
 
 def _json(t: Term | ResTerm) -> dict:
-    """The JSON export of both syntaxes, with the printer's binder names."""
+    """The JSON export of both syntaxes, with the printer's binder names.
+    Each node's dict is made with its children's slots empty, and each
+    child on the stack fills its slot when it comes off."""
     nm = _Namer(t)
-
-    def go(u, vs: list[str], ns: list[str]) -> dict:
+    root: list = [None]
+    stack: list = [(t, [], [], root, 0)]
+    push = stack.append
+    while stack:
+        u, vs, ns, into, key = stack.pop()
         cls = type(u)
         if cls is Var or cls is RVar:
-            return {"tag": "var", "name": _disp_ref(u.ref, vs)}
-        if cls is Lam or cls is RLam:
+            d = {"tag": "var", "name": _disp_ref(u.ref, vs)}
+        elif cls is Lam or cls is RLam:
             x = nm.fresh_var(vs)
-            return {"tag": "lam", "binder": x, "body": go(u.body, vs + [x], ns)}
-        if cls is Mu or cls is RMu:
+            d = {"tag": "lam", "binder": x, "body": None}
+            push((u.body, vs + [x], ns, d, "body"))
+        elif cls is Mu or cls is RMu:
             a = nm.fresh_name(ns)
             ns2 = ns + [a]
-            return {
-                "tag": "mu",
-                "binder": a,
-                "named": _disp_ref(u.named, ns2),
-                "body": go(u.body, vs, ns2),
-            }
-        if cls is App:
-            return {"tag": "app", "fun": go(u.fun, vs, ns), "arg": go(u.arg, vs, ns)}
-        if cls is RApp:
-            return {
-                "tag": "bagapp",
-                "head": go(u.head, vs, ns),
-                "bag": [go(e, vs, ns) for e in u.bag],
-            }
-        raise AssertionError(u)
-
-    return go(t, [], [])
+            d = {"tag": "mu", "binder": a, "named": _disp_ref(u.named, ns2), "body": None}
+            push((u.body, vs, ns2, d, "body"))
+        elif cls is App:
+            d = {"tag": "app", "fun": None, "arg": None}
+            push((u.arg, vs, ns, d, "arg"))
+            push((u.fun, vs, ns, d, "fun"))
+        else:
+            bag = [None] * len(u.bag)
+            d = {"tag": "bagapp", "head": None, "bag": bag}
+            for i, e in enumerate(u.bag):
+                push((e, vs, ns, bag, i))
+            push((u.head, vs, ns, d, "head"))
+        into[key] = d
+    return root[0]
 
 
 def sum_to_json(s: Sum) -> dict:

@@ -403,6 +403,17 @@ def test_deeply_nested_input_is_a_usage_error(capsys, tmp_path, command):
     assert err == "error: input nested too deeply\n"
 
 
+def test_deep_output_of_a_shallow_input_is_printed(capsys):
+    # 1200 head steps of this shallow term leave a spine of 1202 copies of
+    # its lambda, far deeper than the input; printing it must not recurse.
+    code, out, err = _run(capsys, "solvable", "--fuel", "1200", "--json",
+                          "-e", r"(\x.x x x) (\x.x x x)")
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["solvable"] is None and doc["fuel"] == 1200
+    assert doc["last"] == " ".join([r"(\x.x x x)"] * 1202)
+
+
 @pytest.mark.parametrize("expr", [
     "(mu 'a.<'a> mu 'e.<'a> mu 'f.<'a> x)[y0, y1, y2, y3, y4]",
     "(\\x. x[x][x][x])[y0, y0, y1, y1]",

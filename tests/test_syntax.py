@@ -13,7 +13,9 @@ import mulam
 from mulam.gen import gen_res, gen_term
 from mulam.syntax import (
     BOOL,
+    NAME,
     NAT,
+    VAR,
     Lam,
     Mu,
     RApp,
@@ -25,10 +27,9 @@ from mulam.syntax import (
     close_rvar,
     deg_bag,
     degree,
-    free_names,
-    free_vars,
     fresh_atom,
     is_locally_closed,
+    iter_refs,
     lift_app,
     multinomial,
     open_mu_binder,
@@ -102,6 +103,14 @@ def test_close_undoes_open_under_a_binder():
 
 
 # ---------- free variables, names, degrees ----------
+
+
+def free_vars(t):
+    return {r for kind, r, _ in iter_refs(t) if kind == VAR and isinstance(r, str)}
+
+
+def free_names(t):
+    return {r for kind, r, _ in iter_refs(t) if kind == NAME and isinstance(r, str)}
 
 
 def test_free_vars_and_names():

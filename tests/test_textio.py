@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mulam.gen import gen_random
-from mulam.syntax import BOOL, NAT, RApp, RVar, Sum, Var, alpha_eq
+from mulam.syntax import BOOL, NAT, App, Lam, RApp, RLam, RVar, Sum, Var, alpha_eq
 from mulam.textio import (
     ParseError,
     lex,
@@ -251,3 +251,24 @@ def test_to_json_dispatches_and_rejects():
     assert to_json(parse_sum("0", BOOL))["tag"] == "sum"
     with pytest.raises(TypeError):
         to_json(42)
+
+
+def test_deep_terms_print_and_export():
+    # Deeper than the interpreter's recursion limit: the printer and the
+    # JSON export walk with their own stacks.
+    n = 1500
+    t, r = Var("x"), RVar("x")
+    for _ in range(n):
+        t, r = App(Var("x"), t), RApp(RVar("x"), [r])
+    assert print_term(t) == "x (" * (n - 1) + "x x" + ")" * (n - 1)
+    assert print_res(r) == "x[" * n + "x" + "]" * n
+    for j, child in ((to_json(t), lambda d: d["arg"]), (to_json(r), lambda d: d["bag"][0])):
+        for _ in range(n):
+            assert j["tag"] in ("app", "bagapp")
+            j = child(j)
+        assert j == {"tag": "var", "name": "x"}
+    lam, rlam = Var(0), RVar(0)
+    for _ in range(1100):
+        lam, rlam = Lam(lam), RLam(rlam)
+    assert print_term(lam) == print_res(rlam)
+    assert print_term(lam).count("\\") == 1100

@@ -4,7 +4,8 @@ The reference walkers below are the earlier implementations, one per
 operation and syntax, kept as written.  Every operation built on
 ``map_refs``/``iter_refs`` must agree with them on generated terms, including
 terms with indices that point outside the term, and ``lamu.contract`` must
-agree with the earlier open-substitute-close contraction.
+agree with the earlier open-substitute-close contraction.  The rebuild up a
+path, ``plug``, must undo the walk down it, ``path_to``, at every position.
 """
 
 import random
@@ -15,6 +16,8 @@ from hypothesis import given, strategies as st
 from mulam.gen import gen_res, gen_term
 from mulam.lamu import contract, named_app, reduce_redex, rho_inner_parts
 from mulam.syntax import (
+    NAME,
+    VAR,
     App,
     Lam,
     Mu,
@@ -28,18 +31,19 @@ from mulam.syntax import (
     close_rvar,
     close_var,
     degree,
-    free_names,
-    free_vars,
     fresh_atom,
     is_locally_closed,
+    occurrences,
     open_mu_binder,
     open_name,
     open_rname,
     open_rvar,
     open_var,
+    path_to,
+    plug,
     rename_name,
 )
-from mulam.textio import parse_term
+from mulam.textio import _Namer, parse_res, parse_term
 
 # ---------- the reference walkers ----------
 
@@ -316,6 +320,29 @@ def ref_degree(nu, t):
     return n
 
 
+def ref_count(t, target, name):
+    """The resource engine's own occurrence walk, before ``occurrences``."""
+    n = 0
+    stack = [(t, target)]
+    while stack:
+        u, d = stack.pop()
+        under = d if isinstance(d, str) else d + 1
+        match u:
+            case RVar(ref=r):
+                if not name and r == d:
+                    n += 1
+            case RLam(body=b):
+                stack.append((b, d if name else under))
+            case RMu(named=nr, body=b):
+                if name and nr == d:
+                    n += 1
+                stack.append((b, under if name else d))
+            case RApp(head=h, bag=bag):
+                stack.append((h, d))
+                stack.extend((e, d) for e in bag)
+    return n
+
+
 def ref_is_locally_closed(t):
     def go(u, dl, dn):
         match u:
@@ -455,8 +482,9 @@ def test_open_and_close_match_the_references_at_every_binder(seed):
 @given(_SEEDS)
 def test_queries_match_the_references(seed):
     t = _dangling_term(random.Random(seed))
-    assert free_vars(t) == ref_free_vars(t)
-    assert free_names(t) == ref_free_names(t)
+    namer = _Namer(t)
+    assert namer.free_v == ref_free_vars(t)
+    assert namer.free_n == ref_free_names(t)
     for nu in ("x", "y", "z", "'a", "'b", "'c"):
         assert degree(nu, t) == ref_degree(nu, t)
     for u in _subterms(t):
@@ -532,3 +560,66 @@ def test_named_app_follows_an_index_under_each_mu():
     z = Var("z")
     assert named_app(t, 1, z) == Mu(1, App(App(Var("x"), Mu(2, App(Var("y"), z))), z))
     assert named_app(t, 2, z) == t
+
+
+@given(_SEEDS)
+def test_occurrences_match_the_engines_earlier_count(seed):
+    rng = random.Random(seed)
+    t = gen_res(rng, 16, ld=rng.randint(0, 2), nd=rng.randint(0, 2))
+    for target in (0, 1, "x"):
+        assert occurrences(t, VAR, target) == ref_count(t, target, False), (t, target)
+    for target in (0, 1, "a"):
+        assert occurrences(t, NAME, target) == ref_count(t, target, True), (t, target)
+
+
+def test_occurrences_resolve_an_index_at_each_depth():
+    # In the body of \.0[\.1, 1], index 0 is the lambda's own variable,
+    # seen as 0 at the top and as 1 under the inner lambda; the last 1 is
+    # the binder just outside the lambda.
+    lam = RLam(RApp(RVar(0), [RLam(RVar(1)), RVar(1)]))
+    assert occurrences(lam.body, VAR, 0) == 2
+    assert occurrences(lam.body, VAR, 1) == 1
+    assert occurrences(lam, VAR, 0) == 1
+    # A naming resolves with its own mu as index 0, so index 1 at the top is
+    # the binder just outside, and 2 one mu further down.
+    assert occurrences(RMu(1, RMu(2, RVar("x"))), NAME, 1) == 2
+    t = parse_res(r"mu 'a.<'b> x[\y.y[x]]")
+    assert occurrences(t, VAR, "x") == 2
+    assert occurrences(t, NAME, "b") == 1
+    assert occurrences(t, NAME, "x") == 0
+
+
+def _positions(t):
+    stack = [(t, ())]
+    while stack:
+        u, pos = stack.pop()
+        yield pos
+        match u:
+            case Lam(body=b) | RLam(body=b) | Mu(body=b) | RMu(body=b):
+                stack.append((b, pos + (0,)))
+            case App(fun=f, arg=a):
+                stack += [(f, pos + (0,)), (a, pos + (1,))]
+            case RApp(head=h, bag=bag):
+                stack += [(e, pos + (i,)) for i, e in enumerate((h, *bag))]
+
+
+@pytest.mark.parametrize("gen", [gen_res, gen_term])
+def test_plug_undoes_path_to_at_every_position(gen):
+    seen = 0
+    for seed in range(300):
+        t = gen(random.Random(seed), 14)
+        for pos in _positions(t):
+            path, u, _, _ = path_to(t, pos)
+            assert len(path) == len(pos)
+            _same(plug(path, u), t)
+            seen += 1
+    assert seen > 1500
+
+
+def test_plug_puts_a_new_bag_element_in_bag_order():
+    t = parse_res("x[y, z]")
+    path, u, _, _ = path_to(t, (1,))
+    assert u == RVar("y")
+    _same(plug(path, parse_res(r"\w.w")), parse_res(r"x[z, \w.w]"))
+    path, _, _, _ = path_to(parse_term("f (g y)"), (1, 1))
+    _same(plug(path, Lam(Var(0))), parse_term(r"f (g (\v.v))"))
