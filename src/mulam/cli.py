@@ -102,8 +102,43 @@ def _pos_str(pos) -> str:
     return ".".join(map(str, pos)) if pos else "root"
 
 
+def _json_text(payload) -> str:
+    """``json.dumps(payload, sort_keys=True, indent=2)`` for payloads whose
+    keys are strings, with containers written from an explicit stack so
+    that a deep payload (an exported term) does not recurse.  The stack
+    holds (value, level) pairs and the text between them, pushed in
+    reverse; keys and scalars go to ``json.dumps``."""
+    out: list[str] = []
+    stack: list = [(payload, 0)]
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        value, level = item
+        if isinstance(value, dict):
+            entries = [(json.dumps(k) + ": ", v) for k, v in sorted(value.items())]
+            opening, closing = "{", "}"
+        elif isinstance(value, (list, tuple)):
+            entries = [("", v) for v in value]
+            opening, closing = "[", "]"
+        else:
+            out.append(json.dumps(value))
+            continue
+        if not entries:
+            out.append(opening + closing)
+            continue
+        sep = "\n" + "  " * (level + 1)
+        stack.append("\n" + "  " * level + closing)
+        for i in reversed(range(len(entries))):
+            key, v = entries[i]
+            stack.append((v, level + 1))
+            stack.append(("," if i else opening) + sep + key)
+    return "".join(out)
+
+
 def _emit_json(payload) -> None:
-    print(json.dumps(payload, sort_keys=True, indent=2))
+    print(_json_text(payload))
 
 
 # ---------- parse ----------
@@ -451,9 +486,8 @@ def main(argv: list[str] | None = None) -> int:
         # The parser, ``map_refs``, the contractions and ``taylor``'s walks
         # still recurse on the term's structure, so very deep input is beyond
         # them; that is the input's fault (exit 2), not a failed check (exit
-        # 1).  The printer and ``to_json`` do not recurse, but the writer of
-        # ``--json`` output (``json.dumps`` with ``indent``) does, so a deep
-        # term exported as a tree ends here too.
+        # 1).  The printer, ``to_json`` and the ``--json`` writer do not
+        # recurse.
         sys.stderr.write("error: input nested too deeply\n")
         return 2
 

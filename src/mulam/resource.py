@@ -15,6 +15,19 @@ body with no such naming takes the whole bag at once.  Each child's count is
 taken once per application node and handed down, so no subterm is counted
 again at its own top.
 
+Linear substitution solves each sub-problem once per contraction.  What
+``_lsubst`` returns for a subterm depends only on the subterm, the target
+and the sub-bag it is handed, and terms are immutable, so the key
+(subterm, target, sub-bag) fixes the result.  One memo with that key lives
+for one top-level call (``linear_subst``, or one contraction) and no
+longer.  On ``x[x]...[x]`` with k distinct bag elements, the inner spine
+with j occurrences is solved once for each of its C(k, j) sub-bags, where
+it was solved k!/j! times.
+A result in the memo is shared by every branch that asks for it, so it is
+never changed: it is only read, and the dicts that are added to
+(``add_app``'s accumulator, a ``SumBuilder``) are always fresh ones.  The
+named application has no memo; its sub-problems do not repeat in practice.
+
 Substitution and named application take their target as a reference: a
 free atom (the public entry points) or a de Bruijn index, which goes up by
 one under each binder of its kind.  A redex is contracted on its own index
@@ -108,30 +121,38 @@ Coeffs = dict[ResTerm, int]
 # ---------- linear substitution ----------
 
 
-def _lsubst(t: ResTerm, x: Ref, bag: Bag) -> Coeffs:
+def _lsubst(t: ResTerm, x: Ref, bag: Bag, memo: dict[tuple, Coeffs]) -> Coeffs:
     # The caller guarantees len(bag) == occurrences(t, VAR, x); every split
     # below is directed by the children's counts, so each branch keeps that
     # invariant and none of them vanishes.  The constructors wrapped around
-    # a child's addends are injective, so no two of them merge.
+    # a child's addends are injective, so no two of them merge.  ``memo``
+    # holds the results of one top-level call (see the module docstring):
+    # they are read, never changed.
     if not bag:
         return {t: 1}
+    if type(t) is RVar:
+        assert t.ref == x and len(bag) == 1, (t, x, bag)
+        return {bag[0]: 1}
+    key = (t, x, bag)
+    out = memo.get(key)
+    if out is not None:
+        return out
     match t:
-        case RVar(ref=r):
-            assert r == x and len(bag) == 1, (t, x, bag)
-            return {bag[0]: 1}
         case RLam(body=b):
-            return {RLam(u): c for u, c in _lsubst(b, _under(x), bag).items()}
+            out = {RLam(u): c for u, c in _lsubst(b, _under(x), bag, memo).items()}
         case RMu(named=nr, body=b):
-            return {RMu(nr, u): c for u, c in _lsubst(b, x, bag).items()}
+            out = {RMu(nr, u): c for u, c in _lsubst(b, x, bag, memo).items()}
         case RApp(head=h, bag=elems):
             kids = (h,) + elems
-            acc: Coeffs = {}
+            out = {}
             sizes = [occurrences(k, VAR, x) for k in kids]
             for parts, count in weak_compositions_with_counts(bag, len(kids), sizes):
-                maps = [_lsubst(k, x, p).items() for k, p in zip(kids, parts)]
-                add_app(acc, maps[0], maps[1:], count)
-            return acc
-    raise AssertionError(t)
+                maps = [_lsubst(k, x, p, memo).items() for k, p in zip(kids, parts)]
+                add_app(out, maps[0], maps[1:], count)
+        case _:
+            raise AssertionError(t)
+    memo[key] = out
+    return out
 
 
 def linear_subst(t: ResTerm, x: str, bag, semiring: str) -> Sum:
@@ -140,7 +161,7 @@ def linear_subst(t: ResTerm, x: str, bag, semiring: str) -> Sum:
     bag = mkbag(bag)
     if occurrences(t, VAR, x) != len(bag):
         return Sum.zero(semiring)
-    return SumBuilder(semiring, _lsubst(t, x, bag)).build()
+    return SumBuilder(semiring, _lsubst(t, x, bag, {})).build()
 
 
 # ---------- linear named application ----------
@@ -271,7 +292,7 @@ def _contract(t: ResTerm, keep_dead: bool = True) -> Coeffs:
     # vanishing redex, so a lambda redex's bag matches its variable's count.
     match t:
         case RApp(head=RLam(body=b), bag=bag):
-            return _lsubst(b, 0, bag)
+            return _lsubst(b, 0, bag, {})
         case RApp(head=RMu(named=nr, body=b), bag=bag):
             inner = _lna_named(nr, b, 0, bag, occurrences(b, NAME, 1), keep_dead)
             return {RMu(nr, u): c for u, c in inner.items()}

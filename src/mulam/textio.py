@@ -27,14 +27,16 @@ behind ``print_term``, ``print_res`` and ``print_sum``), one JSON export
 (``_json``, behind ``to_json`` and ``sum_to_json``), one parser of binder
 headers (``_parse_binder``) and one atom parser (``_parse_atom``).  The
 printer and the JSON export keep their own stacks, so any depth of term
-prints; the parser recurses, and so does ``json.dumps`` writing an exported
-tree out.
+prints and exports (the CLI writes an export out from a stack too); the
+parser recurses.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import cached_property
 
 from .syntax import (
     App,
@@ -330,37 +332,63 @@ def _candidates(bases: tuple[str, ...]):
             yield f"{b}{k}"
 
 
-def _pick(bases: tuple[str, ...], avoid: set[str]) -> str:
-    for c in _candidates(bases):
-        if c not in avoid:
-            return c
-    raise AssertionError("unreachable")
+_BASES = {VAR: _VAR_BASES, NAME: _NAME_BASES}
 
 
 class _Namer:
     """Deterministic display names for binders: structure decides, nothing
-    else, and no choice ever collides with a free atom or an active binder."""
+    else, and no choice ever collides with a free atom or an active binder.
+
+    A binder with ``k`` binders of its kind above it is shown as the k-th
+    candidate (from 0) that is not free in the term: the binders above took
+    the ones before it, so it is the first candidate clear of the free atoms
+    and of every active binder.  ``shown`` lists those names per kind and
+    grows on demand.  The free atoms are collected when the first binder is
+    named, so a term without binders is never walked for them."""
 
     def __init__(self, t: Term | ResTerm):
+        self._term = t
+        self.shown: dict[str, list[str]] = {VAR: [], NAME: []}
+        self._unused: dict[str, Iterator[str]] = {}
+
+    @cached_property
+    def _free(self) -> dict[str, set[str]]:
         free: dict[str, set[str]] = {VAR: set(), NAME: set()}
-        for kind, r, _ in iter_refs(t):
+        for kind, r, _ in iter_refs(self._term):
             if type(r) is str:
                 free[kind].add(r)
-        self.free_v = free[VAR]
-        self.free_n = free[NAME]
+        return free
 
-    def fresh_var(self, active: list[str]) -> str:
-        return _pick(_VAR_BASES, self.free_v | set(active))
+    @property
+    def free_v(self) -> set[str]:
+        return self._free[VAR]
 
-    def fresh_name(self, active: list[str]) -> str:
-        return _pick(_NAME_BASES, self.free_n | set(active))
+    @property
+    def free_n(self) -> set[str]:
+        return self._free[NAME]
+
+    def fresh(self, kind: str, depth: int) -> str:
+        """The name of a binder of ``kind`` below ``depth`` others of its
+        kind; those have been named, so ``depth`` is at most one past the
+        end of the list."""
+        names = self.shown[kind]
+        if depth == len(names):
+            unused = self._unused.get(kind)
+            if unused is None:
+                free = self._free[kind]
+                unused = self._unused[kind] = (
+                    c for c in _candidates(_BASES[kind]) if c not in free)
+            names.append(next(unused))
+        return names[depth]
 
 
-def _disp_ref(ref: Ref, stack: list[str]) -> str:
+def _disp_ref(ref: Ref, names: list[str], depth: int) -> str:
+    """A reference below ``depth`` binders of its kind, whose display names
+    are ``names[:depth]``, outermost first."""
     if isinstance(ref, str):
         return ref
-    if 0 <= ref < len(stack):
-        return stack[-1 - ref]
+    if 0 <= ref < depth:
+        return names[depth - 1 - ref]
     # Dangling reference: a subterm shown on its own, cut below its binder
     # (error messages show the offending subterm).  '#' is not lexable, so
     # this cannot be mistaken for a canonical printing.
@@ -368,8 +396,8 @@ def _disp_ref(ref: Ref, stack: list[str]) -> str:
 
 
 # Both walks keep their own stack, so a deep term prints as well as a
-# shallow one.  A node's scope is the display names of the lambda and of
-# the mu binders above it (``vs`` and ``ns``, innermost last).
+# shallow one.  A node's scope is the number of lambda and of mu binders
+# above it (``dv`` and ``dn``); the namer's lists hold their names.
 
 
 def _print(t: Term | ResTerm) -> str:
@@ -377,36 +405,35 @@ def _print(t: Term | ResTerm) -> str:
     and its children's texts, in order, so each node pushes them reversed
     onto a stack whose texts are written as they come off."""
     nm = _Namer(t)
+    vnames, nnames = nm.shown[VAR], nm.shown[NAME]
     out: list[str] = []
-    stack: list = [(t, [], [])]
+    stack: list = [(t, 0, 0)]
     push = stack.append
     while stack:
         item = stack.pop()
         if type(item) is str:
             out.append(item)
             continue
-        u, vs, ns = item
+        u, dv, dn = item
         cls = type(u)
         if cls is Var or cls is RVar:
-            out.append(_disp_ref(u.ref, vs))
+            out.append(_disp_ref(u.ref, vnames, dv))
         elif cls is Lam or cls is RLam:
-            x = nm.fresh_var(vs)
-            out.append(f"\\{x}.")
-            push((u.body, vs + [x], ns))
+            out.append(f"\\{nm.fresh(VAR, dv)}.")
+            push((u.body, dv + 1, dn))
         elif cls is Mu or cls is RMu:
-            a = nm.fresh_name(ns)
-            ns2 = ns + [a]
-            out.append(f"mu '{a}.<'{_disp_ref(u.named, ns2)}> ")
-            push((u.body, vs, ns2))
+            a = nm.fresh(NAME, dn)
+            out.append(f"mu '{a}.<'{_disp_ref(u.named, nnames, dn + 1)}> ")
+            push((u.body, dv, dn + 1))
         else:
             if cls is App:
                 f, arg = u.fun, u.arg
                 if type(arg) is Var:
-                    push((arg, vs, ns))
+                    push((arg, dv, dn))
                     push(" ")
                 else:
                     push(")")
-                    push((arg, vs, ns))
+                    push((arg, dv, dn))
                     push(" (")
             else:
                 f, bag = u.head, u.bag
@@ -414,18 +441,18 @@ def _print(t: Term | ResTerm) -> str:
                     push(" 1")
                 else:
                     push("]")
-                    push((bag[-1], vs, ns))
+                    push((bag[-1], dv, dn))
                     for e in bag[-2::-1]:
                         push(",")
-                        push((e, vs, ns))
+                        push((e, dv, dn))
                     push("[")
             ft = type(f)
             if ft is Lam or ft is Mu or ft is RLam or ft is RMu:
                 push(")")
-                push((f, vs, ns))
+                push((f, dv, dn))
                 push("(")
             else:
-                push((f, vs, ns))
+                push((f, dv, dn))
     return "".join(out)
 
 
@@ -455,33 +482,33 @@ def _json(t: Term | ResTerm) -> dict:
     Each node's dict is made with its children's slots empty, and each
     child on the stack fills its slot when it comes off."""
     nm = _Namer(t)
+    vnames, nnames = nm.shown[VAR], nm.shown[NAME]
     root: list = [None]
-    stack: list = [(t, [], [], root, 0)]
+    stack: list = [(t, 0, 0, root, 0)]
     push = stack.append
     while stack:
-        u, vs, ns, into, key = stack.pop()
+        u, dv, dn, into, key = stack.pop()
         cls = type(u)
         if cls is Var or cls is RVar:
-            d = {"tag": "var", "name": _disp_ref(u.ref, vs)}
+            d = {"tag": "var", "name": _disp_ref(u.ref, vnames, dv)}
         elif cls is Lam or cls is RLam:
-            x = nm.fresh_var(vs)
-            d = {"tag": "lam", "binder": x, "body": None}
-            push((u.body, vs + [x], ns, d, "body"))
+            d = {"tag": "lam", "binder": nm.fresh(VAR, dv), "body": None}
+            push((u.body, dv + 1, dn, d, "body"))
         elif cls is Mu or cls is RMu:
-            a = nm.fresh_name(ns)
-            ns2 = ns + [a]
-            d = {"tag": "mu", "binder": a, "named": _disp_ref(u.named, ns2), "body": None}
-            push((u.body, vs, ns2, d, "body"))
+            a = nm.fresh(NAME, dn)
+            d = {"tag": "mu", "binder": a, "named": _disp_ref(u.named, nnames, dn + 1),
+                 "body": None}
+            push((u.body, dv, dn + 1, d, "body"))
         elif cls is App:
             d = {"tag": "app", "fun": None, "arg": None}
-            push((u.arg, vs, ns, d, "arg"))
-            push((u.fun, vs, ns, d, "fun"))
+            push((u.arg, dv, dn, d, "arg"))
+            push((u.fun, dv, dn, d, "fun"))
         else:
             bag = [None] * len(u.bag)
             d = {"tag": "bagapp", "head": None, "bag": bag}
             for i, e in enumerate(u.bag):
-                push((e, vs, ns, bag, i))
-            push((u.head, vs, ns, d, "head"))
+                push((e, dv, dn, bag, i))
+            push((u.head, dv, dn, d, "head"))
         into[key] = d
     return root[0]
 

@@ -7,9 +7,10 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, strategies as st
 
 import mulam
-from mulam.cli import main
+from mulam.cli import _json_text, main
 
 
 def _run(capsys, *argv):
@@ -412,6 +413,44 @@ def test_deep_output_of_a_shallow_input_is_printed(capsys):
     doc = json.loads(out)
     assert doc["solvable"] is None and doc["fuel"] == 1200
     assert doc["last"] == " ".join([r"(\x.x x x)"] * 1202)
+
+
+def test_deep_export_of_a_long_chain_is_written(capsys):
+    # The parser reads an application chain in a loop, and the export of
+    # its 999 nested applications is written out without recursing.
+    code, out, err = _run(capsys, "parse", "--json", "-e", " ".join(["x"] * 1000))
+    assert (code, err) == (0, "")
+    # Too deep for ``json.loads``: count the nodes instead.
+    assert out.count('"tag": "app"') == 999
+    assert out.count('"name": "x"') == 1000
+
+
+_JSON_SCALARS = (st.none() | st.booleans() | st.integers() | st.text()
+                 | st.floats(allow_nan=False))
+_JSON_PAYLOADS = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=30,
+)
+
+
+@given(_JSON_PAYLOADS)
+def test_json_writer_matches_json_dumps(payload):
+    assert _json_text(payload) == json.dumps(payload, sort_keys=True, indent=2)
+
+
+def test_json_writer_matches_json_dumps_on_tuples_and_deep_nesting():
+    payload = {"b": (1, (2.5, None)), "a": [{}, [], ("x",)]}
+    assert _json_text(payload) == json.dumps(payload, sort_keys=True, indent=2)
+    deep: list = []
+    for _ in range(300):
+        deep = [deep, {"k": True}]
+    assert _json_text(deep) == json.dumps(deep, sort_keys=True, indent=2)
+    # Deeper than json.dumps itself can go: compare without the layout.
+    for _ in range(2700):
+        deep = [deep, {"k": True}]
+    compact = "[" * 3000 + "[]" + ',{"k":true}]' * 3000
+    assert "".join(_json_text(deep).split()) == compact
 
 
 @pytest.mark.parametrize("expr", [

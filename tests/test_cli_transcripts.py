@@ -28,6 +28,9 @@ _RES_WIDE = r"(\x.x[x])[(\y.y)[z],w] + 2*(\x.x)[(\y.y)[w]]"
 _RES_MU = r"(mu 'a.<'a> x[y])[z, w] + (mu 'a.<'a> mu 'b.<'a> x)[y]"
 _RES_DUP = r"(\x.x[x])[(\y.y)[z],(\y.y)[z]]"
 _CHURCH_2 = r"(\f.\x.f (f x)) (\f.\x.f (f x))"
+# Equal bag elements: over nat every addend has coefficient 2, counted
+# through sub-results that the substitution shares between its branches.
+_RES_FANOUT = r"(\x. x[x][x][x])[y, y, z, w]"
 
 RUNS = {
     "reduce-lamu-leftmost": ["reduce", "-e", _LAM_BETA],
@@ -49,6 +52,8 @@ RUNS = {
     "normalize-nat": ["normalize", "-e", _RES_DUP],
     "normalize-bool": ["normalize", "--semiring", "bool", "-e", _RES_DUP],
     "normalize-mu": ["normalize", "-e", _RES_MU],
+    "normalize-fanout-nat": ["normalize", "-e", _RES_FANOUT],
+    "normalize-fanout-bool": ["normalize", "--semiring", "bool", "-e", _RES_FANOUT],
     "normalize-trace-nat": ["normalize", "--trace", "-e", _RES_WIDE],
     "normalize-trace-bool": ["normalize", "--trace", "--semiring", "bool", "-e", _RES_DUP],
     "normalize-trace-mu": ["normalize", "--trace", "-e", _RES_MU],

@@ -24,16 +24,23 @@ from mulam.gen import gen_res
 from mulam.syntax import (
     BOOL,
     NAT,
+    VAR,
     RApp,
     RLam,
     RMu,
+    RVar,
     Sum,
+    SumBuilder,
+    _under,
+    add_app,
     close_rname,
     close_rvar,
     degree,
     fresh_atom,
     is_hnf,
     iter_redexes,
+    mkbag,
+    occurrences,
     open_mu_binder,
     open_rvar,
     redex_kind,
@@ -362,6 +369,112 @@ def test_lambda_fanout_with_repeated_bag_elements():
     ]
     assert normalize_r(_s(src), NAT) == _s(" + ".join("4*" + a for a in addends))
     assert normalize_r(_s(src, BOOL), BOOL) == _s(" + ".join(addends), BOOL)
+
+
+# ---------- the shared linear substitution ----------
+#
+# ``_lsubst`` solves each (subterm, target, sub-bag) once per top-level call
+# and hands the same result to every branch that needs it.  The reference
+# is the substitution before it shared anything: every branch of every split
+# solves its sub-problems again.
+
+
+def ref_lsubst(t, x, bag):
+    if not bag:
+        return {t: 1}
+    match t:
+        case RVar(ref=r):
+            assert r == x and len(bag) == 1, (t, x, bag)
+            return {bag[0]: 1}
+        case RLam(body=b):
+            return {RLam(u): c for u, c in ref_lsubst(b, _under(x), bag).items()}
+        case RMu(named=nr, body=b):
+            return {RMu(nr, u): c for u, c in ref_lsubst(b, x, bag).items()}
+        case RApp(head=h, bag=elems):
+            kids = (h,) + elems
+            acc = {}
+            sizes = [occurrences(k, VAR, x) for k in kids]
+            for parts, count in resource.weak_compositions_with_counts(bag, len(kids), sizes):
+                maps = [ref_lsubst(k, x, p).items() for k, p in zip(kids, parts)]
+                add_app(acc, maps[0], maps[1:], count)
+            return acc
+    raise AssertionError(t)
+
+
+def _ref_linear_subst(t, x, bag, semiring):
+    bag = mkbag(bag)
+    if occurrences(t, VAR, x) != len(bag):
+        return Sum.zero(semiring)
+    return SumBuilder(semiring, ref_lsubst(t, x, bag)).build()
+
+
+def _fanout(k, rng):
+    """``x[x]…[x]`` with ``k`` occurrences and a bag of ``k`` elements drawn
+    with repetition from a pool of ``k - 1``."""
+    body = RVar("x")
+    for _ in range(k - 1):
+        body = RApp(body, [RVar("x")])
+    pool = [RVar(f"y{i}") for i in range(k - 2)] + [_p("(\\z.z)[y0]")]
+    return body, [rng.choice(pool) for _ in range(k)]
+
+
+def _lambda_redex(rng):
+    """A body of a lambda over ``x`` and a bag of its size, drawn from a
+    pool of two terms so that elements repeat."""
+    x = fresh_atom("v")
+    body = open_rvar(gen_res(rng, 14, ld=1), x)
+    pool = [gen_res(rng, 4) for _ in range(2)]
+    return body, x, [rng.choice(pool) for _ in range(degree(x, body))]
+
+
+def _same_both_times(f, *args):
+    first = f(*args)
+    assert f(*args) == first
+    return first
+
+
+def _assert_matches_reference(monkeypatch, body, x, bag, semiring):
+    """``linear_subst`` and ``normalize_r`` of the redex agree with the
+    reference, each called twice on the same input."""
+    redex = RApp(RLam(close_rvar(body, x)), bag)
+    got = _same_both_times(linear_subst, body, x, bag, semiring)
+    nf = _same_both_times(normalize_r, redex, semiring)
+    assert got == _ref_linear_subst(body, x, bag, semiring), (body, bag)
+    with monkeypatch.context() as m:
+        m.setattr(resource, "_lsubst", lambda t, y, b, memo: ref_lsubst(t, y, b))
+        assert nf == normalize_r(redex, semiring), redex
+
+
+@pytest.mark.parametrize("semiring", [BOOL, NAT])
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_shared_substitution_matches_the_reference_on_fanouts(monkeypatch, k, semiring):
+    rng = random.Random(k)
+    for _ in range(4):
+        body, bag = _fanout(k, rng)
+        _assert_matches_reference(monkeypatch, body, "x", bag, semiring)
+
+
+@pytest.mark.parametrize("semiring", [BOOL, NAT])
+def test_shared_substitution_matches_the_reference_on_random_redexes(monkeypatch, semiring):
+    rng = random.Random(17)
+    for _ in range(300):
+        body, x, bag = _lambda_redex(rng)
+        _assert_matches_reference(monkeypatch, body, x, bag, semiring)
+
+
+def test_shared_substitution_keys_on_the_target_index():
+    # ``s = 0[1]`` occurs at the top, where target 0 is its head, and under
+    # a lambda, where target 1 is its argument; each takes one ``a``.
+    s = RApp(RVar(0), [RVar(1)])
+    t = RApp(s, [RLam(s)])
+    bag = (RVar("a"), RVar("a"))
+    assert resource._lsubst(t, 0, bag, {}) == ref_lsubst(t, 0, bag)
+    rng = random.Random(5)
+    for _ in range(300):
+        t = gen_res(rng, 14, ld=3)
+        x = rng.randrange(3)
+        bag = mkbag(rng.choice([RVar("a"), RVar("b")]) for _ in range(occurrences(t, VAR, x)))
+        assert resource._lsubst(t, x, bag, {}) == ref_lsubst(t, x, bag), t
 
 
 # ---------- normalization never builds dead addends ----------

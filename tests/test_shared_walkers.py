@@ -3,9 +3,12 @@
 Printing, JSON export, the redex finder, the head position and the walk down
 a path to a redex each had one implementation per syntax.  The reference
 walkers below are those implementations, kept as written; the shared ones
-must agree with them on generated terms of both syntaxes.
+must agree with them on generated terms of both syntaxes.  The reference
+printers keep the namer that scanned the candidate names at every binder;
+the shared ones list each kind's names once per term.
 """
 
+import itertools
 import random
 
 import pytest
@@ -17,7 +20,9 @@ from mulam.resource import contract_res, step_r
 from mulam.suites import mirror_step
 from mulam.syntax import (
     BOOL,
+    NAME,
     NAT,
+    VAR,
     App,
     Lam,
     Mu,
@@ -32,12 +37,13 @@ from mulam.syntax import (
     close_rvar,
     close_var,
     fresh_atom,
+    iter_refs,
     lift_app,
     open_mu_binder,
     open_rvar,
     open_var,
 )
-from mulam.textio import _disp_ref, _Namer, parse_res, parse_term
+from mulam.textio import parse_res, parse_term
 
 SEEDS = range(400)
 
@@ -46,10 +52,51 @@ def _at(t, pos):
     return syntax.path_to(t, pos)[1]
 
 # ---------- the reference walkers ----------
+#
+# Their namer scans the candidate names from the first one at every binder,
+# skipping the free atoms and the names of the active binders.
+
+
+def _candidates(bases):
+    yield from bases
+    for k in itertools.count(1):
+        for b in bases:
+            yield f"{b}{k}"
+
+
+def _pick(bases, avoid):
+    for c in _candidates(bases):
+        if c not in avoid:
+            return c
+
+
+class ScanNamer:
+    def __init__(self, t):
+        free = {VAR: set(), NAME: set()}
+        for kind, r, _ in iter_refs(t):
+            if type(r) is str:
+                free[kind].add(r)
+        self.free_v = free[VAR]
+        self.free_n = free[NAME]
+
+    def fresh_var(self, active):
+        return _pick(("x", "y", "z", "u", "v", "w"), self.free_v | set(active))
+
+    def fresh_name(self, active):
+        return _pick(("a", "b", "g", "d", "e", "h"), self.free_n | set(active))
+
+
+def _disp_ref(ref, stack):
+    if isinstance(ref, str):
+        return ref
+    if 0 <= ref < len(stack):
+        return stack[-1 - ref]
+    return f"#{ref}"
+
 
 
 def ref_print_term(t):
-    nm = _Namer(t)
+    nm = ScanNamer(t)
 
     def go(u, vs, ns):
         match u:
@@ -76,7 +123,7 @@ def ref_print_term(t):
 
 
 def ref_print_res(t):
-    nm = _Namer(t)
+    nm = ScanNamer(t)
 
     def go(u, vs, ns):
         match u:
@@ -103,7 +150,7 @@ def ref_print_res(t):
 
 
 def ref_term_to_json(t):
-    nm = _Namer(t)
+    nm = ScanNamer(t)
 
     def go(u, vs, ns):
         match u:
@@ -125,7 +172,7 @@ def ref_term_to_json(t):
 
 
 def ref_res_to_json(t):
-    nm = _Namer(t)
+    nm = ScanNamer(t)
 
     def go(u, vs, ns):
         match u:
@@ -381,6 +428,56 @@ def test_printer_and_json_match_the_twin_walkers(chunk):
         assert textio.to_json(m) == ref_term_to_json(m)
         assert textio.to_json(t) == ref_res_to_json(t)
         assert textio.to_json(Sum.unit(t, NAT))["addends"][0]["term"] == ref_res_to_json(t)
+
+
+# Free atoms that take candidate display names, so every binder's name
+# skips some of them.
+_FREE_V = ("x", "z", "y1", "w2", "u5")
+_FREE_N = ("a", "g", "b1", "h3")
+
+
+def _binder_chain(res, kinds, rng):
+    """Binders of ``kinds`` ("lam" or "mu"), outermost first, around an
+    application of every free variable in ``_FREE_V`` and of indices,
+    some of them dangling; each mu names a free name, itself or a mu
+    above."""
+    lam, mu, var = (RLam, RMu, RVar) if res else (Lam, Mu, Var)
+    nv = kinds.count("lam")
+    refs = list(_FREE_V) + [rng.randrange(nv + 2) for _ in range(4)]
+    rng.shuffle(refs)
+    if res:
+        body = RApp(var(refs[0]), [var(r) for r in refs[1:]])
+    else:
+        body = var(refs[0])
+        for r in refs[1:]:
+            body = App(body, var(r))
+    dn = kinds.count("mu")
+    for kind in reversed(kinds):
+        if kind == "lam":
+            body = lam(body)
+        else:
+            named = rng.choice(_FREE_N) if rng.random() < 0.5 else rng.randrange(dn)
+            body = mu(named, body)
+            dn -= 1
+    return body
+
+
+@pytest.mark.parametrize("shape", ["lam", "mu", "mixed"])
+def test_printer_and_json_match_the_twin_walkers_on_deep_binder_chains(shape):
+    rng = random.Random(shape)
+    for depth in (1, 2, 6, 7, 13, 40, 300):
+        if shape == "mixed":
+            kinds = [rng.choice(("lam", "mu")) for _ in range(depth)]
+        else:
+            kinds = [shape] * depth
+        for res in (False, True):
+            t = _binder_chain(res, kinds, rng)
+            if res:
+                assert textio.print_res(t) == ref_print_res(t)
+                assert textio.to_json(t) == ref_res_to_json(t)
+            else:
+                assert textio.print_term(t) == ref_print_term(t)
+                assert textio.to_json(t) == ref_term_to_json(t)
 
 
 @pytest.mark.parametrize("chunk", range(4))
