@@ -47,6 +47,15 @@ caller that meets the same addend again (the reduction-graph oracle) steps
 it only once.  Normalization steps the first redex of an addend in
 pre-order and stops looking there.
 
+Normalization never walks a normal addend.  Every term knows whether it is
+normal (``syntax``'s ``normal`` bit, set at construction), and a normal
+addend is its own normal form, so it is never pushed on the worklist nor
+searched for a redex.  Nor is it re-merged: a reduct whose addends are all
+normal is memoized as it is, and a reduct of one addend with coefficient 1
+shares that addend's memoized normal form.  Only a reduct that has some
+addend still to normalize is collected again, in one ``SumBuilder`` that
+takes its normal addends as they are.
+
 Normalization also sizes the split at each naming of a mu redex's binder.
 There the part ``w2`` becomes the argument of the body, ``body'[w2]``, and
 when that body is an abstraction only one size of ``w2`` can survive
@@ -241,7 +250,7 @@ def linear_named_app_named(eta: str, t: ResTerm, alpha: str, bag, semiring: str)
 
 
 def is_normal_res(t: ResTerm) -> bool:
-    return next(iter_redexes(t), None) is None
+    return t.normal
 
 
 def _arity(head: ResTerm) -> int | None:
@@ -435,33 +444,50 @@ def normalize_r(x: ResTerm | Sum, semiring: str) -> Sum:
     """The (unique) normal form, computed addend-wise with memoization.
 
     Iterative worklist so deep reduction chains cannot hit the recursion
-    limit; strong normalization guarantees the worklist drains.
+    limit; strong normalization guarantees the worklist drains.  A normal
+    addend is its own normal form: it never enters the worklist or the
+    memo (see the module docstring).
     """
     start = _as_sum(x, semiring)
     memo: dict[ResTerm, Sum] = {}
     steps: dict[ResTerm, Sum] = {}
     for root, _ in start.items:
-        stack = [root]
+        stack = [] if root.normal else [root]
         while stack:
             u = stack[-1]
             if u in memo:
                 stack.pop()
                 continue
             if u not in steps:
-                first = next(iter_redexes(u), None)
-                if first is None:
-                    memo[u] = Sum.unit(u, semiring)
-                    stack.pop()
-                    continue
+                first = next(iter_redexes(u))
                 steps[u] = step_r(u, first[0], semiring, keep_dead=False)
             reduct = steps[u]
-            pending = [v for v, _ in reduct.items if v not in memo]
+            pending = [v for v, _ in reduct.items if not v.normal and v not in memo]
             if pending:
                 stack.extend(pending)
                 continue
-            memo[u] = reduct.bind(lambda v: memo[v])
+            memo[u] = _normal_forms(reduct, memo)
             stack.pop()
-    return start.bind(lambda t: memo[t])
+    return _normal_forms(start, memo)
+
+
+def _normal_forms(s: Sum, memo: dict[ResTerm, Sum]) -> Sum:
+    """``s`` with each addend replaced by its normal form: a normal addend
+    by itself, any other by its entry in ``memo``.  A sum of normal addends
+    is returned as it is, and one addend with coefficient 1 as its entry."""
+    items = s.items
+    if len(items) == 1 and items[0][1] == 1 and not items[0][0].normal:
+        return memo[items[0][0]]
+    if all(t.normal for t, _ in items):
+        return s
+    acc = SumBuilder(s.semiring)
+    coeffs = acc.coeffs
+    for t, c in items:
+        if t.normal:
+            coeffs[t] = coeffs.get(t, 0) + c
+        else:
+            acc.add(memo[t], c)
+    return acc.build()
 
 
 # ---------- head reduction ----------

@@ -6,7 +6,12 @@ names), and free occurrences are plain string atoms.  The two namespaces are
 independent, so a lambda binder never shifts a name index and vice versa.
 Alpha-equivalent terms are structurally identical, and every node caches a
 canonical byte encoding ``enc``; equality, hashing, bag ordering and sum
-ordering all derive from that one total order.
+ordering all derive from that one total order.  Every node also caches
+``normal``, true when no subterm is a redex: a variable is normal, and any
+other node is normal when its children are and it is not itself a redex
+(the rule next to ``redex_kind``).  Resource nodes cache ``size`` and
+``nmu`` besides.  Each of these is set once in the constructor from the
+children's, at O(1) per node, and the redex finder skips a normal subtree.
 
 A mu node ``Mu(named, body)`` fuses the binder and the naming: it stands for
 "mu a. <b| body>" where ``named`` is the reference for ``b`` resolved in the
@@ -94,6 +99,7 @@ class Term:
 
     __slots__ = ()
     enc: bytes
+    normal: bool
 
     def __eq__(self, other: object) -> bool:
         return self.__class__ is other.__class__ and self.enc == other.enc  # type: ignore[attr-defined]
@@ -108,25 +114,27 @@ class Term:
 
 
 class Var(Term):
-    __slots__ = ("ref", "enc")
+    __slots__ = ("ref", "enc", "normal")
 
     def __init__(self, ref: Ref):
         self.ref = ref
         self.enc = b"V" + _enc_vref(ref)
+        self.normal = True
 
 
 class Lam(Term):
-    __slots__ = ("body", "enc")
+    __slots__ = ("body", "enc", "normal")
 
     def __init__(self, body: Term):
         if not isinstance(body, Term):
             raise TypeError(f"a lambda body must be a term, not {body!r}")
         self.body = body
         self.enc = b"L" + body.enc
+        self.normal = body.normal
 
 
 class App(Term):
-    __slots__ = ("fun", "arg", "enc")
+    __slots__ = ("fun", "arg", "enc", "normal")
 
     def __init__(self, fun: Term, arg: Term):
         if not (isinstance(fun, Term) and isinstance(arg, Term)):
@@ -134,10 +142,12 @@ class App(Term):
         self.fun = fun
         self.arg = arg
         self.enc = b"A" + fun.enc + arg.enc
+        cls = type(fun)
+        self.normal = fun.normal and arg.normal and cls is not Lam and cls is not Mu
 
 
 class Mu(Term):
-    __slots__ = ("named", "body", "enc")
+    __slots__ = ("named", "body", "enc", "normal")
 
     def __init__(self, named: Ref, body: Term):
         if not isinstance(body, Term):
@@ -145,6 +155,7 @@ class Mu(Term):
         self.named = named
         self.body = body
         self.enc = b"M" + _enc_nref(named) + body.enc
+        self.normal = body.normal and type(body) is not Mu
 
 
 # ---------- resource terms ----------
@@ -155,13 +166,16 @@ class ResTerm:
 
     ``size`` is the node count weighted so that an application contributes
     1 + (number of bag elements) on top of its subterms; ``nmu`` counts mu
-    nodes (used by the termination measures).
+    nodes (used by the termination measures); ``normal`` says that no
+    subterm is a redex (the rule next to ``redex_kind``).  All three are
+    set once, from the children, as ``enc`` is.
     """
 
     __slots__ = ()
     enc: bytes
     size: int
     nmu: int
+    normal: bool
 
     def __eq__(self, other: object) -> bool:
         return self.__class__ is other.__class__ and self.enc == other.enc  # type: ignore[attr-defined]
@@ -176,17 +190,18 @@ class ResTerm:
 
 
 class RVar(ResTerm):
-    __slots__ = ("ref", "enc", "size", "nmu")
+    __slots__ = ("ref", "enc", "size", "nmu", "normal")
 
     def __init__(self, ref: Ref):
         self.ref = ref
         self.enc = b"V" + _enc_vref(ref)
         self.size = 1
         self.nmu = 0
+        self.normal = True
 
 
 class RLam(ResTerm):
-    __slots__ = ("body", "enc", "size", "nmu")
+    __slots__ = ("body", "enc", "size", "nmu", "normal")
 
     def __init__(self, body: ResTerm):
         if not isinstance(body, ResTerm):
@@ -195,39 +210,50 @@ class RLam(ResTerm):
         self.enc = b"L" + body.enc
         self.size = 1 + body.size
         self.nmu = body.nmu
+        self.normal = body.normal
 
 
 class RApp(ResTerm):
-    __slots__ = ("head", "bag", "enc", "size", "nmu")
+    __slots__ = ("head", "bag", "enc", "size", "nmu", "normal")
 
     def __init__(self, head: ResTerm, bag: Iterable[ResTerm], *, _raw: bool = False):
         if not isinstance(head, ResTerm):
             raise TypeError(f"an application head must be a resource term, not {head!r}")
+        elems = tuple(bag)
+        cls = type(head)
+        normal = head.normal and cls is not RLam and cls is not RMu
+        size = 1 + len(elems) + head.size
+        nmu = head.nmu
+        encs = [b"A", head.enc, b"["]
         # The elements are only checked when reading their attributes fails,
         # so well-formed bags pay nothing for the check.
         try:
-            if _raw:
-                # Internal: keep the given element order.  Used only while a
-                # surrounding binder is opened; closing re-canonicalizes.
-                elems = tuple(bag)
-            else:
-                elems = mkbag(bag)
-            self.enc = b"A" + head.enc + b"[" + b"".join(e.enc for e in elems) + b"]"
-            self.size = 1 + len(elems) + head.size + sum(e.size for e in elems)
-            self.nmu = head.nmu + sum(e.nmu for e in elems)
+            if len(elems) > 1 and not _raw:
+                # ``_raw`` (internal) keeps the given element order; it is
+                # used only while a surrounding binder is opened, and
+                # closing re-canonicalizes.
+                elems = mkbag(elems)
+            for e in elems:
+                encs.append(e.enc)
+                size += e.size
+                nmu += e.nmu
+                normal = normal and e.normal
         except AttributeError:
-            # A bag given as an iterator has been used up, so nothing is found
-            # in it and the original error stands.
-            bad = [e for e in bag if not isinstance(e, ResTerm)]
+            bad = [e for e in elems if not isinstance(e, ResTerm)]
             if not bad:
                 raise
             raise TypeError(f"a bag element must be a resource term, not {bad[0]!r}") from None
+        encs.append(b"]")
         self.head = head
         self.bag = elems
+        self.enc = b"".join(encs)
+        self.size = size
+        self.nmu = nmu
+        self.normal = normal
 
 
 class RMu(ResTerm):
-    __slots__ = ("named", "body", "enc", "size", "nmu")
+    __slots__ = ("named", "body", "enc", "size", "nmu", "normal")
 
     def __init__(self, named: Ref, body: ResTerm):
         if not isinstance(body, ResTerm):
@@ -237,6 +263,7 @@ class RMu(ResTerm):
         self.enc = b"M" + _enc_nref(named) + body.enc
         self.size = 1 + body.size
         self.nmu = 1 + body.nmu
+        self.normal = body.normal and type(body) is not RMu
 
 
 Bag = tuple[ResTerm, ...]
@@ -780,6 +807,13 @@ def plug(path, w):
 # One definition each for both syntaxes, which have the same redex shapes:
 # an abstraction (lambda or mu) applied, as a function or as the head of a
 # bag application, and a mu whose body is directly a mu.
+#
+# The constructors apply the same rule to set each node's ``normal`` bit
+# from its children's: a variable is normal; a lambda is normal when its
+# body is; an application is normal when its children all are and its head
+# (function) is not a lambda or a mu of its syntax; a mu is normal when its
+# body is normal and is not a mu of its syntax.  So ``t.normal`` holds
+# exactly when ``redex_kind`` is None at every subterm of ``t``.
 
 
 def redex_kind(t: Term | ResTerm) -> str | None:
@@ -804,10 +838,13 @@ def redex_kind(t: Term | ResTerm) -> str | None:
 def iter_redexes(t: Term | ResTerm) -> Iterator[tuple[Pos, str]]:
     """The redexes of ``t`` with their kinds, in pre-order: a node before
     its children, and the children in order (function before argument, head
-    before bag, bag elements in canonical order)."""
+    before bag, bag elements in canonical order).  A normal subtree holds
+    no redex and is skipped whole."""
     stack: list[tuple[Term | ResTerm, Pos]] = [(t, ())]
     while stack:
         u, pos = stack.pop()
+        if u.normal:
+            continue
         k = redex_kind(u)
         if k is not None:
             yield pos, k
@@ -820,7 +857,7 @@ def iter_redexes(t: Term | ResTerm) -> Iterator[tuple[Pos, str]]:
         elif cls is App:
             stack.append((u.arg, pos + (1,)))
             stack.append((u.fun, pos + (0,)))
-        elif cls is not Var and cls is not RVar:
+        else:
             stack.append((u.body, pos + (0,)))
 
 

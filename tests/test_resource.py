@@ -489,14 +489,17 @@ def test_shared_substitution_keys_on_the_target_index():
 
 
 def _normalize_full(x, semiring):
+    # Every addend is searched for a redex by the plain recursion, which
+    # reads no ``normal`` bit, so the engine's shortcuts for normal addends
+    # are checked against a reference that has none.
     start = x if isinstance(x, Sum) else Sum.unit(x, semiring)
     memo = {}
 
     def nf(t):
         if t not in memo:
-            first = next(iter_redexes(t), None)
-            memo[t] = (Sum.unit(t, semiring) if first is None
-                       else _reference_step(t, first[0], semiring).bind(nf))
+            rs = _recursive_redexes(t)
+            memo[t] = (Sum.unit(t, semiring) if not rs
+                       else _reference_step(t, rs[0][0], semiring).bind(nf))
         return memo[t]
 
     return start.bind(nf)
@@ -559,6 +562,63 @@ def test_pruned_normalization_matches_full_reducts_on_planted_mu_redexes(semirin
 def test_pruned_normalization_matches_full_reducts_on_stress_inputs(src, semiring):
     s = _s(src, semiring)
     assert normalize_r(s, semiring) == _normalize_full(s, semiring)
+
+
+# Normalization takes a normal addend as it is.  These inputs reach each
+# shortcut: a reduct of normal addends only, a reduct mixing normal and
+# reducible addends, and a start of one reducible addend with coefficient 1.
+ALL_NORMAL_REDUCT = "(\\x. x[x])[y, z]"
+MIXED_REDUCT = "(\\x. x[x])[\\y.y, z]"
+MIXED_STARTS = [
+    "2*x[y] + 3*" + ALL_NORMAL_REDUCT,
+    "3*" + MIXED_REDUCT + " + 2*z[\\y.y] + 2*y[z]",
+    "2*" + MIXED_REDUCT + " + 3*" + ALL_NORMAL_REDUCT + " + 2*\\x.x[(\\y.y)[x]] + 3*z",
+    "3*(mu 'a.<'a> x[\\y.y])[(\\z.z)[w]] + 2*(mu 'a.<'b> x)[y] + 2*x[w]",
+    # the reducible addend sorts first and its normal form is the other one
+    "2*(mu 'a.<'a> x)[y] + 3*mu 'a.<'a> x[y]",
+]
+# One addend with a coefficient other than 1, at the start or in a reduct.
+SCALED = ["3*" + MIXED_REDUCT, "2*(\\x. x[x])[\\y.y, \\y.y]"]
+
+
+def test_the_shortcut_inputs_have_the_reducts_they_are_named_for():
+    def first_reduct(src):
+        t = _p(src)
+        return step_r(t, redexes(t)[0][0], NAT, keep_dead=False).terms()
+
+    assert all(u.normal for u in first_reduct(ALL_NORMAL_REDUCT))
+    assert {u.normal for u in first_reduct(MIXED_REDUCT)} == {True, False}
+    for src in MIXED_STARTS:
+        got = {(t.normal, c) for t, c in _s(src)}
+        assert {n for n, _ in got} == {True, False} and {c for _, c in got} <= {2, 3}, src
+
+
+@pytest.mark.parametrize("semiring", [BOOL, NAT])
+def test_normalization_of_sums_mixing_normal_and_reducible_addends(semiring):
+    for src in MIXED_STARTS + SCALED:
+        s = _s(src, semiring)
+        assert normalize_r(s, semiring) == _normalize_full(s, semiring), src
+    for src in (ALL_NORMAL_REDUCT, MIXED_REDUCT):
+        t = _p(src)
+        assert normalize_r(t, semiring) == _normalize_full(t, semiring), src
+    assert normalize_r(_p(MIXED_REDUCT), NAT) == _s("z + z[\\y.y]")
+    assert normalize_r(_s("2*" + MIXED_REDUCT + " + 3*z"), NAT) == _s("5*z + 2*z[\\y.y]")
+    assert normalize_r(_s("2*" + MIXED_REDUCT + " + 3*z", BOOL), BOOL) == _s("z + z[\\y.y]", BOOL)
+    assert normalize_r(_s(MIXED_STARTS[-1]), NAT) == _s("5*mu 'a.<'a> x[y]")
+    assert normalize_r(_s(SCALED[1]), NAT) == _s("4*\\y.y")
+
+
+@pytest.mark.parametrize("semiring", [BOOL, NAT])
+def test_normalization_of_random_sums_mixing_normal_and_reducible_addends(semiring):
+    terms = [gen_res(random.Random(seed), 14) for seed in range(300)]
+    normal = [t for t in terms if t.normal]
+    reducible = [t for t in terms if not t.normal]
+    assert len(normal) > 30 and len(reducible) > 30
+    rng = random.Random(18)
+    for i in range(0, len(reducible) - 1, 2):
+        parts = [reducible[i], reducible[i + 1], rng.choice(normal)]
+        s = Sum(semiring, [(t, rng.choice((2, 3))) for t in parts])
+        assert normalize_r(s, semiring) == _normalize_full(s, semiring), s
 
 
 def test_a_binder_named_only_deeper_takes_the_bag():

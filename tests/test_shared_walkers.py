@@ -30,6 +30,7 @@ from mulam.syntax import (
     RLam,
     RMu,
     RVar,
+    ResTerm,
     Sum,
     Var,
     close_name,
@@ -652,3 +653,122 @@ def test_redexes_of_a_deeply_nested_term_need_no_recursion():
     assert syntax.redexes(r) == [((0,) * 1000, "lam")]
     assert syntax.head_redex_pos(t) == ((0,) * 1000, "lam")
     assert not syntax.is_hnf(t)
+
+
+# ---------- the normal bit ----------
+#
+# Every constructor sets ``normal`` from its children's.  At every subterm
+# it must say what the reference redex finder says, however the term was
+# built: generated, parsed, plugged, opened with its bags in raw order,
+# rebuilt by a reference walk, or made by a step.
+
+
+def _subterms(t):
+    stack = [t]
+    while stack:
+        u = stack.pop()
+        yield u
+        match u:
+            case Lam(body=b) | Mu(body=b) | RLam(body=b) | RMu(body=b):
+                stack.append(b)
+            case App(fun=f, arg=a):
+                stack += [f, a]
+            case RApp(head=h, bag=bag):
+                stack += [h, *bag]
+
+
+def _ref_redexes_of(t):
+    return ref_redexes_res(t) if isinstance(t, ResTerm) else ref_redexes(t)
+
+
+def _assert_normal_bit(t):
+    for u in _subterms(t):
+        assert u.normal == (_ref_redexes_of(u) == []), u
+
+
+@pytest.mark.parametrize("chunk", range(4))
+def test_normal_bit_matches_the_reference_finder_on_generated_terms(chunk):
+    for seed in SEEDS[chunk::4]:
+        for t in _terms(seed):
+            _assert_normal_bit(t)
+
+
+def test_generated_terms_have_normal_and_reducible_subterms_of_every_shape():
+    # Pins that the comparison above is not vacuous: every class occurs as
+    # a normal subterm, and every class but the variables as a reducible one.
+    seen = set()
+    for seed in SEEDS:
+        for t in _terms(seed):
+            seen |= {(type(u), u.normal) for u in _subterms(t)}
+    classes = {Var, Lam, App, Mu, RVar, RLam, RApp, RMu}
+    assert seen == {(c, True) for c in classes} | {(c, False) for c in classes - {Var, RVar}}
+
+
+@pytest.mark.parametrize("src, normal", [
+    ("x", True), ("\\x.x", True), ("x y", True), ("(\\x.x) y", False),
+    ("x ((\\x.x) y)", False), ("\\y. (\\x.x) y", False),
+    ("mu 'a.<'b> x", True), ("mu 'a.<'b> mu 'c.<'a> x", False),
+    ("mu 'a.<'b> \\x. mu 'c.<'a> x", True), ("(mu 'a.<'a> x) y", False),
+    ("x (mu 'a.<'a> y)", True),
+])
+def test_normal_bit_of_parsed_terms(src, normal):
+    t = parse_term(src)
+    assert t.normal is normal
+    _assert_normal_bit(t)
+
+
+@pytest.mark.parametrize("src, normal", [
+    ("x", True), ("x[]", True), ("\\x.x[x, y]", True), ("(\\x.x)[y]", False),
+    ("(\\x.x[])[]", False), ("x[y, (\\z.z)[w]]", False), ("x[(\\z.z)[w], y]", False),
+    ("mu 'a.<'b> x[y]", True), ("mu 'a.<'b> mu 'c.<'a> x", False),
+    ("(mu 'a.<'a> x)[y]", False), ("x[mu 'a.<'a> y]", True),
+    ("\\x. mu 'a.<'b> x[\\y.y]", True),
+])
+def test_normal_bit_of_parsed_resource_terms(src, normal):
+    t = parse_res(src)
+    assert t.normal is normal
+    _assert_normal_bit(t)
+
+
+@pytest.mark.parametrize("chunk", range(4))
+def test_normal_bit_of_plugged_and_opened_terms(chunk):
+    for seed in SEEDS[chunk::4]:
+        for t in _terms(seed):
+            hole = RVar("h") if isinstance(t, ResTerm) else Var("h")
+            for pos, _ in _ref_redexes_of(t):
+                path, u, nl, nm = syntax.path_to(t, pos)
+                # Plugging the redex back gives the term; a variable in its
+                # place removes one redex, which may leave the term normal.
+                assert syntax.plug(path, u) == t
+                _assert_normal_bit(syntax.plug(path, hole))
+                opened, close = syntax.open_outer(u, nl, nm)
+                _assert_normal_bit(opened)
+                _assert_normal_bit(close(opened))
+
+
+@pytest.mark.parametrize("chunk", range(4))
+def test_normal_bit_of_terms_rebuilt_by_map_refs(chunk):
+    # Putting a redex for a free variable makes a normal term reducible.
+    redexes_for = {Var: App(Lam(Var(0)), Var("y")), RVar: RApp(RLam(RVar(0)), [RVar("y")])}
+    for seed in SEEDS[chunk::4]:
+        for t in _terms(seed):
+            redex = redexes_for[RVar if isinstance(t, ResTerm) else Var]
+            for raw in (False, True):
+                _assert_normal_bit(syntax.map_refs(t, var=lambda r, d: None, raw=raw))
+                put = syntax.map_refs(t, var=lambda r, d: redex if isinstance(r, str) else None,
+                                      raw=raw)
+                _assert_normal_bit(put)
+
+
+@pytest.mark.parametrize("semiring", [BOOL, NAT])
+def test_normal_bit_of_step_r_reducts(semiring):
+    seen = [0, 0]
+    for seed in SEEDS:
+        t = gen_res(random.Random(seed), 14)
+        for pos, _ in ref_redexes_res(t):
+            for keep_dead in (True, False):
+                for u in step_r(t, pos, semiring, keep_dead=keep_dead).terms():
+                    _assert_normal_bit(u)
+                    seen[u.normal] += 1
+    # Both kinds of reduct occur often (235 reducible and 80 normal here).
+    assert min(seen) > 50

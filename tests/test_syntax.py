@@ -406,6 +406,10 @@ BAD_BAG_ELEMENTS = {
     "an int": ("RApp(RVar('x'), [3])", "3"),
     "a lambda-mu variable": ("RApp(RVar('x'), [Var('y')])", "<Var y>"),
     "an int among terms": ("RApp(RVar('x'), [RVar('y'), 3])", "3"),
+    "an int among terms in a tuple": ("RApp(RVar('x'), (RVar('y'), 3))", "3"),
+    "an int among terms in an iterator": ("RApp(RVar('x'), iter([RVar('y'), 3]))", "3"),
+    "an int among terms in a generator": ("RApp(RVar('x'), (e for e in [RVar('y'), 3]))", "3"),
+    "an int alone in an iterator": ("RApp(RVar('x'), iter([3]))", "3"),
     "a str in a raw bag": ("RApp(RVar('x'), ['y'], _raw=True)", "'y'"),
 }
 
