@@ -22,8 +22,6 @@ resource calculus and defined in ``syntax``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import syntax
 from .syntax import (
     App,
@@ -164,19 +162,48 @@ def head_step(t: Term) -> Term | None:
     return reduce_redex(t, hit[0])
 
 
-@dataclass(frozen=True)
-class Hnf:
-    steps: int
-    term: Term
+class _Outcome:
+    """The result of a head run, with the fields its subclass's
+    ``__slots__`` names.  Results are equal when of the same class with
+    equal fields, and are not changed after they are built."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, f) for f in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__name__}({args})"
 
 
-@dataclass(frozen=True)
-class FuelExhausted:
+class Hnf(_Outcome):
+    """A head normal form ``term`` after ``steps`` steps."""
+
+    __slots__ = ("steps", "term")
+
+    def __init__(self, steps: int, term: Term):
+        self.steps = steps
+        self.term = term
+
+
+class FuelExhausted(_Outcome):
     """No head normal form within ``fuel`` steps; ``term`` is the term after
     exactly ``fuel`` steps."""
 
-    fuel: int
-    term: Term
+    __slots__ = ("fuel", "term")
+
+    def __init__(self, fuel: int, term: Term):
+        self.fuel = fuel
+        self.term = term
 
 
 def head_run(t: Term, fuel: int) -> Hnf | FuelExhausted:

@@ -24,22 +24,27 @@ def bag_depths(t: ResTerm) -> list[int]:
     """Mu-ancestor count of every bag occurrence (every application node,
     including those carrying an empty bag), in preorder."""
     out: list[int] = []
-
-    def go(u: ResTerm, d: int) -> None:
-        match u:
-            case RVar():
-                pass
-            case RLam(body=b):
-                go(b, d)
-            case RMu(body=b):
-                go(b, d + 1)
-            case RApp(head=h, bag=bag):
+    # The stack holds the bag elements still to walk; the loop below follows
+    # heads and bodies without pushing them.
+    stack: list[tuple[ResTerm, int]] = [(t, 0)]
+    while stack:
+        u, d = stack.pop()
+        while True:
+            cls = type(u)
+            if cls is RApp:
                 out.append(d)
-                go(h, d)
-                for e in bag:
-                    go(e, d)
-
-    go(t, 0)
+                if u.bag:
+                    stack.extend([(e, d) for e in reversed(u.bag)])
+                u = u.head
+            elif cls is RLam:
+                u = u.body
+            elif cls is RMu:
+                u = u.body
+                d += 1
+            elif cls is RVar:
+                break
+            else:
+                raise AssertionError(u)
     return out
 
 

@@ -34,7 +34,6 @@ per distinct pair.  An ``Edge`` is a named tuple.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .resource import _as_sum, _check_mode, step_r
@@ -58,14 +57,24 @@ class Edge(NamedTuple):
     kind: str
 
 
-@dataclass
 class ReductionGraph:
-    root: Sum
-    semiring: str
-    mode: str
-    nodes: list[Sum] = field(default_factory=list)
-    edges: list[Edge] = field(default_factory=list)
-    sinks: list[int] = field(default_factory=list)
+    __slots__ = ("root", "semiring", "mode", "nodes", "edges", "sinks")
+
+    def __init__(
+        self,
+        root: Sum,
+        semiring: str,
+        mode: str,
+        nodes: list[Sum] | None = None,
+        edges: list[Edge] | None = None,
+        sinks: list[int] | None = None,
+    ):
+        self.root = root
+        self.semiring = semiring
+        self.mode = mode
+        self.nodes = [] if nodes is None else nodes
+        self.edges = [] if edges is None else edges
+        self.sinks = [] if sinks is None else sinks
 
 
 # Node keys are taken modulo this Mersenne prime.

@@ -82,7 +82,6 @@ binders above it are shared with the lambda-mu calculus and defined in
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from . import syntax
 from .combinatorics import weak_compositions_with_counts
@@ -337,14 +336,16 @@ def step_r(t: ResTerm, pos: Pos, semiring: str, *, keep_dead: bool = True) -> Su
 # ---------- stepping whole sums ----------
 
 
-@dataclass(frozen=True)
 class SumStep:
     """What a single sum-level step did (for traces and oracles)."""
 
-    term: ResTerm
-    coeff: int
-    pos: Pos
-    kind: str
+    __slots__ = ("term", "coeff", "pos", "kind")
+
+    def __init__(self, term: ResTerm, coeff: int, pos: Pos, kind: str):
+        self.term = term
+        self.coeff = coeff
+        self.pos = pos
+        self.kind = kind
 
 
 def reducible_addends(s: Sum) -> list[tuple[ResTerm, int, list[tuple[Pos, str]]]]:

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Iterator
-from dataclasses import dataclass
 from functools import cached_property
 
 from .syntax import (
@@ -60,12 +59,14 @@ from .syntax import (
 # ---------- lexer ----------
 
 
-@dataclass(frozen=True)
 class Token:
-    kind: str
-    text: str
-    start: int
-    end: int
+    __slots__ = ("kind", "text", "start", "end")
+
+    def __init__(self, kind: str, text: str, start: int, end: int):
+        self.kind = kind
+        self.text = text
+        self.start = start
+        self.end = end
 
 
 class ParseError(ValueError):
@@ -171,14 +172,16 @@ class _Parser:
             raise ParseError(f"unexpected trailing input {t.text!r}", t.start, t.end)
 
 
-@dataclass
 class _Scope:
     """Name-resolution environment shared by both term parsers."""
 
-    venv: dict[str, int]
-    nenv: dict[str, int]
-    ld: int
-    nd: int
+    __slots__ = ("venv", "nenv", "ld", "nd")
+
+    def __init__(self, venv: dict[str, int], nenv: dict[str, int], ld: int, nd: int):
+        self.venv = venv
+        self.nenv = nenv
+        self.ld = ld
+        self.nd = nd
 
     def push_var(self, x: str) -> "_Scope":
         return _Scope({**self.venv, x: self.ld}, self.nenv, self.ld + 1, self.nd)

@@ -394,6 +394,22 @@ def test_usage_error_exit_code_holds_under_python_O(tmp_path):
     assert proc.stderr.startswith("error: cannot read ")
 
 
+def test_importing_the_cli_loads_no_introspection_modules():
+    # Every run of the command line pays for its imports.  ``dataclasses``
+    # alone pulls in ``inspect``, ``ast``, ``dis`` and ``tokenize``.  Only
+    # what the import adds counts, since ``site`` may preload modules.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(mulam.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys; before = set(sys.modules); import mulam.cli; "
+            "print(' '.join(sorted(set(sys.modules) - before)))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    added = set(proc.stdout.split())
+    assert "mulam.cli" in added
+    assert added.isdisjoint({"dataclasses", "inspect", "ast", "dis", "tokenize"}), added
+
+
 @pytest.mark.parametrize("command", ["parse", "normalize"])
 def test_deeply_nested_input_is_a_usage_error(capsys, tmp_path, command):
     deep = tmp_path / "deep.txt"

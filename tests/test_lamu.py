@@ -190,6 +190,19 @@ def test_head_run_stops_after_exactly_fuel_steps():
     assert head_run(t, 1) == FuelExhausted(1, _p("(\\x.x x x) (\\x.x x x) (\\x.x x x)"))
 
 
+def test_head_run_results_are_values():
+    t = _p("\\y.y")
+    assert Hnf(1, t) == Hnf(1, _p("\\y.y")) and hash(Hnf(1, t)) == hash(Hnf(1, _p("\\y.y")))
+    assert FuelExhausted(2, t) == FuelExhausted(2, t)
+    assert hash(FuelExhausted(2, t)) == hash(FuelExhausted(2, _p("\\y.y")))
+    assert Hnf(1, t) != FuelExhausted(1, t)
+    assert Hnf(1, t) != Hnf(2, t) and Hnf(1, t) != Hnf(1, _p("\\z.y"))
+    assert Hnf(1, t) != (1, t)
+    assert len({Hnf(1, t), Hnf(1, t), FuelExhausted(1, t)}) == 2
+    assert repr(Hnf(1, t)) == f"Hnf(steps=1, term={t!r})"
+    assert repr(FuelExhausted(3, t)) == f"FuelExhausted(fuel=3, term={t!r})"
+
+
 # ---------- cycle detection in head runs ----------
 
 

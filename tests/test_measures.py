@@ -15,7 +15,7 @@ from mulam.measures import (
     ms,
 )
 from mulam.resource import step_r
-from mulam.syntax import NAT, redexes, size
+from mulam.syntax import NAT, RApp, RLam, RMu, RVar, redexes, size
 from mulam.textio import parse_res
 
 
@@ -35,6 +35,60 @@ def test_bag_depths_count_every_application():
     assert bag_depths(_p("x 1")) == [0]
     assert bag_depths(_p("mu 'a.<'a> x 1")) == [1]
     assert sorted(bag_depths(_p("mu 'a.<'a> x[mu 'b.<'b> y 1]"))) == [1, 2]
+
+
+def _ref_bag_depths(t):
+    """The recursive definition of ``bag_depths``."""
+    out = []
+
+    def go(u, d):
+        match u:
+            case RVar():
+                pass
+            case RLam(body=b):
+                go(b, d)
+            case RMu(body=b):
+                go(b, d + 1)
+            case RApp(head=h, bag=bag):
+                out.append(d)
+                go(h, d)
+                for e in bag:
+                    go(e, d)
+
+    go(t, 0)
+    return out
+
+
+def test_bag_depths_agrees_with_the_recursive_definition():
+    rng = random.Random(3)
+    for _ in range(500):
+        t = gen_res(rng, 20)
+        assert bag_depths(t) == _ref_bag_depths(t)
+
+
+def test_bag_depths_in_preorder():
+    # The bag is written in its canonical order, the order of the walk.
+    t = _p("(mu 'a.<'a> x[y 1])[mu 'b.<'b> v 1, z[w]]")
+    assert bag_depths(t) == _ref_bag_depths(t) == [0, 1, 1, 1, 0]
+
+
+def test_bag_depths_of_a_deep_term_need_no_recursion():
+    # Built in a loop, since the parser recurses.  From the top down the
+    # levels repeat a lambda, a mu, an application whose head goes on and
+    # one whose bag goes on.
+    t = RVar(0)
+    levels = 5000
+    for i in reversed(range(levels)):
+        k = i % 4
+        if k == 0:
+            t = RLam(t)
+        elif k == 1:
+            t = RMu(0, t)
+        elif k == 2:
+            t = RApp(t, [])
+        else:
+            t = RApp(RVar(0), [t])
+    assert bag_depths(t) == [(i + 2) // 4 for i in range(levels) if i % 4 >= 2]
 
 
 def test_slack_multiset_is_degree_minus_depth():

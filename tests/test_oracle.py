@@ -90,6 +90,20 @@ def test_is_dag_on_hand_built_graphs(arcs, acyclic):
     assert is_dag(_hand_graph(arcs)) is acyclic
 
 
+def test_reduction_graph_builds_positionally_and_by_keyword():
+    root = parse_sum("x", NAT)
+    edge = Edge(0, 0, _p("x"), (), "lam")
+    g = ReductionGraph(root, NAT, "coeff", [root], [edge], [0])
+    assert (g.root, g.semiring, g.mode, g.nodes, g.edges, g.sinks) == (
+        root, NAT, "coeff", [root], [edge], [0])
+    h = ReductionGraph(mode="occurrence", semiring=BOOL, root=root)
+    assert (h.root, h.semiring, h.mode, h.nodes, h.edges, h.sinks) == (
+        root, BOOL, "occurrence", [], [], [])
+    # Each graph gets lists of its own.
+    h.nodes.append(root)
+    assert ReductionGraph(root, BOOL, "coeff").nodes == []
+
+
 def test_joinable_after_diverging_first_steps():
     # both orders of contracting the blocked pair meet again
     orig = _p("(mu 'a.<'a> mu 'g.<'h> x) 1")

@@ -8,7 +8,8 @@ import sys
 import pytest
 
 import mulam
-from mulam.suites import _pushed, _subst_for, mirror_step, run_suite
+from mulam import suites
+from mulam.suites import SuiteReport, _pushed, _subst_for, mirror_step, run_suite
 from mulam.syntax import BOOL, NAT
 from mulam.textio import parse_res, parse_sum
 
@@ -55,6 +56,27 @@ def test_run_suite_gives_node_cap_only_to_a_suite_that_takes_it():
     assert run_suite("counterexamples", node_cap=1).ok
     report = run_suite("confluence", samples=8, node_cap=1)
     assert report.failures and all(f.expected == "graph within 1 nodes" for f in report.failures)
+    # Every argument at once: the pack takes none, sn takes no node cap.
+    pack = run_suite("counterexamples", samples=3, seed=5, max_term_size=4, node_cap=1)
+    assert (pack.samples, pack.ok) == (6, True)
+    sn = run_suite("sn", samples=2, seed=7, max_term_size=5, node_cap=1)
+    assert (sn.samples, sn.ok) == (2, True)
+
+
+def test_run_suite_passes_the_parameters_a_suite_declares(monkeypatch):
+    got = []
+
+    def fake(samples=1, *, seed=0):
+        node_cap = "a local variable, not a parameter"
+        got.append((samples, seed, node_cap))
+        return SuiteReport("fake", samples)
+
+    monkeypatch.setitem(suites.SUITES, "fake", fake)
+    report = run_suite("fake", samples=2, seed=3, max_term_size=4, node_cap=5)
+    assert got == [(2, 3, "a local variable, not a parameter")]
+    assert report.samples == 2 and report.failures == [] and report.wall_time >= 0
+    run_suite("fake")
+    assert got[-1][:2] == (1, 0)
 
 
 def test_mirror_step_rejects_bad_positions_under_python_O():
