@@ -465,12 +465,17 @@ def _pushed(t: ResTerm, v: Bag, u: Bag, outer, inner, elem=None) -> tuple[Sum, S
     ``u`` splits over ``t`` and the elements of ``v`` in every weak
     composition: ``inner`` acts on ``t`` and ``elem`` (``inner`` when not
     given) on each element with its part, and ``outer`` takes ``t``'s
-    addends with each choice of one addend per element as its bag."""
+    addends with each choice of one addend per element as its bag.  Many
+    compositions give ``t`` the same part, so ``inner`` acts on ``t`` once
+    per distinct part."""
     elem = elem or inner
     lhs = outer(t, v).bind(lambda s: inner(s, u))
     rhs = SumBuilder(NAT)
+    heads: dict[Bag, Sum] = {}
     for parts, cnt in weak_compositions_with_counts(u, len(v) + 1):
-        head = inner(t, parts[0])
+        head = heads.get(parts[0])
+        if head is None:
+            head = heads[parts[0]] = inner(t, parts[0])
         if head.is_zero:
             continue
         choices = [((), cnt)]

@@ -65,11 +65,14 @@ def fresh_atom(stem: str = "g") -> str:
     return f"{stem}~{n}"
 
 
+# A reference's encoding ends in ";", so an atom holds none: the encodings
+# of a bag's elements are written one after another, and a variable named
+# "x;V.y" would read as the two variables x and y.
 def _enc_vref(ref: Ref) -> bytes:
     if isinstance(ref, int):
         if ref >= 0:
             return b"%d;" % ref
-    elif isinstance(ref, str) and ref:
+    elif isinstance(ref, str) and ref and ";" not in ref:
         return b"." + ref.encode() + b";"
     raise _bad_ref(ref)
 
@@ -78,16 +81,16 @@ def _enc_nref(ref: Ref) -> bytes:
     if isinstance(ref, int):
         if ref >= 0:
             return b"%d;" % ref
-    elif isinstance(ref, str) and ref:
+    elif isinstance(ref, str) and ref and ";" not in ref:
         return b"'" + ref.encode() + b";"
     raise _bad_ref(ref)
 
 
 def _bad_ref(ref: object) -> Exception:
     """The error for a reference that is neither an index (int >= 0) nor an
-    atom (non-empty str)."""
+    atom (a non-empty str without ";")."""
     if isinstance(ref, (int, str)):
-        return ValueError(f"a reference must be an index >= 0 or a non-empty atom, got {ref!r}")
+        return ValueError(f"a reference must be an index >= 0 or a non-empty atom without ';', got {ref!r}")
     return TypeError(f"a reference must be an int or a str, not {ref!r}")
 
 

@@ -22,6 +22,15 @@ sending the elements does that (``_landing_sites``, ``_lands``), every
 addend of the redex's reduct holds a vanishing redex, and the approximant's
 normal form is 0 again.
 
+The approximants up to a budget are downward closed (Ehrhard & Regnier,
+"Uniformity and the Taylor expansion of ordinary lambda-terms", TCS 2008):
+those of size at most b are the approximants at any budget B >= b whose size
+fits b.  An application's size, 1 + len(bag) + head.size plus the sizes of
+the elements, is exactly what its bag's cost bound counts, and the
+nonvanishing filters read only the approximant.  So the enumeration solves
+each subterm once, at the largest budget it is asked at, and cuts a smaller
+budget from that by size.
+
 The commutation check head-steps approximants of the source and keeps the
 reducts that fit the budget.  Approximants keep the term's shape, so each
 has the source's head position and redex kind, and the size of its head
@@ -59,17 +68,26 @@ from .syntax import (
 
 
 def taylor_member(t: ResTerm, m: Term) -> bool:
-    """Does the resource term approximate the lambda-mu term?"""
-    match t, m:
-        case RVar(ref=r1), Var(ref=r2):
-            return r1 == r2
-        case RLam(body=b1), Lam(body=b2):
-            return taylor_member(b1, b2)
-        case RMu(named=n1, body=b1), Mu(named=n2, body=b2):
-            return n1 == n2 and taylor_member(b1, b2)
-        case RApp(head=h, bag=bag), App(fun=f, arg=a):
-            return taylor_member(h, f) and all(taylor_member(e, a) for e in bag)
-    return False
+    """Does the resource term approximate the lambda-mu term?  A walk with
+    its own stack of the pairs still to compare, so depth costs no recursion."""
+    stack = [(t, m)]
+    while stack:
+        match stack.pop():
+            case RVar(ref=r1), Var(ref=r2):
+                if r1 != r2:
+                    return False
+            case RLam(body=b1), Lam(body=b2):
+                stack.append((b1, b2))
+            case RMu(named=n1, body=b1), Mu(named=n2, body=b2):
+                if n1 != n2:
+                    return False
+                stack.append((b1, b2))
+            case RApp(head=h, bag=bag), App(fun=f, arg=a):
+                stack.append((h, f))
+                stack.extend((e, a) for e in bag)
+            case _:
+                return False
+    return True
 
 
 KEEPS = ("all", "nonvanishing", "head-reducts")
@@ -101,20 +119,27 @@ def taylor_enum(m: Term, max_size: int, keep: str = "all") -> tuple[ResTerm, ...
 # The enumeration is written with module-level functions and an explicit
 # memo, not nested closures: a nested recursive function refers to itself,
 # and that cycle would keep the whole memo alive until the cycle collector
-# ran.  The memo maps (subterm encoding, budget) to approximants.  The
-# arities are None when every approximant is kept, and otherwise hold
-# ``_arity`` of the approximants asked about so far.
-Memo = dict[tuple[bytes, int], tuple[ResTerm, ...]]
+# ran.  The memo maps a subterm's encoding to the largest budget it was
+# enumerated at and its approximants there.  The approximants at a smaller
+# budget are exactly those of them whose size fits it: an approximant's
+# size is 1 + len(bag) + head.size + the sum of its elements' sizes, which
+# is the bound ``_bags`` applies, and the filters of ``"nonvanishing"``
+# (``_known_arity``, ``_lands``) read only the approximant, not the budget.
+# So a smaller budget is cut from the stored tuple by size, in its
+# canonical order, and only a larger one enumerates again.  The arities
+# are None when every approximant is kept, and otherwise hold ``_arity`` of
+# the approximants asked about so far.
+Memo = dict[bytes, tuple[int, tuple[ResTerm, ...]]]
 Arities = dict[ResTerm, int | None]
 
 
 def _approximants(u: Term, budget: int, memo: Memo, arities: Arities | None) -> tuple[ResTerm, ...]:
     if budget <= 0:
         return ()
-    key = (u.enc, budget)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
+    hit = memo.get(u.enc)
+    if hit is not None and hit[0] >= budget:
+        top, approx = hit
+        return approx if top == budget else tuple(t for t in approx if t.size <= budget)
     out: list[ResTerm] = []
     match u:
         case Var(ref=r):
@@ -137,7 +162,7 @@ def _approximants(u: Term, budget: int, memo: Memo, arities: Arities | None) -> 
                     bags = [bag for bag in bags if _lands(bag, arities, heads, other)]
                 out.extend(RApp(h, bag) for bag in bags)
     result = mkbag(out)
-    memo[key] = result
+    memo[u.enc] = (budget, result)
     return result
 
 

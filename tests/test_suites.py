@@ -129,3 +129,20 @@ def test_pushed_weighs_each_split_by_its_count():
     t, v, u = parse_res("x[y]"), (parse_res("x"),), (parse_res("z"), parse_res("z"))
     lhs, rhs = _pushed(t, v, u, _subst_for("y"), _subst_for("x"))
     assert lhs == rhs == parse_sum("2*z[z]", NAT)
+
+
+def test_pushed_acts_on_t_once_per_distinct_part():
+    # [z,z,z] splits over t and the two elements of v in 10 weak
+    # compositions, which give t one of 4 parts: [], [z], [z,z] or [z,z,z].
+    t, v, u = parse_res("x[y,y]"), (parse_res("x"), parse_res("x")), (parse_res("z"),) * 3
+    subst_x = _subst_for("x")
+    on_t = []
+
+    def inner(s, bag):
+        if s == t:
+            on_t.append(bag)
+        return subst_x(s, bag)
+
+    lhs, rhs = _pushed(t, v, u, _subst_for("y"), inner)
+    assert lhs == rhs == parse_sum("12*z[z,z]", NAT)
+    assert sorted(map(len, on_t)) == [0, 1, 2, 3]

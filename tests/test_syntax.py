@@ -20,6 +20,7 @@ from mulam.syntax import (
     Mu,
     RApp,
     RLam,
+    RMu,
     RVar,
     Sum,
     SumBuilder,
@@ -276,6 +277,11 @@ BAD_TERMS = {
     "Mu naming an empty atom": ("Mu('', Var('x'))", ValueError),
     "RMu naming a float": ("RMu(0.5, RVar('x'))", TypeError),
     "degree of an empty atom": ("degree('', RVar('x'))", ValueError),
+    # An atom's encoding ends in ";", so one holding ";" could pass for two.
+    "Var of an atom with a semicolon": ("Var('x;V.y')", ValueError),
+    "RVar of an atom with a semicolon": ("RVar('x;V.y')", ValueError),
+    "Mu naming an atom with a semicolon": ("Mu('a;', Var('x'))", ValueError),
+    "RMu naming an atom with a semicolon": ("RMu(';', RVar('x'))", ValueError),
 }
 _TERM_NAMES = "from mulam.syntax import App, Lam, Mu, RApp, RLam, RMu, RVar, Var, degree\n"
 
@@ -305,6 +311,15 @@ for call in {[call for call, _ in BAD_TERMS.values()]!r}:
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == [error.__name__ for _, error in BAD_TERMS.values()]
+
+
+def test_a_bag_of_one_cannot_pass_for_a_bag_of_two():
+    two = RApp(RVar("f"), [RVar("x"), RVar("y")])
+    assert two.enc == RApp(RVar("f"), []).enc[:-1] + b"V.x;V.y;]"
+    with pytest.raises(ValueError, match="without ';'"):
+        RApp(RVar("f"), [RVar("x;V.y")])
+    with pytest.raises(ValueError, match="without ';'"):
+        RMu("a;M'b", RVar("x"))
 
 
 # ---------- positions ----------

@@ -1,5 +1,6 @@
 """Finite approximants, truncated normal-form sets, solvability."""
 
+import hashlib
 import random
 
 import pytest
@@ -8,8 +9,8 @@ from mulam import resource, taylor
 from mulam.gen import gen_term
 from mulam.lamu import head_step
 from mulam.resource import head_step_res, normalize_r, step_r
-from mulam.syntax import (BOOL, RLam, RVar, head_redex_pos, is_locally_closed, iter_redexes,
-                          path_to, size)
+from mulam.syntax import (BOOL, App, Lam, Mu, RApp, RLam, RMu, RVar, Var, head_redex_pos,
+                          is_locally_closed, iter_redexes, mkbag, path_to, size)
 from mulam.taylor import (
     Solvable,
     Unknown,
@@ -65,6 +66,47 @@ def test_membership_mirrors_shape():
     assert taylor_member(parse_res("\\x.x[x,x]"), m)
     assert not taylor_member(parse_res("\\x.x[y]"), m)
     assert not taylor_member(parse_res("x 1"), m)
+
+
+def _reference_member(t, m):
+    """``taylor_member`` as a plain recursion."""
+    match t, m:
+        case RVar(ref=r1), Var(ref=r2):
+            return r1 == r2
+        case RLam(body=b1), Lam(body=b2):
+            return _reference_member(b1, b2)
+        case RMu(named=n1, body=b1), Mu(named=n2, body=b2):
+            return n1 == n2 and _reference_member(b1, b2)
+        case RApp(head=h, bag=bag), App(fun=f, arg=a):
+            return _reference_member(h, f) and all(_reference_member(e, a) for e in bag)
+    return False
+
+
+def test_membership_agrees_with_the_recursive_reference():
+    # Each term against its own approximants and those of the next sample.
+    terms = [gen_term(random.Random(seed), 10) for seed in range(81)]
+    verdicts = set()
+    for m, other in zip(terms, terms[1:]):
+        for t in taylor_enum(m, 8) + taylor_enum(other, 8):
+            got = taylor_member(t, m)
+            assert got == _reference_member(t, m), (m, t)
+            verdicts.add(got)
+    assert verdicts == {True, False}
+
+
+def test_membership_of_deep_terms():
+    # Deeper than the interpreter's recursion limit, built in loops.
+    t, m = RVar(0), Var(0)
+    for _ in range(1500):
+        t, m = RLam(t), Lam(m)
+    assert taylor_member(t, m)
+    assert not taylor_member(t, Lam(m.body.body))
+    t, m = RVar("f"), Var("f")
+    for _ in range(1500):
+        t, m = RApp(t, [RVar("x"), RVar("x")]), App(m, Var("x"))
+    assert taylor_member(t, m)
+    assert not taylor_member(RApp(t, [RVar("y")]), App(m, Var("x")))
+    assert not taylor_member(t, App(m.fun, Var("y")))
 
 
 def test_enumeration_of_self_application():
@@ -138,6 +180,89 @@ def test_a_wrong_landing_count_is_caught(mutant_module, old, new):
 def test_enumeration_rejects_an_unknown_keep():
     with pytest.raises(ValueError):
         taylor_enum(_p("x"), 4, "nonzero")
+
+
+# ---------- the enumeration's memo ----------
+
+
+def _reference_approximants(u, budget, memo, arities):
+    """``taylor._approximants`` with a memo keyed by (encoding, budget), so
+    that every subterm is enumerated afresh at every budget it is asked at."""
+    if budget <= 0:
+        return ()
+    key = (u.enc, budget)
+    if key in memo:
+        return memo[key]
+    out = []
+    match u:
+        case Var(ref=r):
+            out.append(RVar(r))
+        case Lam(body=b):
+            out.extend(RLam(t) for t in _reference_approximants(b, budget - 1, memo, arities))
+        case Mu(named=nr, body=b):
+            out.extend(RMu(nr, t) for t in _reference_approximants(b, budget - 1, memo, arities))
+        case App(fun=f, arg=a):
+            for h in _reference_approximants(f, budget - 1, memo, arities):
+                room = budget - 1 - h.size
+                pool = _reference_approximants(a, room - 1, memo, arities) if room >= 1 else ()
+                if arities is None:
+                    out.extend(RApp(h, bag) for bag in taylor._bags(pool, 0, room))
+                    continue
+                k = taylor._known_arity(h, arities)
+                bags = tuple(taylor._bags(pool, 0, room, k))
+                if k and bags:
+                    heads, other = taylor._landing_sites(h.body)
+                    bags = [bag for bag in bags if taylor._lands(bag, arities, heads, other)]
+                out.extend(RApp(h, bag) for bag in bags)
+    memo[key] = mkbag(out)
+    return memo[key]
+
+
+def _enum_inputs():
+    """The benchmark's inputs at their budgets, both sides of its head
+    commutation inputs at 12, and 200 sampled terms at budgets 1 to 16."""
+    cases = [(_p(src), budget) for src, budget in _NFT_INPUTS]
+    sources = [_p(src) for src in _HEAD_COMMUTE_INPUTS]
+    cases += [(m, 12) for m in sources] + [(head_step(m), 12) for m in sources]
+    for seed in range(200):
+        m = gen_term(random.Random(seed), 10)
+        cases += [(m, budget) for budget in range(1, 17)]
+    return cases
+
+
+def test_enumeration_is_pinned():
+    # The sha256 of every approximant enumerated in each keep mode for the
+    # inputs above, as the (encoding, budget) memo enumerated them.  A change
+    # in what is kept or in its order moves it.
+    h = hashlib.sha256()
+    n = 0
+    for m, budget in _enum_inputs():
+        for keep in taylor.KEEPS:
+            out = taylor_enum(m, budget, keep)
+            n += len(out)
+            h.update(repr((m.enc, budget, keep, [t.enc for t in out])).encode())
+    assert n == 28719
+    assert h.hexdigest() == "12337a234d0f830089c545a3f9a04ac15fbbc983b16a60b41a57c5a7b40c3099"
+
+
+@pytest.mark.parametrize("order", ("ascending", "descending", "shuffled"))
+@pytest.mark.parametrize("keep", ("all", "nonvanishing"))
+def test_one_memo_answers_every_budget_as_a_fresh_enumeration(order, keep):
+    """Ascending budgets enumerate each subterm again at the larger budget;
+    descending ones cut what a larger budget stored; shuffled ones mix both."""
+    cases = [(_p(src), budget) for src, budget in _NFT_INPUTS]
+    cases += [(gen_term(random.Random(seed), 12), 16) for seed in range(60)]
+    rng = random.Random(20)
+    for m, top in cases:
+        budgets = list(range(top + 1))
+        if order == "descending":
+            budgets.reverse()
+        elif order == "shuffled":
+            rng.shuffle(budgets)
+        memo, arities = {}, None if keep == "all" else {}
+        for budget in budgets:
+            want = _reference_approximants(m, budget, {}, None if keep == "all" else {})
+            assert taylor._approximants(m, budget, memo, arities) == want, (m, budget)
 
 
 # ---------- truncated normal forms ----------
