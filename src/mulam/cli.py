@@ -31,6 +31,7 @@ from .textio import (
     parse_res,
     parse_sum,
     parse_term,
+    print_pos,
     print_res,
     print_sum,
     print_term,
@@ -96,10 +97,6 @@ def _add_input_args(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("file", nargs="?",
                     help="file holding the expression ('-' or omitted: stdin)")
     sp.add_argument("-e", "--expr", help="expression given inline")
-
-
-def _pos_str(pos) -> str:
-    return ".".join(map(str, pos)) if pos else "root"
 
 
 def _json_text(payload) -> str:
@@ -195,7 +192,7 @@ def _lamu_picker(strategy: str, rng: random.Random):
         if hit is None:
             return None
         pos, kind = hit
-        return f"{kind} @ {_pos_str(pos)}", lambda: reduce_redex(t, pos)
+        return f"{kind} @ {print_pos(pos)}", lambda: reduce_redex(t, pos)
 
     return pick
 
@@ -214,7 +211,7 @@ def _res_picker(strategy: str, rng: random.Random | None):
         if step is None:
             return None
         t, pos = step.term, step.pos
-        return (f"{step.kind} @ {_pos_str(pos)} in {print_res(t)}",
+        return (f"{step.kind} @ {print_pos(pos)} in {print_res(t)}",
                 lambda: _apply_sum_step(s, step, "coeff", step_r(t, pos, s.semiring)))
 
     return pick

@@ -44,6 +44,9 @@ class _Weighted:
 
 _BAG_SIZE = _Weighted([(0, 30), (1, 45), (2, 25)])
 
+# No mu binder is drawn below this many mu binders.
+_MU_CAP = 3
+
 
 def _res_kinds(room: bool, mu_ok: bool) -> _Weighted:
     """The node kinds ``gen_res`` draws from: only a variable without room
@@ -86,24 +89,18 @@ def _split_budget(rng: random.Random, total: int, parts: int) -> list[int]:
     return [bounds[i + 1] - bounds[i] for i in range(parts)]
 
 
-def gen_res(
-    rng: random.Random,
-    max_size: int,
-    ld: int = 0,
-    nd: int = 0,
-    mu_cap: int = 3,
-) -> ResTerm:
+def gen_res(rng: random.Random, max_size: int, ld: int = 0, nd: int = 0) -> ResTerm:
     """One random resource term of size at most ``max_size`` (open: free
     atoms are drawn from a small pool)."""
     if max_size < 1:
         raise ValueError(f"size budget must be at least 1, got {max_size}")
-    kind = _RES_KINDS[max_size >= 2, nd < mu_cap].pick(rng)
+    kind = _RES_KINDS[max_size >= 2, nd < _MU_CAP].pick(rng)
     if kind == "var":
         if ld > 0 and rng.random() < 0.6:
             return RVar(rng.randrange(ld))
         return RVar(rng.choice(FREE_VARS))
     if kind == "lam":
-        return RLam(gen_res(rng, max_size - 1, ld + 1, nd, mu_cap))
+        return RLam(gen_res(rng, max_size - 1, ld + 1, nd))
     if kind == "mu":
         # Naming reference drawn from the scope including the new binder
         # (index 0) or the free pool.
@@ -111,49 +108,42 @@ def gen_res(
             named: int | str = rng.randrange(nd + 1)
         else:
             named = rng.choice(FREE_NAMES)
-        return RMu(named, gen_res(rng, max_size - 1, ld, nd + 1, mu_cap))
+        return RMu(named, gen_res(rng, max_size - 1, ld, nd + 1))
     assert kind == "app"
     k = _BAG_SIZE.pick(rng)
     while max_size - 1 - k < k + 1:
         k -= 1
     chunks = _split_budget(rng, max_size - 1 - k, k + 1)
-    head = gen_res(rng, chunks[0], ld, nd, mu_cap)
-    elems = [gen_res(rng, c, ld, nd, mu_cap) for c in chunks[1:]]
+    head = gen_res(rng, chunks[0], ld, nd)
+    elems = [gen_res(rng, c, ld, nd) for c in chunks[1:]]
     return RApp(head, elems)
 
 
-def gen_bag(rng: random.Random, max_elem_size: int, max_len: int = 2) -> Bag:
-    return mkbag(
-        gen_res(rng, max_elem_size) for _ in range(rng.randint(0, max_len))
-    )
+def gen_bag(rng: random.Random, max_elem_size: int) -> Bag:
+    """A bag of 0 to 2 random resource terms."""
+    return mkbag(gen_res(rng, max_elem_size) for _ in range(rng.randint(0, 2)))
 
 
-def gen_term(
-    rng: random.Random,
-    max_nodes: int,
-    ld: int = 0,
-    nd: int = 0,
-    mu_cap: int = 3,
-) -> Term:
+def gen_term(rng: random.Random, max_nodes: int, ld: int = 0, nd: int = 0) -> Term:
     """One random lambda-mu term with at most ``max_nodes`` nodes."""
     if max_nodes < 1:
         raise ValueError(f"node budget must be at least 1, got {max_nodes}")
-    kind = _TERM_KINDS[min(max_nodes, 3), nd < mu_cap].pick(rng)
+    kind = _TERM_KINDS[min(max_nodes, 3), nd < _MU_CAP].pick(rng)
     if kind == "var":
         if ld > 0 and rng.random() < 0.6:
             return Var(rng.randrange(ld))
         return Var(rng.choice(FREE_VARS))
     if kind == "lam":
-        return Lam(gen_term(rng, max_nodes - 1, ld + 1, nd, mu_cap))
+        return Lam(gen_term(rng, max_nodes - 1, ld + 1, nd))
     if kind == "mu":
         if rng.random() < 0.5:
             named: int | str = rng.randrange(nd + 1)
         else:
             named = rng.choice(FREE_NAMES)
-        return Mu(named, gen_term(rng, max_nodes - 1, ld, nd + 1, mu_cap))
+        return Mu(named, gen_term(rng, max_nodes - 1, ld, nd + 1))
     assert kind == "app"
     nf, na = _split_budget(rng, max_nodes - 1, 2)
-    return App(gen_term(rng, nf, ld, nd, mu_cap), gen_term(rng, na, ld, nd, mu_cap))
+    return App(gen_term(rng, nf, ld, nd), gen_term(rng, na, ld, nd))
 
 
 def gen_random(kind: str, max_size: int, seed: int):

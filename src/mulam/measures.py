@@ -61,24 +61,15 @@ def bold_ms(t: ResTerm) -> BoldMeasure:
 def compare_multiset(a: Multiset, b: Multiset) -> int:
     """Dershowitz-Manna comparison of multisets of naturals (-1, 0 or 1).
 
-    On descending-sorted tuples this is the lexicographic order where a
+    On descending-sorted tuples this is Python's tuple order, where a
     proper prefix loses.
     """
     a = tuple(sorted(a, reverse=True))
     b = tuple(sorted(b, reverse=True))
-    for x, y in zip(a, b):
-        if x != y:
-            return -1 if x < y else 1
-    if len(a) != len(b):
-        return -1 if len(a) < len(b) else 1
-    return 0
+    return (a > b) - (a < b)
 
 
 def compare_bold(a: BoldMeasure, b: BoldMeasure) -> int:
-    c = compare_multiset(a[0], b[0])
-    if c:
-        return c
-    for x, y in zip(a[1:], b[1:]):
-        if x != y:
-            return -1 if x < y else 1
-    return 0
+    """The layered order: the multiset first, then the mu count, then the
+    size."""
+    return compare_multiset(a[0], b[0]) or (a[1:] > b[1:]) - (a[1:] < b[1:])

@@ -40,6 +40,10 @@ from .resource import _as_sum, _check_mode, step_r
 from .syntax import BOOL, Pos, ResTerm, Sum, _bag_key, redexes
 
 
+# The default node cap of ``explore``, ``joinable`` and the confluence suite.
+NODE_CAP = 50_000
+
+
 class GraphOverflow(Exception):
     """Exploration hit the node cap; results would be incomplete."""
 
@@ -87,7 +91,7 @@ def _addend_hash(t: ResTerm) -> int:
 
 
 def explore(
-    x: ResTerm | Sum, semiring: str, node_cap: int = 50_000, mode: str = "coeff"
+    x: ResTerm | Sum, semiring: str, node_cap: int = NODE_CAP, mode: str = "coeff"
 ) -> ReductionGraph:
     """Breadth-first closure of one-step reduction; raises GraphOverflow
     rather than returning a truncated graph.
@@ -214,7 +218,7 @@ def joinable(
     a: ResTerm | Sum,
     b: ResTerm | Sum,
     semiring: str,
-    node_cap: int = 50_000,
+    node_cap: int = NODE_CAP,
     mode: str = "coeff",
 ) -> bool:
     """Do the two reduction graphs share any sum at all?"""

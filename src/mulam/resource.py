@@ -33,14 +33,16 @@ free atom (the public entry points) or a de Bruijn index, which goes up by
 one under each binder of its kind.  A redex is contracted on its own index
 (the lambda's variable is index 0 of its body, the mu's name index 0 at its
 naming), so its binder is never opened.  Nor are the binders above it:
-``step_r`` opens the redex alone on them, in one pass over the redex
+``_reducts``, the one contraction entry of ``step_r`` and ``contract_res``,
+opens the redex alone on them, in one pass over the redex
 (``syntax.open_outer``), and closes each reduct once.  A distribution is
 collected in plain term -> coefficient dicts and canonicalized once per
 contraction by one ``SumBuilder``.
 
 A redex that contracts to zero (a lambda redex whose bag size differs from
 the occurrences of its variable, a mu redex whose non-empty bag finds no
-naming of its binder) is recognized on the closed term and opens nothing.
+naming of its binder) is recognized by ``_reducts`` on the closed term and
+opens nothing.
 A step of a whole sum copies the sum, takes the stepped weight away and adds
 the reduct in one ``SumBuilder``; the reduct is computed by the caller, so a
 caller that meets the same addend again (the reduction-graph oracle) steps
@@ -88,7 +90,6 @@ from .combinatorics import weak_compositions_with_counts
 from .syntax import (
     BOOL,
     NAME,
-    NAT,
     VAR,
     Bag,
     Pos,
@@ -100,6 +101,7 @@ from .syntax import (
     ResTerm,
     Sum,
     SumBuilder,
+    _check_semiring,
     _strip_quote,
     _under,
     add_app,
@@ -276,16 +278,16 @@ def _vanishes(t: ResTerm) -> bool:
 def contract_res(t: ResTerm, semiring: str, nl: int = 0, nm: int = 0) -> Sum:
     """Contract the redex at the root of ``t``, which sits below ``nl``
     lambda and ``nm`` mu binders that its indices may still point to."""
+    return SumBuilder(semiring, _reducts(t, nl, nm)).build()
+
+
+def _reducts(t: ResTerm, nl: int, nm: int, keep_dead: bool = True) -> Coeffs:
+    """The reducts of the redex ``t`` below ``nl`` lambda and ``nm`` mu
+    binders.  A vanishing redex has none and opens nothing.  Any other is
+    opened on those binders (not at all at the root), contracted, and each
+    reduct closed once.  Closing is injective, so no two reducts merge."""
     if _vanishes(t):
-        return Sum.zero(semiring)
-    return SumBuilder(semiring, _contract_under(t, nl, nm)).build()
-
-
-def _contract_under(t: ResTerm, nl: int, nm: int, keep_dead: bool = True) -> Coeffs:
-    """The reducts of the live redex ``t`` below ``nl`` lambda and ``nm`` mu
-    binders: ``t`` is opened on those binders (not at all at the root),
-    contracted, and each reduct closed once.  Closing is injective, so no
-    two reducts merge."""
+        return {}
     if not (nl or nm):
         return _contract(t, keep_dead)
     opened, close = syntax.open_outer(t, nl, nm)
@@ -313,11 +315,9 @@ def step_r(t: ResTerm, pos: Pos, semiring: str, *, keep_dead: bool = True) -> Su
     """One reduction step at a given position, as a sum.
 
     The walk down to the redex is a loop (``syntax.path_to``) that counts
-    the lambda and mu binders above it.  A redex that contracts to zero is
-    recognized there, on the closed term, and opens nothing.  Any other
-    redex is opened on those binders alone (``syntax.open_outer``, one pass
-    over the redex), contracted, and each reduct closed once and plugged
-    back into the path (``syntax.plug``); the sum is canonicalized once.
+    the lambda and mu binders above it.  ``_reducts`` contracts the redex
+    below them, each reduct is plugged back into the path (``syntax.plug``),
+    and the sum is canonicalized once.
 
     By default the sum is the whole one-step reduct.  With ``keep_dead``
     false, a mu redex's named applications leave out every addend that
@@ -326,10 +326,8 @@ def step_r(t: ResTerm, pos: Pos, semiring: str, *, keep_dead: bool = True) -> Su
     (see the module docstring), but it is no longer the one-step reduct.
     """
     path, u, nl, nm = path_to(t, pos)
-    if _vanishes(u):
-        return Sum.zero(semiring)
     # Plugging is injective on the reducts, so no two of them merge.
-    coeffs = _contract_under(u, nl, nm, keep_dead)
+    coeffs = _reducts(u, nl, nm, keep_dead)
     return SumBuilder(semiring, {plug(path, w): c for w, c in coeffs.items()}).build()
 
 
@@ -367,8 +365,7 @@ def _check_mode(mode: str) -> None:
 
 def _as_sum(x: ResTerm | Sum, semiring: str) -> Sum:
     """A term as a one-addend sum, or a sum checked to be over ``semiring``."""
-    if semiring not in (BOOL, NAT):
-        raise ValueError(f"unknown semiring {semiring!r}")
+    _check_semiring(semiring)
     if isinstance(x, ResTerm):
         return Sum.unit(x, semiring)
     if x.semiring != semiring:

@@ -21,7 +21,7 @@ from .combinatorics import weak_compositions_with_counts
 from .gen import gen_bag, gen_res, gen_term
 from .lamu import reduce_redex
 from .measures import bold_ms, compare_bold
-from .oracle import GraphOverflow, explore, reachable_sums, unique_sink
+from .oracle import NODE_CAP, GraphOverflow, explore, reachable_sums, unique_sink
 from .resource import (
     _apply_sum_step,
     choose_step,
@@ -54,7 +54,7 @@ from .syntax import (
     rename_name,
 )
 from .taylor import taylor_enum, taylor_member
-from .textio import parse_res, print_res, print_sum, print_term
+from .textio import parse_res, print_pos, print_res, print_sum, print_term
 
 # ---------- reports ----------
 
@@ -181,7 +181,7 @@ def confluence_suite(
     samples: int = 500,
     seed: int = 0,
     max_term_size: int = 14,
-    node_cap: int = 50_000,
+    node_cap: int = NODE_CAP,
 ) -> SuiteReport:
     """Exhaustive reduction graphs have one sink, the engine agrees with it,
     and forgetting exact counts lands on the boolean normal form."""
@@ -305,12 +305,11 @@ def _check_child(c: int, want: int, pos: Pos, depth: int) -> None:
         raise ValueError(f"no position {pos} in the approximant: child {c} at {pos[:depth]}")
 
 
-def simulation_suite(
-    samples: int = 200,
-    seed: int = 0,
-    max_term_size: int = 10,
-    budget: int = 8,
-) -> SuiteReport:
+# The size budget of the approximants each sample enumerates.
+_SIMULATION_BUDGET = 8
+
+
+def simulation_suite(samples: int = 200, seed: int = 0, max_term_size: int = 10) -> SuiteReport:
     """One step upstairs is matched downstairs: contracting the mirrored
     redex in any approximant lands inside the approximants of the reduct."""
     report = SuiteReport("simulation", samples)
@@ -327,13 +326,12 @@ def simulation_suite(
                            f"(sample {i}, seed {si}); the smallest redex has 3 nodes")
         pos, kind = rng.choice(rs)
         m2 = reduce_redex(m, pos)
-        for t in taylor_enum(m, budget):
+        for t in taylor_enum(m, _SIMULATION_BUDGET):
             s = mirror_step(t, pos, BOOL)
             bad = [u for u in s.terms() if not taylor_member(u, m2)]
             if bad:
-                at = ".".join(map(str, pos)) or "root"
                 report.failures.append(
-                    Failure(i, si, f"{print_term(m)}  --{kind}@{at}-->  {print_term(m2)}",
+                    Failure(i, si, f"{print_term(m)}  --{kind}@{print_pos(pos)}-->  {print_term(m2)}",
                             "every addend approximates the reduct",
                             print_res(bad[0]),
                             note=f"approximant={print_res(t)}")
@@ -345,12 +343,11 @@ def simulation_suite(
 # ---------- non-interference ----------
 
 
-def injectivity_suite(
-    samples: int = 100,
-    seed: int = 0,
-    max_term_size: int = 12,
-    budget: int = 10,
-) -> SuiteReport:
+# The size budget of the approximants each sample enumerates.
+_INJECTIVITY_BUDGET = 10
+
+
+def injectivity_suite(samples: int = 100, seed: int = 0, max_term_size: int = 12) -> SuiteReport:
     """Distinct approximants of one term never share a normal-form addend."""
     report = SuiteReport("injectivity", samples)
     for i in range(samples):
@@ -358,7 +355,7 @@ def injectivity_suite(
         m = gen_term(random.Random(si), max_term_size)
         owner: dict[ResTerm, ResTerm] = {}
         clash = None
-        for t in taylor_enum(m, budget):
+        for t in taylor_enum(m, _INJECTIVITY_BUDGET):
             for u in normalize_r(t, BOOL).terms():
                 prev = owner.setdefault(u, t)
                 if prev != t:

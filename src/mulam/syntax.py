@@ -6,7 +6,9 @@ names), and free occurrences are plain string atoms.  The two namespaces are
 independent, so a lambda binder never shifts a name index and vice versa.
 Alpha-equivalent terms are structurally identical, and every node caches a
 canonical byte encoding ``enc``; equality, hashing, bag ordering and sum
-ordering all derive from that one total order.  Every node also caches
+ordering all derive from that one total order.  The nodes of both syntaxes
+derive from one base, ``_Node``, which holds the only ``__eq__``,
+``__hash__`` and ``__repr__``.  Every node also caches
 ``normal``, true when no subterm is a redex: a variable is normal, and any
 other node is normal when its children are and it is not itself a redex
 (the rule next to ``redex_kind``).  Resource nodes cache ``size`` and
@@ -67,22 +69,14 @@ def fresh_atom(stem: str = "g") -> str:
 
 # A reference's encoding ends in ";", so an atom holds none: the encodings
 # of a bag's elements are written one after another, and a variable named
-# "x;V.y" would read as the two variables x and y.
-def _enc_vref(ref: Ref) -> bytes:
+# "x;V.y" would read as the two variables x and y.  ``mark`` tells a
+# variable's atom (".") from a name's ("'").
+def _enc_ref(ref: Ref, mark: bytes) -> bytes:
     if isinstance(ref, int):
         if ref >= 0:
             return b"%d;" % ref
     elif isinstance(ref, str) and ref and ";" not in ref:
-        return b"." + ref.encode() + b";"
-    raise _bad_ref(ref)
-
-
-def _enc_nref(ref: Ref) -> bytes:
-    if isinstance(ref, int):
-        if ref >= 0:
-            return b"%d;" % ref
-    elif isinstance(ref, str) and ref and ";" not in ref:
-        return b"'" + ref.encode() + b";"
+        return mark + ref.encode() + b";"
     raise _bad_ref(ref)
 
 
@@ -94,11 +88,13 @@ def _bad_ref(ref: object) -> Exception:
     return TypeError(f"a reference must be an int or a str, not {ref!r}")
 
 
-# ---------- lambda-mu terms ----------
+# ---------- nodes ----------
 
 
-class Term:
-    """Base class for lambda-mu terms."""
+class _Node:
+    """Base class of both syntaxes' nodes: equality and hashing go through
+    the canonical encoding ``enc`` (nodes of different classes are never
+    equal), and the repr shows the class and the printed term."""
 
     __slots__ = ()
     enc: bytes
@@ -113,7 +109,16 @@ class Term:
     def __repr__(self) -> str:
         from . import textio
 
-        return f"<{self.__class__.__name__} {textio.print_term(self)}>"
+        return f"<{self.__class__.__name__} {textio._print(self)}>"
+
+
+# ---------- lambda-mu terms ----------
+
+
+class Term(_Node):
+    """Base class for lambda-mu terms."""
+
+    __slots__ = ()
 
 
 class Var(Term):
@@ -121,7 +126,7 @@ class Var(Term):
 
     def __init__(self, ref: Ref):
         self.ref = ref
-        self.enc = b"V" + _enc_vref(ref)
+        self.enc = b"V" + _enc_ref(ref, b".")
         self.normal = True
 
 
@@ -157,14 +162,14 @@ class Mu(Term):
             raise TypeError(f"a mu body must be a term, not {body!r}")
         self.named = named
         self.body = body
-        self.enc = b"M" + _enc_nref(named) + body.enc
+        self.enc = b"M" + _enc_ref(named, b"'") + body.enc
         self.normal = body.normal and type(body) is not Mu
 
 
 # ---------- resource terms ----------
 
 
-class ResTerm:
+class ResTerm(_Node):
     """Base class for resource terms.
 
     ``size`` is the node count weighted so that an application contributes
@@ -175,21 +180,8 @@ class ResTerm:
     """
 
     __slots__ = ()
-    enc: bytes
     size: int
     nmu: int
-    normal: bool
-
-    def __eq__(self, other: object) -> bool:
-        return self.__class__ is other.__class__ and self.enc == other.enc  # type: ignore[attr-defined]
-
-    def __hash__(self) -> int:
-        return hash(self.enc)
-
-    def __repr__(self) -> str:
-        from . import textio
-
-        return f"<{self.__class__.__name__} {textio.print_res(self)}>"
 
 
 class RVar(ResTerm):
@@ -197,7 +189,7 @@ class RVar(ResTerm):
 
     def __init__(self, ref: Ref):
         self.ref = ref
-        self.enc = b"V" + _enc_vref(ref)
+        self.enc = b"V" + _enc_ref(ref, b".")
         self.size = 1
         self.nmu = 0
         self.normal = True
@@ -263,7 +255,7 @@ class RMu(ResTerm):
             raise TypeError(f"a mu body must be a resource term, not {body!r}")
         self.named = named
         self.body = body
-        self.enc = b"M" + _enc_nref(named) + body.enc
+        self.enc = b"M" + _enc_ref(named, b"'") + body.enc
         self.size = 1 + body.size
         self.nmu = 1 + body.nmu
         self.normal = body.normal and type(body) is not RMu

@@ -98,6 +98,12 @@ def _is_ident_start(c: str) -> bool:
     return "a" <= c <= "z"
 
 
+def _is_digit(c: str) -> bool:
+    # ASCII only, as NUM says: ``str.isdigit`` also takes superscripts and
+    # other scripts' digits.
+    return "0" <= c <= "9"
+
+
 def _is_ident_char(c: str) -> bool:
     return "a" <= c <= "z" or "A" <= c <= "Z" or "0" <= c <= "9" or c == "_"
 
@@ -114,9 +120,9 @@ def lex(src: str) -> list[Token]:
             toks.append(Token(_PUNCT[c], c, i, i + 1))
             i += 1
             continue
-        if c.isdigit():
+        if _is_digit(c):
             j = i
-            while j < n and src[j].isdigit():
+            while j < n and _is_digit(src[j]):
                 j += 1
             toks.append(Token("NUM", src[i:j], i, j))
             i = j
@@ -465,6 +471,12 @@ def print_term(t: Term) -> str:
 
 def print_res(t: ResTerm) -> str:
     return _print(t)
+
+
+def print_pos(pos: tuple[int, ...]) -> str:
+    """A position as its child indices joined by dots; the empty one is
+    "root"."""
+    return ".".join(map(str, pos)) if pos else "root"
 
 
 def print_sum(s: Sum) -> str:

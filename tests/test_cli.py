@@ -57,6 +57,16 @@ def test_underscore_digits_are_not_a_token(capsys):
     assert err == "error: unexpected character '_' at 2..3\n  x _1\n    ^\n"
 
 
+# NUM is ASCII digits only: a superscript or an Arabic-Indic digit is an
+# unexpected character, not a coefficient (nor an uncaught ValueError).
+@pytest.mark.parametrize("cmd", ["parse", "normalize"])
+@pytest.mark.parametrize("src", ["\u00b2*x", "\u0663*x"], ids=["superscript-two", "arabic-indic-three"])
+def test_non_ascii_digits_are_a_parse_error(capsys, cmd, src):
+    code, out, err = _run(capsys, cmd, "-e", src)
+    assert (code, out) == (2, "")
+    assert err == f"error: unexpected character {src[0]!r} at 0..1\n  {src}\n  ^\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["reduce", "-e", "x )"],
     ["reduce", "--calculus", "res", "-e", "x )"],

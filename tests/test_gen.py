@@ -125,7 +125,7 @@ def test_mu_nesting_is_capped():
 
 def test_gen_bag_respects_length_cap():
     rng = random.Random(7)
-    lengths = {len(gen_bag(rng, 5, max_len=2)) for _ in range(200)}
+    lengths = {len(gen_bag(rng, 5)) for _ in range(200)}
     assert lengths <= {0, 1, 2}
     assert lengths == {0, 1, 2}  # all arities show up
 
