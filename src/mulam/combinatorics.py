@@ -33,22 +33,39 @@ def compositions_of(
         caps = (m,) * k
     elif len(caps) != k:
         raise ValueError(f"{len(caps)} caps for {k} parts")
+    elif min(caps, default=0) < 0:
+        raise ValueError(f"negative cap in {list(caps)}")
     return _compositions(m, k, tuple(caps))
 
 
 def _compositions(m: int, k: int, caps: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    if k == 0:
-        if m == 0:
-            yield ()
+    # A loop, not one level of recursion per part, so a bag split over
+    # thousands of parts fits in any stack.  ``room[i]`` is the most that
+    # the parts after part i can hold together.
+    room = [0] * k
+    for i in range(k - 1, 0, -1):
+        room[i - 1] = room[i] + caps[i]
+    if m > (room[0] + caps[0] if k else 0):
         return
-    if k == 1:
-        if m <= caps[0]:
-            yield (m,)
-        return
-    room = sum(caps[1:])
-    for first in range(max(0, m - room), min(m, caps[0]) + 1):
-        for rest in _compositions(m - first, k - 1, caps[1:]):
-            yield (first,) + rest
+    c = [0] * k
+    i, left = 0, m
+    while True:
+        # Parts i.. share ``left``, each as small as the parts after it allow:
+        # the first composition with the prefix c[:i].
+        for j in range(i, k):
+            c[j] = x = max(0, left - room[j])
+            left -= x
+        yield tuple(c)
+        # The next prefix grows the last part that is below its cap and has
+        # something after it to take from.
+        i, left = k - 1, 0
+        while i >= 0 and (left == 0 or c[i] >= caps[i]):
+            left += c[i]
+            i -= 1
+        if i < 0:
+            return
+        c[i] += 1
+        i, left = i + 1, left - 1
 
 
 def weak_compositions_with_counts(

@@ -20,7 +20,7 @@ from operator import ne
 from .combinatorics import weak_compositions_with_counts
 from .gen import gen_bag, gen_res, gen_term
 from .lamu import reduce_redex
-from .measures import bold_ms, compare_bold
+from .measures import BoldMeasure, bold_ms, compare_bold
 from .oracle import NODE_CAP, GraphOverflow, explore, reachable_sums, unique_sink
 from .resource import (
     _apply_sum_step,
@@ -30,7 +30,6 @@ from .resource import (
     linear_named_app_named,
     linear_subst,
     normalize_r,
-    reducible_addends,
     step_r,
 )
 from .syntax import (
@@ -140,17 +139,44 @@ _STEP_CAP = 200_000
 
 
 def sn_suite(samples: int = 1000, seed: int = 0, max_term_size: int = 30) -> SuiteReport:
-    """Every strategy terminates and the layered measure drops at each step."""
+    """Every strategy terminates and the layered measure drops at each step.
+
+    The three strategies reduce the same sample and meet many of the same
+    addends and steps.  One memo per sample, shared by the three, keeps each
+    addend's redex list, each (addend, position) step's reduct with its
+    measure verdict, and each term's ``bold_ms``.  Each is a function of the
+    term alone, so every strategy takes the steps and records the failures
+    it would without the memo; each is just computed once per sample.
+    """
     report = SuiteReport("sn", samples)
     for i in range(samples):
         si = _sample_seed(seed, i)
         t = gen_res(random.Random(si), max_term_size)
+        found: dict[ResTerm, list] = {}
+        stepped: dict[tuple[ResTerm, Pos], tuple[Sum, BoldMeasure, ResTerm | None]] = {}
+        measured: dict[ResTerm, BoldMeasure] = {}
+
+        def measure(u: ResTerm) -> BoldMeasure:
+            m = measured.get(u)
+            if m is None:
+                m = measured[u] = bold_ms(u)
+            return m
+
         for sidx, strategy in enumerate(_STRATEGIES):
             # Only the random strategy draws from its rng.
             rng = random.Random(si * 4 + sidx + 1) if strategy == "random" else None
             s = Sum.unit(t, NAT)
             steps = 0
-            while cands := reducible_addends(s):
+            while True:
+                cands = []
+                for u, c in s.items:
+                    rs = found.get(u)
+                    if rs is None:
+                        rs = found[u] = redexes(u)
+                    if rs:
+                        cands.append((u, c, rs))
+                if not cands:
+                    break
                 if steps >= _STEP_CAP:
                     report.failures.append(
                         Failure(i, si, print_res(t), f"normal form within {_STEP_CAP} steps",
@@ -158,14 +184,21 @@ def sn_suite(samples: int = 1000, seed: int = 0, max_term_size: int = 30) -> Sui
                     )
                     break
                 step = choose_step(cands, strategy, rng)
-                before = bold_ms(step.term)
-                reduct = step_r(step.term, step.pos, NAT)
-                bad = [u for u, _ in reduct.items if compare_bold(bold_ms(u), before) >= 0]
-                if bad:
+                key = (step.term, step.pos)
+                done = stepped.get(key)
+                if done is None:
+                    before = measure(step.term)
+                    reduct = step_r(step.term, step.pos, NAT)
+                    # The first addend whose measure does not drop, if any.
+                    bad = next((u for u, _ in reduct.items
+                                if compare_bold(measure(u), before) >= 0), None)
+                    done = stepped[key] = (reduct, before, bad)
+                reduct, before, bad = done
+                if bad is not None:
                     report.failures.append(
                         Failure(i, si, print_res(t),
                                 f"measure below {before}",
-                                f"{print_res(bad[0])} has {bold_ms(bad[0])}",
+                                f"{print_res(bad)} has {measure(bad)}",
                                 note=f"strategy={strategy} stepped={print_res(step.term)} pos={step.pos}")
                     )
                     break

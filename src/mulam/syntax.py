@@ -25,9 +25,9 @@ The two syntaxes have the same shape node for node (a resource application
 carries a bag where a lambda-mu application carries one argument), so every
 shape-directed operation is defined here once, for both, and dispatches on
 the node's exact class: the reference walks ``map_refs`` and ``iter_refs``,
-the occurrence count ``occurrences`` (on ``iter_refs``; ``degree`` and the
-resource engine's splits both use it), the walk down a position ``path_to``
-and the rebuild back up ``plug``, the redex opener ``open_outer``, and the
+the occurrence count ``occurrences`` (``degree`` and the resource engine's
+splits both use it), the walk down a position ``path_to`` and the rebuild
+back up ``plug``, the redex opener ``open_outer``, and the
 redex finder ``redex_kind``, ``iter_redexes``/``redexes``,
 ``head_redex_pos`` and ``is_hnf``.  Both engines and their callers import
 these from here; ``textio`` has the one printer and the one JSON export.
@@ -364,10 +364,64 @@ def occurrences(t: Term | ResTerm, kind: str, target: Ref) -> int:
     """Occurrences in ``t`` of the variable (``kind`` ``VAR``) or the name
     (``NAME``) that ``target`` refers to: a free atom, the same at every
     depth, or an index at the top of ``t``, which points one binder of its
-    kind further out below each such binder."""
-    if isinstance(target, str):
-        return sum(1 for k, r, _ in iter_refs(t) if r == target and k == kind)
-    return sum(1 for k, r, d in iter_refs(t) if r == target + d and k == kind)
+    kind further out below each such binder.
+
+    One explicit-stack loop per kind counts in place: ``None`` on the stack
+    marks the end of a binder of the counted kind, so the depth is one int.
+    """
+    index = not isinstance(target, str)
+    n = 0
+    depth = 0
+    stack = [t]
+    pop, push, extend = stack.pop, stack.append, stack.extend
+    if kind == VAR:
+        while stack:
+            u = pop()
+            if u is None:
+                depth -= 1
+                continue
+            cls = type(u)
+            if cls is RVar or cls is Var:
+                if u.ref == (target + depth if index else target):
+                    n += 1
+            elif cls is RApp:
+                push(u.head)
+                extend(u.bag)
+            elif cls is App:
+                push(u.fun)
+                push(u.arg)
+            elif cls is RLam or cls is Lam:
+                push(None)
+                push(u.body)
+                depth += 1
+            elif cls is RMu or cls is Mu:
+                push(u.body)
+            else:
+                raise AssertionError(u)
+        return n
+    while stack:
+        u = pop()
+        if u is None:
+            depth -= 1
+            continue
+        cls = type(u)
+        if cls is RApp:
+            push(u.head)
+            extend(u.bag)
+        elif cls is App:
+            push(u.fun)
+            push(u.arg)
+        elif cls is RMu or cls is Mu:
+            if u.named == (target + depth if index else target):
+                n += 1
+            push(None)
+            push(u.body)
+            depth += 1
+        elif cls is RLam or cls is Lam:
+            push(u.body)
+        elif cls is not RVar and cls is not Var:
+            raise AssertionError(u)
+    return n
 
 
 def degree(nu: str, t: Term | ResTerm) -> int:

@@ -430,6 +430,26 @@ def test_deeply_nested_input_is_a_usage_error(capsys, tmp_path, command):
     assert err == "error: input nested too deeply\n"
 
 
+_WIDE = "(\\x.z[x," + ",".join(["w"] * 1200) + "])[y]"
+
+
+@pytest.mark.parametrize("semiring", ["nat", "bool"])
+def test_a_bag_split_over_a_thousand_parts_is_normalized(capsys, semiring):
+    # The argument [y] splits over the 1201 elements of z's bag; the split
+    # is a loop, so its length is not bounded by the stack.
+    code, out, err = _run(capsys, "normalize", "--semiring", semiring, "-e", _WIDE)
+    assert (code, err) == (0, "")
+    assert out == "normal form: z[" + "w," * 1200 + "y]\n"
+
+
+def test_a_bag_split_over_a_thousand_parts_is_exported(capsys):
+    code, out, err = _run(capsys, "normalize", "--json", "-e", _WIDE)
+    assert (code, err) == (0, "")
+    [addend] = json.loads(out)["normal_form"]["addends"]
+    assert addend["coeff"] == 1
+    assert [e["name"] for e in addend["term"]["bag"]] == ["w"] * 1200 + ["y"]
+
+
 def test_deep_output_of_a_shallow_input_is_printed(capsys):
     # 1200 head steps of this shallow term leave a spine of 1202 copies of
     # its lambda, far deeper than the input; printing it must not recurse.

@@ -53,6 +53,39 @@ def test_compositions_of_zero_parts():
     assert list(compositions_of(2, 0)) == []
 
 
+def ref_compositions(m, k, caps):
+    """The enumeration as it was before it became a loop: one level of
+    recursion per part, on a copy of the remaining caps."""
+    if k == 0:
+        if m == 0:
+            yield ()
+        return
+    if k == 1:
+        if m <= caps[0]:
+            yield (m,)
+        return
+    room = sum(caps[1:])
+    for first in range(max(0, m - room), min(m, caps[0]) + 1):
+        for rest in ref_compositions(m - first, k - 1, caps[1:]):
+            yield (first,) + rest
+
+
+def test_compositions_of_enumerates_as_the_recursion_did():
+    for k in range(6):
+        cap_choices = list(itertools.product(range(4), repeat=k))
+        for m in range(7):
+            assert list(compositions_of(m, k)) == list(ref_compositions(m, k, (m,) * k))
+            for caps in cap_choices:
+                assert list(compositions_of(m, k, caps)) == list(ref_compositions(m, k, caps)), (
+                    m, k, caps)
+
+
+def test_compositions_of_many_parts_need_no_deep_stack():
+    [one] = compositions_of(1, 5000, (0,) * 4999 + (1,))
+    assert one == (0,) * 4999 + (1,)
+    assert sum(1 for _ in compositions_of(1, 5000)) == 5000
+
+
 def _brute_counts(bag, nparts):
     """Aggregate index assignments (functions element-slot -> part) into
     canonical compositions; the fibre sizes are the multiplicities."""
@@ -135,6 +168,7 @@ INVALID_CALLS = {
     "negative total": "list(compositions_of(-1, 2))",
     "negative part count": "list(compositions_of(2, -1))",
     "caps of the wrong length": "list(compositions_of(2, 2, [2]))",
+    "negative cap": "list(compositions_of(2, 2, [3, -1]))",
     "negative nparts": f"list(weak_compositions_with_counts({_BAG}, -1))",
     "sizes of the wrong length": f"list(weak_compositions_with_counts({_BAG}, 2, [1]))",
     "negative size": f"list(weak_compositions_with_counts({_BAG}, 2, [-1, None]))",

@@ -156,8 +156,8 @@ BAD_BUDGETS = {
     "gen_res of negative size": "gen_res(random.Random(0), -3)",
     "gen_random term of 0": "gen_random('term', 0, 1)",
     "gen_random resterm of 0": "gen_random('resterm', 0, 1)",
-    "split into no chunks": "_split_budget(random.Random(0), 3, 0)",
-    "split into too many chunks": "_split_budget(random.Random(0), 1, 2)",
+    "split into no chunks": "_split_budget(random.Random(0).getrandbits, 3, 0)",
+    "split into too many chunks": "_split_budget(random.Random(0).getrandbits, 1, 2)",
 }
 _NAMES = "import random\nfrom mulam.gen import _split_budget, gen_random, gen_res, gen_term\n"
 
@@ -226,7 +226,7 @@ def test_a_table_draws_as_random_choices_does(table):
     for seed in range(500):
         mine, theirs = random.Random(seed), random.Random(seed)
         for _ in range(8):
-            assert w.pick(mine) == theirs.choices(w.population, w.weights)[0]
+            assert w.pick(mine.random) == theirs.choices(w.population, w.weights)[0]
             assert mine.getstate() == theirs.getstate()
 
 
@@ -242,3 +242,55 @@ def test_the_tables_are_the_lists_the_generators_built():
                 w = gen._TERM_KINDS[min(size, 3), nd < mu_cap]
                 assert [list(w.population), list(w.weights)] == list(
                     _choices_of_gen_term(size, nd, mu_cap))
+
+
+# ---------- the stream of draws ----------
+
+
+def test_the_draws_are_pinned():
+    # The sha256 of the printed terms drawn on the per-sample seeds of the
+    # suites: three resource sizes and a bag on one rng, two lambda-mu sizes
+    # on another.  A change in the order or the kind of the random draws
+    # moves it.
+    import hashlib
+
+    from mulam.suites import _sample_seed
+    from mulam.textio import print_res, print_term
+
+    h = hashlib.sha256()
+    for s in range(3):
+        for i in range(1000):
+            seed = _sample_seed(s, i)
+            rng = random.Random(seed)
+            drawn = [print_res(gen_res(rng, n)) for n in (6, 14, 30)]
+            drawn.append([print_res(e) for e in gen_bag(rng, 4)])
+            rng = random.Random(seed)
+            drawn += [print_term(gen_term(rng, n)) for n in (10, 12)]
+            h.update(repr(drawn).encode())
+    assert h.hexdigest() == "1fcae3a2ff2aaf35b0b4910962e9b9dba687c151816689887dcbbec0146d7ee2"
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 7, 8, 21, 22, 33])
+def test_below_draws_as_the_stdlib_wrappers_do(n):
+    # _below is the stdlib's own rejection sampler; a Python whose
+    # randrange, choice or randint draws differently fails here.
+    pool = tuple(range(10, 10 + n))
+    for seed in range(500):
+        mine, theirs = random.Random(seed), random.Random(seed)
+        for draw in (lambda: theirs.randrange(n), lambda: theirs.choice(pool) - 10,
+                     lambda: theirs.randint(0, n - 1)):
+            assert gen._below(mine.getrandbits, n) == draw()
+            assert mine.getstate() == theirs.getstate()
+
+
+@pytest.mark.parametrize("parts", [1, 2, 3])
+def test_a_split_draws_its_cuts_as_random_sample_does(parts):
+    # Ranges of up to 21 cut points take sample's pool branch, longer ones
+    # its rejection branch; both are covered.
+    for total in (parts, parts + 1, 5, 12, 21, 22, 23, 30, 60):
+        for seed in range(500):
+            mine, theirs = random.Random(seed), random.Random(seed)
+            got = gen._split_budget(mine.getrandbits, total, parts)
+            bounds = [0, *sorted(theirs.sample(range(1, total), parts - 1)), total]
+            assert got == [b - a for a, b in zip(bounds, bounds[1:])]
+            assert mine.getstate() == theirs.getstate()

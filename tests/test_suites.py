@@ -146,3 +146,56 @@ def test_pushed_acts_on_t_once_per_distinct_part():
     lhs, rhs = _pushed(t, v, u, _subst_for("y"), inner)
     assert lhs == rhs == parse_sum("12*z[z,z]", NAT)
     assert sorted(map(len, on_t)) == [0, 1, 2, 3]
+
+
+def test_sn_steps_each_addend_position_once_per_sample(monkeypatch):
+    # The three strategies share one memo per sample.  The (sample, addend,
+    # position) triples stepped are pinned: the same 92 the suite stepped,
+    # 159 times, before the memo.
+    import hashlib
+
+    from mulam.textio import print_res
+
+    calls = []
+    real_gen, real_step = suites.gen_res, suites.step_r
+
+    def gen(rng, max_size):
+        calls.append(None)
+        return real_gen(rng, max_size)
+
+    def step(t, pos, semiring, **kw):
+        calls.append((print_res(t), pos))
+        return real_step(t, pos, semiring, **kw)
+
+    monkeypatch.setattr(suites, "gen_res", gen)
+    monkeypatch.setattr(suites, "step_r", step)
+    report = suites.sn_suite(samples=50, seed=1)
+    assert report.format_text().splitlines()[:-1] == ["suite: sn", "samples: 50", "failures: 0"]
+    sample, stepped = -1, []
+    for c in calls:
+        if c is None:
+            sample += 1
+        else:
+            stepped.append((sample, *c))
+    assert sample == 49
+    assert len(stepped) == len(set(stepped)) == 92
+    assert hashlib.sha256(repr(sorted(stepped)).encode()).hexdigest() == (
+        "6bd6e3a715361bf3de26dac695e5390dcc96f71ea6045b704cd875bda898e016")
+
+
+@pytest.mark.parametrize("argv", [["--suite", "sn", "--samples", "40"],
+                                  ["--suite", "lemmas", "--samples", "10"]])
+def test_check_prints_the_same_under_python_O(argv):
+    # Neither the draws nor the sn memo may depend on an assert.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(mulam.__file__)))
+    outs = []
+    for flags in ([], ["-O"]):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-m", "mulam.cli", "check", *argv],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outs.append([line for line in proc.stdout.splitlines()
+                     if not line.startswith("wall time:")])
+    assert outs[0] == outs[1]
+    assert outs[0][0] == "suite: " + argv[1]

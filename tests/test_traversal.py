@@ -33,6 +33,7 @@ from mulam.syntax import (
     degree,
     fresh_atom,
     is_locally_closed,
+    iter_refs,
     occurrences,
     open_mu_binder,
     open_name,
@@ -570,6 +571,27 @@ def test_occurrences_match_the_engines_earlier_count(seed):
         assert occurrences(t, VAR, target) == ref_count(t, target, False), (t, target)
     for target in (0, 1, "a"):
         assert occurrences(t, NAME, target) == ref_count(t, target, True), (t, target)
+
+
+def ref_occurrences(t, kind, target):
+    """``occurrences`` as it was: a filter over the references ``iter_refs``
+    yields."""
+    if isinstance(target, str):
+        return sum(1 for k, r, _ in iter_refs(t) if r == target and k == kind)
+    return sum(1 for k, r, d in iter_refs(t) if r == target + d and k == kind)
+
+
+def test_occurrences_match_the_count_over_iter_refs():
+    # 4000 terms of both syntaxes, drawn under up to 3 binders of each kind
+    # so that indices also point outside the term.
+    for seed in range(2000):
+        rng = random.Random(seed)
+        ld, nd = rng.randint(0, 3), rng.randint(0, 3)
+        for t in (gen_res(rng, 16, ld=ld, nd=nd), gen_term(rng, 14, ld=ld, nd=nd)):
+            for kind in (VAR, NAME):
+                for target in ("x", "y", "a", "b", 0, 1, 2, 3):
+                    assert occurrences(t, kind, target) == ref_occurrences(t, kind, target), (
+                        t, kind, target)
 
 
 def test_occurrences_resolve_an_index_at_each_depth():
