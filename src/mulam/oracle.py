@@ -26,9 +26,16 @@ collision the next key is probed.  Node numbers come from the order nodes
 are found, never from keys, so graphs do not depend on the string hash
 seed.
 
-The canonical sums of ``g.nodes`` are built once the search is over (never
-when it overflows), and all of them share one ``(term, coefficient)`` item
-per distinct pair.  An ``Edge`` is a named tuple.
+A node's dict keeps its addends in canonical order, and a successor
+inherits it: it is a copy of its parent's dict in which addends are only
+deleted or re-weighted, and both keep the order of the others.  Only a reduct
+that brings an addend the parent lacks appends it out of order, so a new node
+is sorted by the addends' sort keys only then; otherwise it is stored as a
+compact copy in the order it has.  The hot loop builds each ``Edge`` (a named
+tuple) with ``tuple.__new__``, which skips the Python frame of its
+constructor.  The canonical sums of ``g.nodes`` are built once the search is
+over (never when it overflows), each in one pass over its dict's items, and
+all of them share one ``(term, coefficient)`` item per distinct pair.
 """
 
 from __future__ import annotations
@@ -90,6 +97,21 @@ def _addend_hash(t: ResTerm) -> int:
     return hash(t.enc) % _P
 
 
+class _Items(dict):
+    """(addend id, coefficient) -> the ``(term, coefficient)`` item that every
+    node of one graph shares for that pair, made on its first lookup."""
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: list[ResTerm]):
+        super().__init__()
+        self.terms = terms
+
+    def __missing__(self, pair: tuple[int, int]) -> tuple[ResTerm, int]:
+        item = self[pair] = (self.terms[pair[0]], pair[1])
+        return item
+
+
 def explore(
     x: ResTerm | Sum, semiring: str, node_cap: int = NODE_CAP, mode: str = "coeff"
 ) -> ReductionGraph:
@@ -98,8 +120,9 @@ def explore(
 
     While exploring, a node is a dict from addend id to coefficient in
     canonical addend order.  A successor is a copy of its parent's dict with
-    the step applied, keyed from the parent's key (see the module
-    docstring).  The nodes become canonical sums once the search is over.
+    the step applied, keyed from the parent's key, and it is sorted only
+    when the step inserted an addend (see the module docstring).  The nodes
+    become canonical sums once the search is over.
     """
     _check_mode(mode)
     root = _as_sum(x, semiring)
@@ -141,6 +164,8 @@ def explore(
     node_keys = [sum(c * hashes[u] for u, c in coeffs[0].items()) % _P]
     index = {node_keys[0]: 0}  # probed key -> node
     edges = g.edges
+    record = tuple.__new__
+    by_sort_key = sort_keys.__getitem__
     i = 0
     while i < len(coeffs):
         parent, key = coeffs[i], node_keys[i]
@@ -149,14 +174,17 @@ def explore(
             reducts = steps[u]
             if reducts is None:
                 reducts = steps[u] = step_table(u)
-            hu = hashes[u]
+            t, hu = terms[u], hashes[u]
             k = 1 if occurrence else c
             for pos, kind, items, rkey in reducts:
+                # The copy keeps the parent's canonical order unless the
+                # reduct inserts an addend, which goes at the end.
                 d = parent.copy()
                 if c == k:
                     del d[u]
                 else:
                     d[u] = c - k
+                survivors = len(d)
                 if saturate:
                     # Over Bool the key is the support's: an addend already
                     # there adds nothing.
@@ -178,27 +206,26 @@ def explore(
                     if len(coeffs) >= node_cap:
                         raise GraphOverflow(node_cap, len(coeffs))
                     j = index[probe] = len(coeffs)
-                    coeffs.append({v: d[v] for v in sorted(d, key=sort_keys.__getitem__)})
+                    # A fresh dict of d's items, so that no node keeps the
+                    # larger table that d inherited from its parent.
+                    order = d if len(d) == survivors else sorted(d, key=by_sort_key)
+                    coeffs.append({v: d[v] for v in order})
                     node_keys.append(nkey)
-                edges.append(Edge(i, j, terms[u], pos, kind))
+                edges.append(record(Edge, (i, j, t, pos, kind)))
         if len(edges) == seen_edges:
             g.sinks.append(i)
         i += 1
 
     # Every node shares one (term, coefficient) item per distinct pair; the
     # root's own items are the first ones.
-    pairs = {(ids[item[0]], item[1]): item for item in root.items}
+    pairs = _Items(terms)
+    pairs.update(((ids[item[0]], item[1]), item) for item in root.items)
+    item_of = pairs.__getitem__
     nodes = g.nodes
     nodes.append(root)
     for j in range(1, len(coeffs)):
-        items = []
-        for p in coeffs[j].items():
-            item = pairs.get(p)
-            if item is None:
-                item = pairs[p] = (terms[p[0]], p[1])
-            items.append(item)
+        nodes.append(Sum.of_canonical(semiring, tuple(map(item_of, coeffs[j].items()))))
         coeffs[j] = None
-        nodes.append(Sum.of_canonical(semiring, tuple(items)))
     return g
 
 

@@ -18,7 +18,7 @@ import time
 from operator import ne
 
 from .combinatorics import weak_compositions_with_counts
-from .gen import gen_bag, gen_res, gen_term
+from .gen import _below, gen_bag, gen_res, gen_term
 from .lamu import reduce_redex
 from .measures import BoldMeasure, bold_ms, compare_bold
 from .oracle import NODE_CAP, GraphOverflow, explore, reachable_sums, unique_sink
@@ -451,9 +451,14 @@ def _draw(rng: random.Random, make, ok=None):
     raise NoSample("no draw met the side conditions in 500 tries")
 
 
+def _name(rng: random.Random) -> str:
+    """A name from the pool, drawn as ``rng.choice(_NAME_POOL)`` draws it."""
+    return _NAME_POOL[_below(rng.getrandbits, len(_NAME_POOL))]
+
+
 def _names(rng: random.Random, k: int, ok=None) -> list[str]:
     """``k`` names from the pool, all redrawn until ``ok(*names)`` holds."""
-    return _draw(rng, lambda r: [r.choice(_NAME_POOL) for _ in range(k)],
+    return _draw(rng, lambda r: [_name(r) for _ in range(k)],
                  None if ok is None else lambda names: ok(*names))
 
 
@@ -563,7 +568,7 @@ def _inst_rename_named_app(rng: random.Random, size: int):
 
 def _inst_rename_named_pair(rng: random.Random, size: int):
     a, b, g = _names(rng, 3, lambda a, b, g: a != g and b != g)
-    eta = rng.choice(_NAME_POOL)
+    eta = _name(rng)
     t = gen_res(rng, size)
     u = _bag(rng)
     eta2 = a if eta == b else eta
@@ -580,7 +585,7 @@ def _inst_subst_subst(rng: random.Random, size: int):
 
 
 def _inst_subst_named_app(rng: random.Random, size: int):
-    a = rng.choice(_NAME_POOL)
+    a = _name(rng)
     u = _bag(rng, without="'" + a)
     t = gen_res(rng, size)
     v = _bag(rng)
@@ -589,7 +594,7 @@ def _inst_subst_named_app(rng: random.Random, size: int):
 
 
 def _inst_named_app_skips_bag(rng: random.Random, size: int):
-    a = rng.choice(_NAME_POOL)
+    a = _name(rng)
     v = _bag(rng, without="'" + a)
     t = gen_res(rng, size)
     u = _bag(rng)
@@ -652,7 +657,7 @@ def _inst_rename_then_named_app(rng: random.Random, size: int):
 
 
 def _inst_named_app_after_subst(rng: random.Random, size: int):
-    a = rng.choice(_NAME_POOL)
+    a = _name(rng)
     u = _bag(rng, without="x")
     t = gen_res(rng, size)
     v = _bag(rng)
@@ -672,7 +677,7 @@ def _inst_two_named_apps(rng: random.Random, size: int):
 def _inst_two_named_apps_pair(rng: random.Random, size: int):
     a, g = _names(rng, 2, ne)
     u = _bag(rng, without="'" + g)
-    eta = rng.choice(_NAME_POOL)
+    eta = _name(rng)
     t = gen_res(rng, size)
     v = _bag(rng)
     lhs, rhs = _pushed(t, v, u, _pair_app_at(eta, g), _pair_app_at(eta, a), _named_app_at(a))

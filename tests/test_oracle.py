@@ -1,11 +1,15 @@
 """Exhaustive reduction graphs: sinks, acyclicity, joinability."""
 
+import os
 import random
+import subprocess
+import sys
 from collections import deque
 from dataclasses import dataclass
 
 import pytest
 
+import mulam
 from mulam import oracle
 from mulam.gen import gen_res
 from mulam.oracle import (
@@ -222,6 +226,10 @@ def test_graph_sizes_of_the_two_copy_fanout(bag, semiring, mode, nodes, edges):
     g = explore(_fanout(bag, semiring), semiring, mode=mode)
     assert (len(g.nodes), len(g.edges), len(g.sinks)) == (nodes, edges, 1)
     _assert_canonical_and_shared(g)
+    # The loop builds its records without the constructor; they must still
+    # be the named tuples the constructor makes.
+    for e in g.edges:
+        assert type(e) is Edge and e == Edge(*e), e
 
 
 # ---------- the explorer against the one it replaced ----------
@@ -340,6 +348,95 @@ def test_explore_matches_the_reference_on_generated_roots(semiring, mode):
         root = Sum(semiring, [(gen_res(rng, 12), 2), (gen_res(rng, 12), 1)])
         got = _outcome(explore, root, semiring, mode, 2000)
         assert got == _outcome(ref_explore, root, semiring, mode, 2000), seed
+
+
+# ---------- the order a successor inherits ----------
+#
+# A successor is its parent's dict with the step applied.  Each root here has
+# one redex, applied to a coefficient 2 so that occurrence mode takes two
+# steps: one that vanishes (the successor only loses an addend), one whose
+# reduct re-weights an addend already there, and one whose reduct ``y`` is
+# new and sorts before every survivor.  Only the last must be sorted.
+
+_ORDER_STEPS = [
+    ("2*(\\x.x) 1 + w[w]", 0),
+    ("2*(\\z.z)[y] + y + w[w]", 0),
+    ("2*(\\z.z)[y] + w[w]", 1),
+]
+
+
+@pytest.mark.parametrize("semiring", [BOOL, NAT])
+@pytest.mark.parametrize("mode", ["coeff", "occurrence"])
+@pytest.mark.parametrize("src, sorts", _ORDER_STEPS)
+def test_only_a_reduct_that_brings_an_addend_makes_a_sort(src, sorts, semiring, mode,
+                                                           monkeypatch):
+    calls = []
+
+    def counted_sorted(*args, **kwargs):
+        calls.append(args)
+        return sorted(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "sorted", counted_sorted, raising=False)
+    root = parse_sum(src, semiring)
+    g = explore(root, semiring, mode=mode)
+    assert len(calls) == sorts
+    assert _graph(g) == _graph(ref_explore(root, semiring, mode=mode))
+    _assert_canonical_and_shared(g)
+    if sorts:
+        assert unique_sink(g).items[0][0] == _p("y")
+
+
+# The digest of every fanout graph and of the generated two-addend roots
+# (seeds 0-59, cap 2000, both semirings and modes): each node printed, then
+# each edge, then the sinks; an overflow counts by its visited nodes.  It was
+# computed when every new node was sorted, so it pins the graphs of that
+# explorer; dict order must not make them depend on the string hash seed.
+_GRAPHS_SHA256 = "db6da6c69ef4f8b50301f2b1d642b132191831a1b5e64820be44f141d2579285"
+
+_DIGEST_CODE = """
+import functools, hashlib, random
+from mulam.gen import gen_res
+from mulam.oracle import GraphOverflow, explore
+from mulam.syntax import BOOL, NAT, Sum
+from mulam.textio import parse_sum, print_res, print_sum
+
+h = hashlib.sha256()
+printed = functools.lru_cache(None)(print_res)
+
+def add(root, semiring, mode, cap=50_000):
+    try:
+        g = explore(root, semiring, cap, mode)
+    except GraphOverflow as err:
+        h.update(f"overflow {err.visited}\\n".encode())
+        return
+    for s in g.nodes:
+        h.update(f"{print_sum(s)}\\n".encode())
+    for e in g.edges:
+        h.update(f"{e.src} {e.dst} {printed(e.addend)} {e.pos} {e.kind}\\n".encode())
+    h.update(f"sinks {g.sinks}\\n".encode())
+
+for bag, semiring, mode in [("y0, y1, y1, y2", NAT, "coeff"), ("y, y, y, y", NAT, "occurrence"),
+                            ("y0, y1, y2", BOOL, "coeff")]:
+    add(parse_sum(f"(mu 'a.<'a> mu 'e.<'a> x)[{bag}]", semiring), semiring, mode)
+for semiring in (BOOL, NAT):
+    for mode in ("coeff", "occurrence"):
+        for seed in range(60):
+            rng = random.Random(seed)
+            add(Sum(semiring, [(gen_res(rng, 12), 2), (gen_res(rng, 12), 1)]), semiring, mode, 2000)
+print(h.hexdigest())
+"""
+
+
+def test_graphs_are_pinned_under_two_hash_seeds():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(mulam.__file__)))
+    runs = [subprocess.Popen([sys.executable, "-c", _DIGEST_CODE],
+                             env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed),
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+            for seed in ("1", "12345")]
+    for run in runs:
+        out, err = run.communicate(timeout=120)
+        assert run.returncode == 0, err
+        assert out.strip() == _GRAPHS_SHA256
 
 
 def test_explore_rejects_an_unknown_mode():
