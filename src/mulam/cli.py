@@ -15,16 +15,9 @@ import sys
 
 from .lamu import reduce_redex
 from .measures import bold_ms, mu_degree, ms
-from .resource import (
-    SumStep,
-    _apply_sum_step,
-    choose_step,
-    normalize_r,
-    reducible_addends,
-    step_r,
-)
+from .resource import _apply_sum_step, normalize_r, step_r
 from .suites import SUITES, NoSample, run_suite
-from .syntax import BOOL, NAT, head_redex_pos, mkbag, redexes, size
+from .syntax import BOOL, NAT, mkbag, pick_redex, size
 from .taylor import Solvable, nft_truncated, solvable, taylor_enum
 from .textio import (
     ParseError,
@@ -184,35 +177,26 @@ def _trace(x, pick, show, max_steps: int | None):
 
 def _lamu_picker(strategy: str, rng: random.Random):
     def pick(t):
-        if strategy == "head":
-            hit = head_redex_pos(t)
-        else:
-            rs = redexes(t)
-            hit = (rs[0] if strategy == "leftmost" else rng.choice(rs)) if rs else None
+        hit = pick_redex(((t, 1),), strategy, rng)
         if hit is None:
             return None
-        pos, kind = hit
+        _, _, pos, kind = hit
         return f"{kind} @ {print_pos(pos)}", lambda: reduce_redex(t, pos)
 
     return pick
 
 
 def _res_picker(strategy: str, rng: random.Random | None):
-    """Steps of a sum: the head redex of its first addend that has one, or
-    the strategy's choice among all its redexes, found once per step."""
+    """The steps ``strategy`` takes on a sum, each addend stepping with its
+    whole coefficient."""
 
     def pick(s):
-        if strategy == "head":
-            step = next((SumStep(t, c, *hit) for t, c in s.items
-                         if (hit := head_redex_pos(t)) is not None), None)
-        else:
-            cands = reducible_addends(s)
-            step = choose_step(cands, strategy, rng) if cands else None
-        if step is None:
+        hit = pick_redex(s.items, strategy, rng)
+        if hit is None:
             return None
-        t, pos = step.term, step.pos
-        return (f"{step.kind} @ {print_pos(pos)} in {print_res(t)}",
-                lambda: _apply_sum_step(s, step, "coeff", step_r(t, pos, s.semiring)))
+        t, c, pos, kind = hit
+        return (f"{kind} @ {print_pos(pos)} in {print_res(t)}",
+                lambda: _apply_sum_step(s, t, c, "coeff", step_r(t, pos, s.semiring)))
 
     return pick
 

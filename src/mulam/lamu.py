@@ -31,6 +31,7 @@ from .syntax import (
     Ref,
     Term,
     Var,
+    _atom,
     _strip_quote,
     _under,
     head_redex_pos,
@@ -50,6 +51,7 @@ def subst(t: Term, x: str, n: Term) -> Term:
     With locally nameless terms this is a plain graft: binders are indices,
     so they cannot capture atoms of ``n``.
     """
+    x = _atom(x)
     return map_refs(t, var=lambda r, d: n if r == x else None)
 
 

@@ -73,12 +73,13 @@ the reduct without the other sizes.  That is sound:
 - normal forms are linear, so the normal form of the reduct, over ``nat``
   and over ``bool``, is the same with or without those addends.
 
-Every other caller (``step_sum``, the oracle, the CLI's traces) sees the
-whole one-step reduct, which is observable.
+Every other caller (``step_sum``, the oracle, the CLI's traces and the
+``sn`` suite) sees the whole one-step reduct, which is observable.
 
-The redex finder, the head position and the opening of a redex on the
-binders above it are shared with the lambda-mu calculus and defined in
-``syntax``.
+The redex finder, the head position, the step each reduction strategy picks
+(``pick_redex``, which ``step_sum``, the CLI's traces and the ``sn`` suite
+call) and the opening of a redex on the binders above it are shared with the
+lambda-mu calculus and defined in ``syntax``.
 """
 
 from __future__ import annotations
@@ -101,6 +102,7 @@ from .syntax import (
     ResTerm,
     Sum,
     SumBuilder,
+    _atom,
     _check_semiring,
     _strip_quote,
     _under,
@@ -110,8 +112,8 @@ from .syntax import (
     mkbag,
     occurrences,
     path_to,
+    pick_redex,
     plug,
-    redexes,
 )
 from .lamu import rho_inner_parts
 
@@ -169,7 +171,7 @@ def linear_subst(t: ResTerm, x: str, bag, semiring: str) -> Sum:
     """t<[bag]/x>: replace the occurrences of ``x`` by the bag elements in
     all possible ways; zero when the counts cannot match."""
     bag = mkbag(bag)
-    if occurrences(t, VAR, x) != len(bag):
+    if occurrences(t, VAR, _atom(x)) != len(bag):
         return Sum.zero(semiring)
     return SumBuilder(semiring, _lsubst(t, x, bag, {})).build()
 
@@ -334,27 +336,6 @@ def step_r(t: ResTerm, pos: Pos, semiring: str, *, keep_dead: bool = True) -> Su
 # ---------- stepping whole sums ----------
 
 
-class SumStep:
-    """What a single sum-level step did (for traces and oracles)."""
-
-    __slots__ = ("term", "coeff", "pos", "kind")
-
-    def __init__(self, term: ResTerm, coeff: int, pos: Pos, kind: str):
-        self.term = term
-        self.coeff = coeff
-        self.pos = pos
-        self.kind = kind
-
-
-def reducible_addends(s: Sum) -> list[tuple[ResTerm, int, list[tuple[Pos, str]]]]:
-    out = []
-    for t, c in s.items:
-        rs = redexes(t)
-        if rs:
-            out.append((t, c, rs))
-    return out
-
-
 _MODES = ("coeff", "occurrence")
 
 
@@ -373,49 +354,20 @@ def _as_sum(x: ResTerm | Sum, semiring: str) -> Sum:
     return x
 
 
-def _apply_sum_step(s: Sum, step: SumStep, mode: str, reduct: Sum) -> Sum:
-    """The sum after ``step``, whose addend contracts to ``reduct``.
+def _apply_sum_step(s: Sum, t: ResTerm, c: int, mode: str, reduct: Sum) -> Sum:
+    """The sum after its addend ``t``, of coefficient ``c``, contracts to
+    ``reduct``.
 
     In "coeff" mode the addend steps with its whole coefficient, in
     "occurrence" mode one unit of it steps; over Bool every coefficient is 1,
     so the modes agree.
     """
-    k = step.coeff if mode == "coeff" else 1
+    k = c if mode == "coeff" else 1
     acc = SumBuilder(s.semiring)
     acc.add(s)
-    acc.remove(step.term, k)
+    acc.remove(t, k)
     acc.add(reduct, k)
     return acc.build()
-
-
-def pick_step(s: Sum, strategy: str, rng: random.Random | None = None) -> SumStep:
-    cands = reducible_addends(s)
-    if not cands:
-        raise ValueError("sum is in normal form")
-    return choose_step(cands, strategy, rng)
-
-
-def choose_step(
-    cands: list[tuple[ResTerm, int, list[tuple[Pos, str]]]],
-    strategy: str,
-    rng: random.Random | None = None,
-) -> SumStep:
-    """The step a strategy takes among the non-empty ``reducible_addends``
-    of a sum."""
-    if strategy == "leftmost":
-        t, c, rs = cands[0]
-        pos, kind = rs[0]
-    elif strategy == "rightmost":
-        t, c, rs = cands[-1]
-        pos, kind = rs[-1]
-    elif strategy == "random":
-        if rng is None:
-            raise ValueError("random strategy needs an rng")
-        pairs = [(t, c, pos, kind) for t, c, rs in cands for pos, kind in rs]
-        t, c, pos, kind = rng.choice(pairs)
-    else:
-        raise ValueError(f"unknown strategy: {strategy}")
-    return SumStep(t, c, pos, kind)
 
 
 def step_sum(
@@ -424,15 +376,19 @@ def step_sum(
     rng: random.Random | None = None,
     mode: str = "coeff",
 ) -> Sum:
-    """Rewrite one reducible addend of the sum; error on normal forms.
+    """Rewrite the addend that ``strategy`` picks (``syntax.pick_redex``);
+    error on normal forms.
 
     ``mode`` is "coeff" (an addend steps with its whole coefficient) or
     "occurrence" (one unit at a time); they only differ over the exact-count
     semiring.
     """
     _check_mode(mode)
-    step = pick_step(s, strategy, rng)
-    return _apply_sum_step(s, step, mode, step_r(step.term, step.pos, s.semiring))
+    hit = pick_redex(s.items, strategy, rng)
+    if hit is None:
+        raise ValueError("sum is in normal form")
+    t, c, pos, _ = hit
+    return _apply_sum_step(s, t, c, mode, step_r(t, pos, s.semiring))
 
 
 # ---------- normalization ----------

@@ -24,7 +24,6 @@ from .measures import BoldMeasure, bold_ms, compare_bold
 from .oracle import NODE_CAP, GraphOverflow, explore, reachable_sums, unique_sink
 from .resource import (
     _apply_sum_step,
-    choose_step,
     contract_res,
     linear_named_app,
     linear_named_app_named,
@@ -49,6 +48,7 @@ from .syntax import (
     degree,
     lift_app,
     mkbag,
+    pick_redex,
     redexes,
     rename_name,
 )
@@ -141,12 +141,14 @@ _STEP_CAP = 200_000
 def sn_suite(samples: int = 1000, seed: int = 0, max_term_size: int = 30) -> SuiteReport:
     """Every strategy terminates and the layered measure drops at each step.
 
-    The three strategies reduce the same sample and meet many of the same
-    addends and steps.  One memo per sample, shared by the three, keeps each
-    addend's redex list, each (addend, position) step's reduct with its
-    measure verdict, and each term's ``bold_ms``.  Each is a function of the
-    term alone, so every strategy takes the steps and records the failures
-    it would without the memo; each is just computed once per sample.
+    Each strategy's step is the one ``pick_redex`` picks.  The three
+    strategies reduce the same sample and meet many of the same addends and
+    steps.  One memo per sample, shared by the three, keeps each addend's
+    redex list (``pick_redex``'s ``find``), each (addend, position) step's
+    reduct with its measure verdict, and each term's ``bold_ms``.  Each is a
+    function of the term alone, so every strategy takes the steps and
+    records the failures it would without the memo; each is just computed
+    once per sample.
     """
     report = SuiteReport("sn", samples)
     for i in range(samples):
@@ -156,53 +158,50 @@ def sn_suite(samples: int = 1000, seed: int = 0, max_term_size: int = 30) -> Sui
         stepped: dict[tuple[ResTerm, Pos], tuple[Sum, BoldMeasure, ResTerm | None]] = {}
         measured: dict[ResTerm, BoldMeasure] = {}
 
+        def find(u: ResTerm) -> list:
+            rs = found.get(u)
+            if rs is None:
+                rs = found[u] = redexes(u)
+            return rs
+
         def measure(u: ResTerm) -> BoldMeasure:
             m = measured.get(u)
             if m is None:
                 m = measured[u] = bold_ms(u)
             return m
 
-        for sidx, strategy in enumerate(_STRATEGIES):
-            # Only the random strategy draws from its rng.
-            rng = random.Random(si * 4 + sidx + 1) if strategy == "random" else None
+        # Only the random strategy draws, so the three share its rng, seeded
+        # si * 4 + 1 + its index in ``_STRATEGIES``.
+        rng = random.Random(si * 4 + 3)
+        for strategy in _STRATEGIES:
             s = Sum.unit(t, NAT)
             steps = 0
-            while True:
-                cands = []
-                for u, c in s.items:
-                    rs = found.get(u)
-                    if rs is None:
-                        rs = found[u] = redexes(u)
-                    if rs:
-                        cands.append((u, c, rs))
-                if not cands:
-                    break
+            while (hit := pick_redex(s.items, strategy, rng, find)) is not None:
                 if steps >= _STEP_CAP:
                     report.failures.append(
                         Failure(i, si, print_res(t), f"normal form within {_STEP_CAP} steps",
                                 "still reducible", note=f"strategy={strategy}")
                     )
                     break
-                step = choose_step(cands, strategy, rng)
-                key = (step.term, step.pos)
-                done = stepped.get(key)
+                u, c, pos, _ = hit
+                done = stepped.get((u, pos))
                 if done is None:
-                    before = measure(step.term)
-                    reduct = step_r(step.term, step.pos, NAT)
+                    before = measure(u)
+                    reduct = step_r(u, pos, NAT)
                     # The first addend whose measure does not drop, if any.
-                    bad = next((u for u, _ in reduct.items
-                                if compare_bold(measure(u), before) >= 0), None)
-                    done = stepped[key] = (reduct, before, bad)
+                    bad = next((v for v, _ in reduct.items
+                                if compare_bold(measure(v), before) >= 0), None)
+                    done = stepped[u, pos] = (reduct, before, bad)
                 reduct, before, bad = done
                 if bad is not None:
                     report.failures.append(
                         Failure(i, si, print_res(t),
                                 f"measure below {before}",
                                 f"{print_res(bad)} has {measure(bad)}",
-                                note=f"strategy={strategy} stepped={print_res(step.term)} pos={step.pos}")
+                                note=f"strategy={strategy} stepped={print_res(u)} pos={pos}")
                     )
                     break
-                s = _apply_sum_step(s, step, "coeff", reduct)
+                s = _apply_sum_step(s, u, c, "coeff", reduct)
                 steps += 1
     return report
 

@@ -27,10 +27,12 @@ shape-directed operation is defined here once, for both, and dispatches on
 the node's exact class: the reference walks ``map_refs`` and ``iter_refs``,
 the occurrence count ``occurrences`` (``degree`` and the resource engine's
 splits both use it), the walk down a position ``path_to`` and the rebuild
-back up ``plug``, the redex opener ``open_outer``, and the
-redex finder ``redex_kind``, ``iter_redexes``/``redexes``,
-``head_redex_pos`` and ``is_hnf``.  Both engines and their callers import
-these from here; ``textio`` has the one printer and the one JSON export.
+back up ``plug``, the redex opener ``open_outer``, the redex finder
+``redex_kind``, ``iter_redexes``/``redexes``, ``head_redex_pos`` and
+``is_hnf``, and ``pick_redex``, the one definition of each reduction
+strategy, for a lone term and for the addends of a sum.  Both engines and
+their callers import these from here; ``textio`` has the one printer and the
+one JSON export.
 
 A step at a position walks down to the redex in a loop, counting the lambda
 and mu binders above it, and opens the redex alone on them in one pass
@@ -41,8 +43,9 @@ closed once and plugged back into the path (``plug``).
 from __future__ import annotations
 
 import math
+import random
 import threading
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 # ---------- identifiers ----------
 
@@ -430,8 +433,6 @@ def degree(nu: str, t: Term | ResTerm) -> int:
     ``nu`` is written grammar-style: ``"x"`` counts a variable, ``"'a"``
     counts a name (names only ever occur in naming position).
     """
-    if not nu:
-        raise ValueError("degree of an empty variable or name")
     return occurrences(t, NAME if nu.startswith("'") else VAR, _strip_quote(nu))
 
 
@@ -439,8 +440,18 @@ def deg_bag(nu: str, bag: Bag) -> int:
     return sum(degree(nu, e) for e in bag)
 
 
+def _atom(atom: str) -> str:
+    """``atom``, a free variable or name given to an entry point.  No term
+    holds the empty atom, so it is rejected (``_bad_ref``) rather than
+    taken for an atom that does not occur."""
+    if not atom:
+        raise _bad_ref(atom)
+    return atom
+
+
 def _strip_quote(name: str) -> str:
-    return name[1:] if name.startswith("'") else name
+    """The atom of a name given with or without its leading quote."""
+    return _atom(name[1:] if name.startswith("'") else name)
 
 
 def rename_name(t, alpha: str, beta: str):
@@ -451,11 +462,15 @@ def rename_name(t, alpha: str, beta: str):
     """
     alpha = _strip_quote(alpha)
     beta = _strip_quote(beta)
-    if isinstance(t, Sum):
-        return t.map(lambda u: rename_name(u, alpha, beta))
     if alpha == beta:
         return t
-    return map_refs(t, name=lambda r, d: alpha if r == beta else r)
+
+    def rename(r: Ref, d: int) -> Ref:
+        return alpha if r == beta else r
+
+    if isinstance(t, Sum):
+        return t.map(lambda u: map_refs(u, name=rename))
+    return map_refs(t, name=rename)
 
 
 # ---------- sums ----------
@@ -942,6 +957,50 @@ def head_redex_pos(t: Term | ResTerm) -> tuple[Pos, str] | None:
 def is_hnf(t: Term | ResTerm) -> bool:
     """Head normal: no head-reduction step applies."""
     return head_redex_pos(t) is None
+
+
+def pick_redex(
+    items: Sequence[tuple[Term | ResTerm, int]],
+    strategy: str,
+    rng: random.Random | None = None,
+    find: Callable[[Term | ResTerm], list[tuple[Pos, str]]] = redexes,
+) -> tuple[Term | ResTerm, int, Pos, str] | None:
+    """The redex that ``strategy`` steps among ``items``, the (term,
+    coefficient) pairs of a sum in order (``((t, 1),)`` for a lone term), as
+    ``(term, coefficient, position, kind)``; None when it takes no step.
+
+    - ``head`` steps the head redex of the first addend that has one.
+    - ``leftmost`` steps the first redex of the first addend that has one.
+    - ``rightmost`` steps the last redex of the last addend that has one.
+    - ``random`` steps one ``rng.choice`` among the redexes of all addends,
+      listed addend by addend.
+
+    An addend's redexes are listed in pre-order, by ``find``: ``redexes``,
+    or a caller's memo of it.  An unknown strategy, and ``random`` without
+    an rng, raise ``ValueError``.
+    """
+    if strategy == "head":
+        for t, c in items:
+            hit = head_redex_pos(t)
+            if hit is not None:
+                return t, c, *hit
+        return None
+    if strategy == "leftmost":
+        for t, c in items:
+            if rs := find(t):
+                return t, c, *rs[0]
+        return None
+    if strategy == "rightmost":
+        for t, c in reversed(items):
+            if rs := find(t):
+                return t, c, *rs[-1]
+        return None
+    if strategy != "random":
+        raise ValueError(f"unknown strategy: {strategy}")
+    if rng is None:
+        raise ValueError("random strategy needs an rng")
+    cands = [(t, c, pos, kind) for t, c in items for pos, kind in find(t)]
+    return rng.choice(cands) if cands else None
 
 
 # ---------- combinatorial checks ----------

@@ -368,14 +368,6 @@ class _Namer:
                 free[kind].add(r)
         return free
 
-    @property
-    def free_v(self) -> set[str]:
-        return self._free[VAR]
-
-    @property
-    def free_n(self) -> set[str]:
-        return self._free[NAME]
-
     def fresh(self, kind: str, depth: int) -> str:
         """The name of a binder of ``kind`` below ``depth`` others of its
         kind; those have been named, so ``depth`` is at most one past the

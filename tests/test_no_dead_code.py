@@ -1,4 +1,5 @@
-"""Every top-level function and class of the package is used by the program.
+"""Every top-level function and class, and every method and property of a
+class, of the package is used by the program.
 
 A definition is used when ``src/`` or ``bench/`` refers to it outside its own
 body.  Names are resolved per file: a bare name refers to a definition when it
@@ -7,8 +8,11 @@ package under that name (``from .syntax import size``, ``from mulam.syntax
 import size as sz``), and an attribute refers to one when it is read off a
 package module (``syntax.size``, ``mulam.syntax.size``).  A local variable
 that shares a definition's name in the same module still counts as a use.
-What only the tests call belongs in ``tests/``.  The exceptions are
-documented entry points, listed with the reason each one stays.
+A method or property is used when ``src/`` or ``bench/`` reads an attribute
+of its name (``.name``) outside its own definition; dunders, which Python
+calls, are exempt.  What only the tests call belongs in ``tests/``.  The
+exceptions are documented entry points, listed with the reason each one
+stays (a method as ``Class.name``).
 
 The test modules are held to the same rule for what they import: a name a
 module imports must be referred to somewhere in that module's code (code in
@@ -16,6 +20,7 @@ strings, run with ``exec`` or in a subprocess, imports its own names).
 """
 
 import ast
+import collections
 import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -39,6 +44,7 @@ ENTRY_POINTS = {
     "church_false": "the boolean combinator false",
     "pair_of": "the pairing combinator",
     "omega": "the looping term, the standard unsolvable example",
+    "Sum.scale": "public Sum arithmetic; the reference explorer in tests/test_oracle.py uses it",
 }
 
 Def = tuple[str, str]  # (module, name)
@@ -138,6 +144,30 @@ def _scan() -> tuple[list[Def], set[Def]]:
     return defined, used
 
 
+def _methods(tree: ast.Module) -> list[tuple[str, ast.FunctionDef]]:
+    """The methods and properties of the module's classes, dunders left out,
+    as (class name, definition)."""
+    return [(cls.name, f) for cls in tree.body if isinstance(cls, ast.ClassDef)
+            for f in cls.body if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not (f.name.startswith("__") and f.name.endswith("__"))]
+
+
+def _reads(node: ast.AST) -> collections.Counter:
+    """How often each attribute name is read in ``node``."""
+    return collections.Counter(n.attr for n in ast.walk(node)
+                               if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load))
+
+
+def _dead_methods() -> list[str]:
+    """``module.Class.name`` of each method or property that nothing in the
+    program reads outside its own definition."""
+    trees = {path: _parse(path) for path in PROGRAM}
+    reads = sum((_reads(tree) for tree in trees.values()), collections.Counter())
+    return [f"{path.stem}.{cls}.{f.name}" for path, tree in trees.items()
+            if path.parent == PKG for cls, f in _methods(tree)
+            if reads[f.name] == _reads(f)[f.name]]
+
+
 def test_every_definition_is_used_by_the_program():
     defined, used = _scan()
     dead = [f"{mod}.{name}" for mod, name in defined
@@ -145,9 +175,15 @@ def test_every_definition_is_used_by_the_program():
     assert dead == [], f"defined in src/mulam but used by nothing in src/ or bench/: {dead}"
 
 
+def test_every_method_is_used_by_the_program():
+    dead = [name for name in _dead_methods() if name.split(".", 1)[1] not in ENTRY_POINTS]
+    assert dead == [], f"methods read by nothing in src/ or bench/: {dead}"
+
+
 def test_every_entry_point_is_defined():
     defined, _ = _scan()
     names = {name for _, name in defined}
+    names |= {f"{cls}.{f.name}" for path in PKG.glob("*.py") for cls, f in _methods(_parse(path))}
     stale = [name for name in ENTRY_POINTS if name not in names]
     assert stale == [], f"allowlisted but defined nowhere in src/mulam: {stale}"
 

@@ -16,7 +16,6 @@ from mulam.resource import (
     linear_named_app_named,
     linear_subst,
     normalize_r,
-    pick_step,
     step_r,
     step_sum,
 )
@@ -43,6 +42,7 @@ from mulam.syntax import (
     occurrences,
     open_mu_binder,
     open_rvar,
+    pick_redex,
     redex_kind,
     redexes,
 )
@@ -673,18 +673,27 @@ def test_sum_of_another_semiring_is_rejected():
 
 
 def test_random_strategy_needs_an_rng():
+    s = _s("(\\x.x)[y]")
     with pytest.raises(ValueError):
-        pick_step(_s("(\\x.x)[y]"), "random", None)
+        pick_redex(s.items, "random", None)
+    with pytest.raises(ValueError):
+        step_sum(s, "random", None)
 
 
 def test_unknown_strategy_is_rejected():
+    s = _s("(\\x.x)[y]")
     with pytest.raises(ValueError, match="unknown strategy"):
-        pick_step(_s("(\\x.x)[y]"), "outermost")
+        pick_redex(s.items, "outermost")
+    with pytest.raises(ValueError, match="unknown strategy"):
+        step_sum(s, "outermost")
 
 
 def test_a_normal_sum_has_no_step_to_pick():
+    s = _s("x[y] + \\x.x")
+    for strategy in ("head", "leftmost", "rightmost", "random"):
+        assert pick_redex(s.items, strategy, random.Random(0)) is None
     with pytest.raises(ValueError, match="normal form"):
-        pick_step(_s("x[y] + \\x.x"), "leftmost")
+        step_sum(s, "leftmost")
 
 
 def test_unknown_semiring_is_rejected():

@@ -36,6 +36,7 @@ from mulam.syntax import (
     open_mu_binder,
     open_rvar,
     path_to,
+    rename_name,
     size,
 )
 from mulam.textio import ParseError, parse_res, parse_sum, parse_term
@@ -455,3 +456,65 @@ for call in {[call for call, _ in BAD_BAG_ELEMENTS.values()]!r}:
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [shown for _, shown in BAD_BAG_ELEMENTS.values()]
+
+
+# ---------- the empty atom names nothing, so no entry point takes it ----------
+
+# Each call gives one entry point an empty variable or name (a lone quote is a
+# name whose atom is empty); it must raise, with or without -O.
+EMPTY_ATOMS = {
+    "degree of a lone quote": "degree(\"'\", T)",
+    "linear substitution for the empty variable": "linear_subst(T, '', [], NAT)",
+    "linear named application at a lone quote": "linear_named_app(T, \"'\", [T], NAT)",
+    "linear named application of a pair at a lone quote":
+        "linear_named_app_named('a', T, \"'\", [T], NAT)",
+    "linear named application of a pair named by a lone quote":
+        "linear_named_app_named(\"'\", T, 'a', [T], NAT)",
+    "renaming to a lone quote": "rename_name(T, 'a', \"'\")",
+    "renaming from a lone quote": "rename_name(T, \"'\", 'a')",
+    "lambda-mu substitution for the empty variable": "subst(M, '', M)",
+    "lambda-mu named application at a lone quote": "named_app(M, \"'\", M)",
+}
+_ATOM_NAMES = """
+from mulam.lamu import named_app, subst
+from mulam.resource import linear_named_app, linear_named_app_named, linear_subst
+from mulam.syntax import NAT, degree, rename_name
+from mulam.textio import parse_res, parse_term
+T = parse_res("mu 'a.<'a> x")
+M = parse_term("mu 'a.<'a> x")
+"""
+
+
+@pytest.mark.parametrize("call", list(EMPTY_ATOMS.values()), ids=list(EMPTY_ATOMS))
+def test_the_empty_atom_is_rejected(call):
+    env = {}
+    exec(_ATOM_NAMES, env)
+    with pytest.raises(ValueError, match="non-empty atom"):
+        eval(call, env)
+
+
+def test_the_empty_atom_is_rejected_under_python_O():
+    code = _ATOM_NAMES + f"""
+for call in {list(EMPTY_ATOMS.values())!r}:
+    try:
+        eval(call)
+    except ValueError as e:
+        print('non-empty atom' in str(e))
+    else:
+        print('accepted')
+"""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(mulam.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True"] * len(EMPTY_ATOMS)
+
+
+def test_a_sum_is_renamed_as_its_addends_are():
+    # The quote is stripped once: the atom "'a" stays "'a" in a sum too.
+    t = RMu("b", RApp(RVar("x"), [RMu("c", RVar("y"))]))
+    for alpha, beta in [("''a", "b"), ("'c", "'b"), ("b", "b")]:
+        got = rename_name(Sum.unit(t, NAT), alpha, beta)
+        assert got == Sum.unit(rename_name(t, alpha, beta), NAT), (alpha, beta)

@@ -484,8 +484,8 @@ def test_open_and_close_match_the_references_at_every_binder(seed):
 def test_queries_match_the_references(seed):
     t = _dangling_term(random.Random(seed))
     namer = _Namer(t)
-    assert namer.free_v == ref_free_vars(t)
-    assert namer.free_n == ref_free_names(t)
+    assert namer._free[VAR] == ref_free_vars(t)
+    assert namer._free[NAME] == ref_free_names(t)
     for nu in ("x", "y", "z", "'a", "'b", "'c"):
         assert degree(nu, t) == ref_degree(nu, t)
     for u in _subterms(t):
