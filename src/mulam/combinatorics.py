@@ -10,14 +10,21 @@ multiplicities; the idempotent one only needs the composition set.
 The enumeration can be directed by per-part sizes (exact, empty, or free),
 so that the substitution operators, which know the degree of every subterm,
 never see a split that would vanish.
+
+A split depends on the bag only through its shape: the sizes of its groups
+of equal elements, the part count and the part sizes.  So each shape is
+enumerated once, as positions in the bag, and every bag of that shape reads
+its parts off the cached positions.  The cache keeps the last
+``SHAPE_CACHE_SIZE`` (256) shapes.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Iterator, Sequence
 
-from .syntax import Bag, ResTerm, multinomial
+from .syntax import Bag, multinomial
 
 WeakComposition = tuple[Bag, ...]
 
@@ -79,46 +86,71 @@ def weak_compositions_with_counts(
     multinomial m! / prod(m_i!), and counts multiply across groups.
 
     ``sizes`` directs the split: part i gets exactly ``sizes[i]`` elements
-    (0: the empty part), or any number when ``sizes[i]`` is None.  Each
-    group's allocations are pruned by those sizes as caps, so an empty part
-    is never tried; the products of allocations are then filtered by the
-    exact positive sizes.  The compositions yielded are those of the given
-    part sizes, in the order of the unconstrained enumeration.
+    (0: the empty part), or any number when ``sizes[i]`` is None.  The
+    compositions yielded are those of the given part sizes, in the order of
+    the unconstrained enumeration.
+
+    Splits are enumerated once per shape (see the module docstring), by
+    ``_shape_splits``, which keeps the last ``SHAPE_CACHE_SIZE`` shapes.
     """
     if nparts < 0:
         raise ValueError(f"negative part count: {nparts}")
-    if sizes is None:
-        exact: list[tuple[int, int]] = []
-        caps = (len(bag),) * nparts
-    else:
+    if sizes is not None:
         if len(sizes) != nparts:
             raise ValueError(f"{len(sizes)} sizes for {nparts} parts")
+        sizes = tuple(sizes)
+        if min((n for n in sizes if n is not None), default=0) < 0:
+            raise ValueError(f"negative part size in {list(sizes)}")
+    mults = tuple(len(list(g)) for _, g in itertools.groupby(bag))
+    get = bag.__getitem__
+    for idx, count in _shape_splits(mults, nparts, sizes):
+        yield tuple([tuple(map(get, part)) for part in idx]), count
+
+
+# Each cached shape holds its compositions as position tuples, so the bound
+# is on shapes, not on bytes.
+SHAPE_CACHE_SIZE = 256
+
+
+@functools.lru_cache(maxsize=SHAPE_CACHE_SIZE)
+def _shape_splits(
+    mults: tuple[int, ...], nparts: int, sizes: tuple[int | None, ...] | None
+) -> tuple[tuple[tuple[tuple[int, ...], ...], int], ...]:
+    """The sized weak compositions into ``nparts`` parts of every bag whose
+    groups of equal elements have the sizes ``mults``, with their counts.  A
+    part is a tuple of positions in the bag, a group's first position once
+    per copy it takes."""
+    total = sum(mults)
+    if sizes is None:
+        exact: list[tuple[int, int]] = []
+        caps = (total,) * nparts
+    else:
         fixed = [n for n in sizes if n is not None]
-        if min(fixed, default=0) < 0:
-            raise ValueError(f"negative part size in {sizes}")
-        if sum(fixed) > len(bag) or (len(fixed) == nparts and sum(fixed) != len(bag)):
-            return
+        if sum(fixed) > total or (len(fixed) == nparts and sum(fixed) != total):
+            return ()
         # No group may put more into a part than the part's size, so the
         # caps alone enforce the empty parts; the positive sizes are checked
         # once every group is placed.
         exact = [(i, n) for i, n in enumerate(sizes) if n]
-        caps = tuple(len(bag) if n is None else n for n in sizes)
-    groups = [(elem, len(list(g))) for elem, g in itertools.groupby(bag)]
+        caps = tuple(total if n is None else n for n in sizes)
+    firsts = tuple(itertools.accumulate(mults[:-1], initial=0))
     per_group = [
         [(alloc, multinomial(alloc)) for alloc in _compositions(mult, nparts, caps)]
-        for _, mult in groups
+        for mult in mults
     ]
+    out = []
     for combo in itertools.product(*per_group):
         if exact:
             totals = [sum(col) for col in zip(*(alloc for alloc, _ in combo))]
             if any(totals[i] != n for i, n in exact):
                 continue
-        parts: list[list[ResTerm]] = [[] for _ in range(nparts)]
+        parts: list[list[int]] = [[] for _ in range(nparts)]
         count = 1
-        for (elem, _), (alloc, cnt) in zip(groups, combo):
+        for first, (alloc, cnt) in zip(firsts, combo):
             count *= cnt
             for i, copies in enumerate(alloc):
-                parts[i].extend([elem] * copies)
-        # Elements are appended in bag order (already sorted), and equal
+                parts[i].extend([first] * copies)
+        # Positions are appended in bag order (already sorted), and equal
         # elements stay adjacent, so each part is canonical as built.
-        yield tuple(tuple(p) for p in parts), count
+        out.append((tuple(tuple(p) for p in parts), count))
+    return tuple(out)

@@ -433,7 +433,8 @@ def degree(nu: str, t: Term | ResTerm) -> int:
     ``nu`` is written grammar-style: ``"x"`` counts a variable, ``"'a"``
     counts a name (names only ever occur in naming position).
     """
-    return occurrences(t, NAME if nu.startswith("'") else VAR, _strip_quote(nu))
+    atom = _strip_quote(nu)
+    return occurrences(t, VAR if atom == nu else NAME, atom)
 
 
 def deg_bag(nu: str, bag: Bag) -> int:
@@ -443,15 +444,22 @@ def deg_bag(nu: str, bag: Bag) -> int:
 def _atom(atom: str) -> str:
     """``atom``, a free variable or name given to an entry point.  No term
     holds the empty atom, so it is rejected (``_bad_ref``) rather than
-    taken for an atom that does not occur."""
+    taken for an atom that does not occur.  A non-str is rejected too: an
+    int would be taken for the index of a binder.  So is an atom that begins
+    with a quote (a name given with two), which would print as a name that
+    does not parse."""
+    if not isinstance(atom, str):
+        raise TypeError(f"an atom must be a str, not {atom!r}")
     if not atom:
         raise _bad_ref(atom)
+    if atom.startswith("'"):
+        raise ValueError(f"an atom cannot begin with a quote, got {atom!r}")
     return atom
 
 
 def _strip_quote(name: str) -> str:
     """The atom of a name given with or without its leading quote."""
-    return _atom(name[1:] if name.startswith("'") else name)
+    return _atom(name[1:] if isinstance(name, str) and name.startswith("'") else name)
 
 
 def rename_name(t, alpha: str, beta: str):

@@ -2,16 +2,21 @@
 
 import itertools
 import os
+import random
 import subprocess
 import sys
 from collections import Counter
+from typing import Iterator, Sequence
 
 import pytest
 from hypothesis import given, strategies as st
 
 import mulam
-from mulam.combinatorics import compositions_of, weak_compositions_with_counts
-from mulam.syntax import RVar, mkbag
+from mulam.combinatorics import (WeakComposition, _compositions, _shape_splits,
+                                 compositions_of, weak_compositions_with_counts)
+from mulam.resource import normalize_r
+from mulam.syntax import NAT, VAR, Bag, ResTerm, RVar, mkbag, multinomial, occurrences
+from mulam.textio import parse_res
 
 # ---------- test oracles ----------
 
@@ -157,6 +162,120 @@ def test_sized_splits_with_unmatched_sizes_are_empty():
     assert list(weak_compositions_with_counts(bag, 2, [1, 0])) == []
     assert list(weak_compositions_with_counts(bag, 2, [3, None])) == []
     assert list(weak_compositions_with_counts(bag, 2, [0, None])) == [(((), bag), 1)]
+
+
+# ---------- splits by shape against the enumeration per bag ----------
+
+
+# The split as it was before it was cached by shape, verbatim but for its
+# name: the whole enumeration on every call, on the bag's elements.
+def ref_weak_compositions_with_counts(
+    bag: Bag, nparts: int, sizes: Sequence[int | None] | None = None
+) -> Iterator[tuple[WeakComposition, int]]:
+    """Weak compositions of ``bag`` into ``nparts`` parts with multiplicities.
+
+    Each composition is yielded exactly once; its count is the number of
+    index assignments inducing it.  Equal bag elements are grouped, so the
+    count for a group sending m copies as (m_0, ..., m_{n-1}) is the
+    multinomial m! / prod(m_i!), and counts multiply across groups.
+
+    ``sizes`` directs the split: part i gets exactly ``sizes[i]`` elements
+    (0: the empty part), or any number when ``sizes[i]`` is None.  Each
+    group's allocations are pruned by those sizes as caps, so an empty part
+    is never tried; the products of allocations are then filtered by the
+    exact positive sizes.  The compositions yielded are those of the given
+    part sizes, in the order of the unconstrained enumeration.
+    """
+    if nparts < 0:
+        raise ValueError(f"negative part count: {nparts}")
+    if sizes is None:
+        exact: list[tuple[int, int]] = []
+        caps = (len(bag),) * nparts
+    else:
+        if len(sizes) != nparts:
+            raise ValueError(f"{len(sizes)} sizes for {nparts} parts")
+        fixed = [n for n in sizes if n is not None]
+        if min(fixed, default=0) < 0:
+            raise ValueError(f"negative part size in {sizes}")
+        if sum(fixed) > len(bag) or (len(fixed) == nparts and sum(fixed) != len(bag)):
+            return
+        # No group may put more into a part than the part's size, so the
+        # caps alone enforce the empty parts; the positive sizes are checked
+        # once every group is placed.
+        exact = [(i, n) for i, n in enumerate(sizes) if n]
+        caps = tuple(len(bag) if n is None else n for n in sizes)
+    groups = [(elem, len(list(g))) for elem, g in itertools.groupby(bag)]
+    per_group = [
+        [(alloc, multinomial(alloc)) for alloc in _compositions(mult, nparts, caps)]
+        for _, mult in groups
+    ]
+    for combo in itertools.product(*per_group):
+        if exact:
+            totals = [sum(col) for col in zip(*(alloc for alloc, _ in combo))]
+            if any(totals[i] != n for i, n in exact):
+                continue
+        parts: list[list[ResTerm]] = [[] for _ in range(nparts)]
+        count = 1
+        for (elem, _), (alloc, cnt) in zip(groups, combo):
+            count *= cnt
+            for i, copies in enumerate(alloc):
+                parts[i].extend([elem] * copies)
+        # Elements are appended in bag order (already sorted), and equal
+        # elements stay adjacent, so each part is canonical as built.
+        yield tuple(tuple(p) for p in parts), count
+
+
+def _same_splits(bag, nparts, sizes=None):
+    got = list(weak_compositions_with_counts(bag, nparts, sizes))
+    assert got == list(ref_weak_compositions_with_counts(bag, nparts, sizes)), (bag, nparts, sizes)
+
+
+def test_splits_by_shape_equal_the_enumeration_on_random_bags():
+    rng = random.Random(26)
+    for _ in range(3000):
+        bag = mkbag(RVar(rng.choice("xxxyyz")) for _ in range(rng.randint(0, 6)))
+        nparts = rng.randint(0, 4)
+        if rng.random() < 0.25:
+            sizes = None
+        else:
+            sizes = [rng.choice([None, 0, 1, 2, 3]) for _ in range(nparts)]
+        _same_splits(bag, nparts, sizes)
+
+
+def test_splits_by_shape_into_zero_parts():
+    for bag in (mkbag([]), mkbag([RVar("x")]), mkbag([RVar("x"), RVar("x")])):
+        _same_splits(bag, 0)
+        _same_splits(bag, 0, [])
+
+
+def test_bags_of_one_shape_get_their_own_elements():
+    # [p, p, q] and [x, x, y] group as (2, 1): the second reads the first's
+    # cached positions, with other shapes split in between.
+    one, two = mkbag(RVar(c) for c in "ppq"), mkbag(RVar(c) for c in "xxy")
+    other = mkbag(RVar(c) for c in "xyz")
+    assert [len(list(g)) for _, g in itertools.groupby(one)] == [2, 1]
+    assert [len(list(g)) for _, g in itertools.groupby(two)] == [2, 1]
+    for sizes in (None, [1, None], [None, 0, 2]):
+        nparts = 2 if sizes is None else len(sizes)
+        for bag in (one, other, two, one, other, two):
+            _same_splits(bag, nparts, sizes)
+
+
+def test_the_split_over_1202_parts_equals_the_enumeration():
+    # README's (\x.z[x,w,...,w])[y] with 1200 w: the bag [y] is split over
+    # z and the 1201 elements of its bag, directed by their counts of x.
+    body = parse_res("z[x, " + ", ".join(["w"] * 1200) + "]")
+    kids = (body.head,) + body.bag
+    sizes = [occurrences(k, VAR, "x") for k in kids]
+    assert len(kids) == 1202 and sum(sizes) == 1
+    _same_splits(mkbag([RVar("y")]), len(kids), sizes)
+
+
+def test_fanout_of_six_computes_five_shapes():
+    _shape_splits.cache_clear()
+    nf = normalize_r(parse_res(r"(\x. x[x][x][x][x][x])[a, b, c, d, e, f]"), NAT)
+    assert len(nf) == 720
+    assert _shape_splits.cache_info().misses <= 5
 
 
 # ---------- validation that survives python -O ----------

@@ -512,9 +512,59 @@ for call in {list(EMPTY_ATOMS.values())!r}:
     assert proc.stdout.split() == ["True"] * len(EMPTY_ATOMS)
 
 
+# ---------- an entry point's atom is a str that does not begin with a quote ----------
+
+# An int would be taken for the index of a binder, and a name given with two
+# quotes would print as one that does not parse.  Each call must raise the
+# error named beside it, with or without -O.
+BAD_ATOMS = {
+    "lambda-mu substitution for an int": ("subst(L, 1, Var('w'))", "TypeError"),
+    "linear substitution for an int": ("linear_subst(RLam(RVar(0)), 0, [RVar('w')], NAT)",
+                                       "TypeError"),
+    "degree of an int": ("degree(0, T)", "TypeError"),
+    "renaming from a twice-quoted name": ("rename_name(RMu('b', RVar('x')), \"''a\", 'b')",
+                                          "ValueError"),
+    "renaming to a twice-quoted name": ("rename_name(T, 'b', \"''a\")", "ValueError"),
+    "linear named application at a twice-quoted name":
+        ("linear_named_app(T, \"''a\", [], NAT)", "ValueError"),
+    "degree of a twice-quoted name": ("degree(\"''a\", T)", "ValueError"),
+}
+_BAD_ATOM_NAMES = _ATOM_NAMES + """
+from mulam.syntax import RLam, RMu, RVar, Var
+L = parse_term(r"\\y.\\z. y z")
+"""
+
+
+@pytest.mark.parametrize("call,error", list(BAD_ATOMS.values()), ids=list(BAD_ATOMS))
+def test_a_bad_atom_is_rejected(call, error):
+    env = {}
+    exec(_BAD_ATOM_NAMES, env)
+    with pytest.raises((TypeError, ValueError)) as info:
+        eval(call, env)
+    assert type(info.value).__name__ == error
+
+
+def test_a_bad_atom_is_rejected_under_python_O():
+    code = _BAD_ATOM_NAMES + f"""
+for call in {[call for call, _ in BAD_ATOMS.values()]!r}:
+    try:
+        eval(call)
+    except (TypeError, ValueError) as e:
+        print(type(e).__name__)
+    else:
+        print('accepted')
+"""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(mulam.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [error for _, error in BAD_ATOMS.values()]
+
+
 def test_a_sum_is_renamed_as_its_addends_are():
-    # The quote is stripped once: the atom "'a" stays "'a" in a sum too.
     t = RMu("b", RApp(RVar("x"), [RMu("c", RVar("y"))]))
-    for alpha, beta in [("''a", "b"), ("'c", "'b"), ("b", "b")]:
+    for alpha, beta in [("'a", "b"), ("'c", "'b"), ("b", "b")]:
         got = rename_name(Sum.unit(t, NAT), alpha, beta)
         assert got == Sum.unit(rename_name(t, alpha, beta), NAT), (alpha, beta)
