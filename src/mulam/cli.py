@@ -464,11 +464,12 @@ def main(argv: list[str] | None = None) -> int:
         # Already reported by ``_parse``.
         return 2
     except RecursionError:
-        # The parser, ``map_refs``, the contractions and ``taylor``'s walks
-        # still recurse on the term's structure, so very deep input is beyond
-        # them; that is the input's fault (exit 2), not a failed check (exit
-        # 1).  The printer, ``to_json`` and the ``--json`` writer do not
-        # recurse.
+        # The parser, ``map_refs``, ``lamu.named_app``, the resource
+        # contraction's linear walk (``resource._linear``) and ``taylor``'s
+        # walks still recurse on the term's structure, so very deep input is
+        # beyond them; that is the input's fault (exit 2), not a failed check
+        # (exit 1).  The printer, ``to_json`` and the ``--json`` writer do
+        # not recurse.
         sys.stderr.write("error: input nested too deeply\n")
         return 2
 

@@ -152,7 +152,7 @@ def _res(rand, getrandbits, max_size: int, ld: int, nd: int) -> ResTerm:
         else:
             named = FREE_NAMES[_below(getrandbits, 3)]
         return RMu(named, _res(rand, getrandbits, max_size - 1, ld, nd + 1))
-    assert kind == "app"
+    # The kind left is "app".
     k = _BAG_SIZE.pick(rand)
     while max_size - 1 - k < k + 1:
         k -= 1
@@ -189,7 +189,7 @@ def _term(rand, getrandbits, max_nodes: int, ld: int, nd: int) -> Term:
         else:
             named = FREE_NAMES[_below(getrandbits, 3)]
         return Mu(named, _term(rand, getrandbits, max_nodes - 1, ld, nd + 1))
-    assert kind == "app"
+    # The kind left is "app".
     nf, na = _split_budget(getrandbits, max_nodes - 1, 2)
     return App(_term(rand, getrandbits, nf, ld, nd), _term(rand, getrandbits, na, ld, nd))
 

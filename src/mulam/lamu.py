@@ -61,9 +61,10 @@ def named_app(t: Term, alpha: Ref, n: Term) -> Term:
     Clauses: variables untouched; abstractions and applications structural;
     ``mu b.<g| m>`` maps to ``mu b.<g| (m)_alpha n>`` when g is not alpha and
     to ``mu b.<alpha| ((m)_alpha n) n>`` when it is.  ``alpha`` is a free
-    name or the index of a mu binder above ``t``, resolved at the namings of
-    the mu nodes at the top of ``t`` (so index 1 is the binder just outside);
-    an index goes up by one under each mu.
+    name or the index of a mu binder, resolved at the namings of the mu
+    nodes at the top of ``t`` (so index 0 is such a mu's own binder and
+    index 1 the binder just outside ``t``); an index goes up by one under
+    each mu.
     """
     if isinstance(alpha, str):
         alpha = _strip_quote(alpha)
@@ -128,9 +129,9 @@ def contract(t: Term) -> Term:
     match t:
         case App(fun=Lam(body=b), arg=n):
             return map_refs(b, var=lambda r, d: n if r == d else None)
-        case App(fun=Mu(named=nr, body=b), arg=n):
-            body = named_app(b, 1, n)
-            return Mu(nr, App(body, n) if nr == 0 else body)
+        case App(fun=Mu() as m, arg=n):
+            # Index 0 at a mu node is its own binder, also at its own naming.
+            return named_app(m, 0, n)
         case Mu(body=Mu()):
             return rho_term(t)
     raise ValueError(f"not a redex: {t!r}")

@@ -15,24 +15,26 @@ body with no such naming takes the whole bag at once.  Each child's count is
 taken once per application node and handed down, so no subterm is counted
 again at its own top.
 
-Linear substitution solves each sub-problem once per contraction.  What
-``_lsubst`` returns for a subterm depends only on the subterm, the target
-and the sub-bag it is handed, and terms are immutable, so the key
-(subterm, target, sub-bag) fixes the result.  One memo with that key lives
-for one top-level call (``linear_subst``, or one contraction) and no
-longer.  On ``x[x]...[x]`` with k distinct bag elements, the inner spine
+Both operations are one recursive walk, ``_linear``, of kind ``VAR`` or
+``NAME``; the split at a naming is written once, in ``_lna_named``.  The
+walk solves each sub-problem once per top-level call.  What it returns for
+a subterm depends only on the subterm, the target and the sub-bag it is
+handed (a top-level call has one kind and one ``keep_dead``), and terms are
+immutable, so the key (subterm, target, sub-bag) fixes the result.  One
+memo with that key lives for one top-level call (an entry point or one
+contraction) and no longer.  On ``x[x]...[x]`` with k distinct bag elements, the inner spine
 with j occurrences is solved once for each of its C(k, j) sub-bags, where
 it was solved k!/j! times.
 A result in the memo is shared by every branch that asks for it, so it is
 never changed: it is only read, and the dicts that are added to
-(``add_app``'s accumulator, a ``SumBuilder``) are always fresh ones.  The
-named application has no memo; its sub-problems do not repeat in practice.
+(``add_app``'s accumulator, a ``SumBuilder``) are always fresh ones.
 
 Substitution and named application take their target as a reference: a
 free atom (the public entry points) or a de Bruijn index, which goes up by
 one under each binder of its kind.  A redex is contracted on its own index
-(the lambda's variable is index 0 of its body, the mu's name index 0 at its
-naming), so its binder is never opened.  Nor are the binders above it:
+(the lambda's variable is index 0 of its body, the mu's name index 0 at the
+mu node, so a mu redex is the named application at its own binder), so its
+binder is never opened.  Nor are the binders above it:
 ``_reducts``, the one contraction entry of ``step_r`` and ``contract_res``,
 opens the redex alone on them, in one pass over the redex
 (``syntax.open_outer``), and closes each reduct once.  A distribution is
@@ -121,7 +123,7 @@ from .lamu import rho_inner_parts
 # coefficients and canonicalized into a ``Sum`` once, by its caller.
 Coeffs = dict[ResTerm, int]
 
-# ---------- occurrences of a target ----------
+# ---------- linear substitution and named application ----------
 #
 # The target of a substitution or a named application is a reference: a free
 # atom, or the de Bruijn index of a binder above, resolved with the depth
@@ -129,84 +131,58 @@ Coeffs = dict[ResTerm, int]
 # An atom is the same at every depth; an index goes up by one under each
 # binder of its own kind (``_under``).
 
+Memo = dict[tuple, Coeffs]
 
-# ---------- linear substitution ----------
 
+def _linear(t: ResTerm, kind: str, x: Ref, bag: Bag, n: int, memo: Memo, keep_dead=True) -> Coeffs:
+    """Distribute ``bag`` over the ``n`` occurrences of ``x`` in ``t``:
+    substitution for ``kind`` ``VAR`` (one element each, ``n == len(bag)``),
+    named application for ``NAME`` (any part per naming, ``_lna_named``).
 
-def _lsubst(t: ResTerm, x: Ref, bag: Bag, memo: dict[tuple, Coeffs]) -> Coeffs:
-    # The caller guarantees len(bag) == occurrences(t, VAR, x); every split
-    # below is directed by the children's counts, so each branch keeps that
-    # invariant and none of them vanishes.  The constructors wrapped around
-    # a child's addends are injective, so no two of them merge.  ``memo``
-    # holds the results of one top-level call (see the module docstring):
-    # they are read, never changed.
-    if not bag:
-        return {t: 1}
-    if type(t) is RVar:
-        assert t.ref == x and len(bag) == 1, (t, x, bag)
+    Each split follows the children's counts, so every branch keeps its
+    kind's invariant, and the constructors wrapped around a child's addends
+    are injective, so none merge.  A result in ``memo`` is read, never
+    changed.
+    """
+    if n == 0:
+        # Nothing to distribute over: the empty bag is the identity, any
+        # other bag has nowhere to go.
+        return {} if bag else {t: 1}
+    cls = type(t)
+    if cls is RVar:
+        # Only a substituted variable occurs, and it takes the one element.
         return {bag[0]: 1}
     key = (t, x, bag)
     out = memo.get(key)
     if out is not None:
         return out
-    match t:
-        case RLam(body=b):
-            out = {RLam(u): c for u, c in _lsubst(b, _under(x), bag, memo).items()}
-        case RMu(named=nr, body=b):
-            out = {RMu(nr, u): c for u, c in _lsubst(b, x, bag, memo).items()}
-        case RApp(head=h, bag=elems):
-            kids = (h,) + elems
-            out = {}
-            sizes = [occurrences(k, VAR, x) for k in kids]
-            for parts, count in weak_compositions_with_counts(bag, len(kids), sizes):
-                maps = [_lsubst(k, x, p, memo).items() for k, p in zip(kids, parts)]
-                add_app(out, maps[0], maps[1:], count)
-        case _:
-            raise AssertionError(t)
+    if cls is RApp:
+        kids = (t.head,) + t.bag
+        counts = [occurrences(k, kind, x) for k in kids]
+        # A substitution hands each child exactly its count of elements, a
+        # named application a child with no naming only the empty part.
+        sizes = counts if kind == VAR else [None if m else 0 for m in counts]
+        out = {}
+        for parts, count in weak_compositions_with_counts(bag, len(kids), sizes):
+            maps = [_linear(k, kind, x, p, m, memo, keep_dead).items()
+                    for k, p, m in zip(kids, parts, counts)]
+            add_app(out, maps[0], maps[1:], count)
+    elif cls is RLam:
+        inner = _linear(t.body, kind, _under(x) if kind == VAR else x, bag, n, memo, keep_dead)
+        out = {RLam(u): c for u, c in inner.items()}
+    else:
+        nr = t.named
+        if kind == VAR:
+            inner = _linear(t.body, kind, x, bag, n, memo, keep_dead)
+        else:
+            inner = _lna_named(nr, t.body, x, bag, n - 1 if nr == x else n, memo, keep_dead)
+        out = {RMu(nr, u): c for u, c in inner.items()}
     memo[key] = out
     return out
 
 
-def linear_subst(t: ResTerm, x: str, bag, semiring: str) -> Sum:
-    """t<[bag]/x>: replace the occurrences of ``x`` by the bag elements in
-    all possible ways; zero when the counts cannot match."""
-    bag = mkbag(bag)
-    if occurrences(t, VAR, _atom(x)) != len(bag):
-        return Sum.zero(semiring)
-    return SumBuilder(semiring, _lsubst(t, x, bag, {})).build()
-
-
-# ---------- linear named application ----------
-
-
-def _lna_term(t: ResTerm, alpha: Ref, bag: Bag, n: int, keep_dead: bool = True) -> Coeffs:
-    """The named application on ``t``, which names ``alpha`` ``n`` times."""
-    if n == 0:
-        # No naming of alpha anywhere: the empty bag is the identity, any
-        # other bag has nowhere to go.
-        return {} if bag else {t: 1}
-    match t:
-        case RLam(body=b):
-            return {RLam(u): c for u, c in _lna_term(b, alpha, bag, n, keep_dead).items()}
-        case RMu(named=nr, body=b):
-            inner = _lna_named(nr, b, alpha, bag, n - 1 if nr == alpha else n, keep_dead)
-            return {RMu(nr, u): c for u, c in inner.items()}
-        case RApp(head=h, bag=elems):
-            # A child with no naming of alpha only takes the empty part.
-            kids = (h,) + elems
-            acc: Coeffs = {}
-            counts = [occurrences(k, NAME, alpha) for k in kids]
-            sizes = [None if m else 0 for m in counts]
-            for parts, count in weak_compositions_with_counts(bag, len(kids), sizes):
-                maps = [_lna_term(k, alpha, p, m, keep_dead).items()
-                        for k, p, m in zip(kids, parts, counts)]
-                add_app(acc, maps[0], maps[1:], count)
-            return acc
-    raise AssertionError(t)  # a variable has no naming: n is 0
-
-
 def _lna_named(
-    named: Ref, body: ResTerm, alpha: Ref, bag: Bag, n: int, keep_dead: bool = True
+    named: Ref, body: ResTerm, alpha: Ref, bag: Bag, n: int, memo: Memo, keep_dead=True
 ) -> Coeffs:
     """Linear named application on a named pair ``<named| body>``, where the
     body names ``alpha`` ``n`` times.
@@ -221,39 +197,57 @@ def _lna_named(
     """
     inner = _under(alpha)
     if named != alpha:
-        return _lna_term(body, inner, bag, n, keep_dead)
+        return _linear(body, NAME, inner, bag, n, memo, keep_dead)
     arity = None if keep_dead else _arity(body)
     if n == 0:
         # Only the split that keeps nothing inside survives.
         return {} if arity is not None and arity != len(bag) else {RApp(body, bag): 1}
     acc: Coeffs = {}
     for (w1, w2), count in weak_compositions_with_counts(bag, 2, (None, arity)):
-        for u, c in _lna_term(body, inner, w1, n, keep_dead).items():
+        for u, c in _linear(body, NAME, inner, w1, n, memo, keep_dead).items():
             v = RApp(u, w2)
             acc[v] = acc.get(v, 0) + c * count
     return acc
 
 
+def _checked_bag(t: ResTerm, bag) -> Bag:
+    """The canonical bag of a linear entry point, once ``t`` and the bag's
+    elements are checked to be resource terms (a lambda-mu term sorts too)."""
+    elems = tuple(bag)
+    for u in (t,) + elems:
+        if not isinstance(u, ResTerm):
+            raise TypeError(f"a resource term is expected, not {u!r}")
+    return mkbag(elems)
+
+
+def linear_subst(t: ResTerm, x: str, bag, semiring: str) -> Sum:
+    """t<[bag]/x>: replace the occurrences of ``x`` by the bag elements in
+    all possible ways; zero when the counts cannot match."""
+    bag = _checked_bag(t, bag)
+    n = occurrences(t, VAR, _atom(x))
+    if n != len(bag):
+        return Sum.zero(semiring)
+    return SumBuilder(semiring, _linear(t, VAR, x, bag, n, {})).build()
+
+
 def linear_named_app(t: ResTerm, alpha: str, bag, semiring: str) -> Sum:
     """<t>_alpha [bag]: distribute the bag over the namings of ``alpha``."""
+    bag = _checked_bag(t, bag)
     alpha = _strip_quote(alpha)
-    got = _lna_term(t, alpha, mkbag(bag), occurrences(t, NAME, alpha))
+    got = _linear(t, NAME, alpha, bag, occurrences(t, NAME, alpha), {})
     return SumBuilder(semiring, got).build()
 
 
 def linear_named_app_named(eta: str, t: ResTerm, alpha: str, bag, semiring: str) -> Sum:
     """The named-pair form ``<<eta| t>>_alpha [bag]``, as a sum of bodies
     (the naming stays ``eta``)."""
+    bag = _checked_bag(t, bag)
     alpha = _strip_quote(alpha)
-    got = _lna_named(_strip_quote(eta), t, alpha, mkbag(bag), occurrences(t, NAME, alpha))
+    got = _lna_named(_strip_quote(eta), t, alpha, bag, occurrences(t, NAME, alpha), {})
     return SumBuilder(semiring, got).build()
 
 
 # ---------- redexes and single steps ----------
-
-
-def is_normal_res(t: ResTerm) -> bool:
-    return t.normal
 
 
 def _arity(head: ResTerm) -> int | None:
@@ -298,16 +292,16 @@ def _reducts(t: ResTerm, nl: int, nm: int, keep_dead: bool = True) -> Coeffs:
 
 def _contract(t: ResTerm, keep_dead: bool = True) -> Coeffs:
     # The redex's own binder stays closed: the lambda's variable is index 0
-    # of its body, and the mu's name is index 0 at its naming (1 in its
-    # body).  Binders above are open, so the bag elements are locally closed
-    # and go under binders as they are.  The caller has ruled out a
-    # vanishing redex, so a lambda redex's bag matches its variable's count.
+    # of its body, and the mu's name is index 0 at the mu node itself (1 in
+    # its body), so a mu redex is the named application at its own binder.
+    # Binders above are open, so the bag elements are locally closed and go
+    # under binders as they are.  The caller has ruled out a vanishing
+    # redex, so a lambda redex's bag matches its variable's count.
     match t:
         case RApp(head=RLam(body=b), bag=bag):
-            return _lsubst(b, 0, bag, {})
-        case RApp(head=RMu(named=nr, body=b), bag=bag):
-            inner = _lna_named(nr, b, 0, bag, occurrences(b, NAME, 1), keep_dead)
-            return {RMu(nr, u): c for u, c in inner.items()}
+            return _linear(b, VAR, 0, bag, len(bag), {})
+        case RApp(head=RMu() as m, bag=bag):
+            return _linear(m, NAME, 0, bag, occurrences(m, NAME, 0), {}, keep_dead)
         case RMu(named=nr, body=RMu() as inner):
             return {RMu(*rho_inner_parts(nr, inner.named, inner.body)): 1}
     raise ValueError(f"not a redex: {t!r}")
@@ -345,10 +339,13 @@ def _check_mode(mode: str) -> None:
 
 
 def _as_sum(x: ResTerm | Sum, semiring: str) -> Sum:
-    """A term as a one-addend sum, or a sum checked to be over ``semiring``."""
+    """A term as a one-addend sum, or a sum checked to be over ``semiring``;
+    anything else is a ``TypeError``."""
     _check_semiring(semiring)
     if isinstance(x, ResTerm):
         return Sum.unit(x, semiring)
+    if not isinstance(x, Sum):
+        raise TypeError(f"a resource term or a sum is expected, not {x!r}")
     if x.semiring != semiring:
         raise ValueError(f"a {x.semiring} sum where a {semiring} sum is expected")
     return x

@@ -39,7 +39,6 @@ ENTRY_POINTS = {
     "subst": "capture-free substitution of a free variable",
     "gen_random": "seeded term generator for either syntax",
     "compositions_of": "integer compositions, the counting core of bag splits",
-    "is_normal_res": "the normal-form predicate of resource terms",
     "church_true": "the boolean combinator true",
     "church_false": "the boolean combinator false",
     "pair_of": "the pairing combinator",

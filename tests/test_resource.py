@@ -1,17 +1,20 @@
 """Resource reduction: linear substitution, named application, sum stepping."""
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
 
+import mulam
 from mulam import resource
 from mulam.lamu import rho_inner_parts
 from mulam.oracle import explore, unique_sink
 from mulam.resource import (
     contract_res,
     head_step_res,
-    is_normal_res,
     linear_named_app,
     linear_named_app_named,
     linear_subst,
@@ -22,6 +25,7 @@ from mulam.resource import (
 from mulam.gen import gen_res
 from mulam.syntax import (
     BOOL,
+    NAME,
     NAT,
     VAR,
     RApp,
@@ -38,6 +42,7 @@ from mulam.syntax import (
     fresh_atom,
     is_hnf,
     iter_redexes,
+    map_refs,
     mkbag,
     occurrences,
     open_mu_binder,
@@ -151,8 +156,8 @@ def test_step_r_inside_a_bag():
 
 
 def test_redexes_and_normality():
-    assert is_normal_res(_p("x[y, \\z.z] 1"))
-    assert not is_normal_res(_p("x[(\\y.y) 1]"))
+    assert _p("x[y, \\z.z] 1").normal
+    assert not _p("x[(\\y.y) 1]").normal
 
 
 def _reference_step(t, pos, semiring):
@@ -309,7 +314,7 @@ def test_normalize_steps_the_first_redex(seed, semiring):
         mp.setattr(resource, "step_r", recording_step)
         normalize_r(t, semiring)
     # every term with a redex is stepped through the module-level step_r
-    assert bool(taken) == (not is_normal_res(t))
+    assert bool(taken) == (not t.normal)
     for u, pos in taken:
         assert pos == redexes(u)[0][0], u
 
@@ -342,7 +347,7 @@ def test_normalize_matches_oracle_on_random_terms():
             got = normalize_r(t, semiring)
             sink = unique_sink(explore(t, semiring))
             assert got == sink, (seed, semiring, print_sum(got))
-            assert all(is_normal_res(u) for u in got.terms())
+            assert all(u.normal for u in got.terms())
 
 
 def test_normalize_accepts_sums():
@@ -373,7 +378,7 @@ def test_lambda_fanout_with_repeated_bag_elements():
 
 # ---------- the shared linear substitution ----------
 #
-# ``_lsubst`` solves each (subterm, target, sub-bag) once per top-level call
+# ``_linear`` solves each (subterm, target, sub-bag) once per top-level call
 # and hands the same result to every branch that needs it.  The reference
 # is the substitution before it shared anything: every branch of every split
 # solves its sub-problems again.
@@ -440,8 +445,15 @@ def _assert_matches_reference(monkeypatch, body, x, bag, semiring):
     got = _same_both_times(linear_subst, body, x, bag, semiring)
     nf = _same_both_times(normalize_r, redex, semiring)
     assert got == _ref_linear_subst(body, x, bag, semiring), (body, bag)
+    walk = resource._linear
+
+    def by_reference(t, kind, y, b, n, memo, keep_dead=True):
+        if kind == VAR:
+            return ref_lsubst(t, y, b)
+        return walk(t, kind, y, b, n, memo, keep_dead)
+
     with monkeypatch.context() as m:
-        m.setattr(resource, "_lsubst", lambda t, y, b, memo: ref_lsubst(t, y, b))
+        m.setattr(resource, "_linear", by_reference)
         assert nf == normalize_r(redex, semiring), redex
 
 
@@ -468,13 +480,95 @@ def test_shared_substitution_keys_on_the_target_index():
     s = RApp(RVar(0), [RVar(1)])
     t = RApp(s, [RLam(s)])
     bag = (RVar("a"), RVar("a"))
-    assert resource._lsubst(t, 0, bag, {}) == ref_lsubst(t, 0, bag)
+    assert resource._linear(t, VAR, 0, bag, 2, {}) == ref_lsubst(t, 0, bag)
     rng = random.Random(5)
     for _ in range(300):
         t = gen_res(rng, 14, ld=3)
         x = rng.randrange(3)
         bag = mkbag(rng.choice([RVar("a"), RVar("b")]) for _ in range(occurrences(t, VAR, x)))
-        assert resource._lsubst(t, x, bag, {}) == ref_lsubst(t, x, bag), t
+        assert resource._linear(t, VAR, x, bag, len(bag), {}) == ref_lsubst(t, x, bag), t
+
+
+# ---------- the shared walk as named application ----------
+#
+# The reference is the named application as it was written before it shared
+# a walk (and a memo) with substitution: ``_lna_term`` and ``_lna_named``,
+# copied with new names and without annotations or the long docstring.
+
+
+def ref_lna_term(t, alpha, bag, n, keep_dead=True):
+    """The named application on ``t``, which names ``alpha`` ``n`` times."""
+    if n == 0:
+        # No naming of alpha anywhere: the empty bag is the identity, any
+        # other bag has nowhere to go.
+        return {} if bag else {t: 1}
+    match t:
+        case RLam(body=b):
+            return {RLam(u): c for u, c in ref_lna_term(b, alpha, bag, n, keep_dead).items()}
+        case RMu(named=nr, body=b):
+            inner = ref_lna_named(nr, b, alpha, bag, n - 1 if nr == alpha else n, keep_dead)
+            return {RMu(nr, u): c for u, c in inner.items()}
+        case RApp(head=h, bag=elems):
+            # A child with no naming of alpha only takes the empty part.
+            kids = (h,) + elems
+            acc = {}
+            counts = [occurrences(k, NAME, alpha) for k in kids]
+            sizes = [None if m else 0 for m in counts]
+            for parts, count in resource.weak_compositions_with_counts(bag, len(kids), sizes):
+                maps = [ref_lna_term(k, alpha, p, m, keep_dead).items()
+                        for k, p, m in zip(kids, parts, counts)]
+                add_app(acc, maps[0], maps[1:], count)
+            return acc
+    raise AssertionError(t)  # a variable has no naming: n is 0
+
+
+def ref_lna_named(named, body, alpha, bag, n, keep_dead=True):
+    inner = _under(alpha)
+    if named != alpha:
+        return ref_lna_term(body, inner, bag, n, keep_dead)
+    arity = None if keep_dead else resource._arity(body)
+    if n == 0:
+        # Only the split that keeps nothing inside survives.
+        return {} if arity is not None and arity != len(bag) else {RApp(body, bag): 1}
+    acc = {}
+    for (w1, w2), count in resource.weak_compositions_with_counts(bag, 2, (None, arity)):
+        for u, c in ref_lna_term(body, inner, w1, n, keep_dead).items():
+            v = RApp(u, w2)
+            acc[v] = acc.get(v, 0) + c * count
+    return acc
+
+
+def _named_often(rng):
+    """An application of three random terms whose free names are all ``a``,
+    so that ``a`` and the one mu binder outside are named in several
+    children and a split has counts above 1."""
+    def kid():
+        return map_refs(gen_res(rng, 8, nd=1), name=lambda r, d: "a" if isinstance(r, str) else r)
+    return RApp(kid(), [kid(), kid()])
+
+
+@pytest.mark.parametrize("keep_dead", [True, False])
+def test_shared_walk_matches_the_named_application_reference(keep_dead):
+    # Bags draw from a pool of two terms, so elements repeat and a split
+    # counts more than one index assignment; targets are a free name and
+    # the indices 0 and 1 at the top of the term (0 is each top mu's own
+    # binder).
+    rng = random.Random(23)
+    pool = [RVar("y"), _p("\\z.z")]
+    biggest = 0
+    for _ in range(300):
+        t = _named_often(rng)
+        alpha = rng.choice(["a", 0, 1])
+        bag = mkbag(rng.choice(pool) for _ in range(rng.randrange(5)))
+        n = occurrences(t, NAME, alpha)
+        want = ref_lna_term(t, alpha, bag, n, keep_dead)
+        assert resource._linear(t, NAME, alpha, bag, n, {}, keep_dead) == want, (t, alpha, bag)
+        biggest = max([biggest, *want.values()])
+        # As the body of ``<eta| t>``, ``t`` sees the target one mu further out.
+        eta, n = rng.choice(["a", 1]), occurrences(t, NAME, _under(alpha))
+        want = ref_lna_named(eta, t, alpha, bag, n, keep_dead)
+        assert resource._lna_named(eta, t, alpha, bag, n, {}, keep_dead) == want, (t, alpha, bag)
+    assert biggest > 1
 
 
 # ---------- normalization never builds dead addends ----------
@@ -704,3 +798,54 @@ def test_unknown_semiring_is_rejected():
 def test_step_r_rejects_a_missing_position():
     with pytest.raises(ValueError):
         step_r(_p("\\x.(\\y.y)[x]"), (0, 2), NAT)
+
+
+# ---------- entry points take resource terms, so python -O keeps the check ----------
+
+# Each call passes something that is not a resource term (or, to the sum
+# entries, not a sum) and must raise TypeError, with or without -O.
+BAD_ARGUMENTS = {
+    "substitution into a str": "linear_subst('x', 'x', [RVar('y')], NAT)",
+    "substitution into a lambda-mu term": "linear_subst(Var('x'), 'x', [RVar('y')], NAT)",
+    "substitution of a str": "linear_subst(RVar('x'), 'x', ['y'], NAT)",
+    "substitution of a lambda-mu term": "linear_subst(RVar('x'), 'x', [Var('y')], NAT)",
+    "named application of an int": "linear_named_app(RMu('a', RVar('x')), 'a', [3], NAT)",
+    "named application on a lambda-mu term": "linear_named_app(Mu('a', Var('x')), 'a', [], NAT)",
+    "named-pair application on a str": "linear_named_app_named('b', 'x', 'a', [], NAT)",
+    "named-pair application of a str": "linear_named_app_named('b', RVar('x'), 'a', ['y'], NAT)",
+    "normalizing a lambda-mu term": "normalize_r(Var('x'), NAT)",
+    "normalizing a str": "normalize_r('x', BOOL)",
+    "exploring a lambda-mu term": "explore(Var('x'), NAT)",
+}
+_ENTRY_NAMES = """
+from mulam.oracle import explore
+from mulam.resource import linear_named_app, linear_named_app_named, linear_subst, normalize_r
+from mulam.syntax import BOOL, NAT, Mu, RMu, RVar, Var
+"""
+
+
+@pytest.mark.parametrize("call", list(BAD_ARGUMENTS.values()), ids=list(BAD_ARGUMENTS))
+def test_an_entry_point_rejects_what_is_not_a_resource_term(call):
+    env = {}
+    exec(_ENTRY_NAMES, env)
+    with pytest.raises(TypeError):
+        eval(call, env)
+
+
+def test_an_entry_point_rejects_what_is_not_a_resource_term_under_python_O():
+    code = _ENTRY_NAMES + f"""
+for call in {list(BAD_ARGUMENTS.values())!r}:
+    try:
+        eval(call)
+    except Exception as e:
+        print(type(e).__name__)
+    else:
+        print('accepted')
+"""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(mulam.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["TypeError"] * len(BAD_ARGUMENTS)
