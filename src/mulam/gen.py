@@ -163,7 +163,10 @@ def _res(rand, getrandbits, max_size: int, ld: int, nd: int) -> ResTerm:
 
 
 def gen_bag(rng: random.Random, max_elem_size: int) -> Bag:
-    """A bag of 0 to 2 random resource terms."""
+    """A bag of 0 to 2 random resource terms, each of size at most
+    ``max_elem_size``."""
+    if max_elem_size < 1:
+        raise ValueError(f"size budget must be at least 1, got {max_elem_size}")
     return mkbag(gen_res(rng, max_elem_size) for _ in range(_below(rng.getrandbits, 3)))
 
 

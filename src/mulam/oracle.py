@@ -116,7 +116,8 @@ def explore(
     x: ResTerm | Sum, semiring: str, node_cap: int = NODE_CAP, mode: str = "coeff"
 ) -> ReductionGraph:
     """Breadth-first closure of one-step reduction; raises GraphOverflow
-    rather than returning a truncated graph.
+    rather than returning a truncated graph, and ValueError for a node cap
+    below 1.
 
     While exploring, a node is a dict from addend id to coefficient in
     canonical addend order.  A successor is a copy of its parent's dict with
@@ -125,6 +126,8 @@ def explore(
     become canonical sums once the search is over.
     """
     _check_mode(mode)
+    if node_cap < 1:
+        raise ValueError(f"node cap must be at least 1, got {node_cap}")
     root = _as_sum(x, semiring)
     g = ReductionGraph(root=root, semiring=semiring, mode=mode)
     saturate = semiring == BOOL

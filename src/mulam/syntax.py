@@ -42,9 +42,9 @@ closed once and plugged back into the path (``plug``).
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
-import threading
 from typing import Callable, Iterable, Iterator, Sequence
 
 # ---------- identifiers ----------
@@ -52,22 +52,19 @@ from typing import Callable, Iterable, Iterator, Sequence
 # A reference is either a de Bruijn index (int, >= 0) or a free atom (str).
 Ref = int | str
 
-_fresh_lock = threading.Lock()
-_fresh_counter = 0
+# ``next`` on an ``itertools.count`` is one C call, which the interpreter
+# lock makes atomic, so two threads never draw the same number.
+_fresh_numbers = itertools.count(1)
 
 
 def fresh_atom(stem: str = "g") -> str:
-    """Return a globally fresh atom.
+    """Return a globally fresh atom: ``g~1``, ``g~2``, ... for the default stem.
 
     The tilde keeps fresh atoms disjoint from anything the grammar can
     produce, so terms that leak one would fail to round-trip; they are only
     ever used transiently while rewriting under binders.
     """
-    global _fresh_counter
-    with _fresh_lock:
-        _fresh_counter += 1
-        n = _fresh_counter
-    return f"{stem}~{n}"
+    return f"{stem}~{next(_fresh_numbers)}"
 
 
 # A reference's encoding ends in ";", so an atom holds none: the encodings
@@ -319,15 +316,11 @@ def map_refs(t, var=None, name=None, raw: bool = False):
             return RApp(go(u.head, dl, dn), [go(e, dl, dn) for e in u.bag], _raw=raw)
         if cls is App:
             return App(go(u.fun, dl, dn), go(u.arg, dl, dn))
-        if cls is RLam:
-            return RLam(go(u.body, dl + 1, dn))
-        if cls is Lam:
-            return Lam(go(u.body, dl + 1, dn))
-        named = u.named if name is None else name(u.named, dn)
-        if cls is RMu:
-            return RMu(named, go(u.body, dl, dn + 1))
-        if cls is Mu:
-            return Mu(named, go(u.body, dl, dn + 1))
+        if cls is RLam or cls is Lam:
+            return cls(go(u.body, dl + 1, dn))
+        if cls is RMu or cls is Mu:
+            named = u.named if name is None else name(u.named, dn)
+            return cls(named, go(u.body, dl, dn + 1))
         raise AssertionError(u)
 
     return go(t, 0, 0)
@@ -369,60 +362,46 @@ def occurrences(t: Term | ResTerm, kind: str, target: Ref) -> int:
     depth, or an index at the top of ``t``, which points one binder of its
     kind further out below each such binder.
 
-    One explicit-stack loop per kind counts in place: ``None`` on the stack
-    marks the end of a binder of the counted kind, so the depth is one int.
+    One explicit-stack loop counts both kinds in place.  ``kind`` picks the
+    binder that deepens the target (a lambda for ``VAR``, a mu for
+    ``NAME``) and the node that holds a reference to compare (a variable or
+    a mu's naming).  ``None`` on the stack marks the end of a binder of the
+    counted kind, so the depth is one int.
     """
     index = not isinstance(target, str)
+    of_vars = kind == VAR
     n = 0
     depth = 0
     stack = [t]
     pop, push, extend = stack.pop, stack.append, stack.extend
-    if kind == VAR:
-        while stack:
-            u = pop()
-            if u is None:
-                depth -= 1
-                continue
-            cls = type(u)
-            if cls is RVar or cls is Var:
-                if u.ref == (target + depth if index else target):
-                    n += 1
-            elif cls is RApp:
-                push(u.head)
-                extend(u.bag)
-            elif cls is App:
-                push(u.fun)
-                push(u.arg)
-            elif cls is RLam or cls is Lam:
-                push(None)
-                push(u.body)
-                depth += 1
-            elif cls is RMu or cls is Mu:
-                push(u.body)
-            else:
-                raise AssertionError(u)
-        return n
     while stack:
         u = pop()
         if u is None:
             depth -= 1
             continue
         cls = type(u)
-        if cls is RApp:
+        if cls is RVar or cls is Var:
+            if of_vars and u.ref == (target + depth if index else target):
+                n += 1
+        elif cls is RApp:
             push(u.head)
             extend(u.bag)
         elif cls is App:
             push(u.fun)
             push(u.arg)
-        elif cls is RMu or cls is Mu:
-            if u.named == (target + depth if index else target):
-                n += 1
-            push(None)
-            push(u.body)
-            depth += 1
         elif cls is RLam or cls is Lam:
+            if of_vars:
+                push(None)
+                depth += 1
             push(u.body)
-        elif cls is not RVar and cls is not Var:
+        elif cls is RMu or cls is Mu:
+            if not of_vars:
+                if u.named == (target + depth if index else target):
+                    n += 1
+                push(None)
+                depth += 1
+            push(u.body)
+        else:
             raise AssertionError(u)
     return n
 

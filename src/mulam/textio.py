@@ -127,24 +127,20 @@ def lex(src: str) -> list[Token]:
             toks.append(Token("NUM", src[i:j], i, j))
             i = j
             continue
-        if c == "'":
-            j = i + 1
-            if j >= n or not _is_ident_start(src[j]):
-                raise ParseError("expected identifier after quote", i, i + 1)
+        # One scan for every identifier: after a quote it is a name (the
+        # keyword ``mu`` included), else a variable or the keyword ``mu``.
+        quoted = c == "'"
+        k = i + 1 if quoted else i
+        if k < n and _is_ident_start(src[k]):
+            j = k + 1
             while j < n and _is_ident_char(src[j]):
                 j += 1
-            toks.append(Token("NAME", src[i + 1 : j], i, j))
+            word = src[k:j]
+            toks.append(Token("NAME" if quoted else "MU" if word == "mu" else "VAR", word, i, j))
             i = j
             continue
-        if _is_ident_start(c):
-            j = i
-            while j < n and _is_ident_char(src[j]):
-                j += 1
-            word = src[i:j]
-            toks.append(Token("MU" if word == "mu" else "VAR", word, i, j))
-            i = j
-            continue
-        raise ParseError(f"unexpected character {c!r}", i, i + 1)
+        what = "expected identifier after quote" if quoted else f"unexpected character {c!r}"
+        raise ParseError(what, i, i + 1)
     toks.append(Token("EOF", "", n, n))
     return toks
 

@@ -130,6 +130,15 @@ def test_gen_bag_respects_length_cap():
     assert lengths == {0, 1, 2}  # all arities show up
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_gen_bag_rejects_a_size_below_one_before_it_draws(seed):
+    rng = random.Random(seed)
+    state = rng.getstate()
+    with pytest.raises(ValueError):
+        gen_bag(rng, 0)
+    assert rng.getstate() == state
+
+
 def test_direct_entry_points_accept_an_rng():
     rng = random.Random(3)
     t = gen_res(rng, 12)
@@ -156,10 +165,12 @@ BAD_BUDGETS = {
     "gen_res of negative size": "gen_res(random.Random(0), -3)",
     "gen_random term of 0": "gen_random('term', 0, 1)",
     "gen_random resterm of 0": "gen_random('resterm', 0, 1)",
+    "gen_bag of element size 0": "gen_bag(random.Random(1), 0)",
+    "gen_bag of negative element size": "gen_bag(random.Random(2), -1)",
     "split into no chunks": "_split_budget(random.Random(0).getrandbits, 3, 0)",
     "split into too many chunks": "_split_budget(random.Random(0).getrandbits, 1, 2)",
 }
-_NAMES = "import random\nfrom mulam.gen import _split_budget, gen_random, gen_res, gen_term\n"
+_NAMES = "import random\nfrom mulam.gen import _split_budget, gen_bag, gen_random, gen_res, gen_term\n"
 
 
 @pytest.mark.parametrize("call", list(BAD_BUDGETS.values()), ids=list(BAD_BUDGETS))

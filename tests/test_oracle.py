@@ -71,6 +71,20 @@ def test_node_cap_is_the_largest_graph_allowed(semiring, mode):
     assert (err.value.node_cap, err.value.visited) == (count - 1, count - 1)
 
 
+@pytest.mark.parametrize("cap", [0, -5])
+@pytest.mark.parametrize("src", ["x", r"(\x.x)[y]"])
+def test_node_cap_below_one_is_rejected_before_exploring(src, cap, monkeypatch):
+    # a normal root and a root with a redex: neither is stepped
+    def no_steps(*args):
+        raise AssertionError("explored with a node cap below 1")
+
+    monkeypatch.setattr(oracle, "step_r", no_steps)
+    with pytest.raises(ValueError, match="node cap"):
+        explore(_p(src), NAT, node_cap=cap)
+    with pytest.raises(ValueError, match="node cap"):
+        joinable(_p(src), _p("x"), NAT, node_cap=cap)
+
+
 def test_distinct_normal_forms_are_not_joinable():
     assert not joinable(_p("x"), _p("y"), NAT)
 

@@ -5,6 +5,7 @@ import random
 import re
 import subprocess
 import sys
+import threading
 
 import pytest
 from hypothesis import given, strategies as st
@@ -360,6 +361,30 @@ def test_fresh_atoms_do_not_collide_or_parse():
     assert a != b and "~" in a
     with pytest.raises(ParseError):
         parse_term(a)
+
+
+def test_threads_never_draw_the_same_fresh_atom():
+    # more threads than cores, switching as often as the interpreter allows:
+    # a lost update of the counter would hand two threads one atom
+    per_thread, drawn = 2000, []
+
+    def draw():
+        drawn.append([fresh_atom("t") for _ in range(per_thread)])
+
+    first = int(fresh_atom("t").split("~")[1])
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=draw) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    numbers = sorted(int(a.split("~")[1]) for atoms in drawn for a in atoms)
+    assert numbers == list(range(first + 1, first + 1 + 8 * per_thread))
 
 
 # ---------- generated terms stay well formed ----------
