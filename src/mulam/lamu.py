@@ -10,14 +10,17 @@ term it has seen jumps to the end of its fuel.
 
 A redex is contracted on its own index: the lambda's variable is replaced
 where it occurs as an index of the body, and the mu's name is followed as an
-index through the body, so the redex's binder is never opened.  The redex
-alone is opened on the binders above it, in one pass that makes the argument
-locally closed so that it goes under binders as it is; the binders above are
-never opened.
+index through the body, so the redex's binder is never opened.  Below other
+binders it is contracted where it stands, too, unless an index that points
+to one of them would have to move (``needs_opening``).  Only then is the
+redex alone opened on the binders above it, in one pass that makes the
+argument locally closed so that it goes under binders as it is; the binders
+above are never opened.
 
-The redex finder, the head position (``head_redex_pos``) and the opening of
-a redex on the binders above it (``open_outer``) are shared with the
-resource calculus and defined in ``syntax``.
+The redex finder, the head position (``head_redex_pos``), the opening of a
+redex on the binders above it (``open_outer``) and the rule for when a redex
+needs it (``needs_opening``) are shared with the resource calculus and
+defined in ``syntax``.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ from .syntax import (
     is_hnf,
     is_locally_closed,
     map_refs,
+    needs_opening,
     path_to,
     plug,
 )
@@ -123,9 +127,10 @@ def rho_term(t: Mu) -> Mu:
 
 
 def contract(t: Term) -> Term:
-    """Contract a redex at the root.  The term must already be opened with
-    respect to any surrounding binders (free references are atoms), so the
-    argument is locally closed."""
+    """Contract a redex on its own indices.  No index that points out of
+    the redex may have to move: below binders, the term is either opened on
+    them (free references are atoms) or ``needs_opening`` is false of it,
+    so the argument is locally closed."""
     match t:
         case App(fun=Lam(body=b), arg=n):
             return map_refs(b, var=lambda r, d: n if r == d else None)
@@ -141,14 +146,18 @@ def reduce_redex(t: Term, pos: Pos) -> Term:
     """Contract the redex at ``pos``.
 
     The walk down is a loop (``syntax.path_to``) that counts the lambda and
-    mu binders above the redex.  The redex alone is opened on them
-    (``syntax.open_outer``; nothing at the root), so that the contraction
-    grafts its argument without index shifts, and the reduct is closed once
-    and plugged back into the path (``syntax.plug``).  A position that
-    is not in ``t`` raises ``ValueError``, as does one that is not a redex.
+    mu binders above the redex.  The redex is contracted where it stands
+    and plugged back into the path (``syntax.plug``), unless an index that
+    points to one of those binders would have to move
+    (``syntax.needs_opening``: an argument that holds one, or a lambda body
+    that holds a variable one).  Only then is the redex alone opened on them
+    (``syntax.open_outer``), so that the contraction grafts its argument
+    without index shifts, and the reduct closed once before it is plugged
+    back.  A position that is not in ``t`` raises ``ValueError``, as does
+    one that is not a redex.
     """
     path, u, nl, nm = path_to(t, pos)
-    if not (nl or nm):
+    if not needs_opening(u, nl, nm):
         return plug(path, contract(u))
     opened, close = syntax.open_outer(u, nl, nm)
     return plug(path, close(contract(opened)))

@@ -34,12 +34,15 @@ free atom (the public entry points) or a de Bruijn index, which goes up by
 one under each binder of its kind.  A redex is contracted on its own index
 (the lambda's variable is index 0 of its body, the mu's name index 0 at the
 mu node, so a mu redex is the named application at its own binder), so its
-binder is never opened.  Nor are the binders above it:
-``_reducts``, the one contraction entry of ``step_r`` and ``contract_res``,
-opens the redex alone on them, in one pass over the redex
-(``syntax.open_outer``), and closes each reduct once.  A distribution is
-collected in plain term -> coefficient dicts and canonicalized once per
-contraction by one ``SumBuilder``.
+binder is never opened.  Nor are the binders above it.  ``_reducts``, the
+one contraction entry of ``step_r`` and ``contract_res``, contracts a redex
+below them where it stands, as at the root, unless an index that points to
+one of them would have to move (``syntax.needs_opening``: a bag element
+that holds one, or a lambda body that holds a variable one).  Only such a
+redex is opened alone on them, in one pass over the redex
+(``syntax.open_outer``), and each of its reducts closed once.  A
+distribution is collected in plain term -> coefficient dicts and
+canonicalized once per contraction by one ``SumBuilder``.
 
 A redex that contracts to zero (a lambda redex whose bag size differs from
 the occurrences of its variable, a mu redex whose non-empty bag finds no
@@ -80,8 +83,9 @@ Every other caller (``step_sum``, the oracle, the CLI's traces and the
 
 The redex finder, the head position, the step each reduction strategy picks
 (``pick_redex``, which ``step_sum``, the CLI's traces and the ``sn`` suite
-call) and the opening of a redex on the binders above it are shared with the
-lambda-mu calculus and defined in ``syntax``.
+call), the opening of a redex on the binders above it and the rule for when
+a redex needs it are shared with the lambda-mu calculus and defined in
+``syntax``.
 """
 
 from __future__ import annotations
@@ -112,6 +116,7 @@ from .syntax import (
     head_redex_pos,
     iter_redexes,
     mkbag,
+    needs_opening,
     occurrences,
     path_to,
     pick_redex,
@@ -280,11 +285,13 @@ def contract_res(t: ResTerm, semiring: str, nl: int = 0, nm: int = 0) -> Sum:
 def _reducts(t: ResTerm, nl: int, nm: int, keep_dead: bool = True) -> Coeffs:
     """The reducts of the redex ``t`` below ``nl`` lambda and ``nm`` mu
     binders.  A vanishing redex has none and opens nothing.  Any other is
-    opened on those binders (not at all at the root), contracted, and each
-    reduct closed once.  Closing is injective, so no two reducts merge."""
+    contracted where it stands, unless an index that points to one of those
+    binders would have to move (``syntax.needs_opening``); then it is opened
+    on them, contracted, and each reduct closed once.  Closing is injective,
+    so no two reducts merge."""
     if _vanishes(t):
         return {}
-    if not (nl or nm):
+    if not needs_opening(t, nl, nm):
         return _contract(t, keep_dead)
     opened, close = syntax.open_outer(t, nl, nm)
     return {close(w): c for w, c in _contract(opened, keep_dead).items()}
@@ -294,9 +301,11 @@ def _contract(t: ResTerm, keep_dead: bool = True) -> Coeffs:
     # The redex's own binder stays closed: the lambda's variable is index 0
     # of its body, and the mu's name is index 0 at the mu node itself (1 in
     # its body), so a mu redex is the named application at its own binder.
-    # Binders above are open, so the bag elements are locally closed and go
-    # under binders as they are.  The caller has ruled out a vanishing
-    # redex, so a lambda redex's bag matches its variable's count.
+    # No bag element holds an index that points to a binder above (the
+    # caller opened those binders where one did, ``syntax.needs_opening``),
+    # so the elements go under binders as they are.  The caller has ruled
+    # out a vanishing redex, so a lambda redex's bag matches its variable's
+    # count.
     match t:
         case RApp(head=RLam(body=b), bag=bag):
             return _linear(b, VAR, 0, bag, len(bag), {})

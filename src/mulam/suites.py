@@ -285,9 +285,10 @@ def mirror_step(t: ResTerm, pos: Pos, semiring: str) -> Sum:
     or one that ends at a non-redex, is a ``ValueError``.
 
     The walk is a loop.  It goes down in pre-order, counting the lambda and
-    mu binders above each copy of the redex, and contracts each copy opened
-    on those binders alone (``contract_res``); then it rebuilds the nodes
-    above from their children's sums with the plain constructors.
+    mu binders above each copy of the redex, and contracts each copy where
+    it stands, or opened on those binders alone where an index must move
+    (``contract_res``); then it rebuilds the nodes above from their
+    children's sums with the plain constructors.
     """
     # Down: every node at pos[:depth], in pre-order, with the reducts of the
     # nodes at the end of the position.

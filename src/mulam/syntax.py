@@ -27,7 +27,8 @@ shape-directed operation is defined here once, for both, and dispatches on
 the node's exact class: the reference walks ``map_refs`` and ``iter_refs``,
 the occurrence count ``occurrences`` (``degree`` and the resource engine's
 splits both use it), the walk down a position ``path_to`` and the rebuild
-back up ``plug``, the redex opener ``open_outer``, the redex finder
+back up ``plug``, the redex opener ``open_outer`` and the rule for when
+a redex needs it, ``needs_opening``, the redex finder
 ``redex_kind``, ``iter_redexes``/``redexes``, ``head_redex_pos`` and
 ``is_hnf``, and ``pick_redex``, the one definition of each reduction
 strategy, for a lone term and for the addends of a sum.  Both engines and
@@ -35,9 +36,13 @@ their callers import these from here; ``textio`` has the one printer and the
 one JSON export.
 
 A step at a position walks down to the redex in a loop, counting the lambda
-and mu binders above it, and opens the redex alone on them in one pass
-(``open_outer``); the binders above are never opened, and each reduct is
-closed once and plugged back into the path (``plug``).
+and mu binders above it, contracts the redex there and plugs each reduct
+back into the path (``plug``).  A redex is contracted where it stands, on
+its own indices, unless an index that points to a binder above would have
+to move (``needs_opening``: an argument that holds one, or a lambda body
+that holds a variable one).  Only then is the redex alone opened on those
+binders in one pass (``open_outer``) and each reduct closed once; the
+binders above are never opened.
 """
 
 from __future__ import annotations
@@ -601,10 +606,11 @@ class Sum:
 
 def _canonical_items(semiring: str, coeffs: dict[ResTerm, int]) -> tuple[tuple[ResTerm, int], ...]:
     """The items of a sum from positive coefficients: one sort by encoding,
-    and Bool coefficients saturated to 1."""
+    and Bool coefficients saturated to 1.  A sum of at most one addend is
+    already in order, so it is not sorted."""
     if semiring == BOOL:
-        return tuple((t, 1) for t in sorted(coeffs, key=_bag_key))
-    return tuple(sorted(coeffs.items(), key=_item_key))
+        return tuple((t, 1) for t in (coeffs if len(coeffs) < 2 else sorted(coeffs, key=_bag_key)))
+    return tuple(coeffs.items() if len(coeffs) < 2 else sorted(coeffs.items(), key=_item_key))
 
 
 def _item_key(item: tuple[ResTerm, int]) -> tuple[int, bytes]:
@@ -761,9 +767,11 @@ def open_outer(u: Term | ResTerm, nl: int, nm: int):
     Returns ``(opened, close)``: ``close`` turns a term of ``u``'s syntax
     built from the opened one (a reduct) back into indices at its top, so
     that it fits where ``u`` was.  Only ``u`` is walked; the binders above
-    it and their other children are never opened.  This is the step of
-    every walk down a path to a redex (``lamu.reduce_redex``,
-    ``resource.step_r``, ``suites.mirror_step``).
+    it and their other children are never opened.  A walk down a path to a
+    redex (``lamu.reduce_redex``, ``resource.step_r``,
+    ``suites.mirror_step``) calls it only when ``needs_opening`` says that
+    the contraction would have to move an index; any other redex is
+    contracted where it stands.
     """
     mk = RVar if isinstance(u, ResTerm) else Var
     atoms = [fresh_atom("v") for _ in range(nl)]
@@ -794,6 +802,52 @@ def open_outer(u: Term | ResTerm, nl: int, nm: int):
         return map_refs(w, var=var_out, name=name_out)
 
     return map_refs(u, var=var_in, name=name_in, raw=True), close
+
+
+def needs_opening(u: Term | ResTerm, nl: int, nm: int) -> bool:
+    """Must the redex ``u``, below ``nl`` lambda and ``nm`` mu binders, be
+    opened on them (``open_outer``) before it is contracted?
+
+    A contraction works on the redex's own indices and shifts no other
+    index, so it is right in place unless an index that points to a binder
+    above would have to move.  That happens in two cases:
+
+    - an argument (a bag element) holds one, and the argument goes below
+      binders of the redex, where the index would have to go up;
+    - a lambda redex's body holds a variable one, and the lambda's binder
+      goes away, so the index would have to go down.
+
+    A rho redex never needs opening: ``rho_inner_parts`` lowers every index
+    past the binder it removes.  Nothing at the root does, as there is no
+    binder above.  Any other term is no redex and gets False, so that its
+    contraction raises.
+    """
+    if not (nl or nm):
+        return False
+    cls = type(u)
+    if cls is RApp:
+        head, args = u.head, u.bag
+    elif cls is App:
+        head, args = u.fun, (u.arg,)
+    else:
+        return False
+    hc = type(head)
+    if hc is RLam or hc is Lam:
+        if _points_above(head, nl, 0):
+            return True
+    elif hc is not RMu and hc is not Mu:
+        return False
+    return any(_points_above(a, nl, nm) for a in args)
+
+
+def _points_above(t: Term | ResTerm, nl: int, nm: int) -> bool:
+    """Does ``t`` hold an index that points to one of the ``nl`` lambda or
+    ``nm`` mu binders just outside it?  These are the references that
+    ``open_outer`` would turn into atoms."""
+    for kind, r, d in iter_refs(t):
+        if isinstance(r, int) and (d <= r < d + nl if kind == VAR else d < r <= d + nm):
+            return True
+    return False
 
 
 # ---------- positions ----------

@@ -10,9 +10,9 @@ import pytest
 
 from mulam import syntax
 
-# Every walk down to a redex opens it through ``syntax.open_outer``, which
-# its callers and the helper itself (for ``fresh_atom``) look up in
-# ``syntax`` when they are called.
+# A walk down to a redex that must be opened opens it through
+# ``syntax.open_outer``, which its callers and the helper itself (for
+# ``fresh_atom``) look up in ``syntax`` when they are called.
 _BINDER_OPS = ("fresh_atom", "open_outer", "open_mu_binder", "open_var", "close_var",
                "open_name", "close_name", "open_rvar", "close_rvar", "open_rname",
                "close_rname")

@@ -9,14 +9,18 @@ the shared ones list each kind's names once per term.
 """
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
-from mulam import syntax, textio
+import mulam
+from mulam import resource, syntax, textio
 from mulam.gen import gen_res, gen_term
 from mulam.lamu import contract, reduce_redex
-from mulam.resource import contract_res, step_r
+from mulam.resource import contract_res, normalize_r, step_r
 from mulam.suites import mirror_step
 from mulam.syntax import (
     BOOL,
@@ -45,6 +49,7 @@ from mulam.syntax import (
     open_var,
 )
 from mulam.textio import parse_res, parse_term
+from test_resource import _assert_steps_match_reference
 
 SEEDS = range(400)
 
@@ -540,7 +545,11 @@ def test_mirror_step_matches_the_twin_walk():
     assert checked > 400
 
 
-# ---------- the path walk opens the redex alone, once ----------
+# ---------- the path walk opens the redex alone, once, when it must ----------
+#
+# A redex below binders is contracted where it stands unless an index that
+# points to one of them would have to move (``syntax.needs_opening``); only
+# then is it opened, once, on those binders.
 
 
 def _spy_opening(monkeypatch):
@@ -580,7 +589,9 @@ def _assert_opened_once(opened, passes, redex, want, reducts):
     ("\\z. mu 'a.<'a> (\\x.x) z", (0, 0), (1, 1)),
     ("\\w. \\z. mu 'a.<'a> (\\x.x w) (mu 'b.<'a> z)", (0, 0, 0), (2, 1)),
     ("\\w. mu 'a.<'a> \\z. mu 'b.<'a> (mu 'g.<'b> w z) z", (0, 0, 0, 0), (2, 2)),
-    ("\\w. mu 'a.<'a> mu 'b.<'b> mu 'g.<'a> w", (0, 0), (1, 1)),
+    # a rho redex re-indexes itself, also where its naming and its body
+    # point to the binders above
+    ("\\w. mu 'a.<'a> mu 'b.<'b> mu 'g.<'a> w", (0, 0), None),
 ])
 def test_reduce_redex_opens_the_redex_once_on_the_binders_above(monkeypatch, src, pos, want):
     t = parse_term(src)
@@ -614,8 +625,9 @@ def test_step_r_opens_a_live_redex_once_on_the_binders_above(monkeypatch, src, w
 @pytest.mark.parametrize("src, pos, copies", [
     ("z[(\\y.y)[x], (\\y.y)[w]]", (1,), []),
     ("\\x.(\\y.y)[x]", (0,), [((0,), 1, 0)]),
-    ("\\u. mu 'a.<'a> z[(\\y.y)[u], (\\y.y)[w]]", (0, 0, 1),
-     [((0, 0, 1), 1, 1), ((0, 0, 2), 1, 1)]),
+    # the copy whose bag points at no binder above, ``(\\y.y)[w]``, is
+    # contracted where it stands
+    ("\\u. mu 'a.<'a> z[(\\y.y)[u], (\\y.y)[w]]", (0, 0, 1), [((0, 0, 1), 1, 1)]),
 ])
 def test_mirror_step_opens_each_copy_once_on_the_binders_above(monkeypatch, src, pos, copies):
     # ``copies`` are the approximant's positions of the redex's copies, each
@@ -626,6 +638,135 @@ def test_mirror_step_opens_each_copy_once_on_the_binders_above(monkeypatch, src,
     got = mirror_step(t, pos, BOOL)
     assert opened == [(_at(t, c), nl, nm) for c, nl, nm in copies]
     assert got == want
+
+
+# ---------- the opening rule, one row per side of each clause ----------
+#
+# Each row is one redex below binders, written in the lambda-mu and in the
+# resource calculus, with the lambda and mu binders that it is opened on, or
+# None where it is contracted where it stands.  Every step must equal the
+# always-opening references.
+
+OPENING_ROWS = [
+    # a rho redex re-indexes itself, under a lambda and under a mu (whose
+    # index the inner naming lowers)
+    ("\\z. mu 'a.<'b> mu 'g.<'a> z", "\\z. mu 'a.<'b> mu 'g.<'a> z", None),
+    ("mu 'd.<'d> x (mu 'a.<'d> mu 'b.<'d> y)", "mu 'd.<'d> x[mu 'a.<'d> mu 'b.<'d> y]", None),
+    # a mu redex with a closed argument, whose body points at both binders
+    ("\\z. mu 'a.<'a> (mu 'b.<'b> z (mu 'g.<'a> x)) w",
+     "\\z. mu 'a.<'a> (mu 'b.<'b> z[mu 'g.<'a> x])[w]", None),
+    # a lambda body that points only at its own binder, or one binder above
+    ("\\z. mu 'a.<'a> (\\x. \\y. x y) w", "\\z. mu 'a.<'a> (\\x. \\y. x[y])[w]", None),
+    ("\\z. mu 'a.<'a> (\\x. x z) w", "\\z. mu 'a.<'a> (\\x. x[z])[w]", (1, 1)),
+    # a lambda body that names the mu above: a lambda binder shifts no name
+    ("\\z. mu 'a.<'a> (\\x. mu 'b.<'a> x) w", "\\z. mu 'a.<'a> (\\x. mu 'b.<'a> x)[w]", None),
+    # an argument whose indices all point inside it
+    ("\\z. mu 'a.<'a> (\\x. x) (\\y. mu 'b.<'b> y)",
+     "\\z. mu 'a.<'a> (\\x. x)[\\y. mu 'b.<'b> y]", None),
+    # an argument that points out under a lambda only, and under a mu only
+    ("\\z. (\\x. x) z", "\\z. (\\x. x)[z]", (1, 0)),
+    ("mu 'a.<'a> (\\x. x) (mu 'b.<'a> y)", "mu 'a.<'a> (\\x. x)[mu 'b.<'a> y]", (0, 1)),
+    ("\\z. (mu 'b.<'b> y) z", "\\z. (mu 'b.<'b> y)[z]", (1, 0)),
+    ("mu 'a.<'a> (mu 'b.<'b> y) (mu 'g.<'a> w)", "mu 'a.<'a> (mu 'b.<'b> y)[mu 'g.<'a> w]", (0, 1)),
+]
+
+
+def _one_redex(t):
+    """The position of the one redex of ``t``, and ``path_to`` there."""
+    [(pos, _)] = syntax.redexes(t)
+    return (pos, *syntax.path_to(t, pos))
+
+
+@pytest.mark.parametrize("lamu_src, res_src, want", OPENING_ROWS)
+def test_reduce_redex_opens_exactly_where_an_index_must_move(monkeypatch, lamu_src, res_src, want):
+    t = parse_term(lamu_src)
+    pos, _, u, nl, nm = _one_redex(t)
+    assert want in (None, (nl, nm))
+    ref = ref_reduce_redex(t, pos)
+    opened, passes = _spy_opening(monkeypatch)
+    assert reduce_redex(t, pos) == ref
+    _assert_opened_once(opened, passes, u, want, 1)
+
+
+@pytest.mark.parametrize("keep_dead", [True, False])
+@pytest.mark.parametrize("semiring", [BOOL, NAT])
+@pytest.mark.parametrize("lamu_src, res_src, want", OPENING_ROWS)
+def test_step_r_opens_exactly_where_an_index_must_move(monkeypatch, lamu_src, res_src, want,
+                                                       semiring, keep_dead):
+    t = parse_res(res_src)
+    pos, path, u, nl, nm = _one_redex(t)
+    _assert_steps_match_reference(t, semiring)
+    ref = ref_step_r(t, pos, semiring)
+    ref_mirror = ref_mirror_step(t, pos, semiring)
+    with monkeypatch.context() as m:
+        # the same step with every redex below binders opened
+        m.setattr(resource, "needs_opening", lambda u, nl, nm: bool(nl or nm))
+        opening = step_r(t, pos, semiring, keep_dead=keep_dead)
+    opened, passes = _spy_opening(monkeypatch)
+    got = step_r(t, pos, semiring, keep_dead=keep_dead)
+    _assert_opened_once(opened, passes, u, want, len(got))
+    assert got == opening and not got.is_zero
+    if keep_dead:
+        assert got == ref
+    else:
+        # only addends of normal form 0 are left out
+        assert all(ref.coeff(w) == c for w, c in got.items)
+        assert normalize_r(got, semiring) == normalize_r(ref, semiring)
+    opened.clear()
+    assert mirror_step(t, pos, semiring) == ref_mirror
+    assert contract_res(u, semiring, nl, nm).map(lambda w: syntax.plug(path, w)) == ref
+    # mirror_step and contract_res open as step_r does
+    assert opened == ([] if want is None else [(u, *want)] * 2)
+
+
+# A term of each calculus with no redex, and a position below a lambda and a
+# mu of each of its nodes there: an application, a variable, a lambda, a mu
+# whose body is no mu, and an application and a variable below those.
+NO_REDEX = ("\\z. mu 'a.<'a> x (\\y. mu 'b.<'a> y z)", "\\z. mu 'a.<'a> x[\\y. mu 'b.<'a> y[z]]")
+NO_REDEX_POSITIONS = [(0, 0), (0, 0, 0), (0, 0, 1), (0, 0, 1, 0), (0, 0, 1, 0, 0), (0, 0, 1, 0, 0, 0)]
+
+
+@pytest.mark.parametrize("pos", NO_REDEX_POSITIONS)
+def test_a_position_that_is_no_redex_below_binders_is_rejected(pos):
+    m, t = parse_term(NO_REDEX[0]), parse_res(NO_REDEX[1])
+    assert m.normal and t.normal
+    with pytest.raises(ValueError):
+        reduce_redex(m, pos)
+    for semiring in (BOOL, NAT):
+        with pytest.raises(ValueError):
+            step_r(t, pos, semiring)
+        with pytest.raises(ValueError):
+            contract_res(_at(t, pos), semiring, *syntax.path_to(t, pos)[2:])
+        with pytest.raises(ValueError):
+            mirror_step(t, pos, semiring)
+
+
+def test_a_position_that_is_no_redex_below_binders_is_rejected_under_python_O():
+    # python -O strips assert statements; each case must still raise.
+    code = f"""
+from mulam import syntax
+from mulam.lamu import reduce_redex
+from mulam.resource import contract_res, step_r
+from mulam.textio import parse_res, parse_term
+m, t = parse_term({NO_REDEX[0]!r}), parse_res({NO_REDEX[1]!r})
+for pos in {NO_REDEX_POSITIONS!r}:
+    _, u, nl, nm = syntax.path_to(t, pos)
+    for case in (lambda: reduce_redex(m, pos), lambda: step_r(t, pos, 'nat'),
+                 lambda: contract_res(u, 'bool', nl, nm)):
+        try:
+            case()
+        except Exception as e:
+            print(type(e).__name__)
+        else:
+            print('accepted')
+"""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(mulam.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["ValueError"] * (3 * len(NO_REDEX_POSITIONS))
 
 
 @pytest.mark.parametrize("chunk", range(4))

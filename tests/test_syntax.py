@@ -26,6 +26,7 @@ from mulam.syntax import (
     Sum,
     SumBuilder,
     Var,
+    _canonical_items,
     close_rvar,
     deg_bag,
     degree,
@@ -149,6 +150,20 @@ def test_bool_sums_saturate():
     x = RVar("x")
     s = Sum(BOOL, [(x, 1), (x, 5)])
     assert s.coeff(x) == 1
+
+
+@pytest.mark.parametrize("semiring", [BOOL, NAT])
+@pytest.mark.parametrize("n", range(4))
+def test_canonical_items_equal_the_sorted_form(n, semiring):
+    # A sum of at most one addend skips the sort.  At every size the items
+    # are sorted by encoding, with Bool coefficients saturated to 1; the
+    # addends are handed over out of order.
+    coeffs = dict(list(zip([RApp(RVar("x"), [RVar("z")]), RVar("yy"), RVar("x")], (3, 1, 2)))[:n])
+    want = tuple(sorted(((t, 1 if semiring == BOOL else c) for t, c in coeffs.items()),
+                        key=lambda item: (len(item[0].enc), item[0].enc)))
+    assert _canonical_items(semiring, dict(coeffs)) == want
+    assert SumBuilder(semiring, dict(coeffs)).build().items == want
+    assert Sum(semiring, coeffs.items()).items == want
 
 
 def test_zero_coefficients_vanish():
