@@ -9,10 +9,17 @@ Every draw is one of two primitives of the ``random.Random`` it is given,
 passed down the recursion as bound methods: ``random()`` for a weighted
 choice or a coin, ``getrandbits`` for an integer below a bound (``_below``,
 the rejection sampler behind ``randrange``, ``choice``, ``randint`` and
-``sample``).  Each weighted choice is a table built once at import and drawn
-as ``random.choices`` draws.  So a seed gives the same terms, and leaves the
-generator in the same state, as the stdlib wrappers would, without their
-per-call overhead.
+``sample``).  Each weighted choice is a table built once at import, whose
+fields (cumulative weights, total, population) the generators read inline
+to draw as ``random.choices`` draws; a split into two parts is its one cut,
+drawn inline as ``_split_budget`` draws it.  So a seed gives the same terms,
+and leaves the generator in the same state, as the stdlib wrappers would,
+without their per-call overhead.
+
+Leaves are shared: a free atom, or an index below ``_SHARED_INDICES``, is
+one node built at import and returned by every draw of it.  Sharing is safe
+because nodes are immutable, equality and hashing go through their
+encoding, and nothing in the package compares nodes by identity.
 """
 
 from __future__ import annotations
@@ -28,34 +35,25 @@ FREE_VARS = ("x", "y", "z")
 FREE_NAMES = ("a", "b", "c")
 
 
-class _Weighted:
-    """A fixed weighted choice whose cumulative weights are summed once.
-
-    ``pick(rng.random)`` draws exactly as ``rng.choices(population,
-    weights)[0]`` does: one ``rng.random()`` call, scaled by the total
-    weight, and the same bisection.  So it returns the same value and leaves
-    the generator in the same state.
-    """
-
-    __slots__ = ("population", "weights", "cum", "hi")
-
-    def __init__(self, pairs: list[tuple[object, int]]):
-        self.population = tuple(p for p, _ in pairs)
-        self.weights = tuple(w for _, w in pairs)
-        self.cum = tuple(accumulate(self.weights))
-        self.hi = len(self.cum) - 1
-
-    def pick(self, rand: Callable[[], float]):
-        return self.population[bisect(self.cum, rand() * self.cum[-1], 0, self.hi)]
+def _weighted(pairs: list[tuple[object, int]]) -> tuple[tuple[int, ...], float, int, tuple]:
+    """A fixed weighted choice as ``(cum, total, hi, population)``: the
+    cumulative weights summed once, their total as a float, the last index
+    and the values.  ``population[bisect(cum, rand() * total, 0, hi)]``
+    draws exactly as ``rng.choices(population, weights)[0]`` does: one
+    ``rng.random()`` call, scaled by the total weight, and the same
+    bisection.  So it returns the same value and leaves the generator in the
+    same state."""
+    cum = tuple(accumulate(w for _, w in pairs))
+    return cum, cum[-1] + 0.0, len(cum) - 1, tuple(p for p, _ in pairs)
 
 
-_BAG_SIZE = _Weighted([(0, 30), (1, 45), (2, 25)])
+_BAG_SIZE = _weighted([(0, 30), (1, 45), (2, 25)])
 
 # No mu binder is drawn below this many mu binders.
 _MU_CAP = 3
 
 
-def _res_kinds(room: bool, mu_ok: bool) -> _Weighted:
+def _res_kinds(room: bool, mu_ok: bool) -> tuple:
     """The node kinds ``gen_res`` draws from: only a variable without room
     for a child, a mu only below the mu cap."""
     pairs = [("var", 2)]
@@ -63,10 +61,10 @@ def _res_kinds(room: bool, mu_ok: bool) -> _Weighted:
         pairs += [("lam", 2), ("app", 4)]
         if mu_ok:
             pairs.append(("mu", 2))
-    return _Weighted(pairs)
+    return _weighted(pairs)
 
 
-def _term_kinds(nodes: int, mu_ok: bool) -> _Weighted:
+def _term_kinds(nodes: int, mu_ok: bool) -> tuple:
     """The node kinds ``gen_term`` draws from with a budget of ``nodes``
     (counted up to 3): a binder needs 2, an application 3."""
     pairs = [("var", 2)]
@@ -76,13 +74,21 @@ def _term_kinds(nodes: int, mu_ok: bool) -> _Weighted:
             pairs.append(("mu", 2))
     if nodes >= 3:
         pairs.append(("app", 5))
-    return _Weighted(pairs)
+    return _weighted(pairs)
 
 
 _RES_KINDS = {(room, mu_ok): _res_kinds(room, mu_ok)
               for room in (False, True) for mu_ok in (False, True)}
 _TERM_KINDS = {(nodes, mu_ok): _term_kinds(nodes, mu_ok)
                for nodes in (1, 2, 3) for mu_ok in (False, True)}
+
+# Shared leaves: the free atoms, and the indices below _SHARED_INDICES, of
+# both syntaxes.  A deeper index gets a node of its own.
+_SHARED_INDICES = 16
+_RES_ATOMS = tuple(RVar(x) for x in FREE_VARS)
+_RES_INDICES = tuple(RVar(i) for i in range(_SHARED_INDICES))
+_TERM_ATOMS = tuple(Var(x) for x in FREE_VARS)
+_TERM_INDICES = tuple(Var(i) for i in range(_SHARED_INDICES))
 
 
 def _below(getrandbits: Callable[[int], int], n: int) -> int:
@@ -107,8 +113,6 @@ def _split_budget(getrandbits: Callable[[int], int], total: int, parts: int) -> 
     """
     if parts < 1 or total < parts:
         raise ValueError(f"cannot split {total} into {parts} positive chunks")
-    if parts == 1:
-        return [total]
     n = total - 1
     cuts: list[int] = []
     if n <= 21:
@@ -137,11 +141,13 @@ def gen_res(rng: random.Random, max_size: int, ld: int = 0, nd: int = 0) -> ResT
 
 
 def _res(rand, getrandbits, max_size: int, ld: int, nd: int) -> ResTerm:
-    kind = _RES_KINDS[max_size >= 2, nd < _MU_CAP].pick(rand)
+    cum, total, hi, kinds = _RES_KINDS[max_size >= 2, nd < _MU_CAP]
+    kind = kinds[bisect(cum, rand() * total, 0, hi)]
     if kind == "var":
         if ld > 0 and rand() < 0.6:
-            return RVar(_below(getrandbits, ld))
-        return RVar(FREE_VARS[_below(getrandbits, 3)])
+            i = _below(getrandbits, ld)
+            return _RES_INDICES[i] if i < _SHARED_INDICES else RVar(i)
+        return _RES_ATOMS[_below(getrandbits, 3)]
     if kind == "lam":
         return RLam(_res(rand, getrandbits, max_size - 1, ld + 1, nd))
     if kind == "mu":
@@ -153,10 +159,19 @@ def _res(rand, getrandbits, max_size: int, ld: int, nd: int) -> ResTerm:
             named = FREE_NAMES[_below(getrandbits, 3)]
         return RMu(named, _res(rand, getrandbits, max_size - 1, ld, nd + 1))
     # The kind left is "app".
-    k = _BAG_SIZE.pick(rand)
+    cum, total, hi, sizes = _BAG_SIZE
+    k = sizes[bisect(cum, rand() * total, 0, hi)]
     while max_size - 1 - k < k + 1:
         k -= 1
-    chunks = _split_budget(getrandbits, max_size - 1 - k, k + 1)
+    budget = max_size - 1 - k
+    if k == 0:
+        return RApp(_res(rand, getrandbits, budget, ld, nd), ())
+    if k == 1:
+        # One cut, drawn as _split_budget draws it for two parts.
+        cut = _below(getrandbits, budget - 1) + 1
+        head = _res(rand, getrandbits, cut, ld, nd)
+        return RApp(head, (_res(rand, getrandbits, budget - cut, ld, nd),))
+    chunks = _split_budget(getrandbits, budget, k + 1)
     head = _res(rand, getrandbits, chunks[0], ld, nd)
     elems = [_res(rand, getrandbits, c, ld, nd) for c in chunks[1:]]
     return RApp(head, elems)
@@ -179,11 +194,13 @@ def gen_term(rng: random.Random, max_nodes: int, ld: int = 0, nd: int = 0) -> Te
 
 
 def _term(rand, getrandbits, max_nodes: int, ld: int, nd: int) -> Term:
-    kind = _TERM_KINDS[min(max_nodes, 3), nd < _MU_CAP].pick(rand)
+    cum, total, hi, kinds = _TERM_KINDS[min(max_nodes, 3), nd < _MU_CAP]
+    kind = kinds[bisect(cum, rand() * total, 0, hi)]
     if kind == "var":
         if ld > 0 and rand() < 0.6:
-            return Var(_below(getrandbits, ld))
-        return Var(FREE_VARS[_below(getrandbits, 3)])
+            i = _below(getrandbits, ld)
+            return _TERM_INDICES[i] if i < _SHARED_INDICES else Var(i)
+        return _TERM_ATOMS[_below(getrandbits, 3)]
     if kind == "lam":
         return Lam(_term(rand, getrandbits, max_nodes - 1, ld + 1, nd))
     if kind == "mu":
@@ -192,9 +209,11 @@ def _term(rand, getrandbits, max_nodes: int, ld: int, nd: int) -> Term:
         else:
             named = FREE_NAMES[_below(getrandbits, 3)]
         return Mu(named, _term(rand, getrandbits, max_nodes - 1, ld, nd + 1))
-    # The kind left is "app".
-    nf, na = _split_budget(getrandbits, max_nodes - 1, 2)
-    return App(_term(rand, getrandbits, nf, ld, nd), _term(rand, getrandbits, na, ld, nd))
+    # The kind left is "app": one cut, drawn as _split_budget draws it for
+    # two parts.
+    cut = _below(getrandbits, max_nodes - 2) + 1
+    return App(_term(rand, getrandbits, cut, ld, nd),
+               _term(rand, getrandbits, max_nodes - 1 - cut, ld, nd))
 
 
 def gen_random(kind: str, max_size: int, seed: int):

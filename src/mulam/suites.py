@@ -132,6 +132,19 @@ def _sample_seed(seed: int, i: int) -> int:
     return seed * 1_000_003 + i
 
 
+def _samples(samples: int, seed: int):
+    """``(i, si, rng)`` for each sample ``i``, with its seed ``si`` and one
+    generator per suite run, reseeded with ``si`` per sample.  After
+    ``rng.seed(si)`` the generator is in the state ``random.Random(si)``
+    starts in, so each sample draws what a fresh generator would, without
+    building one per sample."""
+    rng = random.Random()
+    for i in range(samples):
+        si = _sample_seed(seed, i)
+        rng.seed(si)
+        yield i, si, rng
+
+
 # ---------- strong normalization + measure ----------
 
 _STRATEGIES = ("leftmost", "rightmost", "random")
@@ -148,12 +161,14 @@ def sn_suite(samples: int = 1000, seed: int = 0, max_term_size: int = 30) -> Sui
     reduct with its measure verdict, and each term's ``bold_ms``.  Each is a
     function of the term alone, so every strategy takes the steps and
     records the failures it would without the memo; each is just computed
-    once per sample.
+    once per sample.  A normal sample takes no step under any strategy, so
+    it is not walked at all.
     """
     report = SuiteReport("sn", samples)
-    for i in range(samples):
-        si = _sample_seed(seed, i)
-        t = gen_res(random.Random(si), max_term_size)
+    for i, si, rng in _samples(samples, seed):
+        t = gen_res(rng, max_term_size)
+        if t.normal:
+            continue
         found: dict[ResTerm, list] = {}
         stepped: dict[tuple[ResTerm, Pos], tuple[Sum, BoldMeasure, ResTerm | None]] = {}
         measured: dict[ResTerm, BoldMeasure] = {}
@@ -170,9 +185,10 @@ def sn_suite(samples: int = 1000, seed: int = 0, max_term_size: int = 30) -> Sui
                 m = measured[u] = bold_ms(u)
             return m
 
-        # Only the random strategy draws, so the three share its rng, seeded
-        # si * 4 + 1 + its index in ``_STRATEGIES``.
-        rng = random.Random(si * 4 + 3)
+        # Only the random strategy draws, so the three share its stream: the
+        # sample's generator reseeded with si * 4 + 1 + its index in
+        # ``_STRATEGIES``.
+        rng.seed(si * 4 + 3)
         for strategy in _STRATEGIES:
             s = Sum.unit(t, NAT)
             steps = 0
@@ -218,9 +234,8 @@ def confluence_suite(
     """Exhaustive reduction graphs have one sink, the engine agrees with it,
     and forgetting exact counts lands on the boolean normal form."""
     report = SuiteReport("confluence", samples)
-    for i in range(samples):
-        si = _sample_seed(seed, i)
-        t = gen_res(random.Random(si), max_term_size)
+    for i, si, rng in _samples(samples, seed):
+        t = gen_res(rng, max_term_size)
         nfs: dict[str, Sum] = {}
         for semiring in (BOOL, NAT):
             try:
@@ -259,9 +274,8 @@ def confluence_suite(
 def support_suite(samples: int = 500, seed: int = 0, max_term_size: int = 14) -> SuiteReport:
     """support(exact-count normal form) = boolean normal form, engine only."""
     report = SuiteReport("support", samples)
-    for i in range(samples):
-        si = _sample_seed(seed, i)
-        t = gen_res(random.Random(si), max_term_size)
+    for i, si, rng in _samples(samples, seed):
+        t = gen_res(rng, max_term_size)
         got = normalize_r(t, NAT).support()
         want = normalize_r(t, BOOL)
         if got != want:
@@ -346,9 +360,7 @@ def simulation_suite(samples: int = 200, seed: int = 0, max_term_size: int = 10)
     """One step upstairs is matched downstairs: contracting the mirrored
     redex in any approximant lands inside the approximants of the reduct."""
     report = SuiteReport("simulation", samples)
-    for i in range(samples):
-        si = _sample_seed(seed, i)
-        rng = random.Random(si)
+    for i, si, rng in _samples(samples, seed):
         for _ in range(1000):
             m = gen_term(rng, max_term_size)
             rs = redexes(m)
@@ -383,9 +395,8 @@ _INJECTIVITY_BUDGET = 10
 def injectivity_suite(samples: int = 100, seed: int = 0, max_term_size: int = 12) -> SuiteReport:
     """Distinct approximants of one term never share a normal-form addend."""
     report = SuiteReport("injectivity", samples)
-    for i in range(samples):
-        si = _sample_seed(seed, i)
-        m = gen_term(random.Random(si), max_term_size)
+    for i, si, rng in _samples(samples, seed):
+        m = gen_term(rng, max_term_size)
         owner: dict[ResTerm, ResTerm] = {}
         clash = None
         for t in taylor_enum(m, _INJECTIVITY_BUDGET):
@@ -709,16 +720,13 @@ def lemmas_suite(samples: int = 200, seed: int = 0, max_term_size: int = 6) -> S
     The term ``t`` of an instance has size at most ``max_term_size``; bag
     elements keep their own bound of 4."""
     report = SuiteReport("lemmas", samples * len(LEMMA_INSTANCES))
-    k = 0
-    for name, make in LEMMA_INSTANCES:
-        for i in range(samples):
-            si = _sample_seed(seed, k)
-            shown, lhs, rhs = make(random.Random(si), max_term_size)
-            if lhs != rhs:
-                report.failures.append(
-                    Failure(k, si, shown(), print_sum(lhs), print_sum(rhs), note=name)
-                )
-            k += 1
+    for k, si, rng in _samples(report.samples, seed):
+        name, make = LEMMA_INSTANCES[k // samples]
+        shown, lhs, rhs = make(rng, max_term_size)
+        if lhs != rhs:
+            report.failures.append(
+                Failure(k, si, shown(), print_sum(lhs), print_sum(rhs), note=name)
+            )
     return report
 
 

@@ -4,6 +4,8 @@ import os
 import random
 import subprocess
 import sys
+from bisect import bisect
+from itertools import accumulate
 
 import pytest
 
@@ -18,6 +20,7 @@ from mulam.syntax import (
     RLam,
     RMu,
     RVar,
+    Var,
     is_locally_closed,
     size,
 )
@@ -231,27 +234,40 @@ def _tables():
     return [gen._BAG_SIZE, *gen._RES_KINDS.values(), *gen._TERM_KINDS.values()]
 
 
+def _weights(table):
+    cum, _, _, population = table
+    return population, tuple(b - a for a, b in zip((0, *cum), cum))
+
+
+def _read(table, rand):
+    # The draw the generators make inline from a table's fields.
+    cum, total, hi, population = table
+    return population[bisect(cum, rand() * total, 0, hi)]
+
+
 @pytest.mark.parametrize("table", range(11))
 def test_a_table_draws_as_random_choices_does(table):
     w = _tables()[table]
+    population, weights = _weights(w)
+    assert w[1:3] == (float(sum(weights)), len(population) - 1)
     for seed in range(500):
         mine, theirs = random.Random(seed), random.Random(seed)
         for _ in range(8):
-            assert w.pick(mine.random) == theirs.choices(w.population, w.weights)[0]
+            assert _read(w, mine.random) == theirs.choices(population, weights)[0]
             assert mine.getstate() == theirs.getstate()
 
 
 def test_the_tables_are_the_lists_the_generators_built():
     assert len(_tables()) == 11
-    assert (gen._BAG_SIZE.population, gen._BAG_SIZE.weights) == ((0, 1, 2), (30, 45, 25))
+    assert _weights(gen._BAG_SIZE) == ((0, 1, 2), (30, 45, 25))
     for size in range(1, 6):
         for nd in range(5):
             for mu_cap in range(4):
-                w = gen._RES_KINDS[size >= 2, nd < mu_cap]
-                assert [list(w.population), list(w.weights)] == list(
+                population, weights = _weights(gen._RES_KINDS[size >= 2, nd < mu_cap])
+                assert [list(population), list(weights)] == list(
                     _choices_of_gen_res(size, nd, mu_cap))
-                w = gen._TERM_KINDS[min(size, 3), nd < mu_cap]
-                assert [list(w.population), list(w.weights)] == list(
+                population, weights = _weights(gen._TERM_KINDS[min(size, 3), nd < mu_cap])
+                assert [list(population), list(weights)] == list(
                     _choices_of_gen_term(size, nd, mu_cap))
 
 
@@ -305,3 +321,113 @@ def test_a_split_draws_its_cuts_as_random_sample_does(parts):
             bounds = [0, *sorted(theirs.sample(range(1, total), parts - 1)), total]
             assert got == [b - a for a, b in zip(bounds, bounds[1:])]
             assert mine.getstate() == theirs.getstate()
+
+
+# ---------- differential test against the generators' earlier code ----------
+#
+# ``_ref_res`` and ``_ref_term`` are the generators as they were before the
+# tables were read inline, leaves shared and the one-cut split drawn inline:
+# a table object picked per node, a fresh leaf per variable, every split
+# through ``_split_budget``.  The live generators must draw the same terms
+# and leave the generator in the same state.
+
+
+class _RefWeighted:
+    def __init__(self, pairs):
+        self.population = tuple(p for p, _ in pairs)
+        self.cum = tuple(accumulate(w for _, w in pairs))
+        self.hi = len(self.cum) - 1
+
+    def pick(self, rand):
+        return self.population[bisect(self.cum, rand() * self.cum[-1], 0, self.hi)]
+
+
+_REF_BAG_SIZE = _RefWeighted([(0, 30), (1, 45), (2, 25)])
+_REF_RES_KINDS = {(size >= 2, nd < 3): _RefWeighted(list(zip(*_choices_of_gen_res(size, nd, 3))))
+                  for size in (1, 2) for nd in (0, 3)}
+_REF_TERM_KINDS = {(size, nd < 3): _RefWeighted(list(zip(*_choices_of_gen_term(size, nd, 3))))
+                   for size in (1, 2, 3) for nd in (0, 3)}
+
+
+def _ref_res(rand, getrandbits, max_size, ld, nd):
+    kind = _REF_RES_KINDS[max_size >= 2, nd < 3].pick(rand)
+    if kind == "var":
+        if ld > 0 and rand() < 0.6:
+            return RVar(gen._below(getrandbits, ld))
+        return RVar(FREE_VARS[gen._below(getrandbits, 3)])
+    if kind == "lam":
+        return RLam(_ref_res(rand, getrandbits, max_size - 1, ld + 1, nd))
+    if kind == "mu":
+        if rand() < 0.5:
+            named = gen._below(getrandbits, nd + 1)
+        else:
+            named = FREE_NAMES[gen._below(getrandbits, 3)]
+        return RMu(named, _ref_res(rand, getrandbits, max_size - 1, ld, nd + 1))
+    k = _REF_BAG_SIZE.pick(rand)
+    while max_size - 1 - k < k + 1:
+        k -= 1
+    chunks = gen._split_budget(getrandbits, max_size - 1 - k, k + 1)
+    head = _ref_res(rand, getrandbits, chunks[0], ld, nd)
+    elems = [_ref_res(rand, getrandbits, c, ld, nd) for c in chunks[1:]]
+    return RApp(head, elems)
+
+
+def _ref_term(rand, getrandbits, max_nodes, ld, nd):
+    kind = _REF_TERM_KINDS[min(max_nodes, 3), nd < 3].pick(rand)
+    if kind == "var":
+        if ld > 0 and rand() < 0.6:
+            return Var(gen._below(getrandbits, ld))
+        return Var(FREE_VARS[gen._below(getrandbits, 3)])
+    if kind == "lam":
+        return Lam(_ref_term(rand, getrandbits, max_nodes - 1, ld + 1, nd))
+    if kind == "mu":
+        if rand() < 0.5:
+            named = gen._below(getrandbits, nd + 1)
+        else:
+            named = FREE_NAMES[gen._below(getrandbits, 3)]
+        return Mu(named, _ref_term(rand, getrandbits, max_nodes - 1, ld, nd + 1))
+    nf, na = gen._split_budget(getrandbits, max_nodes - 1, 2)
+    return App(_ref_term(rand, getrandbits, nf, ld, nd), _ref_term(rand, getrandbits, na, ld, nd))
+
+
+def _deepest_index(t):
+    return max((u.ref for u in _nodes(t) if type(u) in (Var, RVar) and type(u.ref) is int),
+               default=-1)
+
+
+@pytest.mark.parametrize("live, ref", [(gen_res, _ref_res), (gen_term, _ref_term)],
+                         ids=["gen_res", "gen_term"])
+@pytest.mark.parametrize("ld, nd", [(0, 0), (3, 2), (70, 0)])
+def test_the_generators_draw_as_their_earlier_code_did(live, ref, ld, nd):
+    deepest = -1
+    for seed in range(2000):
+        for size in (1, 2, 3, 4, 6, 14, 30):
+            mine, theirs = random.Random(seed), random.Random(seed)
+            got = live(mine, size, ld, nd)
+            want = ref(theirs.random, theirs.getrandbits, size, ld, nd)
+            assert type(got) is type(want) and got == want, (seed, size)
+            assert mine.getstate() == theirs.getstate(), (seed, size)
+            deepest = max(deepest, _deepest_index(got))
+    # (70, 0) draws indices past the shared leaves, so the fallback is covered.
+    assert (deepest >= gen._SHARED_INDICES) == (ld > gen._SHARED_INDICES)
+
+
+def test_leaves_below_the_bound_are_shared():
+    # Every draw of a free atom, or of an index below the bound, returns the
+    # one leaf built at import, which equals a fresh node.
+    shared = {}
+    for cls, atoms, indices in ((RVar, gen._RES_ATOMS, gen._RES_INDICES),
+                                (Var, gen._TERM_ATOMS, gen._TERM_INDICES)):
+        shared.update({(cls, x): leaf for x, leaf in zip(FREE_VARS, atoms)})
+        shared.update({(cls, i): leaf for i, leaf in enumerate(indices)})
+    assert len(shared) == 2 * (3 + gen._SHARED_INDICES)
+    assert all(type(leaf) is cls and leaf == cls(ref) for (cls, ref), leaf in shared.items())
+    deep = 0
+    for seed in range(300):
+        for t in (gen_res(random.Random(seed), 14, 40, 0), gen_term(random.Random(seed), 14, 40, 0)):
+            for u in _nodes(t):
+                if type(u) in (Var, RVar):
+                    leaf = shared.get((type(u), u.ref))
+                    assert leaf is u or (leaf is None and u.ref >= gen._SHARED_INDICES)
+                    deep += leaf is None
+    assert deep

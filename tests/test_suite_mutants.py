@@ -56,6 +56,11 @@ def _zero_normal_form(real):
     return lambda x, semiring: Sum.zero(semiring)
 
 
+def _never_open(real):
+    # a redex is contracted where it stands even when an index must move
+    return lambda u, nl, nm: False
+
+
 # (row id, module, attribute, mutant of the real function, suites that fail)
 MUTANTS = [
     ("bold_ms-drops-nmu-and-size", suites, "bold_ms", _bold_ms_without_mu_or_size,
@@ -70,6 +75,8 @@ MUTANTS = [
      ["counterexamples"]),  # 1
     ("normalize-r-zero", suites, "normalize_r", _zero_normal_form,
      ["confluence"]),  # 381
+    ("needs-opening-never", resource, "needs_opening", _never_open,
+     ["confluence", "simulation"]),  # 1, 6
 ]
 
 

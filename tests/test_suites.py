@@ -121,6 +121,48 @@ def test_lemma_instances_are_drawn_as_before():
     assert h.hexdigest() == "10c2b010852289fa2772ae735cda8305038d9f44aff980c26a9731bbda4b54c4"
 
 
+# The number and the sha256 of the samples each suite draws at seed 0 at its
+# defaults, recorded on the generator of one fresh ``random.Random`` per
+# sample; for simulation also the redex position it draws after each term.
+DRAWS_AT_SEED_0 = {
+    "confluence": (500, "1b05d299d1c45fc8ca30aa4dcb9f78a89e85cec12605142821fa1200cf0a32e4"),
+    "support": (500, "1b05d299d1c45fc8ca30aa4dcb9f78a89e85cec12605142821fa1200cf0a32e4"),
+    "simulation": (649, "0b518e560131afc5be4bb15d7688686fa5a6e34cb8aa1aeb4e3c471835214eeb"),
+    "injectivity": (100, "409375b66ba53b88ade132f58dd0258ad29911d574ab00080f4d8bc43a88541b"),
+}
+
+
+@pytest.mark.parametrize("name", list(DRAWS_AT_SEED_0))
+def test_every_suite_draws_its_samples_as_before(name, monkeypatch):
+    # A change in a sample's seed, or in the state its generator starts
+    # from, moves the hash.
+    import hashlib
+
+    from mulam.textio import print_res, print_term
+
+    drawn = []
+
+    def recording(real, show):
+        def draw(rng, max_size):
+            t = real(rng, max_size)
+            drawn.append(show(t))
+            return t
+
+        return draw
+
+    def reduce(m, pos):
+        drawn.append(pos)
+        return real_reduce(m, pos)
+
+    real_reduce = suites.reduce_redex
+    monkeypatch.setattr(suites, "gen_res", recording(suites.gen_res, print_res))
+    monkeypatch.setattr(suites, "gen_term", recording(suites.gen_term, print_term))
+    monkeypatch.setattr(suites, "reduce_redex", reduce)
+    report = suites.run_suite(name)
+    assert not report.failures
+    assert (len(drawn), hashlib.sha256(repr(drawn).encode()).hexdigest()) == DRAWS_AT_SEED_0[name]
+
+
 def test_pushed_weighs_each_split_by_its_count():
     # (x[y]){[x]/y}{[z,z]/x} = x[x]{[z,z]/x} = 2*z[z]: the two copies of z go
     # to the two occurrences of x in 2 ways.  On the right, [z,z] splits one
