@@ -125,6 +125,7 @@ def test_lemma_instances_are_drawn_as_before():
 # defaults, recorded on the generator of one fresh ``random.Random`` per
 # sample; for simulation also the redex position it draws after each term.
 DRAWS_AT_SEED_0 = {
+    "sn": (1000, "383db18a49ce32d160d2992db2e75815caf210ffcf4436350af60a80bd9a9d3b"),
     "confluence": (500, "1b05d299d1c45fc8ca30aa4dcb9f78a89e85cec12605142821fa1200cf0a32e4"),
     "support": (500, "1b05d299d1c45fc8ca30aa4dcb9f78a89e85cec12605142821fa1200cf0a32e4"),
     "simulation": (649, "0b518e560131afc5be4bb15d7688686fa5a6e34cb8aa1aeb4e3c471835214eeb"),
