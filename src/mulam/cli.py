@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
 
@@ -30,9 +29,6 @@ from .textio import (
     print_term,
     to_json,
 )
-
-_ENV_NODE_CAP = "MULAM_NODE_CAP"
-
 
 def _fail_parse(src: str, err: ParseError) -> int:
     sys.stderr.write(f"error: {err.message} at {err.start}..{err.end}\n")
@@ -348,22 +344,13 @@ def _cmd_solvable(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    node_cap = args.node_cap
-    if node_cap is None:
-        env = os.environ.get(_ENV_NODE_CAP)
-        if env is not None:
-            try:
-                node_cap = _int_at_least(1)(env)
-            except argparse.ArgumentTypeError as e:
-                sys.stderr.write(f"error: {_ENV_NODE_CAP}: {e}\n")
-                return 2
     try:
         report = run_suite(
             args.suite,
             samples=args.samples,
             seed=args.seed,
             max_term_size=args.max_term_size,
-            node_cap=node_cap,
+            node_cap=args.node_cap,
         )
     except NoSample as e:
         sys.stderr.write(f"error: {args.suite}: {e}\n")
@@ -449,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--max-term-size", type=_int_at_least(1), default=None)
     sp.add_argument("--node-cap", type=_int_at_least(1), default=None,
-                    help=f"graph size guard (also via ${_ENV_NODE_CAP})")
+                    help="graph size guard")
     sp.add_argument("--json", action="store_true")
     sp.set_defaults(func=_cmd_check)
 

@@ -1,20 +1,22 @@
 """Randomized property suites and the fixed counterexample pack.
 
-Each suite draws seeded samples, checks one family of facts, and returns a
-SuiteReport whose failure records carry enough to replay the sample by hand
-(derived seed, printed inputs, expected vs actual).  That text is rendered
-only when a failure is recorded; a passing sample prints nothing.  Inputs
-that cannot produce a sample at all raise ``NoSample``.  The identity suite
-and the counterexample pack share their draws, the builders of both sides of
-each family of identities, and one check of a pair of sides.  ``run_suite``
-takes each suite's defaults from its signature and times the run; a suite
-called directly reports a wall time of 0.
+Each sampling suite is a check of one family of facts on one seeded sample.
+One runner, ``_run``, reseeds each sample's generator, calls the check and
+builds a record from each failure it yields: every sampled failure record is
+built there.  A record carries enough to replay the sample by hand (derived
+seed, printed inputs, expected vs actual), rendered only when a failure is
+recorded.  Inputs that cannot produce a sample at all raise ``NoSample``.
+The identity suite and the counterexample pack share their draws, the
+builders of both sides of each family of identities, and one check of a
+pair of sides.  ``run_suite`` takes each suite's defaults from its signature
+and times the run; a suite called directly reports a wall time of 0.
 """
 
 from __future__ import annotations
 
 import random
 import time
+from functools import cache
 from operator import ne
 
 from .combinatorics import weak_compositions_with_counts
@@ -86,12 +88,11 @@ class Failure:
 class SuiteReport:
     __slots__ = ("suite", "samples", "failures", "wall_time")
 
-    def __init__(self, suite: str, samples: int, failures: list[Failure] | None = None,
-                 wall_time: float = 0.0):
+    def __init__(self, suite: str, samples: int):
         self.suite = suite
         self.samples = samples
-        self.failures = [] if failures is None else failures
-        self.wall_time = wall_time
+        self.failures: list[Failure] = []
+        self.wall_time = 0.0
 
     @property
     def ok(self) -> bool:
@@ -132,17 +133,22 @@ def _sample_seed(seed: int, i: int) -> int:
     return seed * 1_000_003 + i
 
 
-def _samples(samples: int, seed: int):
-    """``(i, si, rng)`` for each sample ``i``, with its seed ``si`` and one
-    generator per suite run, reseeded with ``si`` per sample.  After
-    ``rng.seed(si)`` the generator is in the state ``random.Random(si)``
+def _run(suite: str, samples: int, seed: int, check) -> SuiteReport:
+    """The report of ``suite``: ``check(i, si, rng)`` on each sample ``i``,
+    with its seed ``si``, and a failure record for each ``(input, expected,
+    actual, note)`` the check yields.
+
+    One generator serves the whole run, reseeded with ``si`` per sample.
+    After ``rng.seed(si)`` the generator is in the state ``random.Random(si)``
     starts in, so each sample draws what a fresh generator would, without
     building one per sample."""
+    report = SuiteReport(suite, samples)
     rng = random.Random()
     for i in range(samples):
         si = _sample_seed(seed, i)
         rng.seed(si)
-        yield i, si, rng
+        report.failures.extend(Failure(i, si, *f) for f in check(i, si, rng))
+    return report
 
 
 # ---------- strong normalization + measure ----------
@@ -164,27 +170,13 @@ def sn_suite(samples: int = 1000, seed: int = 0, max_term_size: int = 30) -> Sui
     once per sample.  A normal sample takes no step under any strategy, so
     it is not walked at all.
     """
-    report = SuiteReport("sn", samples)
-    for i, si, rng in _samples(samples, seed):
+    def check(i, si, rng):
         t = gen_res(rng, max_term_size)
         if t.normal:
-            continue
-        found: dict[ResTerm, list] = {}
+            return
+        find = cache(redexes)
+        measure = cache(bold_ms)
         stepped: dict[tuple[ResTerm, Pos], tuple[Sum, BoldMeasure, ResTerm | None]] = {}
-        measured: dict[ResTerm, BoldMeasure] = {}
-
-        def find(u: ResTerm) -> list:
-            rs = found.get(u)
-            if rs is None:
-                rs = found[u] = redexes(u)
-            return rs
-
-        def measure(u: ResTerm) -> BoldMeasure:
-            m = measured.get(u)
-            if m is None:
-                m = measured[u] = bold_ms(u)
-            return m
-
         # Only the random strategy draws, so the three share its stream: the
         # sample's generator reseeded with si * 4 + 1 + its index in
         # ``_STRATEGIES``.
@@ -194,10 +186,8 @@ def sn_suite(samples: int = 1000, seed: int = 0, max_term_size: int = 30) -> Sui
             steps = 0
             while (hit := pick_redex(s.items, strategy, rng, find)) is not None:
                 if steps >= _STEP_CAP:
-                    report.failures.append(
-                        Failure(i, si, print_res(t), f"normal form within {_STEP_CAP} steps",
-                                "still reducible", note=f"strategy={strategy}")
-                    )
+                    yield (print_res(t), f"normal form within {_STEP_CAP} steps",
+                           "still reducible", f"strategy={strategy}")
                     break
                 u, c, pos, _ = hit
                 done = stepped.get((u, pos))
@@ -210,16 +200,14 @@ def sn_suite(samples: int = 1000, seed: int = 0, max_term_size: int = 30) -> Sui
                     done = stepped[u, pos] = (reduct, before, bad)
                 reduct, before, bad = done
                 if bad is not None:
-                    report.failures.append(
-                        Failure(i, si, print_res(t),
-                                f"measure below {before}",
-                                f"{print_res(bad)} has {measure(bad)}",
-                                note=f"strategy={strategy} stepped={print_res(u)} pos={pos}")
-                    )
+                    yield (print_res(t), f"measure below {before}",
+                           f"{print_res(bad)} has {measure(bad)}",
+                           f"strategy={strategy} stepped={print_res(u)} pos={pos}")
                     break
                 s = _apply_sum_step(s, u, c, "coeff", reduct)
                 steps += 1
-    return report
+
+    return _run("sn", samples, seed, check)
 
 
 # ---------- confluence / support ----------
@@ -233,56 +221,43 @@ def confluence_suite(
 ) -> SuiteReport:
     """Exhaustive reduction graphs have one sink, the engine agrees with it,
     and forgetting exact counts lands on the boolean normal form."""
-    report = SuiteReport("confluence", samples)
-    for i, si, rng in _samples(samples, seed):
+    def check(i, si, rng):
         t = gen_res(rng, max_term_size)
         nfs: dict[str, Sum] = {}
         for semiring in (BOOL, NAT):
             try:
                 g = explore(t, semiring, node_cap=node_cap)
             except GraphOverflow as e:
-                report.failures.append(
-                    Failure(i, si, print_res(t), f"graph within {node_cap} nodes",
-                            f"overflow at {e.visited}", note=f"semiring={semiring}")
-                )
-                break
+                yield (print_res(t), f"graph within {node_cap} nodes",
+                       f"overflow at {e.visited}", f"semiring={semiring}")
+                return
             sink = unique_sink(g)
             if sink is None:
-                report.failures.append(
-                    Failure(i, si, print_res(t), "exactly one sink",
-                            f"{len(g.sinks)} sinks", note=f"semiring={semiring}")
-                )
-                break
-            nf = normalize_r(t, semiring)
-            nfs[semiring] = nf
+                yield (print_res(t), "exactly one sink", f"{len(g.sinks)} sinks",
+                       f"semiring={semiring}")
+                return
+            nf = nfs[semiring] = normalize_r(t, semiring)
             if nf != sink:
-                report.failures.append(
-                    Failure(i, si, print_res(t), print_sum(sink), print_sum(nf),
-                            note=f"engine vs oracle, semiring={semiring}")
-                )
-                break
-        else:
-            if nfs[NAT].support() != nfs[BOOL]:
-                report.failures.append(
-                    Failure(i, si, print_res(t), print_sum(nfs[BOOL]),
-                            print_sum(nfs[NAT].support()),
-                            note="support of exact-count normal form")
-                )
-    return report
+                yield (print_res(t), print_sum(sink), print_sum(nf),
+                       f"engine vs oracle, semiring={semiring}")
+                return
+        if nfs[NAT].support() != nfs[BOOL]:
+            yield (print_res(t), print_sum(nfs[BOOL]), print_sum(nfs[NAT].support()),
+                   "support of exact-count normal form")
+
+    return _run("confluence", samples, seed, check)
 
 
 def support_suite(samples: int = 500, seed: int = 0, max_term_size: int = 14) -> SuiteReport:
     """support(exact-count normal form) = boolean normal form, engine only."""
-    report = SuiteReport("support", samples)
-    for i, si, rng in _samples(samples, seed):
+    def check(i, si, rng):
         t = gen_res(rng, max_term_size)
         got = normalize_r(t, NAT).support()
         want = normalize_r(t, BOOL)
         if got != want:
-            report.failures.append(
-                Failure(i, si, print_res(t), print_sum(want), print_sum(got))
-            )
-    return report
+            yield print_res(t), print_sum(want), print_sum(got), ""
+
+    return _run("support", samples, seed, check)
 
 
 # ---------- simulation ----------
@@ -359,8 +334,7 @@ _SIMULATION_BUDGET = 8
 def simulation_suite(samples: int = 200, seed: int = 0, max_term_size: int = 10) -> SuiteReport:
     """One step upstairs is matched downstairs: contracting the mirrored
     redex in any approximant lands inside the approximants of the reduct."""
-    report = SuiteReport("simulation", samples)
-    for i, si, rng in _samples(samples, seed):
+    def check(i, si, rng):
         for _ in range(1000):
             m = gen_term(rng, max_term_size)
             rs = redexes(m)
@@ -372,17 +346,14 @@ def simulation_suite(samples: int = 200, seed: int = 0, max_term_size: int = 10)
         pos, kind = rng.choice(rs)
         m2 = reduce_redex(m, pos)
         for t in taylor_enum(m, _SIMULATION_BUDGET):
-            s = mirror_step(t, pos, BOOL)
-            bad = [u for u in s.terms() if not taylor_member(u, m2)]
+            bad = [u for u in mirror_step(t, pos, BOOL).terms() if not taylor_member(u, m2)]
             if bad:
-                report.failures.append(
-                    Failure(i, si, f"{print_term(m)}  --{kind}@{print_pos(pos)}-->  {print_term(m2)}",
-                            "every addend approximates the reduct",
-                            print_res(bad[0]),
-                            note=f"approximant={print_res(t)}")
-                )
-                break
-    return report
+                yield (f"{print_term(m)}  --{kind}@{print_pos(pos)}-->  {print_term(m2)}",
+                       "every addend approximates the reduct", print_res(bad[0]),
+                       f"approximant={print_res(t)}")
+                return
+
+    return _run("simulation", samples, seed, check)
 
 
 # ---------- non-interference ----------
@@ -394,26 +365,18 @@ _INJECTIVITY_BUDGET = 10
 
 def injectivity_suite(samples: int = 100, seed: int = 0, max_term_size: int = 12) -> SuiteReport:
     """Distinct approximants of one term never share a normal-form addend."""
-    report = SuiteReport("injectivity", samples)
-    for i, si, rng in _samples(samples, seed):
+    def check(i, si, rng):
         m = gen_term(rng, max_term_size)
         owner: dict[ResTerm, ResTerm] = {}
-        clash = None
         for t in taylor_enum(m, _INJECTIVITY_BUDGET):
             for u in normalize_r(t, BOOL).terms():
                 prev = owner.setdefault(u, t)
                 if prev != t:
-                    clash = (u, prev, t)
-                    break
-            if clash:
-                break
-        if clash:
-            u, prev, t = clash
-            report.failures.append(
-                Failure(i, si, print_term(m), "disjoint normal forms",
-                        f"{print_res(u)} from both {print_res(prev)} and {print_res(t)}")
-            )
-    return report
+                    yield (print_term(m), "disjoint normal forms",
+                           f"{print_res(u)} from both {print_res(prev)} and {print_res(t)}", "")
+                    return
+
+    return _run("injectivity", samples, seed, check)
 
 
 # ---------- identity suite ----------
@@ -719,15 +682,13 @@ def lemmas_suite(samples: int = 200, seed: int = 0, max_term_size: int = 6) -> S
     entry draws fresh instances that satisfy the identity's side conditions.
     The term ``t`` of an instance has size at most ``max_term_size``; bag
     elements keep their own bound of 4."""
-    report = SuiteReport("lemmas", samples * len(LEMMA_INSTANCES))
-    for k, si, rng in _samples(report.samples, seed):
+    def check(k, si, rng):
         name, make = LEMMA_INSTANCES[k // samples]
         shown, lhs, rhs = make(rng, max_term_size)
         if lhs != rhs:
-            report.failures.append(
-                Failure(k, si, shown(), print_sum(lhs), print_sum(rhs), note=name)
-            )
-    return report
+            yield shown(), print_sum(lhs), print_sum(rhs), name
+
+    return _run("lemmas", samples * len(LEMMA_INSTANCES), seed, check)
 
 
 # ---------- counterexample pack ----------

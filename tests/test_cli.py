@@ -292,38 +292,13 @@ def test_unmet_side_conditions_are_a_usage_error(capsys, monkeypatch):
     assert err == "error: lemmas: no draw met the side conditions in 500 tries\n"
 
 
-def test_check_node_cap_env_var(capsys, monkeypatch):
-    monkeypatch.setenv("MULAM_NODE_CAP", "2")
+def test_check_node_cap_flag(capsys):
     code, out, _ = _run(
         capsys,
-        "check", "--suite", "confluence", "--samples", "60",
+        "check", "--suite", "confluence", "--samples", "60", "--node-cap", "2",
     )
     assert code == 1
     assert "failures:" in out and "failures: 0" not in out
-
-
-def test_check_node_cap_env_var_must_be_numeric(capsys, monkeypatch):
-    monkeypatch.setenv("MULAM_NODE_CAP", "lots")
-    code, _, err = _run(capsys, "check", "--suite", "confluence", "--samples", "5")
-    assert code == 2
-    assert "MULAM_NODE_CAP" in err
-
-
-def test_check_node_cap_env_var_must_be_positive(capsys, monkeypatch):
-    monkeypatch.setenv("MULAM_NODE_CAP", "0")
-    code, _, err = _run(capsys, "check", "--suite", "confluence", "--samples", "5")
-    assert code == 2
-    assert "MULAM_NODE_CAP: must be at least 1" in err
-
-
-def test_check_flag_overrides_env(capsys, monkeypatch):
-    monkeypatch.setenv("MULAM_NODE_CAP", "2")
-    code, _, _ = _run(
-        capsys,
-        "check", "--suite", "confluence", "--samples", "60",
-        "--node-cap", "50000",
-    )
-    assert code == 0
 
 
 # ---------- argparse behaviour ----------

@@ -227,6 +227,10 @@ def test_sn_steps_each_addend_position_once_per_sample(monkeypatch):
 
 
 @pytest.mark.parametrize("argv", [["--suite", "sn", "--samples", "40"],
+                                  ["--suite", "confluence", "--samples", "20"],
+                                  ["--suite", "support", "--samples", "20"],
+                                  ["--suite", "simulation", "--samples", "20"],
+                                  ["--suite", "injectivity", "--samples", "20"],
                                   ["--suite", "lemmas", "--samples", "10"]])
 def test_check_prints_the_same_under_python_O(argv):
     # Neither the draws nor the sn memo may depend on an assert.
