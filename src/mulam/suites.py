@@ -147,7 +147,8 @@ def _run(suite: str, samples: int, seed: int, check) -> SuiteReport:
     for i in range(samples):
         si = _sample_seed(seed, i)
         rng.seed(si)
-        report.failures.extend(Failure(i, si, *f) for f in check(i, si, rng))
+        for f in check(i, si, rng):
+            report.failures.append(Failure(i, si, *f))
     return report
 
 
