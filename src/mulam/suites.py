@@ -237,7 +237,8 @@ def confluence_suite(
                 yield (print_res(t), "exactly one sink", f"{len(g.sinks)} sinks",
                        f"semiring={semiring}")
                 return
-            nf = nfs[semiring] = normalize_r(t, semiring)
+            nf = normalize_r(t, semiring)
+            nfs[semiring] = nf
             if nf != sink:
                 yield (print_res(t), print_sum(sink), print_sum(nf),
                        f"engine vs oracle, semiring={semiring}")
@@ -347,7 +348,8 @@ def simulation_suite(samples: int = 200, seed: int = 0, max_term_size: int = 10)
         pos, kind = rng.choice(rs)
         m2 = reduce_redex(m, pos)
         for t in taylor_enum(m, _SIMULATION_BUDGET):
-            bad = [u for u in mirror_step(t, pos, BOOL).terms() if not taylor_member(u, m2)]
+            s = mirror_step(t, pos, BOOL)
+            bad = [u for u in s.terms() if not taylor_member(u, m2)]
             if bad:
                 yield (f"{print_term(m)}  --{kind}@{print_pos(pos)}-->  {print_term(m2)}",
                        "every addend approximates the reduct", print_res(bad[0]),
