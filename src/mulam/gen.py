@@ -16,6 +16,10 @@ drawn inline as ``_split_budget`` draws it.  So a seed gives the same terms,
 and leaves the generator in the same state, as the stdlib wrappers would,
 without their per-call overhead.
 
+A bag (``gen_bag``) draws its size, then each of its at most two elements
+through ``gen_res``, one after the other, as a generator over
+``range(size)`` would; only a bag of two is sorted.
+
 Leaves are shared: a free atom, or an index below ``_SHARED_INDICES``, is
 one node built at import and returned by every draw of it.  Sharing is safe
 because nodes are immutable, equality and hashing go through their
@@ -182,7 +186,13 @@ def gen_bag(rng: random.Random, max_elem_size: int) -> Bag:
     ``max_elem_size``."""
     if max_elem_size < 1:
         raise ValueError(f"size budget must be at least 1, got {max_elem_size}")
-    return mkbag(gen_res(rng, max_elem_size) for _ in range(_below(rng.getrandbits, 3)))
+    k = _below(rng.getrandbits, 3)
+    if k == 0:
+        return ()
+    first = gen_res(rng, max_elem_size)
+    if k == 1:
+        return (first,)
+    return mkbag((first, gen_res(rng, max_elem_size)))
 
 
 def gen_term(rng: random.Random, max_nodes: int, ld: int = 0, nd: int = 0) -> Term:

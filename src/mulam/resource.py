@@ -44,6 +44,11 @@ redex is opened alone on them, in one pass over the redex
 distribution is collected in plain term -> coefficient dicts and
 canonicalized once per contraction by one ``SumBuilder``.
 
+The public named applications answer a name that is never named (no
+naming of ``alpha`` in ``t``, and for the named-pair form ``eta`` other
+than ``alpha``) without the walk: the empty bag gives ``t`` back, any
+other bag gives zero.
+
 A redex that contracts to zero (a lambda redex whose bag size differs from
 the occurrences of its variable, a mu redex whose non-empty bag finds no
 naming of its binder) is recognized by ``_reducts`` on the closed term and
@@ -239,8 +244,10 @@ def linear_named_app(t: ResTerm, alpha: str, bag, semiring: str) -> Sum:
     """<t>_alpha [bag]: distribute the bag over the namings of ``alpha``."""
     bag = _checked_bag(t, bag)
     alpha = _strip_quote(alpha)
-    got = _linear(t, NAME, alpha, bag, occurrences(t, NAME, alpha), {})
-    return SumBuilder(semiring, got).build()
+    n = occurrences(t, NAME, alpha)
+    if n == 0:
+        return _name_free(t, bag, semiring)
+    return SumBuilder(semiring, _linear(t, NAME, alpha, bag, n, {})).build()
 
 
 def linear_named_app_named(eta: str, t: ResTerm, alpha: str, bag, semiring: str) -> Sum:
@@ -248,8 +255,17 @@ def linear_named_app_named(eta: str, t: ResTerm, alpha: str, bag, semiring: str)
     (the naming stays ``eta``)."""
     bag = _checked_bag(t, bag)
     alpha = _strip_quote(alpha)
-    got = _lna_named(_strip_quote(eta), t, alpha, bag, occurrences(t, NAME, alpha), {})
-    return SumBuilder(semiring, got).build()
+    eta = _strip_quote(eta)
+    n = occurrences(t, NAME, alpha)
+    if n == 0 and eta != alpha:
+        return _name_free(t, bag, semiring)
+    return SumBuilder(semiring, _lna_named(eta, t, alpha, bag, n, {})).build()
+
+
+def _name_free(t: ResTerm, bag: Bag, semiring: str) -> Sum:
+    """A named application at a name that is never named: the empty bag
+    leaves ``t`` as it is, any other bag has nowhere to go."""
+    return Sum.zero(semiring) if bag else Sum.unit(t, semiring)
 
 
 # ---------- redexes and single steps ----------
@@ -369,6 +385,10 @@ def _apply_sum_step(s: Sum, t: ResTerm, c: int, mode: str, reduct: Sum) -> Sum:
     so the modes agree.
     """
     k = c if mode == "coeff" else 1
+    items = s.items
+    if len(items) == 1 and items[0][1] == k and items[0][0] == t and reduct.semiring == s.semiring:
+        # The sum's one addend steps whole, so the reduct is all that is left.
+        return reduct.scale(k)
     acc = SumBuilder(s.semiring)
     acc.add(s)
     acc.remove(t, k)

@@ -168,15 +168,19 @@ def sn_suite(samples: int = 1000, seed: int = 0, max_term_size: int = 30) -> Sui
     reduct with its measure verdict, and each term's ``bold_ms``.  Each is a
     function of the term alone, so every strategy takes the steps and
     records the failures it would without the memo; each is just computed
-    once per sample.  A normal sample takes no step under any strategy, so
-    it is not walked at all.
+    once per sample.  The two function memos are built once per run and
+    cleared for each sample.  A normal sample takes no step under any
+    strategy, so it is not walked at all.
     """
+    find = cache(redexes)
+    measure = cache(bold_ms)
+
     def check(i, si, rng):
         t = gen_res(rng, max_term_size)
         if t.normal:
             return
-        find = cache(redexes)
-        measure = cache(bold_ms)
+        find.cache_clear()
+        measure.cache_clear()
         stepped: dict[tuple[ResTerm, Pos], tuple[Sum, BoldMeasure, ResTerm | None]] = {}
         # Only the random strategy draws, so the three share its stream: the
         # sample's generator reseeded with si * 4 + 1 + its index in

@@ -43,6 +43,13 @@ to move (``needs_opening``: an argument that holds one, or a lambda body
 that holds a variable one).  Only then is the redex alone opened on those
 binders in one pass (``open_outer``) and each reduct closed once; the
 binders above are never opened.
+
+Sums of resource terms (``Sum``) are immutable, and since most of them are
+narrow the narrow ones skip the general machinery: a sum of no addend is
+one shared zero per semiring, a sum of one addend is made and mapped
+without a ``SumBuilder``, and a bag of at most one element is not sorted.
+Because zeros are shared, a sum's items are never written after its
+constructor.
 """
 
 from __future__ import annotations
@@ -274,8 +281,11 @@ def _bag_key(t: ResTerm) -> tuple[int, bytes]:
 
 
 def mkbag(elems: Iterable[ResTerm]) -> Bag:
-    """Canonical bag: elements sorted by their encoding (multiset order)."""
-    return tuple(sorted(elems, key=_bag_key))
+    """Canonical bag: elements sorted by their encoding (multiset order).
+    A bag of at most one element is already in order, so it is not sorted."""
+    if type(elems) is not tuple:
+        elems = tuple(elems)
+    return elems if len(elems) < 2 else tuple(sorted(elems, key=_bag_key))
 
 
 def size(t: ResTerm) -> int:
@@ -482,6 +492,18 @@ class Sum:
     reduction engine's distributions) are collected in a ``SumBuilder`` and
     canonicalized once, so building from n parts costs one merge and one
     sort, not n.
+
+    Most sums are narrow: a vanishing redex contracts to zero, and a named
+    application at a name that is never named keeps only the empty bag.  So
+    a sum of no addend or of one is built at constant cost, without a
+    builder: ``zero`` returns one shared zero per semiring (so does an empty
+    ``SumBuilder``), ``unit`` makes its one item directly, ``map`` skips
+    the builder on a narrow sum and ``bind`` on a zero or on one addend of
+    coefficient 1.  ``support``, ``to_semiring`` and ``scale`` keep the
+    order of any sum, so they never merge or sort.
+    Sharing makes immutability load-bearing: ``items`` is set only by
+    ``__init__`` and ``of_canonical``, and a write anywhere else would
+    change every zero at once.
     """
 
     __slots__ = ("semiring", "items")
@@ -503,11 +525,20 @@ class Sum:
 
     @classmethod
     def zero(cls, semiring: str) -> "Sum":
-        return cls(semiring, ())
+        """The shared zero over ``semiring``."""
+        if semiring == BOOL:
+            return _ZERO_BOOL
+        if semiring == NAT:
+            return _ZERO_NAT
+        raise _bad_semiring(semiring)
 
     @classmethod
     def unit(cls, t: ResTerm, semiring: str) -> "Sum":
-        return cls(semiring, ((t, 1),))
+        """``t`` with coefficient 1, checked as ``__init__`` checks it."""
+        _check_semiring(semiring)
+        if not isinstance(t, ResTerm):
+            raise TypeError(f"a sum addend must be a resource term, not {t!r}")
+        return cls.of_canonical(semiring, ((t, 1),))
 
     @classmethod
     def of_canonical(cls, semiring: str, items: tuple[tuple[ResTerm, int], ...]) -> "Sum":
@@ -572,36 +603,57 @@ class Sum:
         _check_coeff(k)
         if k == 0:
             return Sum.zero(self.semiring)
-        if k == 1:
+        if k == 1 or not self.items or self.semiring == BOOL:
             return self
-        return Sum(self.semiring, ((t, c * k) for t, c in self.items))
+        # Scaling by k >= 2 keeps the order and the merge.
+        return Sum.of_canonical(NAT, tuple((t, c * k) for t, c in self.items))
 
     def map(self, f: Callable[[ResTerm], ResTerm]) -> "Sum":
         """Apply a term constructor addend-wise (linearity of constructors)."""
+        items = self.items
+        if len(items) < 2:
+            if not items:
+                return self
+            t, c = items[0]
+            return Sum.of_canonical(self.semiring, ((f(t), c),))
         acc = SumBuilder(self.semiring)
         coeffs = acc.coeffs
-        for t, c in self.items:
+        for t, c in items:
             u = f(t)
             coeffs[u] = coeffs.get(u, 0) + c
         return acc.build()
 
     def bind(self, f: Callable[[ResTerm], "Sum"]) -> "Sum":
         """Substitute each addend by a whole sum, scaling by its coefficient."""
+        items = self.items
+        if not items:
+            return self
+        if len(items) == 1 and items[0][1] == 1:
+            out = f(items[0][0])
+            if out.semiring != self.semiring:
+                raise _mixed_semirings(out.semiring, self.semiring)
+            return out
         acc = SumBuilder(self.semiring)
-        for t, c in self.items:
+        for t, c in items:
             acc.add(f(t), c)
         return acc.build()
 
     def support(self) -> "Sum":
-        """Forget multiplicities: the same addends over the Bool semiring."""
-        return Sum(BOOL, ((t, 1) for t, _ in self.items))
+        """Forget multiplicities: the same addends over the Bool semiring.
+        The addends keep their order, so the sum is built without a sort."""
+        if self.semiring == BOOL:
+            return self
+        return Sum.of_canonical(BOOL, tuple((t, 1) for t, _ in self.items))
 
     def to_semiring(self, semiring: str) -> "Sum":
         if semiring == self.semiring:
             return self
         if semiring == BOOL:
             return self.support()
-        return Sum(NAT, self.items)
+        if semiring != NAT:
+            raise _bad_semiring(semiring)
+        # Bool items, of coefficient 1, are canonical over nat too.
+        return Sum.of_canonical(NAT, self.items)
 
 
 def _canonical_items(semiring: str, coeffs: dict[ResTerm, int]) -> tuple[tuple[ResTerm, int], ...]:
@@ -619,7 +671,20 @@ def _item_key(item: tuple[ResTerm, int]) -> tuple[int, bytes]:
 
 def _check_semiring(semiring: str) -> None:
     if semiring not in (BOOL, NAT):
-        raise ValueError(f"unknown semiring {semiring!r}; expected {BOOL!r} or {NAT!r}")
+        raise _bad_semiring(semiring)
+
+
+def _bad_semiring(semiring: object) -> ValueError:
+    return ValueError(f"unknown semiring {semiring!r}; expected {BOOL!r} or {NAT!r}")
+
+
+def _mixed_semirings(part: str, whole: str) -> ValueError:
+    return ValueError(f"a {part} sum added to a {whole} sum")
+
+
+# The shared zeros (see ``Sum``).
+_ZERO_BOOL = Sum.of_canonical(BOOL, ())
+_ZERO_NAT = Sum.of_canonical(NAT, ())
 
 
 def _check_coeff(k: int) -> None:
@@ -648,7 +713,7 @@ class SumBuilder:
     def add(self, s: Sum, k: int = 1) -> None:
         """Add ``k`` times ``s``."""
         if s.semiring != self.semiring:
-            raise ValueError(f"a {s.semiring} sum added to a {self.semiring} sum")
+            raise _mixed_semirings(s.semiring, self.semiring)
         _check_coeff(k)
         if k == 0:
             return
@@ -667,6 +732,8 @@ class SumBuilder:
             del self.coeffs[t]
 
     def build(self) -> Sum:
+        if not self.coeffs:
+            return Sum.zero(self.semiring)
         return Sum.of_canonical(self.semiring, _canonical_items(self.semiring, self.coeffs))
 
 

@@ -22,6 +22,7 @@ from mulam.syntax import (
     RVar,
     Var,
     is_locally_closed,
+    mkbag,
     size,
 )
 
@@ -410,6 +411,19 @@ def test_the_generators_draw_as_their_earlier_code_did(live, ref, ld, nd):
             deepest = max(deepest, _deepest_index(got))
     # (70, 0) draws indices past the shared leaves, so the fallback is covered.
     assert (deepest >= gen._SHARED_INDICES) == (ld > gen._SHARED_INDICES)
+
+
+def test_gen_bag_draws_as_a_sorted_generator_did():
+    sizes = set()
+    for seed in range(2000):
+        for m in (1, 2, 4, 6):
+            mine, theirs = random.Random(seed), random.Random(seed)
+            got = gen_bag(mine, m)
+            want = mkbag(gen_res(theirs, m) for _ in range(theirs.randrange(3)))
+            assert type(got) is tuple and got == want, (seed, m)
+            assert mine.getstate() == theirs.getstate(), (seed, m)
+            sizes.add(len(got))
+    assert sizes == {0, 1, 2}
 
 
 def test_leaves_below_the_bound_are_shared():

@@ -204,6 +204,76 @@ def test_lift_app_rejects_mixed_semirings():
         lift_app(Sum.unit(x, NAT), [Sum.unit(x, BOOL)])
 
 
+# ---------- narrow sums take a shortcut to the general result ----------
+
+_ADDENDS = [(RApp(RVar("x"), [RVar("z")]), 2), (RVar("yy"), 1), (RVar("x"), 3)]
+_OTHER = {BOOL: NAT, NAT: BOOL}
+
+
+def _general(semiring, items):
+    """The sum built the general way, through ``Sum.__init__``."""
+    return Sum(semiring, list(items))
+
+
+def _narrow_and_wide(semiring):
+    """Sums of 0, 1, 2 and 3 addends; the one addend with a coefficient of 2
+    and of 1."""
+    return [_general(semiring, items) for items in
+            ([], _ADDENDS[:1], _ADDENDS[1:2], _ADDENDS[:2], _ADDENDS)]
+
+
+@pytest.mark.parametrize("semiring", [BOOL, NAT])
+def test_narrow_sums_equal_the_general_ones(semiring):
+    for s in _narrow_and_wide(semiring):
+        items = list(s.items)
+        # A constructor (RLam) keeps addends apart; a constant merges them.
+        for f in (RLam, lambda t: RVar("x")):
+            assert s.map(f) == _general(semiring, [(f(t), c) for t, c in items])
+        for f in (lambda t: Sum.zero(semiring),
+                  lambda t: Sum.unit(RLam(t), semiring),
+                  lambda t: _general(semiring, [(t, 2), (RVar("w"), 1)])):
+            want = _general(semiring, [(u, c * cu) for t, c in items for u, cu in f(t).items])
+            assert s.bind(f) == want
+        assert s.support() == _general(BOOL, [(t, 1) for t, _ in items])
+        assert s.to_semiring(semiring) == s
+        assert s.to_semiring(_OTHER[semiring]) == _general(_OTHER[semiring], items)
+        for k in range(4):
+            assert s.scale(k) == _general(semiring, [(t, c * k) for t, c in items])
+        acc = SumBuilder(semiring)
+        acc.add(s)
+        assert acc.build() == s
+    # Coefficients above 1, which bind multiplies, on one addend and on two.
+    for n in (1, 2):
+        s = _general(NAT, [(t, c + 1) for t, c in _ADDENDS[:n]])
+        f = lambda t: _general(NAT, [(RLam(t), 2)])
+        assert s.bind(f) == _general(NAT, [(RLam(t), 2 * c) for t, c in s.items])
+    assert SumBuilder(semiring).build() == Sum.zero(semiring) == _general(semiring, [])
+    t = _ADDENDS[0][0]
+    assert Sum.unit(t, semiring) == _general(semiring, [(t, 1)])
+    assert Sum.zero(semiring).is_zero and Sum.zero(semiring).semiring == semiring
+
+
+@pytest.mark.parametrize("items", [[], [(RVar("x"), 1)], [(RVar("x"), 2)], _ADDENDS[:2]],
+                         ids=["none", "one", "one-twice", "two"])
+def test_bind_rejects_a_sum_over_the_other_semiring(items):
+    # The shortcut for one addend of coefficient 1 makes the check that
+    # adding into a builder makes.  A sum of no addend calls nothing, so it
+    # has nothing to reject.
+    s = _general(NAT, items)
+    other = lambda t: Sum.unit(t, BOOL)
+    if not items:
+        assert s.bind(other) == s
+    else:
+        with pytest.raises(ValueError):
+            s.bind(other)
+
+
+def test_to_semiring_rejects_an_unknown_semiring():
+    for n in range(3):
+        with pytest.raises(ValueError):
+            _general(BOOL, _ADDENDS[:n]).to_semiring("foo")
+
+
 # ---------- sum validation raises, so python -O keeps it ----------
 
 
@@ -272,6 +342,35 @@ for case in cases:
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["ValueError"] * 5
+
+
+# The narrow constructors make their checks without ``Sum.__init__``.
+NARROW_ERRORS = {
+    "unit of a str": ("Sum.unit('x', NAT)", TypeError),
+    "unit over an unknown semiring": ("Sum.unit(RVar('x'), 'foo')", ValueError),
+    "zero over an unknown semiring": ("Sum.zero('foo')", ValueError),
+}
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "O"])
+def test_narrow_constructors_raise_with_and_without_python_O(flags):
+    code = f"""
+from mulam.syntax import NAT, RVar, Sum
+for call in {[call for call, _ in NARROW_ERRORS.values()]!r}:
+    try:
+        eval(call)
+    except (TypeError, ValueError) as e:
+        print(type(e).__name__)
+    else:
+        print('accepted')
+"""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(mulam.__file__)))
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", code],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [error.__name__ for _, error in NARROW_ERRORS.values()]
 
 
 # ---------- term constructors raise, so python -O keeps it ----------
