@@ -2,7 +2,10 @@
 
 Exit codes: 0 success, 1 a check found failures (or the compared sets
 differ), 2 usage or parse errors.  All output is deterministic for identical
-invocations, except the wall-time line of suite reports.
+invocations, except the wall-time line of suite reports.  A parse error goes
+up to ``main``, which shows it with the text it carries and a caret under
+its span.  ``build_parser`` declares each subcommand once, through
+``command``, which adds its input arguments, ``--json`` and its dispatch.
 """
 
 from __future__ import annotations
@@ -29,24 +32,6 @@ from .textio import (
     print_term,
     to_json,
 )
-
-def _fail_parse(src: str, err: ParseError) -> int:
-    sys.stderr.write(f"error: {err.message} at {err.start}..{err.end}\n")
-    sys.stderr.write(f"  {src}\n")
-    width = max(1, err.end - err.start)
-    sys.stderr.write("  " + " " * err.start + "^" * width + "\n")
-    return 2
-
-
-def _parse(parse, src: str, *args):
-    """``parse(src, *args)``.  A parse error is reported here, with a caret
-    under its span, and goes on up to ``main``, which returns 2."""
-    try:
-        return parse(src, *args)
-    except ParseError as e:
-        _fail_parse(src, e)
-        raise
-
 
 def _read_input(args: argparse.Namespace) -> str:
     if getattr(args, "expr", None) is not None:
@@ -80,12 +65,6 @@ def _int_at_least(low: int):
         return value
 
     return parse
-
-
-def _add_input_args(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("file", nargs="?",
-                    help="file holding the expression ('-' or omitted: stdin)")
-    sp.add_argument("-e", "--expr", help="expression given inline")
 
 
 def _json_text(payload) -> str:
@@ -123,10 +102,6 @@ def _json_text(payload) -> str:
     return "".join(out)
 
 
-def _emit_json(payload) -> None:
-    print(_json_text(payload))
-
-
 # ---------- parse ----------
 
 
@@ -138,14 +113,14 @@ def _cmd_parse(args: argparse.Namespace) -> int:
         try:
             s = parse_sum(src, NAT)
         except ParseError:
-            return _fail_parse(src, lamu_err)
+            raise lamu_err from None
         if args.json:
-            _emit_json({"kind": "resource", "value": to_json(s)})
+            print(_json_text({"kind": "resource", "value": to_json(s)}))
         else:
             print(f"resource: {print_sum(s)}")
         return 0
     if args.json:
-        _emit_json({"kind": "lamu", "value": to_json(term)})
+        print(_json_text({"kind": "lamu", "value": to_json(term)}))
     else:
         print(f"lamu: {print_term(term)}")
     return 0
@@ -201,10 +176,10 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
     src = _read_input(args)
     rng = random.Random(args.seed)
     if args.calculus == "lamu":
-        x, show, pick = _parse(parse_term, src), print_term, _lamu_picker(args.strategy, rng)
+        x, show, pick = parse_term(src), print_term, _lamu_picker(args.strategy, rng)
         end = "normal for this strategy"
     else:
-        x, show = _parse(parse_sum, src, args.semiring), print_sum
+        x, show = parse_sum(src, args.semiring), print_sum
         pick = _res_picker(args.strategy, rng)
         end = "head-normal" if args.strategy == "head" else "normal"
     print(f"start: {show(x)}")
@@ -224,7 +199,7 @@ def _cmd_normalize(args: argparse.Namespace) -> int:
         try:
             parse_term(src)
         except ParseError:
-            return _fail_parse(src, res_err)
+            raise res_err from None
         sys.stderr.write(
             "error: this is a control-operator term, not a resource sum; "
             "its reduction is not finitary -- use 'reduce --calculus lamu'\n"
@@ -235,7 +210,7 @@ def _cmd_normalize(args: argparse.Namespace) -> int:
     else:
         nf = normalize_r(s, args.semiring)
     if args.json:
-        _emit_json({"normal_form": to_json(nf)})
+        print(_json_text({"normal_form": to_json(nf)}))
     else:
         print(f"normal form: {print_sum(nf)}")
     return 0
@@ -245,18 +220,16 @@ def _cmd_normalize(args: argparse.Namespace) -> int:
 
 
 def _cmd_measure(args: argparse.Namespace) -> int:
-    t = _parse(parse_res, _read_input(args))
+    t = parse_res(_read_input(args))
     slack = ms(t)
     layered = bold_ms(t)
     if args.json:
-        _emit_json(
-            {
-                "size": size(t),
-                "mu_degree": mu_degree(t),
-                "slack_multiset": list(slack),
-                "layered": [list(layered[0]), layered[1], layered[2]],
-            }
-        )
+        print(_json_text({
+            "size": size(t),
+            "mu_degree": mu_degree(t),
+            "slack_multiset": list(slack),
+            "layered": [list(layered[0]), layered[1], layered[2]],
+        }))
         return 0
     print(f"term: {print_res(t)}")
     print(f"size: {size(t)}")
@@ -274,8 +247,8 @@ def _emit_terms(args: argparse.Namespace, title: str, key: str, terms) -> int:
     most ``--limit`` of them, after their count."""
     shown = terms if args.limit is None else terms[: args.limit]
     if args.json:
-        _emit_json({"max_size": args.max_size, "count": len(terms),
-                    key: [to_json(t) for t in shown]})
+        print(_json_text({"max_size": args.max_size, "count": len(terms),
+                          key: [to_json(t) for t in shown]}))
         return 0
     print(f"{title}: {len(terms)}")
     for t in shown:
@@ -284,20 +257,20 @@ def _emit_terms(args: argparse.Namespace, title: str, key: str, terms) -> int:
 
 
 def _cmd_taylor(args: argparse.Namespace) -> int:
-    m = _parse(parse_term, _read_input(args))
+    m = parse_term(_read_input(args))
     return _emit_terms(args, f"approximants of size <= {args.max_size}", "approximants",
                        taylor_enum(m, args.max_size))
 
 
 def _cmd_nft(args: argparse.Namespace) -> int:
-    m = _parse(parse_term, _read_input(args))
+    m = parse_term(_read_input(args))
     return _emit_terms(args, f"truncated normal forms (size <= {args.max_size})", "normal_forms",
                        mkbag(nft_truncated(m, args.max_size)))
 
 
 def _cmd_nft_eq(args: argparse.Namespace) -> int:
-    m = _parse(parse_term, args.expr1)
-    n = _parse(parse_term, args.expr2)
+    m = parse_term(args.expr1)
+    n = parse_term(args.expr2)
     a = nft_truncated(m, args.max_size)
     b = nft_truncated(n, args.max_size)
     equal = a == b
@@ -308,7 +281,7 @@ def _cmd_nft_eq(args: argparse.Namespace) -> int:
             right = mkbag(b - a)
             payload["only_left"] = [print_res(t) for t in left]
             payload["only_right"] = [print_res(t) for t in right]
-        _emit_json(payload)
+        print(_json_text(payload))
         return 0 if equal else 1
     if equal:
         print(f"equal up to size {args.max_size}")
@@ -325,13 +298,14 @@ def _cmd_nft_eq(args: argparse.Namespace) -> int:
 
 
 def _cmd_solvable(args: argparse.Namespace) -> int:
-    m = _parse(parse_term, _read_input(args))
+    m = parse_term(_read_input(args))
     out = solvable(m, args.fuel)
     if args.json:
         if isinstance(out, Solvable):
-            _emit_json({"solvable": True, "steps": out.steps, "hnf": print_term(out.term)})
+            doc = {"solvable": True, "steps": out.steps, "hnf": print_term(out.term)}
         else:
-            _emit_json({"solvable": None, "fuel": out.fuel, "last": print_term(out.term)})
+            doc = {"solvable": None, "fuel": out.fuel, "last": print_term(out.term)}
+        print(_json_text(doc))
         return 0
     if isinstance(out, Solvable):
         print(f"solvable: head normal form after {out.steps} steps: {print_term(out.term)}")
@@ -356,7 +330,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         sys.stderr.write(f"error: {args.suite}: {e}\n")
         return 2
     if args.json:
-        _emit_json(report.as_dict())
+        print(_json_text(report.as_dict()))
     else:
         print(report.format_text())
     return 0 if report.ok else 1
@@ -373,73 +347,52 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("parse", help="parse and echo in canonical form")
-    _add_input_args(sp)
-    sp.add_argument("--json", action="store_true")
-    sp.set_defaults(func=_cmd_parse)
+    def command(name, func, summary, *options, inputs=True, json=True):
+        """Subcommand ``name``, which runs ``func``: the input arguments if
+        ``inputs``, then each ``(flag, keywords)`` of ``options``, then
+        ``--json`` if ``json``."""
+        sp = sub.add_parser(name, help=summary)
+        if inputs:
+            sp.add_argument("file", nargs="?",
+                            help="file holding the expression ('-' or omitted: stdin)")
+            sp.add_argument("-e", "--expr", help="expression given inline")
+        for flag, keywords in options:
+            sp.add_argument(flag, **keywords)
+        if json:
+            sp.add_argument("--json", action="store_true")
+        sp.set_defaults(func=func)
 
-    sp = sub.add_parser("reduce", help="step-by-step reduction trace")
-    _add_input_args(sp)
-    sp.add_argument("--calculus", choices=("lamu", "res"), default="lamu")
-    sp.add_argument("--strategy", choices=("head", "leftmost", "random"),
-                    default="leftmost")
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--max-steps", type=_int_at_least(0), default=100)
-    sp.add_argument("--semiring", choices=(BOOL, NAT), default=NAT,
-                    help="coefficients for --calculus res")
-    sp.set_defaults(func=_cmd_reduce)
-
-    sp = sub.add_parser("normalize", help="resource normal form")
-    _add_input_args(sp)
-    sp.add_argument("--semiring", choices=(BOOL, NAT), default=NAT)
-    sp.add_argument("--trace", action="store_true",
-                    help="print every leftmost step")
-    sp.add_argument("--json", action="store_true")
-    sp.set_defaults(func=_cmd_normalize)
-
-    sp = sub.add_parser("measure", help="termination measures of a resource term")
-    _add_input_args(sp)
-    sp.add_argument("--json", action="store_true")
-    sp.set_defaults(func=_cmd_measure)
-
-    sp = sub.add_parser("taylor", help="finite approximants up to a size bound")
-    _add_input_args(sp)
-    sp.add_argument("--max-size", type=_int_at_least(0), required=True)
-    sp.add_argument("--limit", type=_int_at_least(0), default=None,
-                    help="print at most this many")
-    sp.add_argument("--json", action="store_true")
-    sp.set_defaults(func=_cmd_taylor)
-
-    sp = sub.add_parser("nft", help="truncated normal-form set of the approximants")
-    _add_input_args(sp)
-    sp.add_argument("--max-size", type=_int_at_least(0), required=True)
-    sp.add_argument("--limit", type=_int_at_least(0), default=None)
-    sp.add_argument("--json", action="store_true")
-    sp.set_defaults(func=_cmd_nft)
-
-    sp = sub.add_parser("nft-eq", help="compare two truncated normal-form sets")
-    sp.add_argument("expr1")
-    sp.add_argument("expr2")
-    sp.add_argument("--max-size", type=_int_at_least(0), required=True)
-    sp.add_argument("--json", action="store_true")
-    sp.set_defaults(func=_cmd_nft_eq)
-
-    sp = sub.add_parser("solvable", help="bounded head-reduction query")
-    _add_input_args(sp)
-    sp.add_argument("--fuel", type=_int_at_least(0), default=1000)
-    sp.add_argument("--json", action="store_true")
-    sp.set_defaults(func=_cmd_solvable)
-
-    sp = sub.add_parser("check", help="run a property suite")
-    sp.add_argument("--suite", choices=sorted(SUITES), required=True)
-    sp.add_argument("--samples", type=_int_at_least(0), default=None)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--max-term-size", type=_int_at_least(1), default=None)
-    sp.add_argument("--node-cap", type=_int_at_least(1), default=None,
-                    help="graph size guard")
-    sp.add_argument("--json", action="store_true")
-    sp.set_defaults(func=_cmd_check)
-
+    seed = ("--seed", dict(type=int, default=0))
+    semiring = dict(choices=(BOOL, NAT), default=NAT)
+    max_size = ("--max-size", dict(type=_int_at_least(0), required=True))
+    limit = dict(type=_int_at_least(0))
+    command("parse", _cmd_parse, "parse and echo in canonical form")
+    command("reduce", _cmd_reduce, "step-by-step reduction trace",
+            ("--calculus", dict(choices=("lamu", "res"), default="lamu")),
+            ("--strategy", dict(choices=("head", "leftmost", "random"), default="leftmost")),
+            seed,
+            ("--max-steps", dict(type=_int_at_least(0), default=100)),
+            ("--semiring", dict(semiring, help="coefficients for --calculus res")),
+            json=False)
+    command("normalize", _cmd_normalize, "resource normal form",
+            ("--semiring", semiring),
+            ("--trace", dict(action="store_true", help="print every leftmost step")))
+    command("measure", _cmd_measure, "termination measures of a resource term")
+    command("taylor", _cmd_taylor, "finite approximants up to a size bound",
+            max_size, ("--limit", dict(limit, help="print at most this many")))
+    command("nft", _cmd_nft, "truncated normal-form set of the approximants",
+            max_size, ("--limit", limit))
+    command("nft-eq", _cmd_nft_eq, "compare two truncated normal-form sets",
+            ("expr1", {}), ("expr2", {}), max_size, inputs=False)
+    command("solvable", _cmd_solvable, "bounded head-reduction query",
+            ("--fuel", dict(type=_int_at_least(0), default=1000)))
+    command("check", _cmd_check, "run a property suite",
+            ("--suite", dict(choices=sorted(SUITES), required=True)),
+            ("--samples", dict(type=_int_at_least(0))),
+            seed,
+            ("--max-term-size", dict(type=_int_at_least(1))),
+            ("--node-cap", dict(type=_int_at_least(1), help="graph size guard")),
+            inputs=False)
     return ap
 
 
@@ -447,8 +400,10 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ParseError:
-        # Already reported by ``_parse``.
+    except ParseError as e:
+        # The text the error points into, with a caret under its span.
+        sys.stderr.write(f"error: {e.message} at {e.start}..{e.end}\n  {e.source}\n"
+                         f"  {' ' * e.start}{'^' * max(1, e.end - e.start)}\n")
         return 2
     except RecursionError:
         # The parser, ``map_refs``, ``lamu.named_app``, the resource

@@ -54,6 +54,7 @@ constructor.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -79,24 +80,52 @@ def fresh_atom(stem: str = "g") -> str:
     return f"{stem}~{next(_fresh_numbers)}"
 
 
-# A reference's encoding ends in ";", so an atom holds none: the encodings
-# of a bag's elements are written one after another, and a variable named
-# "x;V.y" would read as the two variables x and y.  ``mark`` tells a
+# The lexer's character classes (``textio.lex`` reads them), ASCII only:
+# ``str.isdigit`` and ``str.isidentifier`` take other scripts.
+def is_digit(c: str) -> bool:
+    return "0" <= c <= "9"
+
+
+def is_ident_start(c: str) -> bool:
+    return "a" <= c <= "z"
+
+
+def is_ident_char(c: str) -> bool:
+    return "a" <= c <= "z" or "A" <= c <= "Z" or "0" <= c <= "9" or c == "_"
+
+
+@functools.lru_cache(maxsize=4096)
+def _is_atom(atom: str, name: bool) -> bool:
+    """Whether a term may hold ``atom`` as a free variable (or a free name):
+    an identifier as the lexer reads it, other than the keyword ``mu`` for
+    a variable (``'mu`` is a name), or a ``fresh_atom`` result of an
+    identifier stem.  So the printer writes back only what parses: an
+    encoding's ";", a bag's "," and an unlexable character never occur."""
+    word, tilde, number = atom.partition("~")
+    return (is_ident_start(word[:1]) and all(map(is_ident_char, word))
+            and (not tilde or number != "" and all(map(is_digit, number)))
+            and (name or atom != "mu"))
+
+
+# A reference's encoding ends in ";", which no atom holds, so the encodings
+# of a bag's elements are written one after another.  ``mark`` tells a
 # variable's atom (".") from a name's ("'").
 def _enc_ref(ref: Ref, mark: bytes) -> bytes:
     if isinstance(ref, int):
         if ref >= 0:
             return b"%d;" % ref
-    elif isinstance(ref, str) and ref and ";" not in ref:
+    elif isinstance(ref, str) and _is_atom(ref, mark == b"'"):
         return mark + ref.encode() + b";"
     raise _bad_ref(ref)
 
 
 def _bad_ref(ref: object) -> Exception:
     """The error for a reference that is neither an index (int >= 0) nor an
-    atom (a non-empty str without ";")."""
+    atom (``_is_atom``)."""
     if isinstance(ref, (int, str)):
-        return ValueError(f"a reference must be an index >= 0 or a non-empty atom without ';', got {ref!r}")
+        return ValueError("a reference must be an index >= 0 or a non-empty atom without ';':"
+                          " an identifier (a variable other than mu) or a fresh stem~n,"
+                          f" got {ref!r}")
     return TypeError(f"a reference must be an int or a str, not {ref!r}")
 
 
@@ -427,33 +456,31 @@ def degree(nu: str, t: Term | ResTerm) -> int:
     ``nu`` is written grammar-style: ``"x"`` counts a variable, ``"'a"``
     counts a name (names only ever occur in naming position).
     """
-    atom = _strip_quote(nu)
-    return occurrences(t, VAR if atom == nu else NAME, atom)
+    if isinstance(nu, str) and nu.startswith("'"):
+        return occurrences(t, NAME, _strip_quote(nu))
+    return occurrences(t, VAR, _atom(nu))
 
 
 def deg_bag(nu: str, bag: Bag) -> int:
     return sum(degree(nu, e) for e in bag)
 
 
-def _atom(atom: str) -> str:
-    """``atom``, a free variable or name given to an entry point.  No term
-    holds the empty atom, so it is rejected (``_bad_ref``) rather than
-    taken for an atom that does not occur.  A non-str is rejected too: an
-    int would be taken for the index of a binder.  So is an atom that begins
-    with a quote (a name given with two), which would print as a name that
-    does not parse."""
+def _atom(atom: str, name: bool = False) -> str:
+    """``atom``, a free variable (a free name if ``name``) given to an entry
+    point: one a term may hold (``_is_atom``), so the empty atom is rejected
+    rather than taken for an atom that does not occur, and so is a name
+    given with two quotes.  A non-str is rejected too: an int would be
+    taken for the index of a binder."""
     if not isinstance(atom, str):
         raise TypeError(f"an atom must be a str, not {atom!r}")
-    if not atom:
+    if not _is_atom(atom, name):
         raise _bad_ref(atom)
-    if atom.startswith("'"):
-        raise ValueError(f"an atom cannot begin with a quote, got {atom!r}")
     return atom
 
 
 def _strip_quote(name: str) -> str:
     """The atom of a name given with or without its leading quote."""
-    return _atom(name[1:] if isinstance(name, str) and name.startswith("'") else name)
+    return _atom(name[1:] if isinstance(name, str) and name.startswith("'") else name, True)
 
 
 def rename_name(t, alpha: str, beta: str):

@@ -25,9 +25,12 @@ term and parsing is its inverse.
 Each walk is written once for both term syntaxes: one printer (``_print``,
 behind ``print_term``, ``print_res`` and ``print_sum``), one JSON export
 (``_json``, behind ``to_json`` and ``sum_to_json``), one parser of binder
-headers (``_parse_binder``) and one atom parser (``_parse_atom``).  The
-printer and the JSON export keep their own stacks, so any depth of term
-prints and exports (the CLI writes an export out from a stack too); the
+headers (``_parse_binder``), one atom parser (``_parse_atom``) and one
+whole-input entry (``_parse_whole``), which gives each ``ParseError`` its
+source.  The parser's scope is the binder names of each kind, innermost
+last; the lexer reads the character classes that ``syntax`` holds free atoms
+to.  The printer and the JSON export keep their own stacks, so any depth of
+term prints and exports (the CLI writes an export out from a stack too); the
 parser recurses.
 """
 
@@ -53,6 +56,9 @@ from .syntax import (
     Term,
     VAR,
     Var,
+    is_digit,
+    is_ident_char,
+    is_ident_start,
     iter_refs,
 )
 
@@ -70,13 +76,16 @@ class Token:
 
 
 class ParseError(ValueError):
-    """Syntax error with the half-open source span it points at."""
+    """Syntax error with the half-open span it points at in ``source``, the
+    whole text that ``parse_term``, ``parse_res`` or ``parse_sum`` was given
+    (as ``json.JSONDecodeError`` keeps ``doc``); None from ``lex`` alone."""
 
     def __init__(self, message: str, start: int, end: int):
         super().__init__(f"parse error at {start}..{end}: {message}")
         self.message = message
         self.start = start
         self.end = end
+        self.source: str | None = None
 
 
 _PUNCT = {
@@ -94,18 +103,11 @@ _PUNCT = {
 }
 
 
-def _is_ident_start(c: str) -> bool:
-    return "a" <= c <= "z"
-
-
-def _is_digit(c: str) -> bool:
-    # ASCII only, as NUM says: ``str.isdigit`` also takes superscripts and
-    # other scripts' digits.
-    return "0" <= c <= "9"
-
-
-def _is_ident_char(c: str) -> bool:
-    return "a" <= c <= "z" or "A" <= c <= "Z" or "0" <= c <= "9" or c == "_"
+def _scan(src: str, i: int, takes) -> int:
+    """The end of the run of characters from ``i`` that ``takes``."""
+    while i < len(src) and takes(src[i]):
+        i += 1
+    return i
 
 
 def lex(src: str) -> list[Token]:
@@ -120,27 +122,20 @@ def lex(src: str) -> list[Token]:
             toks.append(Token(_PUNCT[c], c, i, i + 1))
             i += 1
             continue
-        if _is_digit(c):
-            j = i
-            while j < n and _is_digit(src[j]):
-                j += 1
-            toks.append(Token("NUM", src[i:j], i, j))
-            i = j
-            continue
         # One scan for every identifier: after a quote it is a name (the
         # keyword ``mu`` included), else a variable or the keyword ``mu``.
         quoted = c == "'"
-        k = i + 1 if quoted else i
-        if k < n and _is_ident_start(src[k]):
-            j = k + 1
-            while j < n and _is_ident_char(src[j]):
-                j += 1
-            word = src[k:j]
-            toks.append(Token("NAME" if quoted else "MU" if word == "mu" else "VAR", word, i, j))
-            i = j
-            continue
-        what = "expected identifier after quote" if quoted else f"unexpected character {c!r}"
-        raise ParseError(what, i, i + 1)
+        k = i + quoted
+        if is_digit(c):
+            kind, j = "NUM", _scan(src, i, is_digit)
+        elif k < n and is_ident_start(src[k]):
+            j = _scan(src, k + 1, is_ident_char)
+            kind = "NAME" if quoted else "MU" if src[k:j] == "mu" else "VAR"
+        else:
+            what = "expected identifier after quote" if quoted else f"unexpected character {c!r}"
+            raise ParseError(what, i, i + 1)
+        toks.append(Token(kind, src[k:j], i, j))
+        i = j
     toks.append(Token("EOF", "", n, n))
     return toks
 
@@ -149,9 +144,14 @@ def lex(src: str) -> list[Token]:
 
 
 class _Parser:
+    """The tokens of one input, the next one's index, and the scope: the
+    binders of each kind (``VAR``, ``NAME``) around the next token, by the
+    names they were given, innermost last."""
+
     def __init__(self, src: str):
         self.toks = lex(src)
         self.i = 0
+        self.scope: dict[str, list[str]] = {VAR: [], NAME: []}
 
     def peek(self) -> Token:
         return self.toks[self.i]
@@ -162,43 +162,34 @@ class _Parser:
         return t
 
     def expect(self, kind: str, what: str | None = None) -> Token:
-        t = self.peek()
-        if t.kind != kind:
-            found = t.text or "end of input"
-            raise ParseError(f"expected {what or kind}, found {found!r}", t.start, t.end)
+        if self.peek().kind != kind:
+            self.fail(what or kind)
         return self.next()
 
-    def done(self) -> None:
+    def fail(self, what: str):
         t = self.peek()
+        raise ParseError(f"expected {what}, found {t.text or 'end of input'!r}", t.start, t.end)
+
+    def ref(self, kind: str, text: str) -> Ref:
+        """The index of the innermost binder of ``kind`` named ``text``, or
+        the atom ``text`` when none is in scope."""
+        names = self.scope[kind]
+        return names[::-1].index(text) if text in names else text
+
+
+def _parse_whole(src: str, rule, *args):
+    """``rule(parser, *args)`` on the whole of ``src``.  A parse error
+    records ``src`` as its source here, once for every entry point."""
+    try:
+        p = _Parser(src)
+        out = rule(p, *args)
+        t = p.peek()
         if t.kind != "EOF":
             raise ParseError(f"unexpected trailing input {t.text!r}", t.start, t.end)
-
-
-class _Scope:
-    """Name-resolution environment shared by both term parsers."""
-
-    __slots__ = ("venv", "nenv", "ld", "nd")
-
-    def __init__(self, venv: dict[str, int], nenv: dict[str, int], ld: int, nd: int):
-        self.venv = venv
-        self.nenv = nenv
-        self.ld = ld
-        self.nd = nd
-
-    def push_var(self, x: str) -> "_Scope":
-        return _Scope({**self.venv, x: self.ld}, self.nenv, self.ld + 1, self.nd)
-
-    def push_name(self, a: str) -> "_Scope":
-        return _Scope(self.venv, {**self.nenv, a: self.nd}, self.ld, self.nd + 1)
-
-    def var_ref(self, x: str) -> Ref:
-        if x in self.venv:
-            return self.ld - 1 - self.venv[x]
-        return x
-
-
-def _empty_scope() -> _Scope:
-    return _Scope({}, {}, 0, 0)
+        return out
+    except ParseError as e:
+        e.source = src
+        raise
 
 
 # ---------- lambda-mu terms and resource terms ----------
@@ -207,87 +198,82 @@ def _empty_scope() -> _Scope:
 # follows the binders: an application chain or a chain of bags.
 
 
-def _parse_binder(p: _Parser, sc: _Scope, lam, mu, rest):
+def _parse_binder(p: _Parser, lam, mu, rest):
     """``\\x. body`` or ``mu 'a.<'b> body`` built by ``lam(body)`` or
-    ``mu(named, body)``, the body parsed by this same function in the scope
-    its header pushes; with neither header next, ``rest(p, sc)``."""
+    ``mu(named, body)``, the body parsed by this same function with the
+    header's binder in scope; with neither header next, ``rest(p)``."""
     kind = p.peek().kind
     if kind == "LAM":
         p.next()
-        x = p.expect("VAR", "a variable").text
+        bound = p.scope[VAR]
+        bound.append(p.expect("VAR", "a variable").text)
         p.expect("DOT", "'.'")
-        return lam(_parse_binder(p, sc.push_var(x), lam, mu, rest))
-    if kind == "MU":
+        out = lam(_parse_binder(p, lam, mu, rest))
+    elif kind == "MU":
         p.next()
-        a = p.expect("NAME", "a name like 'a").text
+        bound = p.scope[NAME]
+        bound.append(p.expect("NAME", "a name like 'a").text)
         p.expect("DOT", "'.'")
         p.expect("LT", "'<'")
-        e = p.expect("NAME", "a name like 'a").text
+        named = p.ref(NAME, p.expect("NAME", "a name like 'a").text)
         p.expect("GT", "'>'")
-        inner = sc.push_name(a)
-        named = (inner.nd - 1 - inner.nenv[e]) if e in inner.nenv else e
-        return mu(named, _parse_binder(p, inner, lam, mu, rest))
-    return rest(p, sc)
+        out = mu(named, _parse_binder(p, lam, mu, rest))
+    else:
+        return rest(p)
+    bound.pop()
+    return out
 
 
-def _parse_atom(p: _Parser, sc: _Scope, var, inner, noun: str):
+def _parse_atom(p: _Parser, var, inner, noun: str):
     """A variable built by ``var(ref)``, or ``inner`` in parentheses."""
     t = p.peek()
     if t.kind == "VAR":
         p.next()
-        return var(sc.var_ref(t.text))
+        return var(p.ref(VAR, t.text))
     if t.kind == "LPAR":
         p.next()
-        out = inner(p, sc)
+        out = inner(p)
         p.expect("RPAR", "')'")
         return out
-    found = t.text or "end of input"
-    raise ParseError(f"expected {noun}, found {found!r}", t.start, t.end)
+    p.fail(noun)
 
 
-def _parse_term(p: _Parser, sc: _Scope) -> Term:
-    return _parse_binder(p, sc, Lam, Mu, _parse_app)
+def _parse_term(p: _Parser) -> Term:
+    return _parse_binder(p, Lam, Mu, _parse_app)
 
 
-def _parse_app(p: _Parser, sc: _Scope) -> Term:
-    fun = _parse_atom(p, sc, Var, _parse_term, "a term")
+def _parse_app(p: _Parser) -> Term:
+    fun = _parse_atom(p, Var, _parse_term, "a term")
     while p.peek().kind in ("VAR", "LPAR"):
-        fun = App(fun, _parse_atom(p, sc, Var, _parse_term, "a term"))
+        fun = App(fun, _parse_atom(p, Var, _parse_term, "a term"))
     return fun
 
 
 def parse_term(src: str) -> Term:
-    p = _Parser(src)
-    out = _parse_term(p, _empty_scope())
-    p.done()
-    return out
+    return _parse_whole(src, _parse_term)
 
 
-def _parse_res(p: _Parser, sc: _Scope) -> ResTerm:
-    return _parse_binder(p, sc, RLam, RMu, _parse_rchain)
+def _parse_res(p: _Parser) -> ResTerm:
+    return _parse_binder(p, RLam, RMu, _parse_rchain)
 
 
-def _parse_rchain(p: _Parser, sc: _Scope) -> ResTerm:
-    out = _parse_atom(p, sc, RVar, _parse_res, "a resource term")
+def _parse_rchain(p: _Parser) -> ResTerm:
+    out = _parse_atom(p, RVar, _parse_res, "a resource term")
     while True:
         t = p.peek()
         if t.kind == "LBRACK":
             p.next()
             elems: list[ResTerm] = []
             if p.peek().kind != "RBRACK":
-                elems.append(_parse_res(p, sc))
+                elems.append(_parse_res(p))
                 while p.peek().kind == "COMMA":
                     p.next()
-                    elems.append(_parse_res(p, sc))
+                    elems.append(_parse_res(p))
             p.expect("RBRACK", "']'")
             out = RApp(out, elems)
         elif t.kind == "NUM":
             if t.text != "1":
-                raise ParseError(
-                    f"expected '1' (the empty bag) or '[', found {t.text!r}",
-                    t.start,
-                    t.end,
-                )
+                p.fail("'1' (the empty bag) or '['")
             p.next()
             out = RApp(out, ())
         else:
@@ -295,33 +281,33 @@ def _parse_rchain(p: _Parser, sc: _Scope) -> ResTerm:
 
 
 def parse_res(src: str) -> ResTerm:
-    p = _Parser(src)
-    out = _parse_res(p, _empty_scope())
-    p.done()
-    return out
+    return _parse_whole(src, _parse_res)
 
 
-def parse_sum(src: str, semiring: str = NAT) -> Sum:
-    p = _Parser(src)
-    t = p.peek()
-    if t.kind == "NUM" and t.text == "0":
-        nxt = p.toks[p.i + 1]
-        if nxt.kind == "EOF":
-            return Sum.zero(semiring)
+def _parse_sum(p: _Parser, semiring: str) -> Sum:
+    if p.peek().text == "0" and p.toks[p.i + 1].kind == "EOF":
+        p.next()
+        return Sum.zero(semiring)
     items: list[tuple[ResTerm, int]] = []
     while True:
         coeff = 1
         t = p.peek()
         if t.kind == "NUM" and p.toks[p.i + 1].kind == "STAR":
-            coeff = int(t.text)
+            try:
+                coeff = int(t.text)
+            except ValueError:  # more digits than ``sys.get_int_max_str_digits()``
+                raise ParseError(f"coefficient too long ({len(t.text)} digits)",
+                                 t.start, t.end) from None
             p.next()
             p.next()
-        items.append((_parse_res(p, _empty_scope()), coeff))
+        items.append((_parse_res(p), coeff))
         if p.peek().kind != "PLUS":
-            break
+            return Sum(semiring, items)
         p.next()
-    p.done()
-    return Sum(semiring, items)
+
+
+def parse_sum(src: str, semiring: str = NAT) -> Sum:
+    return _parse_whole(src, _parse_sum, semiring)
 
 
 # ---------- printers ----------

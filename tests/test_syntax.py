@@ -41,7 +41,7 @@ from mulam.syntax import (
     rename_name,
     size,
 )
-from mulam.textio import ParseError, parse_res, parse_sum, parse_term
+from mulam.textio import ParseError, parse_res, parse_sum, parse_term, print_res
 
 # ---------- alpha equality and canonical bags ----------
 
@@ -698,3 +698,80 @@ def test_a_sum_is_renamed_as_its_addends_are():
     for alpha, beta in [("'a", "b"), ("'c", "'b"), ("b", "b")]:
         got = rename_name(Sum.unit(t, NAT), alpha, beta)
         assert got == Sum.unit(rename_name(t, alpha, beta), NAT), (alpha, beta)
+
+
+# ---------- a free atom is what the lexer reads as an identifier ----------
+
+# Each call hands a constructor or an entry point an atom that would print as
+# text that does not parse back to it; it must raise ValueError, with or
+# without -O.  ``mu`` is the keyword, so it is no variable, but ``'mu`` is a
+# name.
+REJECTED_ATOMS = {
+    "RVar of a bag's comma": "RVar('x, y')",
+    "RVar of a bag": "RVar('x [y]')",
+    "Var of an application": "Var('x y')",
+    "Var of an upper-case start": "Var('X')",
+    "RVar of a non-ASCII letter": "RVar('\\u00e9')",
+    "RVar of a digit": "RVar('1')",
+    "Var of the keyword mu": "Var('mu')",
+    "RVar of the keyword mu": "RVar('mu')",
+    "Var of a parenthesis": "Var('(')",
+    "Var of an underscore start": "Var('_x')",
+    "Var of a trailing newline": "Var('x\\n')",
+    "Var of a fresh atom without its number": "Var('x~')",
+    "Var of a fresh atom without its stem": "Var('~1')",
+    "Var of a fresh atom with a letter after its number": "Var('x~1a')",
+    "Var of a fresh atom of a fresh atom": "Var('x~1~2')",
+    "Mu naming an upper-case start": "Mu('A', Var('x'))",
+    "RMu naming a quoted name": "RMu(\"'a\", RVar('x'))",
+    "RMu naming a non-ASCII digit": "RMu('a\\u0663', RVar('x'))",
+    "substitution for the variable mu": "subst(M, 'mu', M)",
+    "linear substitution for the variable mu": "linear_subst(T, 'mu', [], NAT)",
+    "degree of the variable mu": "degree('mu', T)",
+    "degree of an upper-case variable": "degree('X', T)",
+    "renaming to a name with a space": "rename_name(T, 'a b', 'a')",
+    "linear named application at a name with a comma": "linear_named_app(T, \"'a,b\", [], NAT)",
+}
+_REJECTED_ATOM_NAMES = _ATOM_NAMES + """
+from mulam.syntax import Mu, RMu, RVar, Var
+"""
+
+
+@pytest.mark.parametrize("call", list(REJECTED_ATOMS.values()), ids=list(REJECTED_ATOMS))
+def test_an_atom_that_does_not_lex_is_rejected(call):
+    env = {}
+    exec(_REJECTED_ATOM_NAMES, env)
+    with pytest.raises(ValueError, match="non-empty atom"):
+        eval(call, env)
+
+
+def test_an_atom_that_does_not_lex_is_rejected_under_python_O():
+    code = _REJECTED_ATOM_NAMES + f"""
+for call in {list(REJECTED_ATOMS.values())!r}:
+    try:
+        eval(call)
+    except ValueError as e:
+        print('non-empty atom' in str(e))
+    else:
+        print('accepted')
+"""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(mulam.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True"] * len(REJECTED_ATOMS)
+
+
+def test_an_atom_that_lexes_prints_back_as_itself():
+    for x in ("x", "y0", "f_1", "aB_9z", "mux", "m"):
+        t = RApp(RVar("f"), [RVar(x), RMu("mu", RVar(x))])
+        assert parse_res(print_res(t)) == t, x
+        assert (degree(x, t), degree("'mu", t)) == (2, 1)
+    assert rename_name(RMu("a", RVar("x")), "'mu", "a") == RMu("mu", RVar("x"))
+    # A fresh atom is held, but never printed back: it does not lex.
+    fresh = fresh_atom("v")
+    assert Var(fresh).ref == fresh
+    with pytest.raises(ParseError):
+        parse_term(fresh)

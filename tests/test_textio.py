@@ -1,5 +1,7 @@
 """Lexing, parsing, printing, and JSON export."""
 
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -212,6 +214,48 @@ def test_quote_needs_an_identifier(src, at):
     with pytest.raises(ParseError, match="expected identifier after quote") as e:
         parse_term(src)
     assert (e.value.start, e.value.end) == (at, at + 1)
+
+
+# A lexer error and a parser error of each entry point: each carries the whole
+# text it was given as its source, beside its message and span.
+SOURCED_ERRORS = [
+    (parse_term, "x # y", "unexpected character '#'", 2, 3),
+    (parse_term, "\\x.\n  (x", "expected ')', found 'end of input'", 8, 8),
+    (parse_res, "x[y,'1]", "expected identifier after quote", 4, 5),
+    (parse_res, "mu 'a.<'a> x 2", "expected '1' (the empty bag) or '[', found '2'", 13, 14),
+    (parse_sum, "2*x + \u00e9", "unexpected character '\u00e9'", 6, 7),
+    (parse_sum, "2*x + 3", "expected a resource term, found '3'", 6, 7),
+]
+
+
+@pytest.mark.parametrize("parse, src, message, start, end", SOURCED_ERRORS,
+                         ids=[f"{p.__name__}:{s!r}" for p, s, *_ in SOURCED_ERRORS])
+def test_a_parse_error_carries_its_source(parse, src, message, start, end):
+    with pytest.raises(ParseError) as e:
+        parse(src)
+    assert (e.value.source, e.value.message, e.value.start, e.value.end) == (
+        src, message, start, end)
+    assert str(e.value) == f"parse error at {start}..{end}: {message}"
+
+
+def test_a_coefficient_longer_than_int_converts_is_a_parse_error():
+    # ``int`` refuses more than ``sys.get_int_max_str_digits()`` digits; that
+    # is the input's fault, so it must not escape as a bare ValueError.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        with pytest.raises(ParseError) as e:
+            parse_sum("9" * 5000 + "*x")
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert (e.value.message, e.value.start, e.value.end) == (
+        "coefficient too long (5000 digits)", 0, 5000)
+
+
+def test_the_lexer_alone_gives_no_source():
+    with pytest.raises(ParseError) as e:
+        lex("x # y")
+    assert (e.value.source, e.value.start) == (None, 2)
 
 
 # ---------- JSON ----------
