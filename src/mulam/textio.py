@@ -39,6 +39,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Iterator
 from functools import cached_property
+from typing import NoReturn
 
 from .syntax import (
     App,
@@ -122,7 +123,7 @@ def lex(src: str) -> list[Token]:
             toks.append(Token(_PUNCT[c], c, i, i + 1))
             i += 1
             continue
-        # One scan for every identifier: after a quote it is a name (the
+        # A number, or an identifier: after a quote it is a name (the
         # keyword ``mu`` included), else a variable or the keyword ``mu``.
         quoted = c == "'"
         k = i + quoted
@@ -166,7 +167,7 @@ class _Parser:
             self.fail(what or kind)
         return self.next()
 
-    def fail(self, what: str):
+    def fail(self, what: str) -> NoReturn:
         t = self.peek()
         raise ParseError(f"expected {what}, found {t.text or 'end of input'!r}", t.start, t.end)
 
