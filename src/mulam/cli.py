@@ -362,34 +362,34 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--json", action="store_true")
         sp.set_defaults(func=func)
 
-    seed = ("--seed", dict(type=int, default=0))
-    semiring = dict(choices=(BOOL, NAT), default=NAT)
-    max_size = ("--max-size", dict(type=_int_at_least(0), required=True))
-    limit = dict(type=_int_at_least(0))
     command("parse", _cmd_parse, "parse and echo in canonical form")
     command("reduce", _cmd_reduce, "step-by-step reduction trace",
             ("--calculus", dict(choices=("lamu", "res"), default="lamu")),
             ("--strategy", dict(choices=("head", "leftmost", "random"), default="leftmost")),
-            seed,
+            ("--seed", dict(type=int, default=0)),
             ("--max-steps", dict(type=_int_at_least(0), default=100)),
-            ("--semiring", dict(semiring, help="coefficients for --calculus res")),
+            ("--semiring", dict(choices=(BOOL, NAT), default=NAT,
+                                help="coefficients for --calculus res")),
             json=False)
     command("normalize", _cmd_normalize, "resource normal form",
-            ("--semiring", semiring),
+            ("--semiring", dict(choices=(BOOL, NAT), default=NAT)),
             ("--trace", dict(action="store_true", help="print every leftmost step")))
     command("measure", _cmd_measure, "termination measures of a resource term")
     command("taylor", _cmd_taylor, "finite approximants up to a size bound",
-            max_size, ("--limit", dict(limit, help="print at most this many")))
+            ("--max-size", dict(type=_int_at_least(0), required=True)),
+            ("--limit", dict(type=_int_at_least(0), help="print at most this many")))
     command("nft", _cmd_nft, "truncated normal-form set of the approximants",
-            max_size, ("--limit", limit))
+            ("--max-size", dict(type=_int_at_least(0), required=True)),
+            ("--limit", dict(type=_int_at_least(0))))
     command("nft-eq", _cmd_nft_eq, "compare two truncated normal-form sets",
-            ("expr1", {}), ("expr2", {}), max_size, inputs=False)
+            ("expr1", {}), ("expr2", {}),
+            ("--max-size", dict(type=_int_at_least(0), required=True)), inputs=False)
     command("solvable", _cmd_solvable, "bounded head-reduction query",
             ("--fuel", dict(type=_int_at_least(0), default=1000)))
     command("check", _cmd_check, "run a property suite",
             ("--suite", dict(choices=sorted(SUITES), required=True)),
             ("--samples", dict(type=_int_at_least(0))),
-            seed,
+            ("--seed", dict(type=int, default=0)),
             ("--max-term-size", dict(type=_int_at_least(1))),
             ("--node-cap", dict(type=_int_at_least(1), help="graph size guard")),
             inputs=False)

@@ -54,7 +54,6 @@ constructor.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import random
@@ -94,7 +93,6 @@ def is_ident_char(c: str) -> bool:
     return "a" <= c <= "z" or "A" <= c <= "Z" or "0" <= c <= "9" or c == "_"
 
 
-@functools.lru_cache(maxsize=4096)
 def _is_atom(atom: str, name: bool) -> bool:
     """Whether a term may hold ``atom`` as a free variable (or a free name):
     an identifier as the lexer reads it, other than the keyword ``mu`` for

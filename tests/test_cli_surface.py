@@ -3,12 +3,15 @@
 For each subcommand, in order: its help line, the function it dispatches
 to, and every action with its option strings, dest, default, choices,
 nargs, required flag, help text and the values its type accepts.  A change
-to how the parser is declared must leave all of these as they are, and the
-help texts byte for byte.
+to how the parser is declared must leave all of these as they are, and, on
+the CPython version they were recorded on, the help texts byte for byte.
 """
 
 import argparse
 import hashlib
+import sys
+
+import pytest
 
 from mulam.cli import build_parser
 
@@ -103,6 +106,10 @@ def test_every_subcommand_declares_what_it_did():
         assert sp.get_default("func").__name__ == func, name
 
 
+# The hash is of the texts as CPython 3.11's argparse lays them out; other
+# versions lay out some lines differently (3.13 writes "-e, --expr EXPR"),
+# and the action-by-action pin above holds on every version.
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="help layout pinned on CPython 3.11")
 def test_the_help_texts_are_as_pinned(monkeypatch):
     # argparse wraps help at the terminal's width, read from COLUMNS.
     monkeypatch.setenv("COLUMNS", "80")
